@@ -1,6 +1,6 @@
 # Convenience targets for the Colza reproduction.
 
-.PHONY: install test chaos autoscale lint check check-fast report sarif fuzz mcheck bench bench-trajectory bench-trajectory-update bench-analysis bench-analysis-update bench-autoscale bench-autoscale-update examples results clean
+.PHONY: install test chaos autoscale lint check check-fast report sarif fuzz mcheck bench bench-trajectory bench-trajectory-update bench-analysis bench-analysis-update bench-autoscale bench-autoscale-update bench-e2e bench-e2e-smoke examples results clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -72,6 +72,18 @@ bench-autoscale:
 
 bench-autoscale-update:
 	PYTHONPATH=src python -m repro.bench trajectory --suite autoscale --update
+
+# End-to-end benchmark (bench_e2e/README.md): all four full-stack
+# workloads, then the regression verdict against the committed
+# baseline (exit 1 on a metric past its BENCHMARK.json bound). Host
+# metrics only compare on the machine that recorded the baseline.
+bench-e2e:
+	PYTHONPATH=src python -m bench_e2e --out bench_e2e/out/latest.json
+	PYTHONPATH=src python -m bench_e2e --compare bench_e2e/baseline.json bench_e2e/out/latest.json
+
+# Smoke test of the benchmark itself (~30 s, outside tier-1's testpaths).
+bench-e2e-smoke:
+	python -m pytest bench_e2e -q
 
 examples:
 	python examples/quickstart.py

@@ -6,9 +6,9 @@ MPI mode — and drives iterations of the standard protocol: one client
 runs the 2PC ``activate``, all clients ``stage`` their blocks
 concurrently, then ``execute`` + ``deactivate``. Each iteration is
 wrapped in a ``colza.iteration`` span and its :class:`IterationTiming`
-is a *view over the span tree* — every number the bench suite reports
-flows through the same hierarchy the Chrome export and the
-critical-path analyzer read.
+is read off that span's children — every number the bench suite
+reports flows through the same :class:`~repro.sim.trace.Span` tree the
+Chrome export and the critical-path analyzer read.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.core.pipelines import MPI_COMM_REGISTRY
 from repro.mpi import MpiWorld
 from repro.sim import Simulation
 from repro.sim.platform import Cluster
+from repro.sim.trace import Span
 from repro.ssg import SwimConfig
 from repro.testing import drive, run_until
 
@@ -46,9 +47,9 @@ class IterationTiming:
         return self.activate + self.stage_total + self.execute + self.deactivate
 
     @classmethod
-    def from_span_tree(cls, node) -> "IterationTiming":
+    def from_span(cls, span: Span) -> "IterationTiming":
         """Derive the phase breakdown from one ``colza.iteration``
-        :class:`~repro.telemetry.tree.SpanNode`.
+        :class:`~repro.sim.trace.Span`.
 
         Children arrive in span-begin order, so the stage sum
         accumulates in the same order the flat-list scraping used to —
@@ -56,20 +57,20 @@ class IterationTiming:
         """
 
         def durations(name: str) -> List[float]:
-            return [c.duration for c in node.children if c.name == name and c.finished]
+            return [c.duration for c in span.children if c.name == name and c.end is not None]
 
         stages = durations("colza.stage")
         activate = durations("colza.activate")
         execute = durations("colza.execute")
         deactivate = durations("colza.deactivate")
         return cls(
-            iteration=node.tags.get("iteration", -1),
+            iteration=span.tags.get("iteration", -1),
             activate=activate[-1] if activate else 0.0,
             stage_total=sum(stages),
             stage_mean=sum(stages) / len(stages) if stages else 0.0,
             execute=execute[-1] if execute else 0.0,
             deactivate=deactivate[-1] if deactivate else 0.0,
-            n_servers=node.tags.get("n_servers", 0),
+            n_servers=span.tags.get("n_servers", 0),
         )
 
 
@@ -213,7 +214,9 @@ class ColzaExperiment:
     def iteration_body(
         self, iteration: int, blocks_per_client: Sequence[ClientBlocks]
     ) -> Generator:
-        """activate (2PC, client 0) -> concurrent stage -> execute -> deactivate."""
+        """activate (2PC, client 0) -> concurrent stage -> execute -> deactivate.
+
+        Returns ``(the colza.iteration span, frozen-view size)``."""
         sim = self.sim
         lead = self.handles[0]
         span = sim.trace.begin(
@@ -237,7 +240,7 @@ class ColzaExperiment:
             sim.trace.end(span, error=type(err).__name__)
             raise
         sim.trace.end(span, n_servers=len(frozen))
-        return len(frozen)
+        return span, len(frozen)
 
     @staticmethod
     def _stage_all(handle, iteration: int, blocks: ClientBlocks) -> Generator:
@@ -250,19 +253,11 @@ class ColzaExperiment:
     ) -> IterationTiming:
         """Drive one iteration to completion and derive its timing from
         the iteration's span subtree."""
-        from repro.telemetry.tree import SpanTree
-
-        sim = self.sim
-        n_servers = drive(
-            sim, self.iteration_body(iteration, blocks_per_client), max_time=100000
+        span, n_servers = drive(
+            self.sim, self.iteration_body(iteration, blocks_per_client), max_time=100000
         )
-        nodes = [
-            n
-            for n in SpanTree.from_tracer(sim.trace).iterations(self.pipeline_name)
-            if n.finished and n.tags.get("iteration") == iteration
-        ]
-        if nodes:
-            timing = IterationTiming.from_span_tree(nodes[-1])
+        if span.recorded:
+            timing = IterationTiming.from_span(span)
         else:  # tracing disabled: keep the pre-telemetry zero timings
             timing = IterationTiming(iteration, 0.0, 0.0, 0.0, 0.0, 0.0, n_servers)
         self.timings.append(timing)

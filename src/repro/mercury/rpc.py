@@ -183,7 +183,8 @@ class MercuryInstance:
     # ------------------------------------------------------------------
     # lifecycle
     def finalize(self, quiesce: bool = False) -> None:
-        """Tear the instance down; pending dispatches are dropped.
+        """Tear the instance down; pending dispatches are dropped (a
+        handler still running finishes, but its reply is not sent).
 
         ``quiesce=True`` models a crash: zombie handler tasks that try
         to keep communicating hang silently instead of erroring."""
@@ -234,20 +235,23 @@ class MercuryInstance:
             "hg.handler", rpc=request.name, parent=request.trace_parent
         )
         handler = self._handlers.get(request.name)
+        tags = {}
         if handler is None:
-            ev = self._respond(request, ("unknown", request.name))
-            self.sim.trace.end(span, status="unknown")
-            yield ev
+            status, payload = "unknown", request.name
+        else:
+            try:
+                status, payload = "ok", (yield from handler(self, request.input))
+            except Exception as err:  # noqa: BLE001 - errors cross the wire
+                status, payload = "err", repr(err)
+                tags["error"] = type(err).__name__
+        if not self.endpoint.alive and not self.endpoint.quiesced:
+            # Gracefully finalized while the handler ran (a departing
+            # server proxying a SWIM ping_req): finalize() drops pending
+            # dispatches, so there is no endpoint left to reply from.
+            self.sim.trace.end(span, status="dropped")
             return
-        try:
-            output = yield from handler(self, request.input)
-        except Exception as err:  # noqa: BLE001 - errors cross the wire
-            ev = self._respond(request, ("err", repr(err)))
-            self.sim.trace.end(span, status="err", error=type(err).__name__)
-            yield ev
-            return
-        ev = self._respond(request, ("ok", output))
-        self.sim.trace.end(span, status="ok")
+        ev = self._respond(request, (status, payload))
+        self.sim.trace.end(span, status=status, **tags)
         yield ev
 
     def _respond(self, request: RpcRequest, wire: tuple) -> Event:

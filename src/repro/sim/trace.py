@@ -16,11 +16,13 @@ Async operations whose begin and end live in different execution
 contexts (message transits, RDMA) use :meth:`Tracer.begin_async`: the
 span records its parent but never becomes anyone's "current" span.
 
-The benchmark harness derives per-iteration timings
-(:class:`repro.bench.harness.IterationTiming`) from the span tree via
-:class:`repro.telemetry.tree.SpanTree` rather than scraping flat span
-lists; :mod:`repro.telemetry.export` turns the same tree into Chrome
-``trace_event`` JSON.
+:class:`Span` *is* the tree node and the :class:`Tracer` is the tree's
+only owner: a span is appended to its parent's ``children`` when it
+begins, and nothing else ever builds or mutates that list. Readers —
+:class:`repro.bench.harness.IterationTiming`, the critical-path
+analyzer, ``tree_shape`` — take a ``Span`` and walk ``span.children``;
+asking about one iteration costs its own subtree, not the whole
+history.
 
 Disabled tracing (``tracer.enabled = False``) is a true no-op: spans
 begun while disabled are never recorded, and ending them neither
@@ -30,12 +32,12 @@ mutates them nor fires ``on_end`` callbacks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
 __all__ = ["Span", "Tracer", "canonical_tags"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """A named interval of simulated time with free-form tags."""
 
@@ -54,12 +56,24 @@ class Span:
     #: False when begun while tracing was disabled: the span was dropped
     #: at begin time and end() must treat it as a no-op.
     recorded: bool = True
+    #: Spans begun under this one, in id order. Linked by the Tracer at
+    #: begin time and derived from ``parent``, so never serialized or
+    #: compared — ``to_records()``/``digest()`` carry ``parent`` only.
+    #: The shared ``()`` until the first child: most spans are leaves,
+    #: and a list each is one more GC-tracked container per message.
+    children: Sequence["Span"] = field(default=(), repr=False, compare=False)
 
     @property
     def duration(self) -> float:
         if self.end is None:
             raise ValueError(f"span {self.name!r} not finished")
         return self.end - self.start
+
+    def walk(self) -> Iterator["Span"]:
+        """Pre-order traversal of this subtree (self included)."""
+        yield self
+        for child in self.children:
+            yield from child.walk()
 
 
 #: Shared no-op spans handed out while tracing is disabled. ``end`` and
@@ -141,6 +155,9 @@ class Tracer:
         #: failing is a test failure, not something to swallow.
         self.on_end: List[Any] = []
         self._ids = 0
+        #: Id of ``spans[0]``: ids are dense, so span ``i`` sits at
+        #: ``spans[i - _first_id]`` (clear() drops spans, never ids).
+        self._first_id = 0
         #: Span stack for code running outside any task.
         self._root_stack: List[Span] = []
 
@@ -204,16 +221,25 @@ class Tracer:
 
     def _make_span(self, name: str, parent, tags: Dict[str, Any], detached: bool) -> Span:
         task = self._sim.current_task
+        parent_id = self._resolve_parent(parent)
         span = Span(
             name=name,
             start=self._sim.now,
             tags=dict(tags),
             id=self._ids,
-            parent=self._resolve_parent(parent),
+            parent=parent_id,
             task=task.name if task is not None else "",
             detached=detached,
         )
         self._ids += 1
+        # A parent dropped by clear() keeps its id on the child but no
+        # longer indexes ``spans``: recorded, not linked.
+        if parent_id is not None and self._first_id <= parent_id < span.id:
+            above = self.spans[parent_id - self._first_id]
+            if above.children:
+                above.children.append(span)
+            else:
+                above.children = [span]
         self.spans.append(span)
         return span
 
@@ -271,14 +297,15 @@ class Tracer:
         """Durations of all matching finished spans."""
         return [s.duration for s in self.find(name, **tags)]
 
-    def children_of(self, span: Span) -> List[Span]:
-        """Direct children of ``span``, in creation order."""
-        return [s for s in self.spans if s.parent == span.id]
-
     def clear(self) -> None:
+        """Drop every recorded span and counter. Ids keep counting, and
+        spans still open on a task's stack stay valid parents *by id*
+        only: what begins under them afterwards is a root of the new
+        forest."""
         self.spans.clear()
         self.counters.clear()
         self._root_stack.clear()
+        self._first_id = self._ids
 
     # ------------------------------------------------------------------
     # export / summaries
@@ -310,7 +337,7 @@ class Tracer:
 
         payload = {"spans": self.to_records(), "counters": dict(self.counters)}
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            fh.write(json.dumps(payload, indent=2))
         return path
 
     def digest(self) -> str:

@@ -7,8 +7,10 @@ The measurement layer the evaluation stands on (ISSUE 2). Three parts:
   registry (counters, gauges, histograms), owned by each
   :class:`~repro.sim.kernel.Simulation` as ``sim.metrics``;
 - :mod:`repro.telemetry.tree` / :mod:`repro.telemetry.critical_path` —
-  the span *tree* view over :class:`~repro.sim.trace.Tracer` output and
-  the critical-path analyzer that attributes a timestep's wall clock to
+  analyses over the span tree the :class:`~repro.sim.trace.Tracer` owns
+  (a :class:`~repro.sim.trace.Span` is the node; nothing here builds
+  span-shaped objects): the golden-fixture shape summary and the
+  critical-path analyzer that attributes a timestep's wall clock to
   fabric/compute/gossip/protocol without double counting;
 - :mod:`repro.telemetry.export` — Chrome ``trace_event`` JSON (opens in
   Perfetto / ``chrome://tracing``) and text/JSON reports, surfaced via
@@ -26,7 +28,7 @@ from repro.telemetry.export import (
 )
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.telemetry.sketch import QuantileSketch
-from repro.telemetry.tree import SpanNode, SpanTree, tree_shape
+from repro.telemetry.tree import tree_shape
 
 __all__ = [
     "Attribution",
@@ -37,8 +39,6 @@ __all__ = [
     "LAYER_OF",
     "MetricsRegistry",
     "QuantileSketch",
-    "SpanNode",
-    "SpanTree",
     "chrome_trace_events",
     "render_text_report",
     "telemetry_report",

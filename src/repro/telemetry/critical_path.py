@@ -7,9 +7,10 @@ execution), ``gossip`` (SWIM), ``protocol`` (Colza client/server RPC
 machinery) — or to ``idle`` when no descendant span is active.
 
 Attribution is a sweep line over the elementary intervals induced by
-descendant span boundaries, clipped to the parent span; at each
-instant the *deepest* active span wins (ties broken by later start,
-then larger span id — all deterministic). Because every instant is
+descendant span boundaries, clipped to the parent span, with the
+active spans in a heap; at each instant the *deepest* active span wins
+(ties broken by later start, then larger span id — all deterministic)
+and widths accumulate left to right. Because every instant is
 assigned exactly once, the conservation law
 
     sum(attribution values) + idle == parent duration
@@ -20,10 +21,11 @@ pins it across chaos scenarios.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.telemetry.tree import SpanNode
+from repro.sim.trace import Span
 
 __all__ = ["Attribution", "CriticalPathAnalyzer", "LAYER_OF", "layer_of"]
 
@@ -106,9 +108,8 @@ class CriticalPathAnalyzer:
         self._layer_fn = layer_fn
 
     # ------------------------------------------------------------------
-    def attribute(self, node: SpanNode) -> Attribution:
-        """Sweep-line attribution of ``node``'s duration (see module doc)."""
-        span = node.span
+    def attribute(self, span: Span) -> Attribution:
+        """Sweep-line attribution of ``span``'s duration (see module doc)."""
         if span.end is None:
             raise ValueError(f"span {span.name!r} (#{span.id}) is unfinished")
         lo, hi = span.start, span.end
@@ -116,30 +117,31 @@ class CriticalPathAnalyzer:
         if hi <= lo:
             return out
 
-        # Finished descendants clipped to the parent window, with depth.
-        intervals: List[Tuple[float, float, int, float, int, str]] = []
-        for child in node.children:
+        # Finished descendants clipped to the parent window, as heap
+        # entries (start, -depth, -span.start, -id, end, name).
+        intervals: List[Tuple[float, int, float, int, float, str]] = []
+        for child in span.children:
             self._collect(child, depth=1, lo=lo, hi=hi, out=intervals)
         if not intervals:
             out.idle = out.duration
             return out
 
-        boundaries = sorted({lo, hi, *(s for s, *_ in intervals), *(e for _, e, *_ in intervals)})
+        boundaries = sorted({lo, hi, *(i[0] for i in intervals), *(i[4] for i in intervals)})
+        intervals.sort(reverse=True)  # pop() hands them out by start
+        # Min-heap of the spans begun at or before ``left``: the top is
+        # the deepest (ties -> later start, larger id); one that ended
+        # at or before ``left`` is discarded when it surfaces.
+        active: List[Tuple[int, float, int, float, str]] = []
         for left, right in zip(boundaries, boundaries[1:]):
+            while intervals and intervals[-1][0] <= left:
+                heapq.heappush(active, intervals.pop()[1:])
+            while active and active[0][3] <= left:
+                heapq.heappop(active)
             width = right - left
-            if width <= 0:
-                continue
-            # Deepest active span wins; ties -> later start, larger id.
-            winner = None
-            for start, end, depth, w_start, span_id, name in intervals:
-                if start <= left and end >= right:
-                    key = (depth, w_start, span_id)
-                    if winner is None or key > winner[0]:
-                        winner = (key, name)
-            if winner is None:
+            if not active:
                 out.idle += width
             else:
-                name = winner[1]
+                name = active[0][4]
                 layer = self._layer_fn(name)
                 out.layers[layer] = out.layers.get(layer, 0.0) + width
                 out.by_name[name] = out.by_name.get(name, 0.0) + width
@@ -147,33 +149,32 @@ class CriticalPathAnalyzer:
 
     def _collect(
         self,
-        node: SpanNode,
+        span: Span,
         depth: int,
         lo: float,
         hi: float,
-        out: List[Tuple[float, float, int, float, int, str]],
+        out: List[Tuple[float, int, float, int, float, str]],
     ) -> None:
-        span = node.span
         if span.end is not None:
             start = max(span.start, lo)
             end = min(span.end, hi)
             if end > start:
-                out.append((start, end, depth, span.start, span.id, span.name))
-        for child in node.children:
+                out.append((start, -depth, -span.start, -span.id, end, span.name))
+        for child in span.children:
             self._collect(child, depth + 1, lo, hi, out)
 
     # ------------------------------------------------------------------
-    def iteration_breakdown(self, node: SpanNode) -> Dict[str, object]:
+    def iteration_breakdown(self, span: Span) -> Dict[str, object]:
         """Report-ready attribution of one ``colza.iteration`` span."""
-        attribution = self.attribute(node)
+        attribution = self.attribute(span)
         attribution.check_conservation()
         phases: Dict[str, float] = {}
-        for child in node.children:
-            if child.finished and child.name.startswith("colza."):
+        for child in span.children:
+            if child.end is not None and child.name.startswith("colza."):
                 phase = child.name.split(".", 1)[1]
                 phases[phase] = phases.get(phase, 0.0) + child.duration
         return {
-            "iteration": node.tags.get("iteration"),
+            "iteration": span.tags.get("iteration"),
             "duration": attribution.duration,
             "phases": {k: phases[k] for k in sorted(phases)},
             "layers": {k: attribution.layers[k] for k in sorted(attribution.layers)},

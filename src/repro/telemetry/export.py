@@ -20,7 +20,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.sim.trace import canonical_tags
 from repro.telemetry.critical_path import CriticalPathAnalyzer, layer_of
-from repro.telemetry.tree import SpanTree
 
 __all__ = [
     "chrome_trace_events",
@@ -95,7 +94,7 @@ def write_chrome_trace(tracer, path: str, metrics=None) -> str:
     if metrics is not None:
         payload["otherData"] = {"metrics": metrics.snapshot()}
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=None, separators=(",", ":"))
+        fh.write(json.dumps(payload, separators=(",", ":")))
     return path
 
 
@@ -103,12 +102,11 @@ def write_chrome_trace(tracer, path: str, metrics=None) -> str:
 # reports
 def telemetry_report(sim, pipeline: Optional[str] = None) -> Dict[str, Any]:
     """Span summary + per-iteration critical paths + metrics snapshot."""
-    tree = SpanTree.from_tracer(sim.trace)
     analyzer = CriticalPathAnalyzer()
     iterations = [
-        analyzer.iteration_breakdown(node)
-        for node in tree.iterations(pipeline)
-        if node.finished
+        analyzer.iteration_breakdown(span)
+        for span in sim.trace.find("colza.iteration")
+        if pipeline is None or span.tags.get("pipeline") in (None, pipeline)
     ]
     return {
         "now": sim.now,

@@ -1,114 +1,21 @@
-"""The span *tree*: hierarchy view over a Tracer's flat span list.
+"""The timestamp-free *shape* of a span subtree.
 
-The tracer records parentage (``Span.parent``) at begin time — within a
-task via the span stack, across tasks via spawn inheritance, and across
-processes via the RPC trace context. This module materializes that
-into a navigable tree, plus the *shape* summary the golden-trace
-regression tests pin: names, nesting and counts, never timestamps.
+:class:`~repro.sim.trace.Span` is the tree node (the tracer links
+``children`` at begin time); this module only summarizes a subtree into
+the shape the golden-trace regression tests pin: names, nesting and
+counts, never timestamps.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List
 
-from repro.sim.trace import Span, Tracer
+from repro.sim.trace import Span
 
-__all__ = ["SpanNode", "SpanTree", "tree_shape"]
-
-
-class SpanNode:
-    """One span plus its children (in span-id order)."""
-
-    __slots__ = ("span", "children", "parent")
-
-    def __init__(self, span: Span):
-        self.span = span
-        self.children: List["SpanNode"] = []
-        self.parent: Optional["SpanNode"] = None
-
-    # Pass-throughs ------------------------------------------------------
-    @property
-    def name(self) -> str:
-        return self.span.name
-
-    @property
-    def tags(self) -> Dict[str, Any]:
-        return self.span.tags
-
-    @property
-    def duration(self) -> float:
-        return self.span.duration
-
-    @property
-    def finished(self) -> bool:
-        return self.span.end is not None
-
-    def walk(self) -> Iterator["SpanNode"]:
-        """Pre-order traversal of this subtree (self included)."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
-    def depth(self) -> int:
-        """Longest root-to-leaf span count in this subtree (>= 1)."""
-        if not self.children:
-            return 1
-        return 1 + max(child.depth() for child in self.children)
-
-    def find(self, name: str, **tags: Any) -> Iterator["SpanNode"]:
-        for node in self.walk():
-            if node.name != name:
-                continue
-            if all(node.tags.get(k) == v for k, v in tags.items()):
-                yield node
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SpanNode {self.name!r} children={len(self.children)}>"
+__all__ = ["tree_shape"]
 
 
-class SpanTree:
-    """The forest of all spans recorded by one tracer."""
-
-    def __init__(self, spans: List[Span]):
-        self.nodes: Dict[int, SpanNode] = {s.id: SpanNode(s) for s in spans}
-        self.roots: List[SpanNode] = []
-        for span in spans:
-            node = self.nodes[span.id]
-            parent = self.nodes.get(span.parent) if span.parent is not None else None
-            if parent is not None:
-                node.parent = parent
-                parent.children.append(node)
-            else:
-                self.roots.append(node)
-
-    @classmethod
-    def from_tracer(cls, tracer: Tracer) -> "SpanTree":
-        return cls(list(tracer.spans))
-
-    # ------------------------------------------------------------------
-    def walk(self) -> Iterator[SpanNode]:
-        for root in self.roots:
-            yield from root.walk()
-
-    def find(self, name: str, **tags: Any) -> Iterator[SpanNode]:
-        for root in self.roots:
-            yield from root.find(name, **tags)
-
-    def node(self, span_id: int) -> Optional[SpanNode]:
-        return self.nodes.get(span_id)
-
-    def iterations(self, pipeline: Optional[str] = None) -> List[SpanNode]:
-        """All ``colza.iteration`` spans, in id (creation) order."""
-        out = [n for n in self.walk() if n.name == "colza.iteration"]
-        if pipeline is not None:
-            out = [n for n in out if n.tags.get("pipeline") in (None, pipeline)]
-        return out
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-
-def tree_shape(node: SpanNode, include_unfinished: bool = False) -> Dict[str, Any]:
+def tree_shape(node: Span, include_unfinished: bool = False) -> Dict[str, Any]:
     """The timestamp-free shape of a subtree, for golden fixtures.
 
     Children are aggregated by name recursively: two same-named
@@ -123,10 +30,10 @@ def tree_shape(node: SpanNode, include_unfinished: bool = False) -> Dict[str, An
     return shape
 
 
-def _merge_child_shapes(node: SpanNode, include_unfinished: bool) -> List[Dict[str, Any]]:
+def _merge_child_shapes(node: Span, include_unfinished: bool) -> List[Dict[str, Any]]:
     merged: Dict[str, Dict[str, Any]] = {}
     for child in node.children:
-        if not include_unfinished and not child.finished:
+        if not include_unfinished and child.end is None:
             continue
         child_shape = tree_shape(child, include_unfinished)
         into = merged.get(child.name)

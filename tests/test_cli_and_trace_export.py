@@ -106,6 +106,40 @@ def test_trace_to_json(tmp_path):
     assert data["counters"]["bytes"] == 42
 
 
+def test_export_files_are_byte_identical_to_json_dump(tmp_path):
+    """Both writers hand ``json.dumps`` output to the file in one go;
+    the bytes must be what streaming ``json.dump`` used to produce."""
+    import io
+
+    from repro.telemetry import chrome_trace_events, write_chrome_trace
+
+    sim = Simulation()
+
+    def body(sim):
+        with sim.trace.span("outer", n=1, ratio=0.1, who=None):
+            transit = sim.trace.begin_async("na.send", nbytes=2**40, label="é")
+            yield sim.timeout(1e-7)
+            sim.trace.end(transit, dropped=False)
+
+    sim.spawn(body(sim), name="t")
+    sim.run()
+    sim.trace.add("bytes", 42)
+
+    reference = io.StringIO()
+    json.dump({"spans": sim.trace.to_records(), "counters": dict(sim.trace.counters)},
+              reference, indent=2)
+    with open(sim.trace.to_json(str(tmp_path / "trace.json"))) as fh:
+        assert fh.read() == reference.getvalue()
+
+    reference = io.StringIO()
+    json.dump({"traceEvents": chrome_trace_events(sim.trace), "displayTimeUnit": "ms",
+               "otherData": {"metrics": sim.metrics.snapshot()}},
+              reference, indent=None, separators=(",", ":"))
+    path = write_chrome_trace(sim.trace, str(tmp_path / "chrome.json"), metrics=sim.metrics)
+    with open(path) as fh:
+        assert fh.read() == reference.getvalue()
+
+
 def test_trace_to_json_rejects_non_canonical_tags(tmp_path):
     # Strict serialization: no default=str fallback smuggling reprs
     # (and their memory addresses) into replay artifacts.

@@ -128,3 +128,34 @@ def test_inplace_reduce_folds_match_sequential_combines():
         fast = op.combine_many(chunks[0], chunks[1:])
         assert naive.dtype == fast.dtype, op.name
         assert np.array_equal(naive, fast), op.name
+
+
+def test_run_iteration_cost_is_independent_of_trace_history():
+    """The iteration's timing is read off the span ``iteration_body``
+    opened, so ``run_iteration`` costs its own subtree: 50 000 finished
+    spans already in the tracer must not add Python calls (exact for a
+    seed; a per-iteration rebuild of the whole tree adds several per
+    recorded span)."""
+    import cProfile
+    import pstats
+
+    from repro.bench.harness import ColzaExperiment
+    from repro.core.pipelines import IsoSurfaceScript
+    from repro.na import VirtualPayload
+
+    def calls(history):
+        exp = ColzaExperiment(
+            2, 4, IsoSurfaceScript(field="dist", isovalues=[1.0]),
+            seed=9, width=32, height=32, library="libcolza-iso.so",
+        ).setup()
+        trace = exp.sim.trace
+        for _ in range(history):
+            trace.end(trace.begin("history"))
+        blocks = [[(c, VirtualPayload((1024,), "float64"))] for c in range(4)]
+        profile = cProfile.Profile()
+        profile.runcall(exp.run_iteration, 1, blocks)
+        assert exp.timings[-1].execute > 0.0
+        return pstats.Stats(profile).total_calls
+
+    fresh, aged = calls(0), calls(50_000)
+    assert abs(aged - fresh) <= 0.01 * fresh, (fresh, aged)

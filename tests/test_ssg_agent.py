@@ -157,3 +157,35 @@ def test_leave_when_not_running_is_noop(sim):
     agent = SSGAgent(margos[0], GroupFile(), config=FAST)
     drive(sim, agent.leave())  # never started: returns immediately
     assert not agent.running
+
+
+def test_member_leaving_while_it_proxies_an_indirect_probe(sim):
+    """A stale indirect probe of a departed member can still be in
+    flight through the *next* leaver. Its ping_req handler outlives the
+    graceful finalize; the reply must be dropped, not sent from the
+    deregistered endpoint (``NAError`` out of ``sim.run``)."""
+    _, _, agents = build_ssg_group(sim, 5, config=FAST)
+    run_until(sim, lambda: converged(agents), max_time=60)
+    origin, proxy, departed = agents[0], agents[1], agents[4]
+    drive(sim, departed.leave())
+    departed.margo.finalize()
+    run_until(sim, lambda: converged(agents[:4]), max_time=60)
+
+    probe = sim.spawn(origin._ping_req_one(proxy.address, departed.address), name="stale-probe")
+    sim.run(until=sim.now + 0.01)
+
+    (handler,) = [s for s in sim.trace.spans
+                  if s.name == "hg.handler" and s.tags["rpc"] == "ssg/ping_req"
+                  and s.task.startswith(proxy.margo.name) and s.end is None]
+    # The proxy is now waiting on the departed member.
+    # Not drive(): its 0.1 s polling step would outlast the ping deadline.
+    leave = sim.spawn(proxy.leave(), name="leave")
+    sim.run(until=sim.now + 0.02)
+    assert leave.finished
+    proxy.margo.finalize()
+    assert handler.end is None  # ... and still is, with its endpoint gone
+
+    sim.run(until=sim.now + 1.0)
+    assert probe.finished and probe.done.value is False
+    assert handler.end is not None and handler.tags["status"] == "dropped"
+    run_until(sim, lambda: converged([agents[0], agents[2], agents[3]]), max_time=60)

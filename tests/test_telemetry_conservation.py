@@ -12,15 +12,14 @@ import pytest
 
 from repro.chaos.faults import CrashFault, FaultPlan, LinkFault
 from repro.chaos.scenarios import CLIENT, _workload, build_stack
-from repro.telemetry import CriticalPathAnalyzer, SpanTree
+from repro.telemetry import CriticalPathAnalyzer
 from repro.testing import drive
 
 ANALYZER = CriticalPathAnalyzer()
 
 
 def _check_all_iterations(sim, min_iterations: int):
-    tree = SpanTree.from_tracer(sim.trace)
-    nodes = [n for n in tree.iterations() if n.finished]
+    nodes = list(sim.trace.find("colza.iteration"))
     assert len(nodes) >= min_iterations, f"only {len(nodes)} iteration spans"
     for node in nodes:
         attribution = ANALYZER.attribute(node)
@@ -84,7 +83,6 @@ def test_unfinished_parent_rejected():
     from repro.sim import Simulation
 
     sim = Simulation()
-    sim.trace.begin("colza.iteration", iteration=1)
-    tree = SpanTree.from_tracer(sim.trace)
+    span = sim.trace.begin("colza.iteration", iteration=1)
     with pytest.raises(ValueError):
-        ANALYZER.attribute(tree.roots[0])
+        ANALYZER.attribute(span)

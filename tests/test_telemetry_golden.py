@@ -22,7 +22,7 @@ import pytest
 from repro.bench.harness import ColzaExperiment
 from repro.core.pipelines import IsoSurfaceScript
 from repro.na import VirtualPayload
-from repro.telemetry import SpanTree, chrome_trace_events, tree_shape, write_chrome_trace
+from repro.telemetry import chrome_trace_events, tree_shape, write_chrome_trace
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 CONTROLLERS = ("mona", "mpi")
@@ -42,10 +42,18 @@ def _run_experiment(controller: str, seed: int = SEED) -> ColzaExperiment:
     return exp
 
 
+def _iterations(exp: ColzaExperiment):
+    """The experiment's finished ``colza.iteration`` spans, in id order."""
+    return list(exp.sim.trace.find("colza.iteration", pipeline=exp.pipeline_name))
+
+
 def _iteration_shapes(exp: ColzaExperiment):
-    tree = SpanTree.from_tracer(exp.sim.trace)
-    nodes = [n for n in tree.iterations(exp.pipeline_name) if n.finished]
-    return [tree_shape(node) for node in nodes]
+    return [tree_shape(span) for span in _iterations(exp)]
+
+
+def _depth(span) -> int:
+    """Longest root-to-leaf span count in the subtree (>= 1)."""
+    return 1 + max((_depth(child) for child in span.children), default=0)
 
 
 def _fixture_path(controller: str) -> str:
@@ -76,9 +84,7 @@ def test_span_tree_shape_matches_golden(controller):
 
 @pytest.mark.parametrize("controller", CONTROLLERS)
 def test_iteration_nesting_depth(controller):
-    exp = _experiment(controller)
-    tree = SpanTree.from_tracer(exp.sim.trace)
-    depths = [n.depth() for n in tree.iterations(exp.pipeline_name) if n.finished]
+    depths = [_depth(span) for span in _iterations(_experiment(controller))]
     assert depths and max(depths) >= 4, depths
 
 
@@ -86,13 +92,11 @@ def test_server_side_spans_nest_under_client_iteration():
     """The RPC trace context carries parentage across the wire: the
     MoNA collectives run *inside the servers* yet hang off the client's
     iteration span, via execute -> hg.forward -> hg.handler."""
-    exp = _experiment("mona")
-    tree = SpanTree.from_tracer(exp.sim.trace)
-    node = tree.iterations(exp.pipeline_name)[0]
+    node = _iterations(_experiment("mona"))[0]
     chain = ("colza.execute", "hg.forward", "hg.handler", "pipeline.execute")
     cursor = [node]
     for name in chain:
-        cursor = [hit for n in cursor for hit in n.find(name)]
+        cursor = [hit for n in cursor for hit in n.walk() if hit.name == name]
         assert cursor, f"no {name!r} under the iteration span"
     assert any(n.name.startswith("mona.") for c in cursor for n in c.walk())
 

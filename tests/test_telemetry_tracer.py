@@ -7,7 +7,7 @@ import pytest
 
 from repro.sim import Simulation
 from repro.sim.trace import canonical_tags
-from repro.telemetry.tree import SpanTree, tree_shape
+from repro.telemetry.tree import tree_shape
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +27,7 @@ def test_task_stack_nesting():
     outer, inner = sim.trace.spans
     assert outer.parent is None
     assert inner.parent == outer.id
-    assert sim.trace.children_of(outer) == [inner]
+    assert outer.children == [inner] and not inner.children
 
 
 def test_spawn_inherits_ambient_parent():
@@ -100,8 +100,7 @@ def test_rpc_style_explicit_parent():
     handler = sim.trace.begin("hg.handler", parent=caller.id)
     sim.trace.end(handler)
     assert handler.parent == caller.id
-    tree = SpanTree.from_tracer(sim.trace)
-    assert tree.node(caller.id).children == [tree.node(handler.id)]
+    assert caller.children == [handler]
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +233,7 @@ def test_tree_shape_merges_siblings():
         sim.trace.end(leaf)
         sim.trace.end(child)
     sim.trace.end(root)
-    tree = SpanTree.from_tracer(sim.trace)
-    shape = tree_shape(tree.roots[0])
+    shape = tree_shape(root)
     assert shape == {
         "name": "iter",
         "count": 1,
