@@ -11,11 +11,14 @@ test:
 chaos:
 	pytest tests/chaos/ -q
 
-# The closed-loop SLO autoscaler (DESIGN §16): unit + acceptance tests
-# plus the chaos scenarios that attack the controller's own actuation.
+# The elasticity controller (DESIGN §16), both decide-step policies:
+# unit + acceptance + oracle tests, the band's pure cases and the
+# growing-workload run, the ablation smoke, and the chaos scenarios that
+# attack the controller's own actuation (predictive and band).
 autoscale:
 	PYTHONPATH=src python -m pytest tests/test_autoscale.py -q
-	PYTHONPATH=src python -m pytest tests/chaos/test_scenarios.py -q -k "autoscale"
+	PYTHONPATH=src python -m pytest tests/test_extensions.py tests/test_bench_experiments_smoke.py -q -k "autoscal or policy"
+	PYTHONPATH=src python -m pytest tests/chaos/test_scenarios.py -q -k "autoscale or band_policy or controller"
 
 lint:
 	PYTHONPATH=src python -m repro.analysis lint src

@@ -2,8 +2,9 @@
 
 Runs the Fig. 10-style growing DWI workload under three regimes:
 
-- **autoscaled**: start small; the :class:`ElasticityPolicy` grows the
-  staging area whenever execute exceeds its target band;
+- **autoscaled**: start small; the elasticity controller, deciding
+  with the :class:`~repro.core.autoscale.ThresholdBand` policy, grows
+  the staging area whenever execute exceeds its target band;
 - **static small**: the initial allocation, never resized;
 - **static large**: provisioned for the final iteration from day one.
 
@@ -15,13 +16,12 @@ cost, not the large one's).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.apps import DWIDataset, DWIProxyRank
 from repro.bench.harness import ColzaExperiment
-from repro.core.elasticity import AutoScaler, ElasticityPolicy
+from repro.core.autoscale import SloConfig, ThresholdBand
 from repro.core.pipelines import DWIVolumeScript
-from repro.testing import drive
 
 __all__ = ["run"]
 
@@ -49,7 +49,7 @@ def _experiment(n_servers: int, seed: int) -> ColzaExperiment:
     ).setup()
 
 
-def _run(regime: str, seed: int) -> Dict[str, object]:
+def _run(regime: str, seed: int, iterations: int) -> Dict[str, object]:
     dataset = DWIDataset(iterations=30)
     proxies = [
         DWIProxyRank(dataset, rank=r, nranks=N_CLIENTS, virtual=True)
@@ -57,37 +57,30 @@ def _run(regime: str, seed: int) -> Dict[str, object]:
     ]
     n0 = LARGE if regime == "static_large" else SMALL
     exp = _experiment(n0, seed)
-    scaler = None
+    controller = None
     if regime == "autoscaled":
-        policy = ElasticityPolicy(
-            target_high=12.0, target_low=1.0, max_servers=LARGE,
-            grow_step=PROCS_PER_NODE, cooldown_iterations=1,
+        controller = exp.autoscaler(
+            # Hold one observation after a resize (the join-init spike):
+            # cooldown 2 on the controller's tick clock.
+            SloConfig(max_servers=LARGE, cooldown_iterations=2),
+            first_node=SMALL // PROCS_PER_NODE,
+            policy=ThresholdBand(high=12.0, low=1.0, grow_step=PROCS_PER_NODE),
         )
-        scaler = AutoScaler(exp, policy, next_node=SMALL // PROCS_PER_NODE)
-
-    times: List[float] = []
-    server_seconds = 0.0
-    t_prev = exp.sim.now
-    for it in range(1, ITERATIONS + 1):
-        exp.sim.run(until=exp.sim.now + APP_COMPUTE_S)  # the app computes
-        blocks = [list(p.read_iteration(it)) for p in proxies]
-        timing = exp.run_iteration(it, blocks)
-        times.append(timing.execute)
-        now = exp.sim.now
-        server_seconds += timing.n_servers * (now - t_prev)
-        t_prev = now
-        if scaler is not None:
-            drive(exp.sim, scaler.step(timing.execute), max_time=600)
+    server_seconds = exp.run_controlled(
+        ([list(p.read_iteration(it)) for p in proxies]
+         for it in range(1, iterations + 1)),
+        compute_seconds=APP_COMPUTE_S, controller=controller,
+    )
     return {
-        "times": times,
+        "times": [t.execute for t in exp.timings],
         "server_seconds": server_seconds,
         "final_servers": len(exp.deployment.live_daemons()),
     }
 
 
-def run(seed: int = 17) -> Dict[str, Dict[str, object]]:
+def run(seed: int = 17, iterations: int = ITERATIONS) -> Dict[str, Dict[str, object]]:
     return {
-        "autoscaled": _run("autoscaled", seed),
-        "static_small": _run("static_small", seed + 1),
-        "static_large": _run("static_large", seed + 2),
+        "autoscaled": _run("autoscaled", seed, iterations),
+        "static_small": _run("static_small", seed + 1, iterations),
+        "static_large": _run("static_large", seed + 2, iterations),
     }

@@ -7,8 +7,8 @@ fig. 5), DWI (the fig. 1a growth curve) — through the
 comparing four regimes per (app, trace):
 
 - **slo**: the predictive :class:`~repro.core.autoscale.SloAutoscaler`;
-- **reactive**: the PR-era threshold band
-  (:class:`~repro.core.elasticity.AutoScaler`), kept as the baseline;
+- **reactive**: the same controller deciding with the
+  :class:`~repro.core.autoscale.ThresholdBand` policy — the baseline;
 - **static_small**: the initial allocation, never resized;
 - **static_large**: provisioned for the worst trace point from day one.
 
@@ -31,11 +31,9 @@ from typing import Dict, List, Sequence
 
 from repro.bench.harness import ColzaExperiment
 from repro.bench.loadtraces import trace
-from repro.core.autoscale import SloAutoscaler, SloConfig
-from repro.core.elasticity import AutoScaler, ElasticityPolicy
+from repro.core.autoscale import SloConfig, ThresholdBand
 from repro.core.pipelines import IsoSurfaceScript
 from repro.na import VirtualPayload
-from repro.testing import drive
 
 __all__ = ["run"]
 
@@ -84,46 +82,35 @@ def _run_regime(regime: str, app: str, loads: Sequence[float], n_clients: int,
                 seed: int) -> Dict[str, object]:
     n0 = LARGE if regime == "static_large" else SMALL
     exp = _experiment(n0, n_clients, seed)
-    sim = exp.sim
     controller = None
-    scaler = None
-    if regime == "slo":
-        controller = SloAutoscaler(
-            exp.deployment, exp.client_margos[0], STATS, exp.pipeline_config(),
-            pipeline="pipe",
-            slo=SloConfig(deadline=DEADLINE, min_servers=1, max_servers=LARGE,
-                          cooldown_iterations=1, shrink_patience=6,
-                          join_deadline=8.0, leave_deadline=8.0,
-                          initial_resize_cost=4.0),
-            first_node=8,
+    if regime in ("slo", "reactive"):
+        band = ThresholdBand(high=DEADLINE, low=0.3) if regime == "reactive" else None
+        controller = exp.autoscaler(
+            # The band holds one observation after a resize, which on
+            # the controller's tick clock is cooldown 2.
+            SloConfig(deadline=DEADLINE, min_servers=1, max_servers=LARGE,
+                      cooldown_iterations=2 if band else 1, shrink_patience=6,
+                      join_deadline=8.0, leave_deadline=8.0,
+                      initial_resize_cost=4.0),
+            first_node=8, policy=band,
         )
-    elif regime == "reactive":
-        policy = ElasticityPolicy(target_high=DEADLINE, target_low=0.3,
-                                  min_servers=1, max_servers=LARGE,
-                                  cooldown_iterations=1)
-        scaler = AutoScaler(exp, policy, next_node=8)
-
-    executes: List[float] = []
-    server_seconds = 0.0
-    t_prev = sim.now
-    for it, load in enumerate(loads, start=1):
-        sim.run(until=sim.now + 0.5)  # the app computes
-        timing = exp.run_iteration(it, _blocks(app, n_clients, load, it, len(loads)))
-        executes.append(timing.execute)
-        server_seconds += timing.n_servers * (sim.now - t_prev)
-        t_prev = sim.now
-        if controller is not None:
-            drive(sim, controller.step_from_trace(), max_time=600)
-        elif scaler is not None:
-            drive(sim, scaler.step(timing.execute), max_time=600)
+    server_seconds = exp.run_controlled(
+        (_blocks(app, n_clients, load, it, len(loads))
+         for it, load in enumerate(loads, start=1)),
+        compute_seconds=0.5, controller=controller,
+    )
+    executes = [t.execute for t in exp.timings]
     return {
         "slo_misses": sum(1 for e in executes if e > DEADLINE),
-        "resizes": controller.resizes if controller else
-        sum(1 for d in (scaler.decisions if scaler else []) if d.action != "hold"),
+        "resizes": controller.resizes if controller else 0,
         "resize_failures": controller.resize_failures if controller else 0,
         "server_seconds": server_seconds,
         "worst_execute": max(executes),
         "final_servers": len(exp.deployment.live_daemons()),
+        #: One letter per control step (g/s/h); empty for static regimes.
+        "decisions": "".join(
+            d.action[0] for d in (controller.decisions if controller else [])
+        ),
     }
 
 

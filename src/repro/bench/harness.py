@@ -14,10 +14,11 @@ Chrome export and the critical-path analyzer read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Generator, Iterable, List, Optional, Sequence, Tuple
 
 from repro.catalyst.script import CatalystScript
 from repro.core import ColzaAdmin, Deployment
+from repro.core.autoscale import SloAutoscaler, SloConfig, ThresholdBand
 from repro.core.pipelines import MPI_COMM_REGISTRY
 from repro.mpi import MpiWorld
 from repro.sim import Simulation
@@ -262,3 +263,37 @@ class ColzaExperiment:
             timing = IterationTiming(iteration, 0.0, 0.0, 0.0, 0.0, 0.0, n_servers)
         self.timings.append(timing)
         return timing
+
+    # ------------------------------------------------------------------
+    def autoscaler(
+        self, slo: SloConfig, first_node: int, policy: Optional[ThresholdBand] = None
+    ) -> SloAutoscaler:
+        """The elasticity controller wired to this experiment's
+        deployment, admin client and pipeline."""
+        return SloAutoscaler(
+            self.deployment, self.client_margos[0], self.library,
+            self.pipeline_config(), pipeline=self.pipeline_name, slo=slo,
+            first_node=first_node, policy=policy,
+        )
+
+    def run_controlled(
+        self,
+        blocks_per_iteration: Iterable[Sequence[ClientBlocks]],
+        compute_seconds: float,
+        controller: Optional[SloAutoscaler] = None,
+    ) -> float:
+        """The application loop of the autoscaling experiments: compute,
+        run one in-situ iteration, step the controller (if any). Returns
+        the server-seconds consumed — staging servers burn allocation
+        while the application computes and while a resize is in flight."""
+        sim = self.sim
+        server_seconds = 0.0
+        t_prev = sim.now
+        for it, blocks in enumerate(blocks_per_iteration, start=1):
+            sim.run(until=sim.now + compute_seconds)
+            timing = self.run_iteration(it, blocks)
+            server_seconds += timing.n_servers * (sim.now - t_prev)
+            t_prev = sim.now
+            if controller is not None:
+                drive(sim, controller.step_from_trace(), max_time=600)
+        return server_seconds

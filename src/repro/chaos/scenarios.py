@@ -45,7 +45,7 @@ import repro.core.pipelines  # noqa: F401  (registers the pipeline libraries)
 from repro.bench.loadtraces import bursty
 from repro.core import Deployment, TenancyConfig
 from repro.core.admin import ColzaAdmin
-from repro.core.autoscale import SloAutoscaler, SloConfig, TenantSlo
+from repro.core.autoscale import SloAutoscaler, SloConfig, TenantSlo, ThresholdBand
 from repro.na import VirtualPayload
 from repro.sim import Simulation
 from repro.ssg import SwimConfig
@@ -126,6 +126,17 @@ class ChaosContext:
 
     def admin(self) -> ColzaAdmin:
         return ColzaAdmin(self.margo)
+
+    def autoscaler(self, policy=None, tenants=None, **slo) -> SloAutoscaler:
+        """An elasticity controller on this stack, watched by the
+        ControllerSafety audit; ``slo`` overrides :data:`AUTOSCALE_SLO`."""
+        controller = SloAutoscaler(
+            self.deployment, self.margo, self.library, self.config,
+            slo=SloConfig(**{**AUTOSCALE_SLO, **slo}), tenants=tenants,
+            first_node=8, policy=policy,
+        )
+        self.monitor.watch_controller(controller)
+        return controller
 
 
 def build_stack(
@@ -1070,54 +1081,6 @@ def scenario_slow_node(seed: int = 0) -> ScenarioResult:
     return _finish(ctx, {"view_sizes": sizes, "max_execute_s": max(execs)})
 
 
-@scenario
-def scenario_slow_straggler_autoscale(seed: int = 0) -> ScenarioResult:
-    """A straggler pushes execute time over the elasticity policy's
-    band; the autoscaler (reading the tracer) must grow the area."""
-    from repro.bench.harness import ColzaExperiment
-    from repro.core.elasticity import AutoScaler, ElasticityPolicy
-    from repro.core.pipelines import IsoSurfaceScript
-
-    experiment = ColzaExperiment(
-        n_servers=2, n_clients=1, script=IsoSurfaceScript(field="d", isovalues=[0.5]),
-        library=STATS, seed=seed, pipeline_name="pipe",
-        extra_config={"bytes_per_second": 2e7},
-    ).setup()
-    sim = experiment.sim
-    monitor = InvariantMonitor(sim, experiment.deployment).attach()
-    # ``extra_config`` reaches the stats backend, so the fault can slow
-    # the straggler's actual compute by a plausible throttle factor
-    # instead of an artificial x2000 against a near-free default.
-    plan = FaultPlan((
-        SlowFault(sim.now, sim.now + 200.0, server=experiment.deployment.daemons[0].name,
-                  factor=8.0),
-    ))
-    engine = ChaosEngine(sim, plan, experiment.deployment, monitor).install()
-    policy = ElasticityPolicy(target_high=0.5, target_low=1e-4,
-                              cooldown_iterations=0, max_servers=4)
-    scaler = AutoScaler(experiment, policy, next_node=8)
-    payload = VirtualPayload((1 << 21,), "float64")  # 16 MiB
-    decisions = []
-    for it in range(1, 4):
-        experiment.run_iteration(it, [[(b, payload) for b in range(4)]])
-        decision = drive(sim, scaler.step_from_trace(), max_time=300)
-        decisions.append(decision.action)
-    if "grow" not in decisions:
-        monitor.violations.append(f"straggler never triggered growth: {decisions}")
-    try:
-        run_until(sim, experiment.deployment.converged, max_time=60)
-    except TimeoutError:
-        pass
-    monitor.final_check()
-    engine.uninstall()
-    monitor.detach()
-    return ScenarioResult(
-        name="", seed=-1, digest=sim.trace.digest(),
-        violations=list(monitor.violations),
-        info={"decisions": decisions, "servers": len(experiment.deployment.addresses())},
-    )
-
-
 # ---------------------------------------------------------------------------
 # the closed-loop SLO controller under attack (DESIGN §16)
 #
@@ -1139,17 +1102,33 @@ AUTOSCALE_SLO = dict(
 
 
 @scenario
+def scenario_slow_straggler_autoscale(seed: int = 0) -> ScenarioResult:
+    """The reactive policy under the same audit: a straggler pushes
+    execute time over the band's high threshold (a healthy pair takes
+    ~0.26 s), and the controller must grow the area."""
+    ctx = build_stack(seed, n_servers=2, config={"bytes_per_second": AUTOSCALE_BPS})
+    controller = ctx.autoscaler(policy=ThresholdBand(high=0.5, low=1e-4))
+    t = ctx.t0
+    ctx.arm(FaultPlan((SlowFault(t, t + 200.0, server=ctx.servers[0], factor=8.0),)))
+    drive(ctx.sim, _controller_workload(ctx, controller, [1.0] * 3), max_time=1200)
+    decisions = [d.action for d in controller.decisions]
+    result = _finish(ctx, {
+        "decisions": decisions,
+        "servers": len(ctx.deployment.live_daemons()),
+    })
+    if "grow" not in decisions:
+        result.violations.append(f"straggler never triggered growth: {decisions}")
+    return result
+
+
+@scenario
 def scenario_autoscale_join_target_crash(seed: int = 0) -> ScenarioResult:
     """The controller's scale-up target crashes mid-join: the attempt
     must be abandoned, the node quarantined, and the retry on a
     different node must restore the grow — with the safety audit clean
     and ``resize_failures`` recording the casualty."""
     ctx = build_stack(seed, n_servers=2, config={"bytes_per_second": AUTOSCALE_BPS})
-    controller = SloAutoscaler(
-        ctx.deployment, ctx.margo, ctx.library, ctx.config,
-        slo=SloConfig(**AUTOSCALE_SLO), first_node=8,
-    )
-    ctx.monitor.watch_controller(controller)
+    controller = ctx.autoscaler()
     initial = {d.name for d in ctx.deployment.daemons}
     crashed: List[str] = []
 
@@ -1192,11 +1171,7 @@ def scenario_autoscale_telemetry_blackout(seed: int = 0) -> ScenarioResult:
     hold (gauge up, decisions hold, no exception) and recover when
     telemetry returns — never actuating blind."""
     ctx = build_stack(seed, n_servers=2, config={"bytes_per_second": AUTOSCALE_BPS})
-    slo = SloConfig(**{**AUTOSCALE_SLO, "stale_after_steps": 2, "min_servers": 2})
-    controller = SloAutoscaler(
-        ctx.deployment, ctx.margo, ctx.library, ctx.config, slo=slo, first_node=8,
-    )
-    ctx.monitor.watch_controller(controller)
+    controller = ctx.autoscaler(stale_after_steps=2, min_servers=2)
     window: Dict[str, float] = {}
 
     def lights_off():
@@ -1238,12 +1213,7 @@ def scenario_autoscale_flapping_straggler(seed: int = 0) -> ScenarioResult:
     cooldown + shrink patience + resize-cost amortization must keep the
     controller from breathing with the flaps."""
     ctx = build_stack(seed, n_servers=2, config={"bytes_per_second": AUTOSCALE_BPS})
-    controller = SloAutoscaler(
-        ctx.deployment, ctx.margo, ctx.library, ctx.config,
-        slo=SloConfig(**{**AUTOSCALE_SLO, "min_servers": 2, "shrink_patience": 3}),
-        first_node=8,
-    )
-    ctx.monitor.watch_controller(controller)
+    controller = ctx.autoscaler(min_servers=2, shrink_patience=3)
     t = ctx.t0
     straggler = ctx.servers[0]
     ctx.arm(FaultPlan(tuple(
@@ -1279,12 +1249,7 @@ def scenario_autoscale_tenant_burst(seed: int = 0) -> ScenarioResult:
         "alpha": TenantSlo("pipe", deadline=1.2, resize_budget=1, budget_window=100),
         "beta": TenantSlo("pipe", deadline=1.2, resize_budget=2, budget_window=100),
     }
-    controller = SloAutoscaler(
-        ctx.deployment, ctx.margo, ctx.library, ctx.config,
-        slo=SloConfig(**{**AUTOSCALE_SLO, "min_servers": 2, "max_servers": 6}),
-        tenants=tenants, first_node=8,
-    )
-    ctx.monitor.watch_controller(controller)
+    controller = ctx.autoscaler(tenants=tenants, min_servers=2, max_servers=6)
     # alpha bursts early and keeps escalating; beta bursts later.
     alpha_loads = [1.0, 1.0, 4.0, 4.0, 8.0, 10.0, 10.0, 10.0]
     beta_loads = [1.0, 1.0, 1.0, 1.0, 1.0, 8.0, 8.0, 8.0]

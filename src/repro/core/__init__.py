@@ -17,17 +17,18 @@ The moving parts, mirroring §II:
 - :class:`ColzaDaemon` / :class:`Deployment`
   (:mod:`repro.core.daemon`) — process bring-up, elastic joins via the
   group file, and the static-restart alternative for comparison;
+- :class:`SloAutoscaler` (:mod:`repro.core.autoscale`) — the
+  elasticity controller (predictive planner or :class:`ThresholdBand`);
 - :mod:`repro.core.pipelines` — concrete Catalyst-based pipelines for
   the three applications.
 """
 
-from repro.core.autoscale import SloAutoscaler, SloConfig, TenantSlo
+from repro.core.autoscale import SloAutoscaler, SloConfig, TenantSlo, ThresholdBand
 from repro.core.backend import Backend, create_backend, register_backend
 from repro.core.backoff import backoff_delay
 from repro.core.client import ColzaClient, DistributedPipelineHandle, PipelineHandle
 from repro.core.admin import ColzaAdmin
 from repro.core.daemon import ColzaDaemon, Deployment
-from repro.core.elasticity import AutoScaler, ElasticityPolicy
 from repro.core.provider import ColzaProvider
 from repro.core.replication import ReplicaStore, block_owner, replica_buddies
 from repro.core.tenancy import (
@@ -40,7 +41,6 @@ from repro.core.tenancy import (
 )
 
 __all__ = [
-    "AutoScaler",
     "Backend",
     "ColzaAdmin",
     "ColzaClient",
@@ -49,7 +49,6 @@ __all__ = [
     "DEFAULT_TENANT",
     "Deployment",
     "DistributedPipelineHandle",
-    "ElasticityPolicy",
     "PipelineHandle",
     "ReplicaStore",
     "SloAutoscaler",
@@ -58,6 +57,7 @@ __all__ = [
     "TenantQuota",
     "TenantRegistry",
     "TenantSlo",
+    "ThresholdBand",
     "backoff_delay",
     "block_owner",
     "create_backend",

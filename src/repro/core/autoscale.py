@@ -1,9 +1,13 @@
-"""Closed-loop SLO autoscaler (ROADMAP item 3, DESIGN §16).
+"""The elasticity controller (the paper's future work (2), DESIGN §16).
 
-The paper leaves "automatic resizing as a response to performance
-constraints" to future work; :mod:`repro.core.elasticity` filled that
-gap with a reactive threshold band. This module replaces the band with
-a *predictive* closed loop:
+The paper lists elasticity triggers (§IV-B) and leaves "automatic
+resizing as a response to performance constraints" to future work.
+:class:`SloAutoscaler` is that controller: one closed loop that owns
+observation, the cooldown clock, actuation, failure handling and the
+event log. Only the *decide* step is pluggable (``policy=``): the
+default predictive planner (Predict/Decide below), or
+:class:`ThresholdBand` — the reactive baseline the benches compare it
+against.
 
 - **Observe**: :meth:`SloAutoscaler.step_from_trace` reads finished
   ``colza.execute`` spans per tenant from the tracer — the same span
@@ -58,14 +62,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Set
 
 from repro.core.admin import ColzaAdmin
 from repro.core.backoff import backoff_delay, guarded
 from repro.core.tenancy import DEFAULT_TENANT, qualify
 from repro.sim.kernel import Interrupt
 
-__all__ = ["ControllerEvent", "SloAutoscaler", "SloConfig", "SloDecision", "TenantSlo"]
+__all__ = [
+    "ControllerEvent",
+    "SloAutoscaler",
+    "SloConfig",
+    "SloDecision",
+    "TenantSlo",
+    "ThresholdBand",
+]
 
 
 @dataclass(frozen=True)
@@ -80,7 +91,10 @@ class SloConfig:
     #: Plan to land at ``deadline * headroom`` so ordinary jitter around
     #: the prediction doesn't immediately re-trigger a resize.
     headroom: float = 0.85
-    #: Control steps with fresh telemetry to wait after an actuation.
+    #: Control steps with fresh telemetry (the event log's ``tick``
+    #: clock, the one ``ControllerSafety`` replays) between a resize
+    #: terminal and the next ``resize_start`` — N-1 holds, for either
+    #: policy: a band that sits out N observations sets N+1 here.
     cooldown_iterations: int = 2
     #: Consecutive steps the group must look oversized before a shrink.
     shrink_patience: int = 3
@@ -131,6 +145,42 @@ class SloDecision:
 
 
 @dataclass(frozen=True)
+class ThresholdBand:
+    """Reactive decide-step policy: keep execute inside ``[low, high]``.
+
+    A pure function of what the controller observed: the worst latest
+    execute time across tenants, the live server count, the fresh steps
+    left on the controller's cooldown clock and its :class:`SloConfig`
+    (the server bounds). It must hold while ``cooldown > 0`` (a fresh
+    server's first execute carries the VTK/Python init spike) and keep
+    its target inside the bounds; ``ControllerSafety`` audits both from
+    the event log, whatever the policy.
+    """
+
+    high: float
+    low: float
+    grow_step: int = 1
+
+    def __call__(
+        self, execute: float, servers: int, cooldown: int, slo: SloConfig
+    ) -> SloDecision:
+        if cooldown > 0:
+            return SloDecision("hold", f"cooldown ({cooldown} left)")
+        if execute > self.high and servers < slo.max_servers:
+            amount = min(self.grow_step, slo.max_servers - servers)
+            return SloDecision(
+                "grow", f"execute {execute:.1f}s > {self.high}s",
+                amount=amount, target=servers + amount,
+            )
+        if execute < self.low and servers > slo.min_servers:
+            return SloDecision(
+                "shrink", f"execute {execute:.1f}s < {self.low}s",
+                amount=1, target=servers - 1,
+            )
+        return SloDecision("hold", "within target band", target=servers)
+
+
+@dataclass(frozen=True)
 class ControllerEvent:
     """One entry of the controller's replayable event log."""
 
@@ -147,10 +197,8 @@ class ControllerEvent:
 @dataclass
 class _TenantState:
     works: List[float] = field(default_factory=list)
-    #: (execute_seconds, work, n_servers) per observation — kept for
-    #: the bench/example counterfactuals ("misses a static group of
-    #: size k would have taken").
-    records: List[Tuple[float, float, int]] = field(default_factory=list)
+    #: Execute seconds of the latest observation (the band's input).
+    latest: float = 0.0
     times: List[float] = field(default_factory=list)
     span_cursor: int = 0
     obs: int = 0
@@ -160,7 +208,8 @@ class _TenantState:
 
 
 class SloAutoscaler:
-    """Predictive, failure-surviving elasticity controller.
+    """Failure-surviving elasticity controller; ``policy`` selects the
+    decide step (``None``: the predictive planner, :meth:`_plan`).
 
     Drives the same actuation mechanisms the paper describes (srun +
     SSG join to grow, admin ``leave`` to shrink) against a
@@ -183,6 +232,7 @@ class SloAutoscaler:
         slo: Optional[SloConfig] = None,
         tenants: Optional[Dict[str, TenantSlo]] = None,
         first_node: int = 8,
+        policy: Optional[Callable[[float, int, int, SloConfig], SloDecision]] = None,
     ):
         self.sim = deployment.sim
         self.deployment = deployment
@@ -190,6 +240,7 @@ class SloAutoscaler:
         self.library = library
         self.config = dict(config or {})
         self.slo = slo or SloConfig()
+        self.policy = policy
         self.tenants: Dict[str, TenantSlo] = dict(
             tenants if tenants is not None else {DEFAULT_TENANT: TenantSlo(pipeline)}
         )
@@ -268,7 +319,7 @@ class SloAutoscaler:
                 work = s.duration * n
                 st.works.append(work)
                 del st.works[: -self.HISTORY]
-                st.records.append((s.duration, work, n))
+                st.latest = s.duration
                 st.times.append(self.sim.now)
                 del st.times[: -self.HISTORY]
                 st.obs += 1
@@ -311,6 +362,7 @@ class SloAutoscaler:
         return tslo.resize_budget - len(recent)
 
     def _plan(self, n: int) -> SloDecision:
+        """The predictive planner (the default policy)."""
         slo = self.slo
         needed: Dict[str, int] = {}
         predicted: Dict[str, float] = {}
@@ -423,6 +475,10 @@ class SloAutoscaler:
         self.degraded = value
         self._scope.gauge("controller_degraded").set(1 if value else 0)
 
+    def _hold(self, why: str, degraded: bool = False) -> SloDecision:
+        self._event("decision", detail=f"hold: {why}")
+        return SloDecision("hold", why, degraded=degraded)
+
     def _step_inner(self) -> Generator:
         sim = self.sim
         slo = self.slo
@@ -439,25 +495,23 @@ class SloAutoscaler:
                 f"no fresh telemetry for {self._stale_steps} steps"
             )
             self._set_degraded(True, why)
-            decision = SloDecision("hold", why, degraded=True)
-            self._event("decision", detail=f"hold: {why}")
-            return decision
+            return self._hold(why, degraded=True)
         if fresh > 0 and self.degraded:
             self._set_degraded(False, "telemetry resumed")
         if fresh == 0:
-            decision = SloDecision("hold", "no fresh telemetry")
-            self._event("decision", detail="hold: no fresh telemetry")
-            return decision
+            return self._hold("no fresh telemetry")
 
         n = len(self.deployment.live_daemons())
         self._scope.gauge("staging_servers").set(n)
         if self._resize_in_flight:
             # Unreachable from a sequential driver; kept as a hard guard
             # so overlapping drivers hold instead of double-actuating.
-            decision = SloDecision("hold", "resize in flight")
-            self._event("decision", detail="hold: resize in flight")
-            return decision
-        decision = self._plan(n)
+            return self._hold("resize in flight")
+        if self.policy is None:
+            decision = self._plan(n)
+        else:
+            latest = max(st.latest for st in self._states.values() if st.works)
+            decision = self.policy(latest, n, self._cooldown, self.slo)
         self._event(
             "decision", detail=f"{decision.action}: {decision.reason}",
             target=decision.target,
@@ -510,13 +564,10 @@ class SloAutoscaler:
         return node
 
     def _actuate_grow(self, amount: int) -> Generator:
-        added = 0
         for _ in range(amount):
-            daemon = yield from self._grow_one()
-            if daemon is None:
+            if (yield from self._grow_one()) is None:
                 return False
-            added += 1
-        return added == amount
+        return True
 
     def _grow_one(self) -> Generator:
         """Add one daemon + its pipelines, surviving crash/hang of the

@@ -519,7 +519,9 @@ class DistributedPipelineHandle:
         ``replication_factor=K`` and fewer than ``K`` failures the
         client re-stages **nothing**. Only blocks recovery reports
         ``missing`` force the full re-stage fallback (counted in
-        ``core.restage_fallbacks``)."""
+        ``core.restage_fallbacks``). Nothing is retried once ``execute``
+        has returned except the ``deactivate`` itself
+        (:meth:`_deactivate_executed`)."""
         sim = self.margo.sim
         core = sim.metrics.scope("core")
         tenant_scope = sim.metrics.scope(f"tenant.{self.client.tenant}")
@@ -533,6 +535,7 @@ class DistributedPipelineHandle:
                 iteration=iteration,
                 attempt=attempt,
             )
+            executed = False
             try:
                 recover = bool(staged)
                 view = yield from self.activate(
@@ -559,14 +562,15 @@ class DistributedPipelineHandle:
                     yield from self.stage(iteration, block_id, payload)
                     staged.add(block_id)
                 yield from self.execute(iteration)
-                yield from self.deactivate(iteration)
+                executed = True
+                yield from self._deactivate_executed(iteration, max_attempts)
                 sim.trace.end(span, outcome="ok")
                 core.counter("iterations_completed").inc()
                 tenant_scope.counter("iterations_completed").inc()
                 return view
             except RpcError as err:
                 last_error = err
-                exhausted = attempt + 1 >= max_attempts
+                exhausted = executed or attempt + 1 >= max_attempts
                 sim.trace.end(
                     span,
                     outcome="exhausted" if exhausted else "retry",
@@ -574,7 +578,8 @@ class DistributedPipelineHandle:
                 )
                 core.counter("iteration_retries").inc()
                 tenant_scope.counter("iteration_retries").inc()
-                yield from self.abort(iteration, keep_data=True)
+                # Nothing will recover an executed iteration's blocks.
+                yield from self.abort(iteration, keep_data=not executed)
                 if exhausted:
                     break
                 yield sim.timeout(self._backoff(attempt, *self.RETRY_BACKOFF))
@@ -584,6 +589,33 @@ class DistributedPipelineHandle:
                     pass
         raise RpcError(
             f"iteration {iteration} failed after {max_attempts} attempts: {last_error}"
+        ) from last_error
+
+    def _deactivate_executed(self, iteration: int, max_attempts: int) -> Generator:
+        """``deactivate`` after a completed ``execute``: the iteration's
+        result exists, so a lost message is answered by retrying this
+        idempotent RPC (bounded, iteration-retry backoff), never by
+        running the iteration again — a stateful backend would count it
+        twice. Swallowing the error is no option either: a member that
+        never saw it keeps the epoch and votes ``already-active`` on
+        every later prepare. Members SWIM ejected meanwhile are dropped."""
+        sim = self.margo.sim
+        for attempt in range(max_attempts):
+            try:
+                yield from self.deactivate(iteration)
+                return
+            except RpcError as err:
+                last_error = err
+            yield sim.timeout(self._backoff(attempt, *self.RETRY_BACKOFF))
+            try:
+                yield from self.client.refresh_view()
+            except RpcError:
+                continue
+            self.frozen_view = tuple(
+                s for s in self.frozen_view if s in self.client.view
+            )
+        raise RpcError(
+            f"deactivate({iteration}) unacknowledged after {max_attempts} attempts"
         ) from last_error
 
     # ------------------------------------------------------------------

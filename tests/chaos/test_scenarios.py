@@ -17,6 +17,11 @@ from repro.chaos import run_scenario, scenario_names
 
 SEEDS = [0, 1]
 
+#: (scenario, seed) pairs that failed once; appended, never removed.
+PINNED = [
+    ("drop_client_links", 3),  # a lost deactivate re-executed the iteration
+]
+
 #: Scenarios re-run twice per seed; chosen to cover every fault layer
 #: (link, RDMA, process, SSG), the random-plan generator, and the
 #: replication/recovery protocol (both the zero-restage path and the
@@ -32,6 +37,7 @@ DETERMINISM_SUBSET = [
     "replicated_owner_and_buddy_crash",
     "tenant_recovery_race",
     "autoscale_flapping_straggler",
+    "slow_straggler_autoscale",
 ]
 
 
@@ -46,6 +52,12 @@ def test_scenario_holds_invariants(name, seed):
     assert result.ok, (
         f"{name} (seed={seed}) violated invariants:\n" + "\n".join(result.violations)
     )
+
+
+@pytest.mark.parametrize("name, seed", PINNED)
+def test_pinned_seed_holds_invariants(name, seed):
+    result = run_scenario(name, seed=seed)
+    assert result.ok, "\n".join(result.violations)
 
 
 @pytest.mark.parametrize("name", DETERMINISM_SUBSET)
@@ -99,6 +111,47 @@ def test_node_failure_recovers_from_off_node_replicas():
     assert result.ok, "\n".join(result.violations)
     assert result.info["recovered"] >= 2
     assert result.info["fallbacks"] == 0
+
+
+def test_lost_deactivate_is_retried_not_reexecuted(monkeypatch):
+    """drop_client_links@3 drops one ``deactivate`` after iteration 1
+    executed: the client must finish the iteration by retrying the
+    idempotent deactivate, not by running activate/stage/execute again
+    (a stateful backend would accumulate the iteration twice)."""
+    from collections import Counter
+
+    from repro.chaos import scenarios
+
+    built = []
+    real = scenarios.build_stack
+
+    def capture(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(scenarios, "build_stack", capture)
+    result = run_scenario("drop_client_links", seed=3)
+    assert result.ok, "\n".join(result.violations)
+    sim = built[0].sim
+    executes = Counter(
+        s.tags["iteration"] for s in sim.trace.spans
+        if s.name == "colza.execute" and s.end is not None
+    )
+    assert executes == {1: 1, 2: 1, 3: 1, 4: 1}
+    retried = [
+        s for s in sim.trace.spans
+        if s.name == "colza.deactivate" and s.tags["iteration"] == 1
+    ]
+    assert len(retried) == 2, "the scenario no longer loses a deactivate"
+    fallbacks = sim.metrics.get("core.restage_fallbacks")
+    assert fallbacks is None or fallbacks.value == 0
+
+
+def test_slow_straggler_grows_under_the_band_policy():
+    result = run_scenario("slow_straggler_autoscale", seed=1)
+    assert result.ok, "\n".join(result.violations)
+    assert "grow" in result.info["decisions"]
+    assert result.info["servers"] > 2
 
 
 def test_join_target_crash_bites_the_controller():

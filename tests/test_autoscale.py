@@ -1,17 +1,25 @@
-"""Unit + acceptance tests for the closed-loop SLO autoscaler (DESIGN §16).
+"""Unit + acceptance tests for the elasticity controller (DESIGN §16).
 
-Three layers:
+Four layers:
 
-- :class:`ElasticityPolicy` edge cases — the reactive baseline's pure
-  decision function (cooldown bookkeeping, clamps, reset, determinism);
+- :class:`ThresholdBand` edge cases — the reactive policy's pure
+  decision function (clamps, determinism) and its cooldown on the
+  controller's tick clock;
+- the ``ControllerSafety`` audit catching a policy that ignores the
+  cooldown clock or the server bounds — the audit reads the event log,
+  not the policy;
 - :class:`SloAutoscaler` failure modes in isolation — join hangs,
   telemetry blackouts, internal errors, shrink/death races, per-tenant
   budget windows — each must end in a counted, evented, *non-raising*
   state;
 - the acceptance comparison: under a pinned bursty load trace the
   predictive controller must beat both static sizing and the reactive
-  band on SLO misses, deterministically.
+  band on SLO misses, deterministically; and the band-in-controller
+  takes the decisions the deleted standalone band scaler took (the
+  oracle).
 """
+
+import dataclasses
 
 import pytest
 
@@ -20,13 +28,13 @@ from repro.chaos.scenarios import (
     AUTOSCALE_BPS,
     AUTOSCALE_SLO,
     STATS,
+    _controller_workload as _iterate,
     build_stack,
 )
-from repro.core.autoscale import SloAutoscaler, SloConfig, TenantSlo
-from repro.core.elasticity import ElasticityPolicy
+from repro.core.autoscale import SloAutoscaler, SloConfig, TenantSlo, ThresholdBand
 from repro.core.tenancy import DEFAULT_TENANT
 from repro.na import VirtualPayload
-from repro.testing import drive
+from repro.testing import drive, run_until
 
 DEADLINE = 1.2
 
@@ -64,51 +72,68 @@ class TestLoadTraces:
 
 
 # ---------------------------------------------------------------------------
+# teardown shared by the policy and failure-mode cases
+def _teardown_ok(ctx):
+    run_until(ctx.sim, ctx.deployment.converged, max_time=60)  # a join just landed
+    ctx.monitor.final_check()
+    ctx.monitor.detach()
+    assert ctx.monitor.violations == [], "\n".join(ctx.monitor.violations)
+
+
+# ---------------------------------------------------------------------------
 # the reactive baseline's decision function
-class TestElasticityPolicy:
+class TestThresholdBand:
     def test_hold_consumes_cooldown(self):
-        policy = ElasticityPolicy(target_high=10.0, target_low=2.0,
-                                  cooldown_iterations=2)
-        assert policy.observe(15.0, 4).action == "grow"
-        first = policy.observe(15.0, 4)
-        assert first.action == "hold" and "cooldown" in first.reason
-        second = policy.observe(15.0, 4)
-        assert second.action == "hold" and "cooldown" in second.reason
-        # Cooldown spent: the still-high signal may act again.
-        assert policy.observe(15.0, 4).action == "grow"
+        """The cooldown is the controller's tick clock, not the
+        policy's: ``cooldown_iterations=3`` is two holds between a
+        resize terminal and the next ``resize_start``."""
+        ctx = build_stack(seed=8, n_servers=2,
+                          config={"bytes_per_second": AUTOSCALE_BPS})
+        # Every observation is above the band, so only cooldown holds.
+        controller = ctx.autoscaler(policy=ThresholdBand(high=1e-3, low=0.0),
+                                 cooldown_iterations=3, max_servers=6)
+        drive(ctx.sim, _iterate(ctx, controller, [1.0] * 4), max_time=600)
+        assert [d.action for d in controller.decisions] == [
+            "grow", "hold", "hold", "grow"
+        ]
+        assert all("cooldown" in d.reason for d in controller.decisions[1:3])
+        ticks = {e.kind: [] for e in controller.events}
+        for e in controller.events:
+            ticks[e.kind].append(e.tick)
+        assert ticks["resize_done"] == [1, 4]
+        assert ticks["resize_start"] == [1, 4]  # 4 - 1 == cooldown_iterations
+        _teardown_ok(ctx)
 
     def test_grow_clamped_at_max_servers(self):
-        policy = ElasticityPolicy(target_high=10.0, max_servers=4, grow_step=8)
-        assert policy.observe(15.0, 4).action == "hold"
-        decision = policy.observe(15.0, 3)
+        band = ThresholdBand(high=10.0, low=2.0, grow_step=8)
+        slo = SloConfig(max_servers=4)
+        assert band(15.0, 4, 0, slo).action == "hold"
+        decision = band(15.0, 3, 0, slo)
         assert decision.action == "grow"
         assert decision.amount == 1  # 8-step clamped to the 1 slot left
+        assert decision.target == 4
 
     def test_shrink_refused_at_min_servers(self):
-        policy = ElasticityPolicy(target_low=2.0, min_servers=2)
-        assert policy.observe(0.5, 2).action == "hold"
-        assert policy.observe(0.5, 3).action == "shrink"
-
-    def test_reset_clears_cooldown(self):
-        policy = ElasticityPolicy(target_high=10.0, cooldown_iterations=3)
-        assert policy.observe(15.0, 2).action == "grow"
-        policy.reset()
-        assert policy.observe(15.0, 2).action == "grow"
+        band = ThresholdBand(high=10.0, low=2.0)
+        slo = SloConfig(min_servers=2)
+        assert band(0.5, 2, 0, slo).action == "hold"
+        assert band(0.5, 3, 0, slo).action == "shrink"
 
     def test_decisions_deterministic_under_pinned_trace(self):
         loads = bursty(20, seed=9, base=0.5, burst=12.0)
+        slo = SloConfig()
 
         def run():
-            policy = ElasticityPolicy(target_high=10.0, target_low=1.0)
-            n = 2
+            band = ThresholdBand(high=10.0, low=1.0)
+            n, cooldown = 2, 0
             actions = []
             for load in loads:
-                decision = policy.observe(load, n)
+                cooldown = max(0, cooldown - 1)  # the controller's clock
+                decision = band(load, n, cooldown, slo)
                 actions.append(decision.action)
-                if decision.action == "grow":
-                    n += decision.amount
-                elif decision.action == "shrink":
-                    n -= 1
+                if decision.action != "hold":
+                    n = decision.target
+                    cooldown = slo.cooldown_iterations
             return actions
 
         first, second = run(), run()
@@ -117,38 +142,54 @@ class TestElasticityPolicy:
 
 
 # ---------------------------------------------------------------------------
+# the audit is independent of the policy
+GREEDY = ThresholdBand(high=1e-3, low=0.0)  # every observation says grow
+
+
+def _ignores_cooldown(execute, servers, cooldown, slo):
+    return GREEDY(execute, servers, 0, slo)
+
+
+def _ignores_bounds(execute, servers, cooldown, slo):
+    return GREEDY(execute, servers, cooldown,
+                  dataclasses.replace(slo, max_servers=99))
+
+
+class TestControllerSafetyAudit:
+    def _run(self, policy, max_servers=3):
+        ctx = build_stack(seed=9, n_servers=2,
+                          config={"bytes_per_second": AUTOSCALE_BPS})
+        controller = ctx.autoscaler(policy=policy, cooldown_iterations=3,
+                                 max_servers=max_servers)
+        drive(ctx.sim, _iterate(ctx, controller, [1.0] * 4), max_time=600)
+        return ctx
+
+    @pytest.mark.parametrize("rogue, max_servers, complaint", [
+        (_ignores_cooldown, 4, "fresh steps after"),
+        (_ignores_bounds, 3, "outside [1, 3]"),
+    ])
+    def test_rogue_band_is_caught(self, rogue, max_servers, complaint):
+        ctx = self._run(rogue, max_servers)
+        ctx.monitor.final_check()
+        ctx.monitor.detach()
+        flagged = [v for v in ctx.monitor.violations if "[controller-safety]" in v]
+        assert any(complaint in v for v in flagged), ctx.monitor.violations
+
+    def test_honest_band_passes_the_same_audit(self):
+        ctx = self._run(GREEDY)
+        assert len(ctx.deployment.live_daemons()) == 3
+        _teardown_ok(ctx)
+
+
+# ---------------------------------------------------------------------------
 # SloAutoscaler failure modes
-def _controller(ctx, **overrides) -> SloAutoscaler:
-    slo = SloConfig(**{**AUTOSCALE_SLO, **overrides})
-    controller = SloAutoscaler(
-        ctx.deployment, ctx.margo, ctx.library, ctx.config, slo=slo, first_node=8
-    )
-    ctx.monitor.watch_controller(controller)
-    return controller
-
-
-def _iterate(ctx, controller, loads, first=1):
-    for it, load in enumerate(loads, start=first):
-        yield ctx.sim.timeout(0.5)
-        payload = VirtualPayload((max(1, int((1 << 14) * load)),), "float64")
-        blks = [(b, payload) for b in range(8)]
-        yield from ctx.handle.run_resilient_iteration(it, blks, max_attempts=8)
-        yield from controller.step_from_trace()
-
-
-def _teardown_ok(ctx):
-    ctx.monitor.final_check()
-    ctx.monitor.detach()
-    assert ctx.monitor.violations == [], "\n".join(ctx.monitor.violations)
-
-
 class TestSloAutoscalerFailureModes:
     def test_join_hang_is_abandoned_and_counted(self):
         """add_server that never completes: the deadline must fire, the
         node gets quarantined, and the step returns without raising."""
         ctx = build_stack(seed=3, n_servers=2,
                           config={"bytes_per_second": AUTOSCALE_BPS})
-        controller = _controller(ctx, join_deadline=2.0, max_resize_attempts=2)
+        controller = ctx.autoscaler(join_deadline=2.0, max_resize_attempts=2)
 
         def never_joins(node_index, **kwargs):
             while True:
@@ -170,7 +211,7 @@ class TestSloAutoscalerFailureModes:
         next real observation."""
         ctx = build_stack(seed=4, n_servers=2,
                           config={"bytes_per_second": AUTOSCALE_BPS})
-        controller = _controller(ctx, stale_after_steps=2, min_servers=2)
+        controller = ctx.autoscaler(stale_after_steps=2, min_servers=2)
 
         def starve_then_feed():
             yield from _iterate(ctx, controller, [1.0])
@@ -197,7 +238,7 @@ class TestSloAutoscalerFailureModes:
         degraded hold — never an exception into the host app."""
         ctx = build_stack(seed=5, n_servers=2,
                           config={"bytes_per_second": AUTOSCALE_BPS})
-        controller = _controller(ctx)
+        controller = ctx.autoscaler()
         controller._plan = lambda n: (_ for _ in ()).throw(RuntimeError("boom"))
         drive(ctx.sim, _iterate(ctx, controller, [1.0, 1.0]), max_time=600)
         kinds = [e.kind for e in controller.events]
@@ -211,7 +252,7 @@ class TestSloAutoscalerFailureModes:
         the target instead of being double-removed."""
         ctx = build_stack(seed=6, n_servers=3,
                           config={"bytes_per_second": AUTOSCALE_BPS})
-        controller = _controller(ctx, min_servers=1)
+        controller = ctx.autoscaler(min_servers=1)
         live = sorted(ctx.deployment.live_daemons(), key=lambda d: str(d.address))
         victim = live[-1]  # the daemon the shrink will pick
 
@@ -278,41 +319,26 @@ def _misses(sim, deadline: float = DEADLINE) -> int:
     )
 
 
-def _run_static(n_servers: int) -> int:
+def _run(n_servers: int = 2, slo=None, policy=None):
     exp = _experiment(n_servers)
-    for it, load in enumerate(LOADS, start=1):
-        exp.sim.run(until=exp.sim.now + 0.5)
-        exp.run_iteration(it, _blocks(load))
-    return _misses(exp.sim)
+    controller = exp.autoscaler(slo, 8, policy=policy) if slo else None
+    exp.run_controlled((_blocks(load) for load in LOADS), 0.5, controller)
+    return _misses(exp.sim), controller, exp
+
+
+def _run_static(n_servers: int) -> int:
+    return _run(n_servers)[0]
 
 
 def _run_reactive() -> int:
-    from repro.core.elasticity import AutoScaler, ElasticityPolicy
-
-    exp = _experiment(2)
-    policy = ElasticityPolicy(
-        target_high=DEADLINE, target_low=0.3, min_servers=1, max_servers=4,
-        cooldown_iterations=1,
-    )
-    scaler = AutoScaler(exp, policy, next_node=8)
-    for it, load in enumerate(LOADS, start=1):
-        exp.sim.run(until=exp.sim.now + 0.5)
-        timing = exp.run_iteration(it, _blocks(load))
-        drive(exp.sim, scaler.step(timing.execute), max_time=600)
-    return _misses(exp.sim)
+    # The band sits out one observation after a resize: cooldown 2 on
+    # the controller's tick clock.
+    slo = SloConfig(**{**AUTOSCALE_SLO, "cooldown_iterations": 2})
+    return _run(slo=slo, policy=ThresholdBand(high=DEADLINE, low=0.3))[0]
 
 
 def _run_slo():
-    exp = _experiment(2)
-    controller = SloAutoscaler(
-        exp.deployment, exp.client_margos[0], STATS, exp.pipeline_config(),
-        pipeline="pipe", slo=SloConfig(**AUTOSCALE_SLO), first_node=8,
-    )
-    for it, load in enumerate(LOADS, start=1):
-        exp.sim.run(until=exp.sim.now + 0.5)
-        exp.run_iteration(it, _blocks(load))
-        drive(exp.sim, controller.step_from_trace(), max_time=600)
-    return _misses(exp.sim), controller, exp
+    return _run(slo=SloConfig(**AUTOSCALE_SLO))
 
 
 class TestAcceptance:
@@ -334,3 +360,28 @@ class TestAcceptance:
             d.action for d in second.decisions
         ]
         assert exp1.sim.trace.digest() == exp2.sim.trace.digest()
+
+
+# ---------------------------------------------------------------------------
+# equivalence oracle: the band moved house without changing behaviour
+class TestReactiveOracle:
+    #: Recorded from the standalone reactive scaler at the commit that
+    #: deleted it (s/h/g = shrink/hold/grow per control step).
+    PARENT = {
+        "bursty": ("shhghghghshhghhh", 6),
+        "adversarial": ("shghhhshhghhshhh", 2),
+        "diurnal": ("shhghhhhhhhhshhg", 2),
+    }
+
+    def test_band_policy_takes_the_deleted_autoscalers_decisions(self):
+        from repro.bench.experiments import autoscale_slo
+
+        results = autoscale_slo.run(
+            apps=("grayscott",), traces=tuple(self.PARENT), iterations=16,
+            n_clients=4, seed=23,
+        )["grayscott"]
+        got = {
+            shape: (r["reactive"]["decisions"], r["reactive"]["slo_misses"])
+            for shape, r in results.items()
+        }
+        assert got == self.PARENT

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import ColzaAdmin, Deployment
-from repro.core.elasticity import AutoScaler, Decision, ElasticityPolicy
+from repro.core.autoscale import SloConfig, ThresholdBand
 from repro.core.pipelines import FieldStats, StatisticsBackend
 from repro.mona import BXOR, SUM
 from repro.na import VirtualPayload
@@ -18,44 +18,42 @@ FAST_SWIM = SwimConfig(period=0.2, suspect_timeout=1.0)
 
 
 # ---------------------------------------------------------------------------
-# ElasticityPolicy (pure decision logic)
+# ThresholdBand (pure decision logic): band(execute, servers, cooldown, slo)
+BAND = ThresholdBand(high=10, low=2)
+
+
 def test_policy_grows_above_band():
-    policy = ElasticityPolicy(target_high=10, target_low=2, cooldown_iterations=0)
-    decision = policy.observe(15.0, n_servers=4)
+    decision = BAND(15.0, 4, 0, SloConfig())
     assert decision.action == "grow" and decision.amount == 1
 
 
 def test_policy_shrinks_below_band():
-    policy = ElasticityPolicy(target_high=10, target_low=2, cooldown_iterations=0)
-    assert policy.observe(1.0, n_servers=4).action == "shrink"
+    assert BAND(1.0, 4, 0, SloConfig()).action == "shrink"
 
 
 def test_policy_holds_within_band():
-    policy = ElasticityPolicy(target_high=10, target_low=2)
-    assert policy.observe(5.0, n_servers=4).action == "hold"
+    assert BAND(5.0, 4, 0, SloConfig()).action == "hold"
 
 
 def test_policy_respects_limits():
-    policy = ElasticityPolicy(target_high=10, target_low=2, max_servers=4, min_servers=2,
-                              cooldown_iterations=0)
-    assert policy.observe(99.0, n_servers=4).action == "hold"  # at max
-    assert policy.observe(0.1, n_servers=2).action == "hold"  # at min
+    slo = SloConfig(max_servers=4, min_servers=2)
+    assert BAND(99.0, 4, 0, slo).action == "hold"  # at max
+    assert BAND(0.1, 2, 0, slo).action == "hold"  # at min
 
 
 def test_policy_cooldown_suppresses_oscillation():
-    policy = ElasticityPolicy(target_high=10, target_low=2, cooldown_iterations=2)
-    assert policy.observe(15.0, n_servers=2).action == "grow"
-    # The next two observations are inside the cooldown window — even a
-    # huge spike (the join-init cost) must not trigger another resize.
-    assert policy.observe(30.0, n_servers=3).action == "hold"
-    assert policy.observe(30.0, n_servers=3).action == "hold"
-    assert policy.observe(30.0, n_servers=3).action == "grow"
+    slo = SloConfig()
+    assert BAND(15.0, 2, 0, slo).action == "grow"
+    # While the controller's cooldown clock is running even a huge spike
+    # (the join-init cost) must not trigger another resize.
+    assert BAND(30.0, 3, 2, slo).action == "hold"
+    assert BAND(30.0, 3, 1, slo).action == "hold"
+    assert BAND(30.0, 3, 0, slo).action == "grow"
 
 
 def test_policy_grow_step_clamped():
-    policy = ElasticityPolicy(target_high=10, grow_step=8, max_servers=5,
-                              cooldown_iterations=0)
-    assert policy.observe(99.0, n_servers=4).amount == 1
+    band = ThresholdBand(high=10, low=2, grow_step=8)
+    assert band(99.0, 4, 0, SloConfig(max_servers=5)).amount == 1
 
 
 def test_autoscaler_bounds_growing_workload():
@@ -74,9 +72,10 @@ def test_autoscaler_bounds_growing_workload():
         seed=31,
         nodes=64,
     ).setup()
-    policy = ElasticityPolicy(target_high=2.0, target_low=0.1, max_servers=16,
-                              grow_step=2, cooldown_iterations=1)
-    scaler = AutoScaler(exp, policy, next_node=8)
+    scaler = exp.autoscaler(
+        SloConfig(max_servers=16, cooldown_iterations=2), first_node=8,
+        policy=ThresholdBand(high=2.0, low=0.1, grow_step=2),
+    )
 
     execute_times = []
     servers = []
@@ -93,7 +92,7 @@ def test_autoscaler_bounds_growing_workload():
         timing = exp.run_iteration(it, blocks)
         execute_times.append(timing.execute)
         servers.append(timing.n_servers)
-        drive(exp.sim, scaler.step(timing.execute), max_time=600)
+        drive(exp.sim, scaler.step_from_trace(), max_time=600)
 
     assert servers[-1] > servers[0]  # it grew
     grew = sum(1 for d in scaler.decisions if d.action == "grow")
