@@ -1,6 +1,6 @@
 # Convenience targets for the Colza reproduction.
 
-.PHONY: install test chaos autoscale lint check check-fast report sarif fuzz mcheck bench bench-trajectory bench-trajectory-update bench-analysis bench-analysis-update bench-autoscale bench-autoscale-update bench-e2e bench-e2e-smoke examples results clean
+.PHONY: install test chaos autoscale lint check check-fast report sarif fuzz mcheck bench bench-trajectory bench-trajectory-update bench-analysis bench-analysis-update bench-autoscale bench-autoscale-update bench-e2e bench-e2e-smoke bench-e2e-ab examples results clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -83,6 +83,13 @@ bench-autoscale-update:
 bench-e2e:
 	PYTHONPATH=src python -m bench_e2e --out bench_e2e/out/latest.json
 	PYTHONPATH=src python -m bench_e2e --compare bench_e2e/baseline.json bench_e2e/out/latest.json
+
+# Paired A/B against another revision (tools/ab_e2e.py): ten alternating
+# pairs of the BENCHMARK.json command, BASE in a temporary git worktree;
+# medians, quartiles, win counts and the section-8 verdict per metric.
+#   make bench-e2e-ab BASE=HEAD~1 WORKLOAD=gs_iso_real
+bench-e2e-ab:
+	python tools/ab_e2e.py --base $(BASE) --workload $(WORKLOAD)
 
 # Smoke test of the benchmark itself (~30 s, outside tier-1's testpaths).
 bench-e2e-smoke:

@@ -50,7 +50,14 @@ def _bounds_array(bounds: Tuple[float, ...]) -> np.ndarray:
 
 class IsoSurfaceScript(CatalystScript):
     """Iso-surface (optionally clipped) rendering — the Mandelbulb and
-    Gray–Scott pipelines (Figs. 3, 5, 6, 8, 9)."""
+    Gray–Scott pipelines (Figs. 3, 5, 6, 8, 9).
+
+    Colored by the contoured field (the default) the colormap spans
+    ``min(isovalues)..max(isovalues)`` on every server, so the image does
+    not depend on how many servers share the blocks. With a different
+    ``color_field`` each server still normalises by its *local* scalar
+    range (a global range would cost one more allreduce per iteration).
+    """
 
     name = "iso-surface"
 
@@ -97,9 +104,15 @@ class IsoSurfaceScript(CatalystScript):
         camera = ctx.camera or (Camera.fit(tuple(bounds)) if bounds is not None else None)
         yield from ctx.charge(ctx.costs.raster(ctx.width * ctx.height))
         if camera is not None and surface.num_triangles:
+            # A server whose blocks cross only some of the levels must
+            # not stretch the colormap over those alone.
+            value_range = (
+                (float(min(self.isovalues)), float(max(self.isovalues)))
+                if self.color_field == self.field else None
+            )
             local_image = rasterize(
                 surface, camera, ctx.width, ctx.height,
-                color_field=self.color_field, cmap=self.cmap,
+                color_field=self.color_field, cmap=self.cmap, value_range=value_range,
             )
         else:
             local_image = CompositeImage.blank(ctx.width, ctx.height, brick_depth=float(ctx.rank))

@@ -4,18 +4,28 @@ VTK's ``vtkContourFilter`` uses marching cubes; we use the marching-
 tetrahedra variant (each hexahedral cell split into six tetrahedra
 around the 0-6 diagonal). MT avoids the 256-case MC table, has no
 ambiguous cases, and converges to the same surface; triangle counts are
-~2x MC for the same grid (documented in DESIGN.md §7).
+~2x MC for the same grid (documented in DESIGN.md §17).
 
-The implementation is fully vectorized: active cells (those straddling
-the iso-value) are selected first, then the six tetrahedra are
-processed in parallel across all active cells, emitting interpolated
-triangle fans per MT case. Additional point fields are interpolated
-onto the surface with the same edge weights.
+The kernel is table-driven and has no Python loop over tetrahedra,
+cases or edges. Active cells (those straddling the iso-value) are
+selected first; every (cell, tet) pair computes its 4-bit case and looks
+its triangles up in one flat table, ``_SLOT_CORNERS[tet, slot]``, whose
+20 slots list the (case, triangle-of-case) pairs in case order and give
+each triangle vertex as the pair of *cube* corners its edge joins. All
+edges are then interpolated in one shot, and additional point fields
+with the same edge weights.
+
+**Bit-identity contract.** Triangles come out ordered by (tet, case,
+triangle-of-case, cell) — a stable sort on ``tet * 20 + slot`` — and
+each vertex is computed by the same expression as the per-case loop
+this replaced (``tests/oracles/vtk_loops.py``), so ``points``,
+``triangles`` and every ``point_data`` array are byte-for-byte that
+loop's output (``tests/test_vtk_oracles.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,6 +88,12 @@ def _build_case_table() -> List[List[Tuple[int, int, int]]]:
 
 
 _CASES = _build_case_table()
+# The case table flattened into 20 slots, one per (case, triangle of the
+# case) in case order: case c owns slots _CASE_FIRST[c] .. + _CASE_COUNT[c].
+_CASE_COUNT = np.array([len(tris) for tris in _CASES])
+_CASE_FIRST = np.cumsum(_CASE_COUNT) - _CASE_COUNT
+# (6 tets, 20 slots, 3 vertices, 2 edge ends) -> cube corner id.
+_SLOT_CORNERS = _TETS[:, _EDGES[np.array([tri for tris in _CASES for tri in tris])]]
 
 
 def contour(
@@ -136,65 +152,36 @@ def _contour_single(
     cx, cy, cz = np.unravel_index(idx, (nx - 1, ny - 1, nz - 1))
     cell_origin = np.column_stack([cx, cy, cz]).astype(np.float64)
 
-    extra_corner_vals = {
-        name: _cell_corner_values(np.asarray(image.field(name), dtype=np.float64))[idx]
-        for name in extra_names
-    }
+    # 4-bit case of every (tet, cell), tet-major. Strict inequality,
+    # consistent with the active-cell test (min <= iso < max): an
+    # iso-value landing exactly on grid values still yields the correct
+    # surface (e.g. axis-aligned plane slices through lattice points).
+    cases = ((vals[:, _TETS] > iso) @ (1 << np.arange(4))).T.ravel()  # (6 * A,)
 
-    tri_points: List[np.ndarray] = []
-    tri_extra: Dict[str, List[np.ndarray]] = {name: [] for name in extra_names}
+    # One entry per emitted triangle: its (tet, cell) and table slot. An
+    # active cell always has a mixed tet (all six hold corners 0 and 6).
+    n = _CASE_COUNT[cases]
+    pair = np.repeat(np.arange(cases.size), n)
+    slot = _CASE_FIRST[cases[pair]] + np.arange(pair.size) - np.repeat(np.cumsum(n) - n, n)
+    tet, cell = np.divmod(pair, idx.size)
+    order = np.argsort(tet * _SLOT_CORNERS.shape[1] + slot, kind="stable")
+    cell = cell[order][:, None]  # (T, 1)
+    cu, cv = np.moveaxis(_SLOT_CORNERS[tet[order], slot[order]], 2, 0)  # (T, 3) each
 
-    for tet in _TETS:
-        tvals = vals[:, tet]  # (A, 4)
-        # Strict inequality, consistent with the active-cell test
-        # (min <= iso < max): an iso-value landing exactly on grid
-        # values still yields the correct surface (e.g. axis-aligned
-        # plane slices through lattice points).
-        inside = tvals > iso
-        case_ids = (
-            inside[:, 0].astype(np.int64)
-            | (inside[:, 1] << 1)
-            | (inside[:, 2] << 2)
-            | (inside[:, 3] << 3)
-        )
-        # Local tet corner coordinates (4, 3) in cell units.
-        tet_corners = _CORNERS[tet].astype(np.float64)
-        for case in range(1, 15):
-            rows = np.nonzero(case_ids == case)[0]
-            if rows.size == 0:
-                continue
-            rvals = tvals[rows]  # (R, 4)
-            origins = cell_origin[rows]  # (R, 3)
-            for tri in _CASES[case]:
-                # Each vertex of this triangle lies on an edge of the tet.
-                verts = []
-                extra_at = {name: [] for name in extra_names}
-                for edge_id in tri:
-                    u, v = _EDGES[edge_id]
-                    fu, fv = rvals[:, u], rvals[:, v]
-                    denom = fv - fu
-                    t = np.where(np.abs(denom) > 1e-300, (iso - fu) / denom, 0.5)
-                    t = np.clip(t, 0.0, 1.0)
-                    pu, pv = tet_corners[u], tet_corners[v]
-                    pts = origins + pu + t[:, None] * (pv - pu)
-                    verts.append(pts)
-                    for name, cv in extra_corner_vals.items():
-                        gu = cv[rows][:, tet[u]]
-                        gv = cv[rows][:, tet[v]]
-                        extra_at[name].append(gu + t * (gv - gu))
-                tri_points.append(np.stack(verts, axis=1))  # (R, 3, 3)
-                for name in extra_names:
-                    tri_extra[name].append(np.stack(extra_at[name], axis=1))  # (R, 3)
-
-    if not tri_points:
-        return PolyData.empty()
-    all_tris = np.concatenate(tri_points, axis=0)  # (T, 3verts, 3xyz)
-    npts = all_tris.shape[0] * 3
-    points = all_tris.reshape(npts, 3)
+    # Each vertex lies on the cube edge cu-cv, where the field crosses iso.
+    fu, fv = vals[cell, cu], vals[cell, cv]
+    denom = fv - fu
+    t = np.where(np.abs(denom) > 1e-300, (iso - fu) / denom, 0.5)
+    t = np.clip(t, 0.0, 1.0)
+    pu, pv = _CORNERS[cu].astype(np.float64), _CORNERS[cv].astype(np.float64)
+    points = (cell_origin[cell] + pu + t[..., None] * (pv - pu)).reshape(-1, 3)
+    npts = len(points)
     # Grid-index space -> world space.
     points = np.asarray(image.origin) + points * np.asarray(image.spacing)
     triangles = np.arange(npts, dtype=np.int64).reshape(-1, 3)
     point_data = {field: np.full(npts, iso)}
     for name in extra_names:
-        point_data[name] = np.concatenate(tri_extra[name], axis=0).reshape(npts)
+        g = _cell_corner_values(np.asarray(image.field(name), dtype=np.float64))[idx]
+        gu, gv = g[cell, cu], g[cell, cv]
+        point_data[name] = (gu + t * (gv - gu)).reshape(npts)
     return PolyData(points, triangles, point_data)

@@ -41,6 +41,11 @@ class Camera:
         self._up = np.cross(self._right, self._forward)
         self._pos = pos
 
+    @property
+    def forward(self) -> np.ndarray:
+        """Unit view direction (focal point minus position); do not mutate."""
+        return self._forward
+
     # ------------------------------------------------------------------
     def world_to_view(self, points: np.ndarray) -> np.ndarray:
         """(N, 3) world points -> (N, 3) view coords (x, y, depth)."""

@@ -75,18 +75,12 @@ def render_scene(
     for kind, dataset, options in items:
         opts = dict(options)
         if kind == "geometry":
-            if not isinstance(dataset, PolyData):
-                raise TypeError("geometry items need a PolyData")
             layers.append(rasterize(dataset, camera, width, height, **opts))
-        elif kind == "volume":
-            if not isinstance(dataset, ImageData):
-                raise TypeError("volume items need an ImageData")
+        else:  # "volume": kinds were validated above
             field = opts.pop("field")
             layers.append(
                 volume_render(dataset, field, camera=camera, width=width, height=height, **opts)
             )
-        else:
-            raise ValueError(f"unknown representation kind {kind!r}")
 
     result = layers[0]
     for layer in layers[1:]:

@@ -316,3 +316,46 @@ def test_virtual_payload_iteration():
     durations = sim.trace.durations("pipeline.execute", iteration=1)
     assert len(durations) == 2
     assert all(d > 0 for d in durations)
+
+
+# ---------------------------------------------------------------------------
+# in-transit == in-situ: the composited image must not depend on how many
+# servers share the blocks (the Catalyst-ADIOS2 oracle)
+def test_iso_image_independent_of_server_count():
+    from repro.bench.harness import ColzaExperiment
+    from repro.vtk.render import Camera
+
+    def level_block(block_id, level):
+        """A 9^3 block, 8*block_id along x, whose field crosses ``level`` only."""
+        img = ImageData(dims=(9, 9, 9), origin=(8.0 * block_id, 0.0, 0.0), spacing=(1.0,) * 3)
+        ramp = level - 0.04 + 0.01 * np.arange(9.0)
+        img.set_field("v", np.broadcast_to(ramp[None, None, :], (9, 9, 9)).copy())
+        return img
+
+    # Blocks go to server block_id % n: with 2 or 4 servers each server
+    # sees a single iso-level and a degenerate local scalar range.
+    blocks = [(i, level_block(i, level)) for i, level in enumerate([0.12, 0.25, 0.12, 0.25])]
+
+    def composited(n_servers):
+        exp = ColzaExperiment(
+            n_servers=n_servers, n_clients=1,
+            script=IsoSurfaceScript(field="v", isovalues=[0.12, 0.25]),
+            width=64, height=64, seed=3, library="libcolza-iso.so",
+            extra_config={"camera": Camera.fit((0.0, 32.0, 0.0, 8.0, 0.0, 8.0))},
+        ).setup()
+        exp.run_iteration(1, [blocks])
+        triangles = [
+            d.provider.pipelines["render"].last_results["local_triangles"]
+            for d in exp.deployment.live_daemons()
+        ]
+        assert triangles == [2048 // n_servers] * n_servers
+        return rank0_backend(exp.deployment).last_results["image"]
+
+    reference = composited(1)
+    assert reference.coverage() > 0.5
+    # Both colormap ends are on screen, so a per-server range would show.
+    assert len(np.unique(reference.rgba[reference.rgba[..., 3] > 0], axis=0)) == 2
+    for n_servers in (2, 4):
+        image = composited(n_servers)
+        assert image.rgba.tobytes() == reference.rgba.tobytes()
+        assert image.depth.tobytes() == reference.depth.tobytes()

@@ -159,3 +159,56 @@ def test_run_iteration_cost_is_independent_of_trace_history():
 
     fresh, aged = calls(0), calls(50_000)
     assert abs(aged - fresh) <= 0.01 * fresh, (fresh, aged)
+
+
+# ---------------------------------------------------------------------------
+# vtk kernels: work is batched over fragments / table slots, so the number
+# of Python-level calls does not follow the triangle count
+def _profiled_calls(fn, *args, **kwargs):
+    """Python and C function calls made while ``fn`` runs (exact)."""
+    import cProfile
+    import pstats
+
+    profile = cProfile.Profile()
+    result = profile.runcall(fn, *args, **kwargs)
+    return pstats.Stats(profile).total_calls, result
+
+
+def _sphere_volume(n):
+    from repro.vtk import ImageData
+
+    image = ImageData(dims=(n, n, n), origin=(-1.0,) * 3, spacing=(2.0 / (n - 1),) * 3)
+    image.set_field("r", np.linalg.norm(image.point_coords(), axis=1).reshape(n, n, n))
+    image.set_field("x", image.point_coords()[:, 0].reshape(n, n, n))
+    return image
+
+
+def test_contour_calls_do_not_scale_with_triangles():
+    """No loop over tets, cases or edges: 4x the triangles, same calls."""
+    from repro.vtk.filters import contour
+
+    def run(n):
+        return _profiled_calls(contour, _sphere_volume(n), [0.5, 0.8], "r", interpolate_fields=["x"])
+
+    (small_calls, small), (large_calls, large) = run(12), run(23)
+    assert large.num_triangles >= 3.5 * small.num_triangles > 0
+    assert large_calls <= 1.5 * small_calls, (small_calls, large_calls)
+
+
+def test_rasterize_calls_do_not_scale_with_triangles():
+    """No loop over triangles: the same surface meshed 4x finer costs at
+    most a few more calls (a depth-peeling round, a fragment batch)."""
+    from repro.vtk.filters import contour
+    from repro.vtk.render import Camera, rasterize
+
+    camera = Camera.fit((-1.0, 1.0) * 3)
+
+    def run(n):
+        surface = contour(_sphere_volume(n), [0.5, 0.8], "r", interpolate_fields=["x"])
+        calls, image = _profiled_calls(rasterize, surface, camera, 64, 64, color_field="x")
+        assert image.coverage() > 0.3
+        return calls, surface.num_triangles
+
+    (small_calls, small), (large_calls, large) = run(12), run(23)
+    assert large >= 3.5 * small > 0
+    assert large_calls <= 1.5 * small_calls, (small_calls, large_calls)

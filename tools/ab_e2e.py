@@ -1,0 +1,113 @@
+"""Paired A/B of the end-to-end benchmark: a base revision against the working tree.
+
+``python tools/ab_e2e.py --base REV --workload NAME [--seed N] [--pairs K]``
+(or ``make bench-e2e-ab BASE=REV WORKLOAD=NAME``) checks ``REV`` out into a
+temporary ``git worktree``, then runs the ``BENCHMARK.json`` command
+(``bench_e2e/run.py``, run length from the same file) on it and on the
+working tree for K alternating pairs — base first in even pairs, the
+change first in odd ones, so drift of the box lands on both sides.
+
+For every end-to-end metric it prints each side's median and quartiles,
+how many pairs the change won (ties count for neither), and a verdict by
+the rule of the choosing-metrics guide, section 8: a **gain** needs at
+least nine tenths of the pairs *and* a median better by more than the
+base's own quartile distance; a median past the metric's bound in
+``BENCHMARK.json`` is **worse** when nine tenths of the pairs agree and
+**unresolved** otherwise; anything else is **same**. Both sides run the
+``bench_e2e/`` of their own tree, so compare only revisions that agree
+on it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from typing import Any, Dict, List, Tuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_once(tree: str, command: List[str], workload: str, seed: int, seconds: float) -> Dict[str, Any]:
+    """One contract run in ``tree``; the last stdout line is the result."""
+    argv = command + ["--workload", workload, "--seed", str(seed),
+                      "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    if done.returncode != 0 or not done.stdout.strip():
+        raise RuntimeError(f"{' '.join(argv)} failed in {tree}:\n{done.stderr[-2000:]}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values: List[float]) -> Tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def _fmt(values: Tuple[float, float, float]) -> str:
+    return "/".join(f"{v:.5g}" for v in values)
+
+
+def judge(base: List[float], change: List[float], bound: float) -> Tuple[int, int, str]:
+    """(pairs the change won, pairs it lost, verdict); lower is better."""
+    wins = sum(c < b for b, c in zip(base, change))
+    losses = sum(c > b for b, c in zip(base, change))
+    (b_q1, b_med, b_q3), (_, c_med, _) = quartiles(base), quartiles(change)
+    if wins >= 0.9 * len(base) and b_med - c_med > b_q3 - b_q1:
+        return wins, losses, "gain"
+    if c_med > b_med * (1.0 + bound):
+        return wins, losses, "worse" if losses >= 0.9 * len(base) else "unresolved"
+    return wins, losses, "same"
+
+
+def report(spec: Dict[str, Any], base: List[Dict[str, Any]], change: List[Dict[str, Any]]) -> None:
+    print(f"{'metric':18s} {'base q1/med/q3':>36s} {'change q1/med/q3':>36s}  won/lost  verdict")
+    for metric in spec["end_to_end"]:
+        name = metric["name"]
+        b = [r["metrics"][name]["value"] for r in base]
+        c = [r["metrics"][name]["value"] for r in change]
+        wins, losses, verdict = judge(b, c, metric["bound"])
+        print(f"{name:18s} {_fmt(quartiles(b)):>36s} {_fmt(quartiles(c)):>36s}  "
+              f"{wins:>3d}/{losses:<3d}   {verdict}  [{metric['unit']}]")
+    for side, runs in (("base", base), ("change", change)):
+        failed, attempted = sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs)
+        print(f"{side}: failed {failed}/{attempted} operations, "
+              f"output checks {'ok' if all(r['correct'] for r in runs) else 'FAILED'}")
+
+
+def main() -> int:
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--base", required=True, help="git revision to compare the working tree against")
+    p.add_argument("--workload", required=True, choices=[w["name"] for w in spec["workloads"]])
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--pairs", type=int, default=10)
+    args = p.parse_args()
+
+    with tempfile.TemporaryDirectory(prefix="ab_e2e_") as tmp:
+        base_tree = os.path.join(tmp, "base")
+        subprocess.run(["git", "worktree", "add", "--detach", base_tree, args.base],
+                       cwd=ROOT, check=True, capture_output=True)
+        try:
+            runs: Dict[str, List[Dict[str, Any]]] = {base_tree: [], ROOT: []}
+            for pair in range(args.pairs):
+                for tree in (base_tree, ROOT) if pair % 2 == 0 else (ROOT, base_tree):
+                    runs[tree].append(run_once(tree, spec["command"], args.workload,
+                                               args.seed, spec["run_seconds"]))
+                print(f"pair {pair + 1}/{args.pairs} done", file=sys.stderr)
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force", base_tree], cwd=ROOT, check=True)
+    print(f"{args.workload}, seed {args.seed}, {args.pairs} alternating pairs of "
+          f"{spec['run_seconds']} s: {args.base} (base) vs working tree (change)")
+    report(spec, runs[base_tree], runs[ROOT])
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
