@@ -87,9 +87,12 @@ bench-e2e:
 # Paired A/B against another revision (tools/ab_e2e.py): ten alternating
 # pairs of the BENCHMARK.json command, BASE in a temporary git worktree;
 # medians, quartiles, win counts and the section-8 verdict per metric.
+# A claim also has to hold on a seed nobody tuned against: run it twice.
 #   make bench-e2e-ab BASE=HEAD~1 WORKLOAD=gs_iso_real
+#   make bench-e2e-ab BASE=HEAD~1 WORKLOAD=gs_iso_real SEED=7
+SEED ?= 1
 bench-e2e-ab:
-	python tools/ab_e2e.py --base $(BASE) --workload $(WORKLOAD)
+	python tools/ab_e2e.py --base $(BASE) --workload $(WORKLOAD) --seed $(SEED)
 
 # Smoke test of the benchmark itself (~30 s, outside tier-1's testpaths).
 bench-e2e-smoke:

@@ -41,10 +41,27 @@ class Camera:
         self._up = np.cross(self._right, self._forward)
         self._pos = pos
 
+    # The view basis, read-only (the returned arrays are the camera's
+    # own; do not mutate): world = origin + x*right + y*up + z*forward.
     @property
     def forward(self) -> np.ndarray:
-        """Unit view direction (focal point minus position); do not mutate."""
+        """Unit view direction (focal point minus position)."""
         return self._forward
+
+    @property
+    def right(self) -> np.ndarray:
+        """Unit view-space x axis in world coordinates."""
+        return self._right
+
+    @property
+    def up(self) -> np.ndarray:
+        """Unit view-space y axis (``view_up`` made orthogonal to ``forward``)."""
+        return self._up
+
+    @property
+    def origin(self) -> np.ndarray:
+        """View-space origin in world coordinates (``position`` as an array)."""
+        return self._pos
 
     # ------------------------------------------------------------------
     def world_to_view(self, points: np.ndarray) -> np.ndarray:

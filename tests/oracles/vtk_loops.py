@@ -5,10 +5,19 @@
 depth-peeling rounds; ``contour_loop`` is the per-tet / per-case /
 per-slot / per-edge loop (with its own copy of the marching-tetrahedra
 tables) that :func:`repro.vtk.filters.contour` replaced by one table
-lookup and a stable sort. The production kernels promise
-*byte-identical* output (``tests/test_vtk_oracles.py``), so the bodies
-below are the parent commit's, moved not edited: only the two public
-names changed and ``camera._forward`` became ``camera.forward``.
+lookup and a stable sort; ``volume_render_loop`` is the per-step
+ray-marcher over whole ``(H, W)`` frames that
+:func:`repro.vtk.render.volume_render` replaced by footprint-clipped
+step chunks; ``resample_loop`` is the unbounded nearest-neighbour query
+that :func:`repro.vtk.filters.resample_to_image` now bounds by the
+cutoff. The production kernels promise *byte-identical* output
+(``tests/test_vtk_oracles.py``), so the bodies below are the commit's
+they were replaced in, moved not edited: only the public names changed
+and ``camera._forward`` / ``_pos`` / ``_right`` / ``_up`` became
+``camera.forward`` / ``origin`` / ``right`` / ``up``. The two bugs the
+production pair fixed on the way (a NaN voxel poisoning the default
+``value_range``, a zero spacing for a planar mesh) are *kept* here:
+inputs that reach them are outside the byte-equality contract.
 """
 
 from __future__ import annotations
@@ -16,13 +25,15 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.ndimage import map_coordinates
+from scipy.spatial import cKDTree
 
-from repro.vtk.dataset import ImageData, PolyData
+from repro.vtk.dataset import ImageData, PolyData, UnstructuredGrid
 from repro.vtk.render.camera import Camera
-from repro.vtk.render.color import colormap
+from repro.vtk.render.color import colormap, opacity_ramp
 from repro.vtk.render.image import CompositeImage
 
-__all__ = ["contour_loop", "rasterize_loop"]
+__all__ = ["contour_loop", "rasterize_loop", "resample_loop", "volume_render_loop"]
 
 
 def rasterize_loop(
@@ -280,3 +291,136 @@ def _contour_single(
     for name in extra_names:
         point_data[name] = np.concatenate(tri_extra[name], axis=0).reshape(npts)
     return PolyData(points, triangles, point_data)
+
+
+def volume_render_loop(
+    image_data: ImageData,
+    field: str,
+    camera: Optional[Camera] = None,
+    width: int = 256,
+    height: int = 256,
+    steps: int = 64,
+    cmap: str = "coolwarm",
+    value_range: Optional[Tuple[float, float]] = None,
+    max_opacity: float = 0.9,
+    opacity_power: float = 1.5,
+) -> CompositeImage:
+    """Ray-march ``field`` of ``image_data`` into an RGBA+depth image."""
+    volume = np.asarray(image_data.field(field), dtype=np.float64)
+    if value_range is None:
+        value_range = (float(volume.min()), float(volume.max()))
+    vmin, vmax = value_range
+    if camera is None:
+        camera = Camera.fit(image_data.bounds, direction="z")
+
+    b = image_data.bounds
+    corners = np.array(
+        [(b[i], b[2 + j], b[4 + k]) for i in (0, 1) for j in (0, 1) for k in (0, 1)]
+    )
+    view_corners = camera.world_to_view(corners)
+    z_near = float(view_corners[:, 2].min())
+    z_far = float(view_corners[:, 2].max())
+    if z_far <= z_near:
+        return CompositeImage.blank(width, height)
+
+    # Build the ray sample grid in view space: (H, W, steps, 3).
+    half_w, half_h = camera.view_width / 2, camera.view_height / 2
+    xs = np.linspace(-half_w, half_w, width)
+    ys = np.linspace(half_h, -half_h, height)  # row 0 = top
+    zs = np.linspace(z_near, z_far, steps)
+    dz = (z_far - z_near) / max(steps - 1, 1)
+
+    # View -> world: p = pos + x*right + y*up + z*forward.
+    gx, gy = np.meshgrid(xs, ys)  # (H, W)
+    rgba = np.zeros((height, width, 4), dtype=np.float64)
+    depth = np.full((height, width), np.inf, dtype=np.float64)
+    transmittance = np.ones((height, width), dtype=np.float64)
+
+    origin = np.asarray(image_data.origin)
+    spacing = np.asarray(image_data.spacing)
+
+    base = (
+        camera.origin[None, None, :]
+        + gx[..., None] * camera.right[None, None, :]
+        + gy[..., None] * camera.up[None, None, :]
+    )  # (H, W, 3)
+
+    # Opacity per step scales with step length so results are
+    # resolution-independent-ish.
+    alpha_scale = dz / max((z_far - z_near) / 16.0, 1e-9)
+
+    for si, z in enumerate(zs):
+        world = base + z * camera.forward[None, None, :]  # (H, W, 3)
+        idx = (world - origin) / spacing  # grid-index coordinates
+        sample = map_coordinates(
+            volume,
+            [idx[..., 0].ravel(), idx[..., 1].ravel(), idx[..., 2].ravel()],
+            order=1,
+            mode="constant",
+            cval=np.nan,
+        ).reshape(height, width)
+        valid = np.isfinite(sample)
+        if not valid.any():
+            continue
+        alpha = np.zeros_like(sample)
+        alpha[valid] = opacity_ramp(sample[valid], vmin, vmax, max_opacity, opacity_power)
+        alpha = np.clip(alpha * alpha_scale, 0.0, 1.0)
+        active = valid & (alpha > 1e-4) & (transmittance > 1e-3)
+        if not active.any():
+            continue
+        color = np.zeros((height, width, 3))
+        color[active] = colormap(sample[active], cmap, vmin, vmax)
+        contrib = (transmittance * alpha)[..., None]
+        rgba[..., :3] += np.where(active[..., None], color * contrib, 0.0)
+        rgba[..., 3] += np.where(active, transmittance * alpha, 0.0)
+        first_hit = active & ~np.isfinite(depth)
+        depth[first_hit] = z
+        transmittance = np.where(active, transmittance * (1.0 - alpha), transmittance)
+
+    out = CompositeImage(rgba.astype(np.float32), depth.astype(np.float32))
+    out.brick_depth = z_near
+    return out
+
+
+def resample_loop(
+    grid: UnstructuredGrid,
+    dims: Tuple[int, int, int],
+    fields: Optional[Sequence[str]] = None,
+    bounds: Optional[Sequence[float]] = None,
+    cutoff_factor: float = 2.0,
+) -> ImageData:
+    """Sample ``grid``'s point fields onto a ``dims`` regular grid.
+
+    ``bounds`` default to the mesh bounds; voxels farther than
+    ``cutoff_factor`` x the mean voxel spacing from any mesh point are
+    set to 0 (outside the mesh).
+    """
+    if len(dims) != 3 or any(d < 2 for d in dims):
+        raise ValueError(f"dims must be three values >= 2, got {dims}")
+    names = list(fields) if fields is not None else list(grid.point_data)
+    for name in names:
+        if name not in grid.point_data:
+            raise KeyError(f"point field {name!r} not in grid")
+
+    b = tuple(bounds) if bounds is not None else grid.bounds
+    origin = (b[0], b[2], b[4])
+    spacing = tuple(
+        (b[2 * i + 1] - b[2 * i]) / (dims[i] - 1) if dims[i] > 1 else 1.0
+        for i in range(3)
+    )
+    image = ImageData(dims=tuple(dims), origin=origin, spacing=spacing)
+    if grid.num_points == 0:
+        for name in names:
+            image.set_field(name, np.zeros(dims))
+        return image
+
+    targets = image.point_coords()
+    tree = cKDTree(grid.points)
+    dist, nearest = tree.query(targets, k=1)
+    cutoff = cutoff_factor * float(np.mean(spacing))
+    inside = dist <= cutoff
+    for name in names:
+        source = np.asarray(grid.point_data[name], dtype=np.float64)
+        sampled = np.where(inside, source[nearest], 0.0)
+        image.set_field(name, sampled.reshape(dims))
+    return image

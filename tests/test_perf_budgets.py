@@ -212,3 +212,42 @@ def test_rasterize_calls_do_not_scale_with_triangles():
     (small_calls, small), (large_calls, large) = run(12), run(23)
     assert large >= 3.5 * small > 0
     assert large_calls <= 1.5 * small_calls, (small_calls, large_calls)
+
+
+def test_volume_render_samples_the_footprint_only(monkeypatch):
+    """Rays that cannot meet the brick are never marched: a brick over
+    the middle quarter of the frame costs about a quarter of the
+    ``H * W * steps`` samples the whole-frame loop takes (plus a pixel
+    of padding all round)."""
+    import repro.vtk.render.volume as volume_module
+    from repro.vtk.render import Camera, volume_render
+
+    sampled = []
+
+    def counting(volume, coordinates, **kwargs):
+        sampled.append(np.shape(coordinates)[1])
+        return real(volume, coordinates, **kwargs)
+
+    real = volume_module.map_coordinates
+    monkeypatch.setattr(volume_module, "map_coordinates", counting)
+    brick = _sphere_volume(16)  # bounds (-1, 1): half of the 4 x 4 window each way
+    camera = Camera(position=(0.0, 0.0, -5.0), view_width=4.0, view_height=4.0)
+    image = volume_render(brick, "r", camera=camera, width=64, height=64, steps=64)
+    assert 0.2 < image.coverage() <= 0.25
+    assert sum(sampled) <= 0.35 * 64 * 64 * 64, sum(sampled)
+    assert max(sampled) <= volume_module._SAMPLE_BUDGET
+
+
+def test_volume_render_calls_do_not_follow_steps():
+    """No per-step Python: a chunk of rays costs the same calls however
+    many steps it holds, so the call total stays under a quarter of the
+    per-step loop's (which makes ~70 calls a step)."""
+    from repro.vtk.render import volume_render
+    from tests.oracles.vtk_loops import volume_render_loop
+
+    brick = _sphere_volume(16)
+    for steps in (64, 256):
+        calls, image = _profiled_calls(volume_render, brick, "r", width=64, height=64, steps=steps)
+        loop_calls, loop_image = _profiled_calls(volume_render_loop, brick, "r", width=64, height=64, steps=steps)
+        assert image.rgba.tobytes() == loop_image.rgba.tobytes() and image.coverage() > 0.5
+        assert calls <= 0.25 * loop_calls, (steps, calls, loop_calls)

@@ -295,3 +295,44 @@ def test_resample_selected_fields_only():
     grid.point_data["q"] = np.arange(5, dtype=float)
     img = resample_to_image(grid, (4, 4, 4), fields=["q"])
     assert "q" in img.point_data and "p" not in img.point_data
+
+
+@pytest.mark.parametrize("flat_axis, direction", [(2, "z"), (0, "x")])
+def test_resample_planar_mesh_gets_positive_spacing(flat_axis, direction):
+    """A mesh with no extent along one axis used to resample to spacing
+    0 there; the ray-marcher then divided by it on every step and drew
+    nothing from any direction."""
+    import warnings
+
+    from repro.vtk.render import Camera, volume_render
+
+    rng = np.random.default_rng(8)
+    points = rng.uniform(-1.0, 1.0, (200, 3)) * (2.0, 3.0, 4.0)
+    points[:, flat_axis] = 0.75
+    plane = UnstructuredGrid(points, np.zeros((0, 4), dtype=np.int64),
+                             point_data={"f": rng.random(200) + 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        img = resample_to_image(plane, (9, 9, 9))
+        assert min(img.spacing) > 0.0
+        others = [s for axis, s in enumerate(img.spacing) if axis != flat_axis]
+        assert img.spacing[flat_axis] == pytest.approx(np.mean(others))
+        # The layers straddle the plane; the in-plane axes keep the mesh bounds.
+        b = img.bounds
+        assert (b[2 * flat_axis] + b[2 * flat_axis + 1]) / 2 == pytest.approx(0.75)
+        assert [b[i] for i in range(6) if i // 2 != flat_axis] == pytest.approx(
+            [plane.bounds[i] for i in range(6) if i // 2 != flat_axis]
+        )
+        # A slab around the plane carries the field, the far layers do not.
+        layers = np.moveaxis(img.field("f"), flat_axis, 0)
+        assert layers[4].all() and not layers[0].any() and not layers[8].any()
+        along = volume_render(img, "f", camera=Camera.fit(img.bounds, direction=direction),
+                              width=32, height=32)
+    assert along.rgba[..., 3].max() > 0.0
+
+
+def test_resample_single_point_mesh_gets_unit_spacing():
+    dot = UnstructuredGrid([(1.0, 2.0, 3.0)], np.zeros((0, 4), dtype=np.int64), point_data={"f": [5.0]})
+    img = resample_to_image(dot, (3, 3, 3))
+    assert img.spacing == (1.0, 1.0, 1.0) and img.origin == (0.0, 1.0, 2.0)
+    assert img.field("f")[1, 1, 1] == 5.0

@@ -1,10 +1,14 @@
 """Byte equality of the vectorised VTK kernels with the loops they replaced.
 
-``rasterize`` (fragment batches + depth-peeling rounds) and ``contour``
-(flat case table + stable sort) promise the exact bytes of the
-per-triangle and per-case loops kept in ``tests/oracles/vtk_loops.py``.
-No tolerance anywhere in this file: a last-bit difference is a failure.
+``rasterize`` (fragment batches + depth-peeling rounds), ``contour``
+(flat case table + stable sort), ``volume_render`` (footprint clip, ray
+chunks, transmittance scan) and ``resample_to_image`` (cutoff-bounded
+query) promise the exact bytes of the loops kept in
+``tests/oracles/vtk_loops.py``. No tolerance anywhere in this file: a
+last-bit difference is a failure.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -12,11 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.vtk.render.rasterizer as rasterizer_module
-from repro.apps import GrayScottParams, GrayScottSolver
-from repro.vtk import ImageData, PolyData
-from repro.vtk.filters import contour
-from repro.vtk.render import Camera, rasterize
-from tests.oracles.vtk_loops import contour_loop, rasterize_loop
+import repro.vtk.render.volume as volume_module
+from repro.apps import DWIDataset, GrayScottParams, GrayScottSolver
+from repro.vtk import ImageData, MultiBlockDataSet, PolyData, UnstructuredGrid
+from repro.vtk.filters import contour, merge_blocks, resample_to_image
+from repro.vtk.render import Camera, rasterize, volume_render
+from tests.oracles.vtk_loops import (
+    contour_loop,
+    rasterize_loop,
+    resample_loop,
+    volume_render_loop,
+)
 
 RENDER_MODES = {
     "colored": {"color_field": "s", "cmap": "coolwarm"},
@@ -214,6 +224,22 @@ def test_camera_forward_is_read_only():
         camera.forward = np.zeros(3)
 
 
+def test_camera_basis_is_public_and_read_only():
+    camera = Camera(position=(0, 0, -5), focal_point=(0, 3, -1))
+    np.testing.assert_allclose(camera.right, (-1.0, 0.0, 0.0))
+    np.testing.assert_allclose(camera.up, (0.0, 0.8, -0.6))
+    np.testing.assert_array_equal(camera.origin, (0.0, 0.0, -5.0))
+    # world = origin + x*right + y*up + z*forward inverts world_to_view.
+    point = np.array([0.3, -1.2, 2.0])
+    x, y, z = camera.world_to_view(point)[0]
+    np.testing.assert_allclose(
+        camera.origin + x * camera.right + y * camera.up + z * camera.forward, point
+    )
+    for name in ("right", "up", "origin"):
+        with pytest.raises(AttributeError):
+            setattr(camera, name, np.zeros(3))
+
+
 # ---------------------------------------------------------------------------
 # contour
 @pytest.mark.parametrize("seed", [1, 7])
@@ -255,3 +281,337 @@ def test_contour_iso_on_lattice_plane():
     want = contour_loop(image, [2.0, 5.0, 0.0], "x")
     assert want.num_triangles > 0
     assert_same_poly(contour(image, [2.0, 5.0, 0.0], "x"), want)
+
+
+# ---------------------------------------------------------------------------
+# volume_render
+def dwi_server_mesh(seed, snapshot, server):
+    """What server ``server`` of four holds in ``bench_e2e``'s
+    ``dwi_volume_real``: its share of the 16 seeded partitions, merged."""
+    dataset = DWIDataset(partitions=16, seed=seed)
+    blocks = [dataset.real_file(snapshot, p, scale=3e4) for p in range(server, 16, 4)]
+    return merge_blocks(MultiBlockDataSet(blocks))
+
+
+def views(bounds):
+    """Axis-aligned and rotated cameras framing ``bounds``."""
+    lo, hi = np.array(bounds[0::2], dtype=float), np.array(bounds[1::2], dtype=float)
+    center, extent = (lo + hi) / 2, float((hi - lo).max())
+    return {
+        "z": Camera.fit(bounds),
+        "x": Camera.fit(bounds, direction="x"),
+        "rotated": Camera(
+            position=tuple(center + extent * np.array([1.3, -0.9, -2.1])),
+            focal_point=tuple(center),
+            view_up=(0.2, 1.0, 0.1),
+            view_width=1.4 * extent,
+            view_height=1.1 * extent,
+        ),
+    }
+
+
+def random_brick(seed, dims=(6, 5, 7), **grid):
+    image = ImageData(dims=dims, **grid)
+    image.set_field("f", np.random.default_rng(seed).random(dims))
+    return image
+
+
+def render_both(image, field="f", **kwargs):
+    want = volume_render_loop(image, field, **kwargs)
+    assert_same_image(volume_render(image, field, **kwargs), want)
+    return want
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("view", ["z", "x", "rotated"])
+def test_volume_render_dwi_matches_loop(seed, view):
+    """The benchmark's scene: one camera on the global bounds, each
+    server's resampled brick covering its own part of the frame."""
+    meshes = [dwi_server_mesh(seed, 16, server) for server in range(4)]
+    camera = views(merge_blocks(MultiBlockDataSet(meshes)).bounds)[view]
+    covered = []
+    for mesh in meshes:
+        brick = resample_loop(mesh, (16, 16, 16), fields=["velocity"])
+        want = render_both(brick, "velocity", camera=camera, width=64, height=48)
+        covered.append(want.coverage())
+    assert 0.0 < min(covered) and max(covered) < 0.6
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    content=st.sampled_from(["random", "constant", "lattice", "holes"]),
+    view=st.sampled_from(["default", "x", "askew"]),
+    size=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    steps=st.sampled_from([1, 2, 3, 17, 64]),
+    max_opacity=st.sampled_from([0.9, 5.0]),
+    value_range=st.sampled_from([None, (0.0, 1.0), (0.25, 2.0), (1.0, 1.0)]),
+    budget=st.sampled_from([1, 100, 1 << 15]),
+)
+def test_volume_render_random_bricks_match_loop(
+    seed, content, view, size, steps, max_opacity, value_range, budget
+):
+    rng = np.random.default_rng(seed)
+    dims = tuple(int(d) for d in rng.integers(2, 9, 3))
+    image = ImageData(dims=dims, origin=tuple(rng.uniform(-2, 2, 3)), spacing=tuple(rng.uniform(0.1, 1.0, 3)))
+    values = {
+        "random": rng.random(dims),
+        "constant": np.full(dims, 0.7),
+        "lattice": rng.integers(0, 3, dims).astype(np.float64),
+        "holes": np.where(rng.random(dims) < 0.1, np.nan, rng.random(dims)),
+    }[content]
+    image.set_field("f", values)
+    if content == "holes" and value_range is None:
+        value_range = (0.0, 1.0)  # the loop's default range is NaN here
+    bounds = image.bounds
+    camera = None
+    if view == "x":
+        camera = Camera.fit(bounds, direction="x")
+    elif view == "askew":
+        # Any direction, aimed at, beside or past the brick, zoomed in or out.
+        center = np.array([(bounds[0] + bounds[1]) / 2, (bounds[2] + bounds[3]) / 2, (bounds[4] + bounds[5]) / 2])
+        extent = np.array([bounds[1] - bounds[0], bounds[3] - bounds[2], bounds[5] - bounds[4]])
+        toward = rng.normal(size=3)
+        toward /= np.linalg.norm(toward)
+        focal = center + rng.uniform(-1, 1, 3) * extent * rng.choice([0.0, 0.5, 2.0])
+        camera = Camera(
+            position=tuple(focal - toward * (2 * extent.max() + 1)),
+            focal_point=tuple(focal),
+            view_up=tuple(rng.normal(size=3)),
+            view_width=float(extent.max() * rng.choice([0.3, 1.0, 3.0])),
+            view_height=float(extent.max() * rng.choice([0.3, 1.0, 3.0])),
+        )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(volume_module, "_SAMPLE_BUDGET", budget)
+        render_both(
+            image, camera=camera, width=size[0], height=size[1], steps=steps,
+            max_opacity=max_opacity, value_range=value_range,
+        )
+
+
+@pytest.mark.parametrize("budget", [1, 100, 10**6])
+def test_volume_render_chunk_boundaries_mid_footprint(monkeypatch, budget):
+    """One ray per chunk, chunks that end mid-row, one chunk for all."""
+    monkeypatch.setattr(volume_module, "_SAMPLE_BUDGET", budget)
+    image = random_brick(3)
+    for camera in views(image.bounds).values():
+        for steps in (1, 7, 64):
+            want = render_both(image, camera=camera, width=31, height=23, steps=steps, max_opacity=3.0)
+            # A single step samples the nearest corner's depth only.
+            assert want.coverage() > 0.2 or steps == 1
+
+
+def test_volume_render_brick_over_corner_all_and_none_of_the_frame():
+    image = random_brick(5, dims=(6, 6, 6))  # bounds (0, 5) on every axis
+
+    def looking_at(x, y, window):
+        return Camera(position=(x, y, -9.0), focal_point=(x, y, 0.0), view_width=window, view_height=window)
+
+    corner = render_both(image, camera=looking_at(6.0, -1.0, 6.0), width=32, height=32)
+    assert 0.05 < corner.coverage() < 0.3
+    inside = render_both(image, camera=looking_at(2.5, 2.5, 3.0), width=32, height=32)
+    assert inside.coverage() == 1.0
+    nothing = render_both(image, camera=looking_at(40.0, 2.5, 6.0), width=32, height=32)
+    assert nothing.coverage() == 0.0 and nothing.brick_depth == 9.0
+    assert not nothing.rgba.any()
+
+
+@pytest.mark.parametrize(
+    "origin, spacing, pixels, first",
+    [(0.373, 1 / 3, 4, 1), (-2.253, 0.1, 4, 1), (-2.127, 1 / 3, 4, 2), (0.0, 1.0, 2, 3)],
+)
+def test_volume_render_brick_edge_on_a_pixel_centre(origin, spacing, pixels, first):
+    """The brick's side spans exactly ``pixels`` pixel pitches and its
+    edge sits on the centre of pixel column ``first``: in float, the
+    projected corner and the pixel's own ray can land either side of
+    each other, so an unpadded footprint drops a column that the march
+    itself finds inside the brick."""
+    image = ImageData(dims=(5, 5, 5), origin=(origin,) * 3, spacing=(spacing,) * 3)
+    image.set_field("f", np.ones(image.dims))
+    b = image.bounds
+    pitch = (b[1] - b[0]) / pixels
+    window = pitch * 8  # nine pixels
+    x = b[1] - window / 2 + first * pitch
+    y = (b[2] + b[3]) / 2
+    camera = Camera(position=(x, y, b[4] - 5.0), focal_point=(x, y, b[4]), view_width=window, view_height=window)
+    want = render_both(image, camera=camera, width=9, height=9, steps=4, value_range=(0.0, 1.0))
+    assert np.isfinite(want.depth).any(axis=0).sum() >= pixels
+
+
+@pytest.mark.parametrize("size", [(1, 1), (1, 9), (9, 1), (2, 2)])
+def test_volume_render_degenerate_frames(size):
+    """A one-pixel axis puts its single ray on the window's edge."""
+    image = random_brick(9)
+    for camera in (None, Camera(position=(0.5, 4.0, -6.0), focal_point=(2.5, 2.0, 3.0), view_width=9.0, view_height=9.0)):
+        want = render_both(image, camera=camera, width=size[0], height=size[1])
+        assert want.rgba.shape == (size[1], size[0], 4)
+
+
+def test_volume_render_transfer_function_edge_cases():
+    image = random_brick(13)
+    one_step = render_both(image, width=24, height=24, steps=1)
+    assert one_step.coverage() > 0.5
+    saturated = render_both(image, width=24, height=24, max_opacity=5.0, opacity_power=0.5)
+    assert saturated.rgba[..., 3].max() > 0.998  # rays stopped by T <= 1e-3
+    ranged = render_both(image, width=24, height=24, value_range=(0.4, 0.6))
+    assert ranged.coverage() > 0.5
+    for flat in ((1.0, 1.0), (2.0, 1.0)):  # vmax <= vmin: zero opacity everywhere
+        blank = render_both(image, width=24, height=24, value_range=flat)
+        assert blank.coverage() == 0.0 and blank.brick_depth > 0.0
+
+
+def test_volume_render_non_finite_voxels_are_holes():
+    image = random_brick(17, dims=(8, 8, 8))
+    field = image.field("f")
+    field[2:4, 3, :] = np.nan
+    field[6, 6, 2] = np.inf
+    field[1, 5, 5] = -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for camera in views(image.bounds).values():
+            want = render_both(image, camera=camera, width=40, height=40, value_range=(0.0, 1.0))
+            assert 0.3 < want.coverage()
+    assert np.isfinite(want.rgba).all()
+
+
+def exact_rays(alphas):
+    """A 3x3x17 unit lattice whose value depends on the layer only,
+    framed so that the 3x3 pixels' rays run through voxel centres and
+    the 17 steps land on the 17 layers. With range (0, 1), opacity 1 and
+    power 1 every expression of the transfer function is exact: the
+    alpha of step s is ``alphas[s]`` to the bit."""
+    field = np.zeros((3, 3, 17))
+    field[:, :, : len(alphas)] = alphas
+    image = ImageData(dims=(3, 3, 17))
+    image.set_field("a", field)
+    camera = Camera(position=(1.0, 1.0, -4.0), focal_point=(1.0, 1.0, 0.0), view_width=2.0, view_height=2.0)
+    kwargs = dict(camera=camera, width=3, height=3, steps=17, value_range=(0.0, 1.0),
+                  max_opacity=1.0, opacity_power=1.0, cmap="grayscale")
+    return image, kwargs
+
+
+def test_volume_render_terminates_at_transmittance_equal_to_threshold():
+    """``T > 1e-3`` is strict. Two steps leave exactly 1e-3 (0.512 x 2^-9),
+    so the third, however opaque, contributes nothing."""
+    a1, a2 = 0.488, 0.998046875
+    assert (1.0 - a1) * (1.0 - a2) == 1e-3
+    image, kwargs = exact_rays([a1, a2, 0.75])
+    want = render_both(image, "a", **kwargs)
+    assert (want.rgba[..., 3] == np.float32(a1 + (1.0 - a1) * a2)).all()
+    thinner, _ = exact_rays([a1, np.nextafter(a2, 0.0), 0.75])  # leaves a hair more than 1e-3
+    one_more = render_both(thinner, "a", **kwargs)
+    assert (one_more.rgba[..., 3] > want.rgba[..., 3]).all()
+
+
+def test_volume_render_skips_alpha_equal_to_floor():
+    """``alpha > 1e-4`` is strict too: a step at exactly 1e-4 neither
+    contributes nor counts as the first hit."""
+    image, kwargs = exact_rays([1e-4, 0.5])
+    want = render_both(image, "a", **kwargs)
+    assert (want.rgba[..., 3] == 0.5).all() and (want.depth == 5.0).all()
+
+
+def test_volume_render_sums_contributions_in_ascending_step_order():
+    """Three contributions whose float64 sum lands within an ulp of a
+    float32 rounding boundary: front-to-back and back-to-front addition
+    give different float32 pixels, and only the first is the loop's."""
+    alphas = [0.332, 0.573, 0.30000014378603973]
+    x1 = alphas[0]
+    x2 = (1.0 - alphas[0]) * alphas[1]
+    x3 = ((1.0 - alphas[0]) * (1.0 - alphas[1])) * alphas[2]
+    ascending, descending = np.float32((x1 + x2) + x3), np.float32((x3 + x2) + x1)
+    assert ascending != descending
+    image, kwargs = exact_rays(alphas)
+    want = render_both(image, "a", **kwargs)
+    assert (want.rgba[..., 3] == ascending).all()
+    assert (want.depth == 4.0).all()
+
+
+def test_volume_render_default_range_ignores_non_finite_voxels():
+    """One NaN voxel used to turn the default ``value_range`` into
+    (NaN, NaN), every alpha into NaN and the frame blank."""
+    image = random_brick(21, dims=(6, 6, 6))
+    clean = volume_render(image, "f", width=32, height=32)
+    image.field("f")[3, 3, 3] = np.nan
+    image.field("f")[0, 0, 0] = np.inf
+    finite = image.field("f")[np.isfinite(image.field("f"))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        holed = volume_render(image, "f", width=32, height=32)
+        explicit = volume_render(image, "f", width=32, height=32, value_range=(finite.min(), finite.max()))
+        image.field("f")[:] = np.nan
+        empty = volume_render(image, "f", width=32, height=32)
+    assert holed.rgba[..., 3].max() > 0.9 * clean.rgba[..., 3].max() > 0.5
+    assert_same_image(holed, explicit)
+    assert empty.coverage() == 0.0 and empty.brick_depth == holed.brick_depth
+
+
+# ---------------------------------------------------------------------------
+# resample_to_image
+def assert_same_grid(got, want):
+    assert got.dims == want.dims and got.origin == want.origin and got.spacing == want.spacing
+    assert sorted(got.point_data) == sorted(want.point_data)
+    for name, values in want.point_data.items():
+        assert got.point_data[name].tobytes() == values.tobytes(), name
+
+
+def point_cloud(points, **fields):
+    return UnstructuredGrid(points, np.zeros((0, 4), dtype=np.int64), point_data=fields)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_resample_dwi_matches_loop(seed):
+    for snapshot in (1, 16, 30):
+        for server in (0, 3):
+            mesh = dwi_server_mesh(seed, snapshot, server)
+            want = resample_loop(mesh, (32, 32, 32), fields=["velocity"])
+            inside = np.count_nonzero(want.field("velocity")) / 32**3
+            assert 0.02 < inside < 0.5
+            assert_same_grid(resample_to_image(mesh, (32, 32, 32), fields=["velocity"]), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 5),
+    dims=st.tuples(*[st.sampled_from([2, 3, 5, 7, 9])] * 3),
+    half_cell=st.booleans(),
+    cutoff_factor=st.sampled_from([0.25, 0.5, 1.0, 2.0, 10.0]),
+)
+def test_resample_lattice_meshes_with_exact_ties_match_loop(seed, n, dims, half_cell, cutoff_factor):
+    """Mesh points on the integer lattice (some twice), voxels on whole
+    and half coordinates: most voxels are equidistant from 2, 4 or 8
+    points carrying different values, and the bounded query must pick
+    the one the unbounded query picks."""
+    rng = np.random.default_rng(seed)
+    lattice = np.argwhere(rng.random((n, n, n)) < 0.6).astype(np.float64)
+    if len(lattice) == 0:
+        lattice = np.zeros((1, 3))
+    lattice = np.vstack([lattice, lattice[rng.integers(0, len(lattice), 3)]])
+    mesh = point_cloud(lattice, f=rng.random(len(lattice)), g=rng.integers(0, 5, len(lattice)).astype(np.float64))
+    bounds = (-0.5, n - 0.5) * 3 if half_cell else (0.0, n - 1.0) * 3
+    assert_same_grid(
+        resample_to_image(mesh, dims, bounds=bounds, cutoff_factor=cutoff_factor),
+        resample_loop(mesh, dims, bounds=bounds, cutoff_factor=cutoff_factor),
+    )
+
+
+def test_resample_voxel_at_exactly_the_cutoff_is_inside():
+    """``dist <= cutoff`` is inclusive; the query's bound is exclusive."""
+    mesh = point_cloud([(0.0, 0.0, 0.0), (4.0, 4.0, 4.0)], f=[3.0, 5.0])
+    want = resample_loop(mesh, (5, 5, 5))  # unit spacing, cutoff 2.0
+    assert want.spacing == (1.0, 1.0, 1.0)
+    assert want.field("f")[2, 0, 0] == 3.0 and want.field("f")[4, 4, 2] == 5.0
+    assert want.field("f")[2, 1, 0] == 0.0
+    assert_same_grid(resample_to_image(mesh, (5, 5, 5)), want)
+
+
+def test_resample_all_outside_and_all_inside():
+    rng = np.random.default_rng(4)
+    mesh = point_cloud(rng.uniform(0, 1, (50, 3)), f=rng.random(50) + 1.0)
+    far = resample_to_image(mesh, (4, 5, 6), bounds=(10, 11, 10, 11, 10, 11))
+    assert not far.field("f").any()
+    assert_same_grid(far, resample_loop(mesh, (4, 5, 6), bounds=(10, 11, 10, 11, 10, 11)))
+    near = resample_to_image(mesh, (4, 5, 6), cutoff_factor=100.0)
+    assert (near.field("f") >= 1.0).all()
+    assert_same_grid(near, resample_loop(mesh, (4, 5, 6), cutoff_factor=100.0))
