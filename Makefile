@@ -90,9 +90,13 @@ bench-e2e:
 # A claim also has to hold on a seed nobody tuned against: run it twice.
 #   make bench-e2e-ab BASE=HEAD~1 WORKLOAD=gs_iso_real
 #   make bench-e2e-ab BASE=HEAD~1 WORKLOAD=gs_iso_real SEED=7
+# Where `git worktree add` is not possible, point BASE_TREE at an existing
+# checkout of the base (e.g. a `git clone` of the parent) instead of BASE:
+#   make bench-e2e-ab BASE_TREE=/root/scratch/base WORKLOAD=gs_iso_real
 SEED ?= 1
 bench-e2e-ab:
-	python tools/ab_e2e.py --base $(BASE) --workload $(WORKLOAD) --seed $(SEED)
+	python tools/ab_e2e.py $(if $(BASE_TREE),--base-tree $(BASE_TREE),--base $(BASE)) \
+		--workload $(WORKLOAD) --seed $(SEED)
 
 # Smoke test of the benchmark itself (~30 s, outside tier-1's testpaths).
 bench-e2e-smoke:

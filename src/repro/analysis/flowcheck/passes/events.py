@@ -10,7 +10,7 @@ Two hang shapes and one crash shape:
   non-combinator call). Waiters sleep forever.
 - **unbound wait**: ``yield Event(sim)`` — the fresh event has no
   binding, so no code can ever fire it.
-- **double-fire**: ``Event._trigger`` raises ``SimulationError`` on a
+- **double-fire**: ``Event.succeed``/``fail`` raise ``SimulationError`` on a
   second fire. Flagged when two fires on the same receiver appear in
   straight-line sequence without reassignment, or when a fire sits in
   a loop whose body neither rebinds the receiver nor consults
@@ -194,7 +194,7 @@ def _double_fires(fn: FunctionInfo) -> Iterator[Raw]:
                         col=stmt.col_offset,
                         message=(
                             f"second fire of event '{receiver}' with no "
-                            "reassignment in between: Event._trigger raises "
+                            "reassignment in between: Event.succeed/fail raise "
                             "SimulationError on the second call"
                         ),
                         severity="error",

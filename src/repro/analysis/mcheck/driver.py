@@ -69,13 +69,13 @@ class StepRecord:
     key: int  #: the queue entry's tie-break key (FIFO sequence number)
     label: str  #: :func:`fingerprint` of the callable
     #: Name of the task this slice ran on behalf of. Attributed from
-    #: the scheduled callable's owner (Task._start bound methods, the
-    #: kernel's resume closure) and corrected to ``sim.current_task``
-    #: at the slice's first Shared access — an Event.succeed entry runs
-    #: its waiter's continuation synchronously, so the callable's owner
-    #: is the event, not the task doing the accessing. Lets the
-    #: explorer aggregate a task's footprint across its run slices — a
-    #: handler's first slice often touches nothing shared
+    #: the scheduled callable's owner (the bound ``Task._start`` /
+    #: ``Task._resume``) and corrected to ``sim.current_task`` at the
+    #: slice's first Shared access: a plain-function entry (a fabric
+    #: arrival, an MPI completion) has no owner, and a timer's
+    #: ``Event.succeed`` is owned by the event, whose name is not a
+    #: task's. Lets the explorer aggregate a task's footprint across its
+    #: run slices — a handler's first slice often touches nothing shared
     #: (``yield timeout(0)``) while its continuation pops 2PC state.
     task: Optional[str] = None
     #: True once ``task`` came from an actual access (authoritative).
@@ -235,13 +235,9 @@ class ScheduleController:
             self._current = None
             return
         call = popped[2]
+        # Task._start / Task._resume are bound to their task; a timer's
+        # Event.succeed is bound to the event (corrected on first access).
         owner = getattr(call, "__self__", None)
-        if owner is None:
-            # The kernel's per-yield resume closure carries its task as
-            # the sole default argument (``def resume(ev, _task=self)``).
-            defaults = getattr(call, "__defaults__", None)
-            if defaults and len(defaults) == 1:
-                owner = defaults[0]
         record = StepRecord(
             order=len(self.steps),
             key=popped[1],

@@ -163,16 +163,16 @@ def binary_swap(
             keep_lo, keep_hi = mid, hi
             send_lo, send_hi = lo, mid
             mine_in_front = False
-        outgoing = current.rows(send_lo - lo, send_hi - lo).copy()
+        # Both halves are views: ``current`` is never written in place
+        # (every combine allocates its result) and a receiver only reads.
+        outgoing = current.rows(send_lo - lo, send_hi - lo)
         incoming: CompositeImage = yield from icomm.sendrecv(
             partner, outgoing, partner, tag=f"icet-swap-{k}"
         )
-        kept = current.rows(keep_lo - lo, keep_hi - lo).copy()
+        kept = current.rows(keep_lo - lo, keep_hi - lo)
         if op == "over":
             # Contiguous blocks: the lower virtual block is in front.
             front, back = (kept, incoming) if mine_in_front else (incoming, kept)
-            from repro.vtk.render.image import combine_over
-
             current = combine_over(front, back)
         else:
             current = combine(kept, incoming)

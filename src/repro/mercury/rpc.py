@@ -8,8 +8,9 @@ is shipped back to the caller. Exceptions raised by a handler travel
 back and re-raise at the call site as :class:`RpcError`.
 
 Wire accounting: every request/response carries a small header
-(:data:`RPC_HEADER_BYTES`) plus the pickled/declared size of its body,
-so RPC-heavy control paths (2PC, SSG gossip) cost realistic time.
+(:data:`RPC_HEADER_BYTES`) plus the size of its body — declared by the
+caller, or priced structurally by :func:`repro.na.payload.payload_nbytes`
+— so RPC-heavy control paths (2PC, SSG gossip) cost realistic time.
 """
 
 from __future__ import annotations

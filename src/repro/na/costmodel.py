@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _US = 1e-6  # microsecond, in seconds
+_P2P_MEMO_LIMIT = 4096  # distinct message sizes memoised per CostModel
 
 # --- Table I anchors: (message bytes, per-op time in µs), internode. ----
 P2P_CALIBRATION: Dict[str, List[Tuple[int, float]]] = {
@@ -159,6 +160,12 @@ class CostModel:
     rdma_setup_us: float = 2.0
     rdma_bandwidth_gbps: float = 8.5
     hop_overhead_us: float = 10.0
+    #: Internode ``nbytes -> seconds`` memo of :meth:`p2p_time`: control
+    #: traffic repeats a handful of sizes (an RPC header, a ping, a 2PC
+    #: vote) thousands of times. Stops growing at _P2P_MEMO_LIMIT sizes.
+    _p2p_memo: Dict[int, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     def p2p_time(self, nbytes: int, same_node: bool = False) -> float:
@@ -170,7 +177,13 @@ class CostModel:
                 self.shmem_latency_us * _US
                 + nbytes / (self.shmem_bandwidth_gbps * 1e9)
             )
-        return interp_log_size(self.p2p_anchors, max(nbytes, 1)) * _US
+        memo = self._p2p_memo
+        seconds = memo.get(nbytes)
+        if seconds is None:
+            seconds = interp_log_size(self.p2p_anchors, max(nbytes, 1)) * _US
+            if len(memo) < _P2P_MEMO_LIMIT:
+                memo[nbytes] = seconds
+        return seconds
 
     def rdma_time(self, nbytes: int, same_node: bool = False) -> float:
         """Bulk get/put time in **seconds** (registration + stream)."""

@@ -11,13 +11,20 @@ Semantics:
   (one-way latency) — this matches how Table I counts a send/recv op.
 - Per (source, destination) delivery is FIFO: a later message never
   overtakes an earlier one, the non-overtaking guarantee collective
-  algorithms rely on.
+  algorithms rely on. The horizon is kept per *address* pair, so it
+  also holds across a deregister/register of the same name.
 - Sends to unknown/deregistered endpoints are silently dropped after
   the transit time (datagram semantics); detecting peer death is the
   SWIM layer's job, via timeouts.
 - ``rdma_pull`` fetches the payload behind a
   :class:`~repro.na.payload.MemoryHandle` at bulk bandwidth — the
   Colza ``stage`` data path.
+
+``send`` is the hop every RPC, SWIM probe and MoNA message takes, so it
+does each thing once: one clock read, one address hash for the FIFO
+horizon, no interceptor call unless one is installed, constant event
+names (an event per message is cheap; formatting an address into its
+name is not — source and destination are on the ``na.send`` span).
 """
 
 from __future__ import annotations
@@ -80,15 +87,15 @@ class _Mailbox:
         # Each receiver: (tag_filter, source_filter, event)
         self.receivers: Deque[Tuple[Hashable, Optional[Address], Event]] = deque()
 
-    @staticmethod
-    def _matches(msg: Message, tag: Hashable, source: Optional[Address]) -> bool:
-        return (tag is ANY or msg.tag == tag) and (source is ANY or msg.source == source)
-
+    # A filter of ANY matches everything; the tests are spelled
+    # out in both loops — one method call per queued candidate adds up
+    # when every RPC reply is a tagged receive.
     def deliver(self, msg: Message) -> None:
+        msg_tag, msg_source = msg.tag, msg.source
         for i, (tag, source, ev) in enumerate(self.receivers):
-            if ev.fired:
+            if ev._fired:
                 continue
-            if self._matches(msg, tag, source):
+            if (tag is ANY or msg_tag == tag) and (source is ANY or msg_source == source):
                 del self.receivers[i]
                 ev.succeed(msg)
                 return
@@ -96,7 +103,7 @@ class _Mailbox:
 
     def receive(self, tag: Hashable, source: Optional[Address], ev: Event) -> None:
         for i, msg in enumerate(self.messages):
-            if self._matches(msg, tag, source):
+            if (tag is ANY or msg.tag == tag) and (source is ANY or msg.source == source):
                 del self.messages[i]
                 ev.succeed(msg)
                 return
@@ -109,11 +116,22 @@ class _Mailbox:
 class Endpoint:
     """A registered network endpoint owned by one library instance."""
 
-    def __init__(self, fabric: "Fabric", address: Address, node_index: int, model: CostModel):
+    def __init__(
+        self,
+        fabric: "Fabric",
+        address: Address,
+        node_index: int,
+        model: CostModel,
+        horizon: Dict[Address, float],
+    ):
         self.fabric = fabric
         self.address = address
         self.node_index = node_index
         self.model = model
+        #: destination -> arrival time of the last message sent there:
+        #: the fabric's FIFO record for this *address* (it outlives the
+        #: endpoint, see Fabric.register).
+        self._horizon = horizon
         self.alive = True
         #: True after a *crash* teardown: the owner process is gone, so
         #: any still-scheduled operation silently never completes
@@ -155,8 +173,13 @@ class Fabric:
     def __init__(self, sim: Simulation):
         self.sim = sim
         self._endpoints: Dict[Address, Endpoint] = {}
-        # Per-(src, dst) FIFO horizon enforcing non-overtaking delivery.
-        self._fifo_horizon: Dict[Tuple[Address, Address], float] = {}
+        # FIFO horizon enforcing non-overtaking delivery per (source,
+        # destination): ``horizon[src][dest]``. Keyed by *address*, not
+        # by endpoint, so it survives a deregister/register of the same
+        # name (a restarted daemon still queues behind what its
+        # predecessor put on the wire); each endpoint is handed its
+        # inner dict, so a send hashes one address, not a pair twice.
+        self._fifo_horizon: Dict[Address, Dict[Address, float]] = {}
         #: Counters: total messages / bytes moved (for reports).
         self.messages_sent = 0
         self.bytes_sent = 0
@@ -174,7 +197,9 @@ class Fabric:
         address = Address.make(f"nid{node_index:05d}", name)
         if address in self._endpoints:
             raise NAError(f"address {address} already registered")
-        ep = Endpoint(self, address, node_index, model)
+        ep = Endpoint(
+            self, address, node_index, model, self._fifo_horizon.setdefault(address, {})
+        )
         self._endpoints[address] = ep
         return ep
 
@@ -210,50 +235,50 @@ class Fabric:
         ``nbytes`` overrides the computed payload size (used when a
         small Python object stands in for a larger wire format).
         """
+        sim = self.sim
         if not src.alive:
             if src.quiesced:
-                return Event(self.sim, name="send-from-dead")  # never fires
+                return Event(sim, "na.send-from-dead")  # never fires
             raise NAError(f"send from deregistered endpoint {src.address}")
         size = payload_nbytes(payload) if nbytes is None else int(nbytes)
+        source = src.address
         # Fault injection point: consulted before transit-cost charging
         # so injected delays shift the arrival (and the FIFO horizon)
-        # exactly as slow links would.
-        action: Optional[LinkAction] = self.sim.intercept(
-            "na.send", src.address, dest, size, tag
-        )
+        # exactly as slow links would. Un-instrumented runs pay the one
+        # dict probe and no call.
+        action: Optional[LinkAction] = None
+        if "na.send" in sim._interceptors:
+            action = sim.intercept("na.send", source, dest, size, tag)
         dest_ep = self._endpoints.get(dest)
         same_node = dest_ep is not None and dest_ep.node_index == src.node_index
         transit = src.model.p2p_time(size, same_node=same_node)
         if action is not None and action.delay > 0:
             transit += action.delay
 
-        key = (src.address, dest)
-        arrive = max(self.sim.now + transit, self._fifo_horizon.get(key, 0.0))
-        self._fifo_horizon[key] = arrive
+        now = sim._now
+        arrive = now + transit
+        horizon = src._horizon
+        earliest = horizon.get(dest)
+        if earliest is not None and earliest > arrive:
+            arrive = earliest
+        horizon[dest] = arrive
 
         self.messages_sent += 1
         self.bytes_sent += size
         self._m_messages.inc()
         self._m_bytes.inc(size)
-        self._m_transit.observe(arrive - self.sim.now)
+        self._m_transit.observe(arrive - now)
 
-        done = Event(self.sim, name=f"send->{dest}")
-        msg = Message(
-            source=src.address,
-            dest=dest,
-            tag=tag,
-            payload=payload,
-            nbytes=size,
-            sent_at=self.sim.now,
-            arrived_at=arrive,
-        )
+        # Event names are constants: formatting an address into a
+        # per-message name would cost more than the event it labels,
+        # and the span below already records source and destination.
+        done = Event(sim, "na.send")
+        msg = Message(source, dest, tag, payload, size, now, arrive)
 
         dropped = action is not None and action.drop
         # Async span: begin here in the sender's context (so it nests
         # under the collective/RPC driving it), end at delivery time.
-        span = self.sim.trace.begin_async(
-            "na.send", src=src.address, dest=dest, nbytes=size
-        )
+        span = sim.trace.begin_async("na.send", src=source, dest=dest, nbytes=size)
 
         def arrive_cb() -> None:
             target = self._endpoints.get(dest)
@@ -263,10 +288,10 @@ class Fabric:
             else:
                 self._m_dropped.inc()
             # Dropped silently if the endpoint died in flight.
-            self.sim.trace.end(span, dropped=not delivered)
+            sim.trace.end(span, dropped=not delivered)
             done.succeed(msg)
 
-        self.sim._schedule_at(arrive, arrive_cb)
+        sim._schedule_at(arrive, arrive_cb)
         if action is not None and action.duplicate and not dropped:
 
             def duplicate_cb() -> None:
@@ -274,16 +299,16 @@ class Fabric:
                 if target is not None and target.alive:
                     target._mailbox.deliver(msg)
 
-            self.sim._schedule_at(arrive, duplicate_cb)
+            sim._schedule_at(arrive, duplicate_cb)
         return done
 
     def recv(self, ep: Endpoint, tag: Hashable = ANY, source: Optional[Address] = ANY) -> Event:
         """Receive the next matching message (fires with a Message)."""
         if not ep.alive:
             if ep.quiesced:
-                return Event(self.sim, name="recv-on-dead")  # never fires
+                return Event(self.sim, "na.recv-on-dead")  # never fires
             raise NAError(f"recv on deregistered endpoint {ep.address}")
-        ev = Event(self.sim, name=f"recv@{ep.address}")
+        ev = Event(self.sim, "na.recv")
         ep._mailbox.receive(tag, source, ev)
         return ev
 

@@ -25,6 +25,14 @@ no clock movement, no RNG). Two runs of the same seeded program pop
 the identical sequence of live entries whether or not compaction
 happened to trigger in between.
 
+One queue call per event: the event loop drains through
+:meth:`EventQueue.pop_until` alone — "discard surfacing tombstones, stop
+at the horizon, else consume the head" is one method, and ``pop()`` is
+``pop_until(inf)``, so there is one implementation of popping.
+``peek_when`` / ``frontier`` / ``take`` remain for ``Simulation.step``,
+``peek`` and the model checker's Controlled tie-breaker, which must
+look before they choose.
+
 The queue also keeps the op counters the perf-trajectory harness and
 the perf-budget smoke tests assert on: pushes, pops, cancels,
 compactions, and the peak number of simultaneously live entries.
@@ -35,13 +43,16 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
-__all__ = ["EventQueue", "NO_ARG"]
+__all__ = ["EventQueue", "FOREVER", "NO_ARG"]
 
 #: Sentinel argument: ``call()`` instead of ``call(arg)``.
 NO_ARG = object()
 
 # Entry layout (a list, so cancel() can mutate it in place).
 _WHEN, _KEY, _CALL, _ARG = 0, 1, 2, 3
+
+#: ``pop_until`` limit that every entry is due before.
+FOREVER = float("inf")
 
 
 class EventQueue:
@@ -177,28 +188,41 @@ class EventQueue:
             self._tombstones -= 1
         return heap[0][_WHEN] if heap else None
 
-    def pop(self) -> Optional[tuple]:
-        """Remove and return ``(when, key, call, arg)``, or None when empty.
+    def pop_until(self, limit: float) -> Optional[tuple]:
+        """Remove and return the next live ``(when, key, call, arg)`` if
+        it is due at or before ``limit``; None when the queue is empty or
+        the next live entry lies beyond ``limit`` (it stays queued).
 
-        The popped entry's payload is consumed in place, so a handle
-        that is canceled *after* its pop (an event that fired while a
-        racer held its timer handle) is a clean no-op, not a corrupted
-        live count.
+        This is the event loop's *one queue call per event*: surfacing
+        tombstones are discarded, the horizon is checked and the entry
+        consumed in the same call. The popped entry's payload is
+        consumed in place, so a handle that is canceled *after* its pop
+        (an event that fired while a racer held its timer handle) is a
+        clean no-op, not a corrupted live count.
         """
         heap = self._heap
         while heap:
-            entry = heapq.heappop(heap)
+            entry = heap[0]
             call = entry[_CALL]
             if call is None:
+                heapq.heappop(heap)
                 self._tombstones -= 1
                 continue
+            when = entry[_WHEN]
+            if when > limit:
+                return None
+            heapq.heappop(heap)
             arg = entry[_ARG]
             entry[_CALL] = None
             entry[_ARG] = None
             self._live -= 1
             self.pops += 1
-            return (entry[_WHEN], entry[_KEY], call, arg)
+            return (when, entry[_KEY], call, arg)
         return None
+
+    def pop(self) -> Optional[tuple]:
+        """Remove and return ``(when, key, call, arg)``, or None when empty."""
+        return self.pop_until(FOREVER)
 
     # ------------------------------------------------------------------
     # controlled selection (the model checker's hooks; never on hot paths)

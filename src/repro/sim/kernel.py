@@ -16,6 +16,26 @@ the :func:`perturbed_ties` context manager used by
 bijective permutation of it, yielding a different — but equally
 deterministic — interleaving of same-timestamp events.
 
+Hot-path contracts (``tests/test_perf_budgets.py`` pins them as counts):
+
+- **One queue call per event.** :meth:`Simulation.run` asks the queue
+  once per event (:meth:`EventQueue.pop_until`: skip tombstones, check
+  the horizon, consume) — never a peek followed by a pop.
+- **Firing is one call.** :meth:`Event.succeed` / :meth:`Event.fail`
+  hand each waiter straight to ``_schedule_call``, which pushes
+  directly; an event nobody waits on schedules nothing.
+- **A waiting task costs no allocation.** A task leaves its one bound
+  ``Task._resume`` on the event it yields, and :class:`AnyOf` its one
+  bound ``_child_fired`` on every child: no closure per yield or child.
+- **Event names are labels, not data.** A name is read only by error
+  messages, ``repr`` and the model checker's fingerprints; layers that
+  create an event per message pass a constant (``"na.send"``), never
+  an f-string that formats an address — who sent what to whom is on
+  the span, which is what gets digested.
+
+None of this is observable in simulated terms: same events in the same
+order at the same times.
+
 Example
 -------
 >>> sim = Simulation()
@@ -34,7 +54,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from repro.sim.equeue import NO_ARG, EventQueue
+from repro.sim.equeue import FOREVER, NO_ARG, EventQueue
 
 __all__ = [
     "AllOf",
@@ -170,8 +190,24 @@ class Event:
     # ------------------------------------------------------------------
     # firing
     def succeed(self, value: Any = None) -> "Event":
-        """Fire the event successfully, resuming all waiters."""
-        self._trigger(value, None)
+        """Fire the event successfully, resuming all waiters.
+
+        Callbacks run through the scheduler (same timestamp), never
+        synchronously: the firing task runs to its next yield before
+        any waiter resumes, and long wake-up chains stay iterative (no
+        Python recursion, however deep the dependency graph). With no
+        waiter registered nothing is scheduled at all.
+        """
+        if self._fired:
+            raise SimulationError(f"event {self.name!r} fired twice")
+        self._fired = True
+        self._value = value
+        callbacks = self._callbacks
+        if callbacks:
+            self._callbacks = []
+            schedule = self.sim._schedule_call
+            for cb in callbacks:
+                schedule(cb, self)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -189,7 +225,14 @@ class Event:
                 f"fail() on already-fired event {self.name!r} "
                 f"(new failure: {exc!r})"
             )
-        self._trigger(None, exc)
+        self._fired = True
+        self._exc = exc
+        callbacks = self._callbacks
+        if callbacks:
+            self._callbacks = []
+            schedule = self.sim._schedule_call
+            for cb in callbacks:
+                schedule(cb, self)
         return self
 
     def cancel(self) -> bool:
@@ -209,21 +252,6 @@ class Event:
             return False
         self._shandle = None
         return self.sim._queue.cancel(handle)
-
-    def _trigger(self, value: Any, exc: Optional[BaseException]) -> None:
-        if self._fired:
-            raise SimulationError(f"event {self.name!r} fired twice")
-        self._fired = True
-        self._value = value
-        self._exc = exc
-        callbacks, self._callbacks = self._callbacks, []
-        # Callbacks run through the scheduler (same timestamp), never
-        # synchronously: the firing task runs to its next yield before
-        # any waiter resumes, and long wake-up chains stay iterative
-        # (no Python recursion, however deep the dependency graph).
-        schedule = self.sim._schedule_call
-        for cb in callbacks:
-            schedule(cb, self)
 
     # ------------------------------------------------------------------
     # waiting
@@ -271,12 +299,12 @@ class AllOf(Event):
     def _child_fired(self, ev: Event) -> None:
         if self._fired:
             return
-        if not ev.ok:
-            self.fail(ev._exc)  # type: ignore[arg-type]
+        if ev._exc is not None:
+            self.fail(ev._exc)
             return
         self._remaining -= 1
         if self._remaining == 0:
-            self.succeed([c.value for c in self._children])
+            self.succeed([c._value for c in self._children])
 
 
 class AnyOf(Event):
@@ -293,19 +321,20 @@ class AnyOf(Event):
         self._children = list(events)
         if not self._children:
             raise ValueError("AnyOf requires at least one event")
-        for idx, ev in enumerate(self._children):
-            ev.add_callback(self._make_cb(idx))
+        # One bound callback for every child (no closure each): the
+        # index is looked up when a child fires. A child listed twice
+        # reports its first position, as the first-registered callback
+        # always did.
+        for ev in self._children:
+            ev.add_callback(self._child_fired)
 
-    def _make_cb(self, idx: int) -> Callable[[Event], None]:
-        def cb(ev: Event) -> None:
-            if self._fired:
-                return
-            if ev.ok:
-                self.succeed((idx, ev._value))
-            else:
-                self.fail(ev._exc)  # type: ignore[arg-type]
-
-        return cb
+    def _child_fired(self, ev: Event) -> None:
+        if self._fired:
+            return
+        if ev._exc is None:
+            self.succeed((self._children.index(ev), ev._value))
+        else:
+            self.fail(ev._exc)
 
 
 class Task:
@@ -317,7 +346,7 @@ class Task:
     """
 
     __slots__ = (
-        "sim", "name", "gen", "done", "_waiting_on", "_resume_cb",
+        "sim", "name", "gen", "done", "_waiting_on",
         "trace_parent", "trace_stack", "clock", "tenant",
     )
 
@@ -327,8 +356,9 @@ class Task:
         self.gen = gen
         #: Event fired with the task's return value (or failure).
         self.done = Event(sim, name=f"{self.name}.done")
+        #: The event whose callback list holds this task's bound
+        #: ``_resume`` (None while running or finished).
         self._waiting_on: Optional[Event] = None
-        self._resume_cb: Optional[Callable[[Event], None]] = None
         #: Ambient parent span inherited from the spawning context and
         #: this task's own span stack (see repro.sim.trace.Tracer).
         self.trace_parent: Optional[Any] = None
@@ -386,59 +416,58 @@ class Task:
     # ------------------------------------------------------------------
     # kernel internals
     def _detach(self) -> None:
-        if self._waiting_on is not None and self._resume_cb is not None:
-            self._waiting_on.discard_callback(self._resume_cb)
+        # Bound methods of one task compare equal, so this removes the
+        # ``_resume`` that ``_step`` registered.
+        if self._waiting_on is not None:
+            self._waiting_on.discard_callback(self._resume)
         self._waiting_on = None
-        self._resume_cb = None
 
     def _start(self) -> None:
         self._step(None, None)
 
+    def _resume(self, ev: Event) -> None:
+        """The callback a waiting task leaves on its event: one bound
+        method per task, not a closure per yield."""
+        self._waiting_on = None
+        self._step(ev._value, ev._exc)
+
     def _step(self, value: Any, exc: Optional[BaseException]) -> None:
-        if self.finished:
+        done = self.done
+        if done._fired:
             return
         # Switch instrumentation: one tick per resume, globally and on
         # the task's own logical clock (plain int bumps — cheap enough
         # to stay unconditional; SimTSan reads them lazily).
-        self.sim._switch_epoch += 1
+        sim = self.sim
+        sim._switch_epoch += 1
         self.clock += 1
-        self.sim._current_task = self
+        sim._current_task = self
         try:
             if exc is not None:
                 target = self.gen.throw(exc)
             else:
                 target = self.gen.send(value)
         except StopIteration as stop:
-            self.done.succeed(stop.value)
+            done.succeed(stop.value)
             return
         except Killed as killed:
-            self.done.fail(killed)
+            done.fail(killed)
             return
         except BaseException as err:
-            self.done.fail(err)
-            if self.sim.strict:
+            done.fail(err)
+            if sim.strict:
                 raise
             return
         finally:
-            self.sim._current_task = None
+            sim._current_task = None
         if not isinstance(target, Event):
             err = SimulationError(
                 f"task {self.name!r} yielded {target!r}; tasks must yield Event objects"
             )
-            self.done.fail(err)
+            done.fail(err)
             raise err
         self._waiting_on = target
-
-        def resume(ev: Event, _task=self) -> None:
-            _task._waiting_on = None
-            _task._resume_cb = None
-            if ev.ok:
-                _task._step(ev._value, None)
-            else:
-                _task._step(None, ev._exc)
-
-        self._resume_cb = resume
-        target.add_callback(resume)
+        target.add_callback(self._resume)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "finished" if self.finished else "running"
@@ -511,7 +540,8 @@ class Simulation:
         self._task_prune_at = 1024
         # Named interception points (see add_interceptor). Kept as a
         # plain dict so un-instrumented runs pay one dict lookup per
-        # hook site and nothing more.
+        # hook site and nothing more (the per-message site, Fabric.send,
+        # probes it directly and skips the intercept() call).
         self._interceptors: dict[str, list[Callable[..., Any]]] = {}
         # Deferred import keeps kernel importable standalone.
         from repro.sim.rng import RngRegistry
@@ -642,15 +672,16 @@ class Simulation:
         """
         if self._controller is not None:
             return self._run_controlled(until)
-        queue = self._queue
+        # One queue call per event: pop_until skips tombstones, checks
+        # the horizon and consumes the entry in a single method call.
+        pop_until = self._queue.pop_until
+        limit = FOREVER if until is None else until
         no_arg = NO_ARG
         while True:
-            when = queue.peek_when()
-            if when is None or (until is not None and when > until):
+            entry = pop_until(limit)
+            if entry is None:
                 break
-            entry = queue.pop()
-            self._now = when
-            call, arg = entry[2], entry[3]
+            self._now, _key, call, arg = entry
             if arg is no_arg:
                 call()
             else:
@@ -761,7 +792,12 @@ class Simulation:
         return self._queue.push(when, key, call, arg)
 
     def _schedule_call(self, call: Callable[..., Any], arg: Any = NO_ARG) -> list:
-        return self._schedule_at(self._now, call, arg)
+        """``_schedule_at(now, ...)``, pushed directly: every wake-up of
+        every waiter goes through here."""
+        key = next(self._seq)
+        if self._perturb_salt is not None:
+            key = _splitmix64(key ^ self._perturb_salt)
+        return self._queue.push(self._now, key, call, arg)
 
     def schedule_many(
         self, items: Iterable[tuple], relative: bool = False

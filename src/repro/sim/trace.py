@@ -163,18 +163,9 @@ class Tracer:
 
     # ------------------------------------------------------------------
     # context plumbing
-    def _stack(self, create: bool = False) -> Optional[List[Span]]:
-        task = self._sim.current_task
-        if task is None:
-            return self._root_stack
-        stack = task.trace_stack
-        if stack is None and create:
-            stack = task.trace_stack = []
-        return stack
-
     def current_span(self) -> Optional[Span]:
         """The innermost open span of the current execution context."""
-        task = self._sim.current_task
+        task = self._sim._current_task
         if task is None:
             return self._root_stack[-1] if self._root_stack else None
         if task.trace_stack:
@@ -186,14 +177,6 @@ class Tracer:
         by :meth:`Simulation.spawn` for every new task)."""
         task.trace_parent = self.current_span()
 
-    def _resolve_parent(self, parent: Union[Span, int, None]) -> Optional[int]:
-        if parent is None:
-            current = self.current_span()
-            return current.id if current is not None else None
-        if isinstance(parent, Span):
-            return parent.id if parent.recorded else None
-        return int(parent)
-
     # ------------------------------------------------------------------
     def begin(self, name: str, parent: Union[Span, int, None] = None, **tags: Any) -> Span:
         """Open a span at the current simulated time.
@@ -204,9 +187,7 @@ class Tracer:
         """
         if not self.enabled:
             return _DISABLED_SPAN
-        span = self._make_span(name, parent, tags, detached=False)
-        self._stack(create=True).append(span)
-        return span
+        return self._make_span(name, parent, tags, detached=False)
 
     def begin_async(self, name: str, parent: Union[Span, int, None] = None, **tags: Any) -> Span:
         """Open a span that never becomes the current span.
@@ -220,27 +201,46 @@ class Tracer:
         return self._make_span(name, parent, tags, detached=True)
 
     def _make_span(self, name: str, parent, tags: Dict[str, Any], detached: bool) -> Span:
-        task = self._sim.current_task
-        parent_id = self._resolve_parent(parent)
-        span = Span(
-            name=name,
-            start=self._sim.now,
-            tags=dict(tags),
-            id=self._ids,
-            parent=parent_id,
-            task=task.name if task is not None else "",
-            detached=detached,
-        )
-        self._ids += 1
+        """Record a span: resolve its context (task, parent, stack),
+        link it under its parent and — unless ``detached`` — push it on
+        the context's stack, all in this one call (the layers open a
+        span per message). ``tags`` is the caller's fresh ``**tags``
+        dict and becomes the span's own."""
+        sim = self._sim
+        task = sim._current_task
+        if task is None:
+            stack, ambient, task_name = self._root_stack, None, ""
+        else:
+            stack, ambient, task_name = task.trace_stack, task.trace_parent, task.name
+        parent_id: Optional[int]
+        if parent is None:
+            if stack:
+                parent_id = stack[-1].id
+            elif ambient is not None:
+                parent_id = ambient.id
+            else:
+                parent_id = None
+        elif isinstance(parent, Span):
+            parent_id = parent.id if parent.recorded else None
+        else:
+            parent_id = int(parent)
+        span_id = self._ids
+        self._ids = span_id + 1
+        span = Span(name, sim._now, None, tags, span_id, parent_id, task_name, detached)
         # A parent dropped by clear() keeps its id on the child but no
         # longer indexes ``spans``: recorded, not linked.
-        if parent_id is not None and self._first_id <= parent_id < span.id:
+        if parent_id is not None and self._first_id <= parent_id < span_id:
             above = self.spans[parent_id - self._first_id]
             if above.children:
                 above.children.append(span)
             else:
                 above.children = [span]
         self.spans.append(span)
+        if not detached:
+            if stack is None:
+                task.trace_stack = [span]
+            else:
+                stack.append(span)
         return span
 
     def end(self, span: Span, **tags: Any) -> Span:
@@ -252,10 +252,19 @@ class Tracer:
         """
         if not span.recorded or span.end is not None:
             return span
-        span.end = self._sim.now
-        span.tags.update(tags)
+        sim = self._sim
+        span.end = sim._now
+        if tags:
+            span.tags.update(tags)
         if not span.detached:
-            self._unwind(span)
+            # Nearly always the span closes where it opened and is the
+            # top of that context's stack; anything else unwinds.
+            task = sim._current_task
+            stack = self._root_stack if task is None else task.trace_stack
+            if stack and stack[-1] is span:
+                del stack[-1]
+            else:
+                self._unwind(span)
         for cb in self.on_end:
             cb(span)
         return span
@@ -264,7 +273,7 @@ class Tracer:
         """Pop ``span`` (and any unfinished children above it) from the
         stack it lives on. Ending out of task context (e.g. from an
         event callback) may miss the stack; search both."""
-        task = self._sim.current_task
+        task = self._sim._current_task
         stacks = []
         if task is not None and task.trace_stack:
             stacks.append(task.trace_stack)

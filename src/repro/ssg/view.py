@@ -20,7 +20,12 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.na.address import Address
 
-__all__ = ["MemberState", "MembershipView", "Status", "Update"]
+__all__ = ["MemberState", "MembershipView", "Status", "UPDATE_FRAMING_BYTES", "Update"]
+
+#: Bytes an :class:`Update` occupies on the wire beyond its member
+#: address and its status name (record header, three field names, a
+#: one-byte incarnation).
+UPDATE_FRAMING_BYTES = 90
 
 
 class Status(enum.Enum):
@@ -36,11 +41,22 @@ class Status(enum.Enum):
 
 @dataclass(frozen=True)
 class Update:
-    """A disseminated membership assertion."""
+    """A disseminated membership assertion.
+
+    Declares its wire size (the ``nbytes`` protocol of
+    :mod:`repro.na.payload`): member address + status name +
+    :data:`UPDATE_FRAMING_BYTES`. The incarnation counts as one byte
+    whatever its value — exact for 0-255, where a serialised record's
+    varint would still be one byte, and the contract beyond.
+    """
 
     status: Status
     member: Address
     incarnation: int
+
+    @property
+    def nbytes(self) -> int:
+        return self.member.nbytes + len(self.status.value) + UPDATE_FRAMING_BYTES
 
     def overrides(self, state: Optional["MemberState"]) -> bool:
         """Whether this update supersedes the current local record."""

@@ -19,6 +19,7 @@ sibling artifacts, so two same-seed runs must produce identical bytes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.telemetry.sketch import QuantileSketch
@@ -101,13 +102,11 @@ class Histogram:
     # ------------------------------------------------------------------
     def observe(self, value: float) -> None:
         value = float(value)
-        idx = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                idx = i
-                break
-        self.bucket_counts[idx] += 1
+        # Sketch first: it rejects what it cannot hold (NaN, infinities)
+        # before mutating itself, so a refused value bumps no bucket.
         self.sketch.add(value)
+        # First bound >= value; past the last one is the +inf bucket.
+        self.bucket_counts[bisect_left(self.bounds, value)] += 1
 
     @property
     def count(self) -> int:

@@ -85,6 +85,43 @@ def test_over_composite_matches_serial(size, strategy):
     assert np.allclose(results[0].rgba, expected.rgba, atol=1e-5)
 
 
+@pytest.mark.parametrize("size", [2, 3, 4, 5, 8])
+@pytest.mark.parametrize("op", ["zbuffer", "over"])
+def test_bswap_passes_views_and_never_writes_its_inputs(size, op):
+    """Binary swap sends and combines *views* of the image it holds: with
+    every input buffer write-protected (so an in-place write anywhere on
+    the path would raise) the composite is byte-equal to the copying
+    oracle's, on the same simulated schedule, and the callers' images
+    are untouched."""
+    from tests.oracles.icet_copying import binary_swap_copying
+
+    def run(fn, images):
+        sim = Simulation()
+        _, _, comms = build_mona_world(sim, len(images))
+
+        def body(c, img):
+            return (yield from fn(MonaIceTCommunicator(c), img, op=op))
+
+        results = run_all(sim, [body(c, img) for c, img in zip(comms, images)])
+        return results, sim
+
+    images = random_images(size, width=16, height=13, seed=40 + size, volume=(op == "over"))
+    pristine = [im.copy() for im in images]
+    for im in images:
+        im.rgba.setflags(write=False)
+        im.depth.setflags(write=False)
+    (final, *others), sim = run(binary_swap, images)
+    (want, *_), oracle_sim = run(binary_swap_copying, [im.copy() for im in pristine])
+    assert final.rgba.tobytes() == want.rgba.tobytes()
+    assert final.depth.tobytes() == want.depth.tobytes()
+    assert final.brick_depth == want.brick_depth and all(o is None for o in others)
+    # Views report the bytes they cover: same wire traffic, same clock.
+    assert sim.metrics.get("na.bytes_sent").value == oracle_sim.metrics.get("na.bytes_sent").value
+    assert sim.now == oracle_sim.now
+    for im, orig in zip(images, pristine):
+        assert im.rgba.tobytes() == orig.rgba.tobytes() and im.depth.tobytes() == orig.depth.tobytes()
+
+
 def test_nonroot_root_parameter():
     images = random_images(4, seed=3)
     expected = serial_reference([im.copy() for im in images], "zbuffer")

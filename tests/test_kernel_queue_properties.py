@@ -5,10 +5,14 @@ compaction, batched inserts) is checked against a deliberately naive
 reference model — a plain list scanned for its minimum — across ~200
 seeded random interleavings of schedule/cancel/pop/peek/compact ops.
 Randomness comes from :mod:`repro.sim.rng` streams, so every failure
-reproduces from its seed.
+reproduces from its seed. ``pop_until`` — the fused peek+pop the event
+loop calls once per event — is checked against the two calls it
+replaced on hypothesis-generated op sequences.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.equeue import NO_ARG, EventQueue
 from repro.sim.rng import RngRegistry
@@ -173,3 +177,62 @@ def test_stats_counters_account_for_everything():
     assert s["pops"] == popped == 60
     assert s["peak_depth"] == 100
     assert s["depth"] == 0
+
+
+# ---------------------------------------------------------------------------
+# pop_until: the event loop's one queue call per event
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.integers(0, 12)),
+        st.tuples(st.just("cancel"), st.integers(0, 400)),
+        st.tuples(st.just("compact"), st.just(0)),
+        st.tuples(st.just("pop_until"), st.one_of(st.integers(-1, 13), st.just(float("inf")))),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_OPS, min_compact=st.integers(1, 6))
+def test_pop_until_equals_peek_then_pop(ops, min_compact):
+    """``pop_until(limit)`` returns what ``peek_when()`` + ``pop()`` (the
+    loop it replaced) would, leaves the same queue behind, and keeps the
+    same op counters — whatever pushes, cancels and compactions surround
+    it, tombstones at the head included."""
+    fused, split = EventQueue(min_compact), EventQueue(min_compact)
+    handles = []
+    for key, (op, x) in enumerate(ops):
+        if op == "push":
+            handles.append((fused.push(float(x), key, ("c", key), key), split.push(float(x), key, ("c", key), key)))
+        elif op == "cancel" and handles:
+            a, b = handles[x % len(handles)]
+            assert fused.cancel(a) == split.cancel(b)
+        elif op == "compact":
+            fused.compact()
+            split.compact()
+        elif op == "pop_until":
+            when = split.peek_when()
+            want = None if when is None or when > x else split.pop()
+            assert fused.pop_until(x) == want
+            # peek_when had to drop the head's tombstones to answer;
+            # pop_until drops them on the same occasions.
+            assert fused.tombstones == split.tombstones
+        assert len(fused) == len(split)
+        assert fused.stats() == split.stats()
+        assert fused.peek_when() == split.peek_when()
+    while split:
+        assert fused.pop_until(float("inf")) == split.pop()
+    assert fused.pop_until(float("inf")) is None and split.pop() is None
+    assert fused.stats() == split.stats()
+
+
+def test_pop_until_leaves_a_future_head_and_its_handle_alive():
+    q = EventQueue()
+    dead = q.push(1.0, 0, "dead")
+    live = q.push(2.0, 1, "live", "arg")
+    q.cancel(dead)
+    assert q.pop_until(1.5) is None  # head tombstone skipped, 2.0 is past the limit
+    assert q.tombstones == 0 and len(q) == 1 and q.pops == 0
+    assert q.pop_until(2.0) == (2.0, 1, "live", "arg")  # due exactly at the limit
+    assert q.cancel(live) is False  # consumed in place: cancel-after-pop is a no-op
+    assert q.pop_until(float("inf")) is None

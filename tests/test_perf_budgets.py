@@ -162,6 +162,101 @@ def test_run_iteration_cost_is_independent_of_trace_history():
 
 
 # ---------------------------------------------------------------------------
+# the message path: one flat hop per message (counts, exact for a seed)
+def _echo_pair():
+    """Two Margo instances, ``b`` exporting an ``echo`` RPC."""
+    from repro.margo import MargoInstance
+    from repro.na import Fabric
+
+    sim = Simulation(seed=1)
+    fabric = Fabric(sim)
+    a = MargoInstance(sim, fabric, "a", 0)
+    b = MargoInstance(sim, fabric, "b", 1)
+
+    def echo(_hg, value):
+        return value
+        yield
+
+    b.hg.register_rpc("echo", echo)
+    sim.run()
+    return sim, a, b
+
+
+def test_echo_rpc_round_trip_stays_under_its_call_budget():
+    """One RPC with a deadline — caller task, forward span, request send,
+    dispatch, handler task and span, reply send, deadline timer canceled —
+    is 9 scheduled kernel events and 4 spans, and costs at most 260
+    Python + C calls (222 measured; 371 before the per-message path was
+    flattened)."""
+    sim, a, b = _echo_pair()
+    got = []
+
+    def caller():
+        got.append((yield from a.forward(b.address, "echo", 7, timeout=1.0)))
+
+    def round_trip():
+        sim.spawn(caller())
+        sim.run()
+
+    round_trip()  # warms the per-size cost memo and the metric registry
+    before, spans = sim.queue_stats(), len(sim.trace.spans)
+    calls, _ = _profiled_calls(round_trip)
+    after = sim.queue_stats()
+    assert got == [7, 7]
+    assert after["pushes"] - before["pushes"] == 9
+    assert after["pops"] - before["pops"] == 8 and after["cancels"] - before["cancels"] == 1
+    assert [s.name for s in sim.trace.spans[spans:]] == [
+        "hg.forward", "na.send", "hg.handler", "na.send",
+    ]
+    assert calls <= 260, calls
+
+
+def test_address_hash_is_computed_once():
+    """``hash(addr)`` after construction encodes and checksums nothing."""
+    from repro.na import Address
+
+    addr = Address.make("nid00003", "colza-7")
+    called, _ = _profiled_entries(lambda: [hash(addr), {addr: 1}[addr], addr in {addr}])
+    assert "__hash__" in called
+    assert not any("crc32" in name or "encode" in name for name in called), called
+    assert hash(addr) == hash(Address(addr.uri))
+
+
+def test_run_makes_one_queue_call_per_event():
+    """``Simulation.run`` drains through ``EventQueue.pop_until`` alone:
+    no peek-then-pop pair, so drain-side queue calls <= events popped
+    (plus the one call that finds the queue empty)."""
+    sim = Simulation(seed=2)
+
+    def ticker(n):
+        for _ in range(n):
+            yield sim.timeout(0.5)
+
+    for _ in range(8):
+        sim.spawn(ticker(25))
+    sim.timeout(3.0).cancel()  # a tombstone to skip on the way
+    _, by_file = _profiled_entries(sim.run)
+    queue_calls = by_file["equeue.py"]
+    drain = sum(queue_calls.get(name, 0) for name in ("pop", "pop_until", "peek_when", "frontier", "take"))
+    popped = sim.queue_stats()["pops"]
+    assert popped >= 8 * 25
+    assert 0 < drain <= popped + 1, (drain, popped)
+
+
+def test_succeed_without_waiters_schedules_nothing():
+    """Most message-completion events are fired with nobody waiting yet
+    (or ever): that must cost one call and no queue entry."""
+    sim = Simulation(seed=3)
+    ev = sim.event("nobody-waits")
+    pushes = sim.queue_stats()["pushes"]
+    noop_calls, _ = _profiled_calls(lambda: None)
+    calls, _ = _profiled_calls(ev.succeed, 1)
+    assert calls == noop_calls  # succeed itself and nothing under it
+    assert sim.queue_stats()["pushes"] == pushes and sim.queue_depth == 0
+    assert ev.ok and ev.value == 1
+
+
+# ---------------------------------------------------------------------------
 # vtk kernels: work is batched over fragments / table slots, so the number
 # of Python-level calls does not follow the triangle count
 def _profiled_calls(fn, *args, **kwargs):
@@ -172,6 +267,27 @@ def _profiled_calls(fn, *args, **kwargs):
     profile = cProfile.Profile()
     result = profile.runcall(fn, *args, **kwargs)
     return pstats.Stats(profile).total_calls, result
+
+
+def _profiled_entries(fn, *args):
+    """Calls made while ``fn`` runs: ``{function name: calls}`` over
+    Python and C functions, and the Python ones again grouped by source
+    file, ``{basename: {name: calls}}``."""
+    import cProfile
+    import os
+
+    profile = cProfile.Profile()
+    profile.runcall(fn, *args)
+    names, by_file = {}, {}
+    for entry in profile.getstats():
+        if isinstance(entry.code, str):  # a C function: "<built-in method zlib.crc32>"
+            names[entry.code] = names.get(entry.code, 0) + entry.callcount
+        else:
+            name = entry.code.co_name
+            names[name] = names.get(name, 0) + entry.callcount
+            per_file = by_file.setdefault(os.path.basename(entry.code.co_filename), {})
+            per_file[name] = per_file.get(name, 0) + entry.callcount
+    return names, by_file
 
 
 def _sphere_volume(n):

@@ -472,6 +472,172 @@ def test_all_of_second_failure_does_not_double_fire(sim):
 
 
 # ---------------------------------------------------------------------------
+# semantics of the flattened paths (succeed/fail inline, bound Task._resume,
+# one-callback AnyOf, one queue call per event)
+@pytest.mark.parametrize("first", ["succeed", "fail"])
+@pytest.mark.parametrize("second", ["succeed", "fail"])
+def test_double_fire_names_the_event(sim, first, second):
+    ev = sim.event("the-ack")
+
+    def fire(how):
+        ev.succeed(1) if how == "succeed" else ev.fail(RuntimeError("x"))
+
+    fire(first)
+    with pytest.raises(SimulationError, match="the-ack"):
+        fire(second)
+    # The first verdict stands.
+    assert ev.fired and ev.ok == (first == "succeed")
+
+
+def test_callback_on_fired_event_runs_through_the_scheduler(sim):
+    ev = sim.event()
+    ev.succeed(7)
+    order = []
+    ev.add_callback(lambda fired: order.append(("cb", fired.value)))
+    order.append("registered")
+    assert order == ["registered"]  # never synchronously
+    sim.run()
+    assert order == ["registered", ("cb", 7)]
+
+
+def test_wait_on_fired_event_yields_to_already_scheduled_work(sim):
+    log = []
+
+    def peer(sim):
+        log.append("peer")
+        yield sim.timeout(0)
+
+    def body(sim):
+        ev = sim.event()
+        ev.succeed("late")
+        sim.spawn(peer(sim))  # scheduled before the wait below
+        log.append((yield ev))
+
+    sim.spawn(body(sim))
+    sim.run()
+    assert log == ["peer", "late"] and sim.now == 0.0
+
+
+def test_interrupt_detaches_and_the_same_event_can_be_awaited_again(sim):
+    ev = sim.event("shared")
+    log = []
+
+    def waiter(sim):
+        try:
+            yield ev
+        except Interrupt as intr:
+            log.append(("interrupted", intr.cause))
+        log.append(("resumed", (yield ev)))
+
+    task = sim.spawn(waiter(sim))
+    sim.run(until=1.0)
+    task.interrupt("nudge")
+    sim.run(until=2.0)
+    assert log == [("interrupted", "nudge")]
+    ev.succeed("payload")
+    sim.run()
+    # Exactly one resume: the first registration was discarded, the
+    # second (an equal bound method) delivered the value.
+    assert log == [("interrupted", "nudge"), ("resumed", "payload")]
+    assert task.finished and task.done.ok
+
+
+def test_kill_detaches_and_the_event_still_serves_other_waiters(sim):
+    ev = sim.event("shared")
+    log = []
+
+    def waiter(sim, tag):
+        log.append((tag, (yield ev)))
+
+    victim = sim.spawn(waiter(sim, "victim"))
+    sim.run(until=1.0)
+    victim.kill()
+    survivor = sim.spawn(waiter(sim, "survivor"))
+    sim.run(until=2.0)
+    pushes = sim.queue_stats()["pushes"]
+    ev.succeed("go")
+    # One waiter left on the event, so firing it schedules one resume.
+    assert sim.queue_stats()["pushes"] == pushes + 1
+    sim.run()
+    assert log == [("survivor", "go")]
+    assert survivor.done.ok and not victim.done.ok
+
+
+def test_interrupt_of_a_task_waiting_on_a_timer_leaves_the_timer_harmless(sim):
+    log = []
+
+    def sleeper(sim):
+        try:
+            yield sim.timeout(5.0)
+        except Interrupt:
+            log.append(("interrupted", sim.now))
+        yield sim.timeout(10.0)
+        log.append(("done", sim.now))
+
+    task = sim.spawn(sleeper(sim))
+    sim.run(until=1.0)
+    task.interrupt()
+    sim.run()  # the 5 s timer still fires, into nobody
+    assert log == [("interrupted", 1.0), ("done", 11.0)]
+
+
+def test_any_of_with_a_duplicate_child_reports_its_first_index(sim):
+    got = []
+
+    def body(sim):
+        ev = sim.timeout(1.0, "v")
+        got.append((yield AnyOf(sim, [ev, sim.timeout(9.0), ev])))
+
+    sim.spawn(body(sim))
+    sim.run()
+    assert got == [(0, "v")]
+
+
+def test_any_of_fails_with_its_first_child_and_ignores_later_ones(sim):
+    bad, good = sim.event("bad"), sim.event("good")
+    race = AnyOf(sim, [good, bad])
+    bad.fail(RuntimeError("first"))
+    good.succeed("too late")
+    sim.run()
+    assert race.fired and not race.ok
+    with pytest.raises(RuntimeError, match="first"):
+        _ = race.value
+
+
+def test_any_of_on_already_fired_children_takes_the_lowest_index(sim):
+    a, b = sim.event(), sim.event()
+    b.succeed("b")
+    a.succeed("a")
+    race = AnyOf(sim, [a, b])
+    assert not race.fired  # through the scheduler, like any wait
+    sim.run()
+    assert race.value == (0, "a")
+
+
+def test_run_until_fires_the_boundary_and_nothing_past_it(sim):
+    fired = []
+    head = sim.timeout(0.5)  # canceled below: a tombstone at the heap's head
+    sim.timeout(1.0).add_callback(lambda ev: fired.append(sim.now))
+    sim.timeout(1.0 + 1e-9).add_callback(lambda ev: fired.append(sim.now))
+    assert head.cancel()
+    assert sim.queue_tombstones == 1
+    assert sim.run(until=1.0) == 1.0
+    assert fired == [1.0]
+    assert sim.queue_depth == 1 and sim.queue_tombstones == 0  # t+eps still queued
+    assert sim.peek() == 1.0 + 1e-9
+    sim.run()
+    assert fired == [1.0, 1.0 + 1e-9]
+
+
+def test_run_until_does_not_advance_past_a_queued_entry_or_rewind(sim):
+    sim.timeout(3.0)
+    assert sim.run(until=2.0) == 2.0 and sim.queue_depth == 1
+    assert sim.run(until=1.0) == 2.0  # a horizon in the past changes nothing
+    assert sim.queue_depth == 1
+    assert sim.run() == 3.0
+
+
+# ---------------------------------------------------------------------------
 # schedule perturbation (repro.analysis.fuzz rides on this)
 def _tie_order(perturb_seed):
     from repro.sim import Simulation

@@ -131,3 +131,42 @@ def test_determinism_same_stream_same_state():
     b = QuantileSketch().extend(map(float, values))
     assert a == b
     assert a.quantiles(QS) == b.quantiles(QS)
+
+
+# ---------------------------------------------------------------------------
+# Histogram = fixed buckets + the sketch; the two must never disagree
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_histogram_rejects_what_the_sketch_cannot_hold_without_touching_its_state(bad):
+    from repro.telemetry.metrics import Histogram
+
+    hist = Histogram("transit")
+    hist.observe(2e-6)
+    before = (list(hist.bucket_counts), hist.count, hist.total, hist.sketch.state())
+    with pytest.raises((ValueError, OverflowError)):
+        hist.observe(bad)
+    assert (list(hist.bucket_counts), hist.count, hist.total, hist.sketch.state()) == before
+    assert sum(hist.bucket_counts) == hist.count == 1
+
+
+def test_histogram_buckets_match_a_linear_scan():
+    """``bounds`` are inclusive upper limits: a value lands in the first
+    bucket whose bound is >= it, past the last one in ``+inf``."""
+    from repro.telemetry.metrics import DEFAULT_BUCKETS, Histogram
+
+    def scan(bounds, value):
+        for i, bound in enumerate(bounds):
+            if value <= bound:
+                return i
+        return len(bounds)
+
+    rng = np.random.default_rng(11)
+    values = [float(v) for v in 10.0 ** rng.uniform(-8, 5, size=400)]
+    values += list(DEFAULT_BUCKETS) + [0.0, -1.0, -1e9, 1e300, 1e-6 * (1 + 1e-12)]
+    for bounds in (DEFAULT_BUCKETS, (1.0,), (0.5, 2.0, 8.0)):
+        hist = Histogram("h", buckets=bounds)
+        want = [0] * (len(bounds) + 1)
+        for v in values:
+            hist.observe(v)
+            want[scan(bounds, v)] += 1
+        assert hist.bucket_counts == want
+        assert sum(hist.bucket_counts) == hist.count == len(values)

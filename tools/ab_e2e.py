@@ -6,6 +6,9 @@ temporary ``git worktree``, then runs the ``BENCHMARK.json`` command
 (``bench_e2e/run.py``, run length from the same file) on it and on the
 working tree for K alternating pairs — base first in even pairs, the
 change first in odd ones, so drift of the box lands on both sides.
+``--base-tree DIR`` (``make bench-e2e-ab BASE_TREE=DIR ...``) uses an
+existing checkout of the base — a ``git clone`` of the parent, say —
+where worktrees cannot be created; it is left as it was found.
 
 For every end-to-end metric it prints each side's median and quartiles,
 how many pairs the change won (ties count for neither), and a verdict by
@@ -21,13 +24,14 @@ on it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import statistics
 import subprocess
 import sys
 import tempfile
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -80,31 +84,47 @@ def report(spec: Dict[str, Any], base: List[Dict[str, Any]], change: List[Dict[s
               f"output checks {'ok' if all(r['correct'] for r in runs) else 'FAILED'}")
 
 
+@contextlib.contextmanager
+def _worktree(rev: str) -> Iterator[str]:
+    """``rev`` checked out into a temporary git worktree, removed on exit."""
+    with tempfile.TemporaryDirectory(prefix="ab_e2e_") as tmp:
+        tree = os.path.join(tmp, "base")
+        subprocess.run(["git", "worktree", "add", "--detach", tree, rev],
+                       cwd=ROOT, check=True, capture_output=True)
+        try:
+            yield tree
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force", tree], cwd=ROOT, check=True)
+
+
 def main() -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--base", required=True, help="git revision to compare the working tree against")
+    base = p.add_mutually_exclusive_group(required=True)
+    base.add_argument("--base", help="git revision to compare the working tree against")
+    base.add_argument("--base-tree", metavar="DIR",
+                      help="an existing checkout of the base revision (no git worktree is made)")
     p.add_argument("--workload", required=True, choices=[w["name"] for w in spec["workloads"]])
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--pairs", type=int, default=10)
     args = p.parse_args()
 
-    with tempfile.TemporaryDirectory(prefix="ab_e2e_") as tmp:
-        base_tree = os.path.join(tmp, "base")
-        subprocess.run(["git", "worktree", "add", "--detach", base_tree, args.base],
-                       cwd=ROOT, check=True, capture_output=True)
-        try:
-            runs: Dict[str, List[Dict[str, Any]]] = {base_tree: [], ROOT: []}
-            for pair in range(args.pairs):
-                for tree in (base_tree, ROOT) if pair % 2 == 0 else (ROOT, base_tree):
-                    runs[tree].append(run_once(tree, spec["command"], args.workload,
-                                               args.seed, spec["run_seconds"]))
-                print(f"pair {pair + 1}/{args.pairs} done", file=sys.stderr)
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", base_tree], cwd=ROOT, check=True)
+    if args.base_tree is None:
+        checkout = _worktree(args.base)
+    else:
+        if os.path.samefile(args.base_tree, ROOT):
+            p.error("--base-tree is the working tree itself")
+        checkout = contextlib.nullcontext(os.path.abspath(args.base_tree))
+    with checkout as base_tree:
+        runs: Dict[str, List[Dict[str, Any]]] = {base_tree: [], ROOT: []}
+        for pair in range(args.pairs):
+            for tree in (base_tree, ROOT) if pair % 2 == 0 else (ROOT, base_tree):
+                runs[tree].append(run_once(tree, spec["command"], args.workload,
+                                           args.seed, spec["run_seconds"]))
+            print(f"pair {pair + 1}/{args.pairs} done", file=sys.stderr)
     print(f"{args.workload}, seed {args.seed}, {args.pairs} alternating pairs of "
-          f"{spec['run_seconds']} s: {args.base} (base) vs working tree (change)")
+          f"{spec['run_seconds']} s: {args.base or base_tree} (base) vs working tree (change)")
     report(spec, runs[base_tree], runs[ROOT])
     return 0
 
