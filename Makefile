@@ -1,6 +1,6 @@
 # Convenience targets for the Colza reproduction.
 
-.PHONY: install test chaos autoscale lint check check-fast report sarif fuzz mcheck bench bench-trajectory bench-trajectory-update bench-analysis bench-analysis-update bench-autoscale bench-autoscale-update bench-e2e bench-e2e-smoke bench-e2e-ab examples results clean
+.PHONY: install test chaos autoscale lint check check-fast report sarif fuzz mcheck bench bench-trajectory bench-trajectory-update bench-analysis bench-analysis-update bench-autoscale bench-autoscale-update bench-e2e bench-e2e-smoke bench-e2e-ab profile-e2e examples results clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -97,6 +97,14 @@ SEED ?= 1
 bench-e2e-ab:
 	python tools/ab_e2e.py $(if $(BASE_TREE),--base-tree $(BASE_TREE),--base $(BASE)) \
 		--workload $(WORKLOAD) --seed $(SEED)
+
+# Where a workload's timed section spends its host time (tools/profile_e2e.py):
+# cProfile top-K, the total call count (the benchmark's py_calls_m for the
+# seed, to the call) and a census of the cyclic collector.
+#   make profile-e2e WORKLOAD=dwi_volume_real
+#   make profile-e2e WORKLOAD=elastic_tenants SEED=7 PROFILE_ARGS="--garbage --sort cumtime"
+profile-e2e:
+	python tools/profile_e2e.py --workload $(WORKLOAD) --seed $(SEED) $(PROFILE_ARGS)
 
 # Smoke test of the benchmark itself (~30 s, outside tier-1's testpaths).
 bench-e2e-smoke:

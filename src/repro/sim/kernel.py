@@ -244,6 +244,15 @@ class Event:
         when a race resolved the other way, e.g. an RPC reply beat its
         timeout). Returns False for non-timer events, already-fired
         events, and double cancels.
+
+        A successful cancel also drops the registered callbacks: nothing
+        will ever call them, and a lost-race timer that kept them would
+        close a reference cycle (``AnyOf -> _children -> timer ->
+        _callbacks -> AnyOf._child_fired -> AnyOf``) that holds the
+        winning event and its payload until the cyclic collector runs —
+        one such cycle per RPC that beats its deadline. A waiter that
+        detaches afterwards (``discard_callback``) finds nothing to
+        remove, which is not an error.
         """
         if self._fired:
             return False
@@ -251,7 +260,10 @@ class Event:
         if handle is None:
             return False
         self._shandle = None
-        return self.sim._queue.cancel(handle)
+        if not self.sim._queue.cancel(handle):
+            return False
+        self._callbacks = []
+        return True
 
     # ------------------------------------------------------------------
     # waiting

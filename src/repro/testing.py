@@ -151,39 +151,44 @@ def build_ssg_group(
 
 
 # ---------------------------------------------------------------------------
-# pytest integration (optional: importable without pytest installed)
-try:
-    import pytest as _pytest
-except ImportError:  # pragma: no cover
-    _pytest = None
+# pytest integration, built on first access (PEP 562): ``drive`` and
+# ``run_until`` serve examples and benchmarks too, and those processes
+# should not pay for importing pytest (and its plugins) to decorate a
+# fixture they never use. Without pytest installed ``chaos_sim`` is None.
+def _chaos_sim():
+    """Factory fixture for chaos-ready Colza stacks.
 
-if _pytest is not None:
+    Yields a callable with the signature of
+    :func:`repro.chaos.build_stack` — each call returns a booted
+    :class:`~repro.chaos.ChaosContext` (simulation, deployment,
+    client handle, invariant monitor). Teardown uninstalls any
+    armed chaos engine and detaches the monitors, so scenarios
+    cannot leak interceptors between tests.
+    """
+    from repro.chaos import build_stack
 
-    @_pytest.fixture
-    def chaos_sim():
-        """Factory fixture for chaos-ready Colza stacks.
+    contexts = []
 
-        Yields a callable with the signature of
-        :func:`repro.chaos.build_stack` — each call returns a booted
-        :class:`~repro.chaos.ChaosContext` (simulation, deployment,
-        client handle, invariant monitor). Teardown uninstalls any
-        armed chaos engine and detaches the monitors, so scenarios
-        cannot leak interceptors between tests.
-        """
-        from repro.chaos import build_stack
+    def factory(seed: int = 0, **kwargs):
+        ctx = build_stack(seed, **kwargs)
+        contexts.append(ctx)
+        return ctx
 
-        contexts = []
+    yield factory
+    for ctx in contexts:
+        if ctx.engine is not None and ctx.engine.installed:
+            ctx.engine.uninstall()
+        ctx.monitor.detach()
 
-        def factory(seed: int = 0, **kwargs):
-            ctx = build_stack(seed, **kwargs)
-            contexts.append(ctx)
-            return ctx
 
-        yield factory
-        for ctx in contexts:
-            if ctx.engine is not None and ctx.engine.installed:
-                ctx.engine.uninstall()
-            ctx.monitor.detach()
-
-else:  # pragma: no cover
-    chaos_sim = None
+def __getattr__(name: str):
+    if name != "chaos_sim":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    try:
+        import pytest
+    except ImportError:  # pragma: no cover
+        fixture = None
+    else:
+        fixture = pytest.fixture(name="chaos_sim")(_chaos_sim)
+    globals()["chaos_sim"] = fixture
+    return fixture

@@ -80,13 +80,16 @@ class ImageData:
     def field(self, name: str) -> np.ndarray:
         return self.point_data[name]
 
+    def axis_coords(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The grid points' coordinates along each axis: point ``(i, j, k)``
+        is at ``(xs[i], ys[j], zs[k])``."""
+        return tuple(
+            self.origin[a] + self.spacing[a] * np.arange(self.dims[a]) for a in range(3)
+        )
+
     def point_coords(self) -> np.ndarray:
         """All grid points as an (N, 3) array (x fastest)."""
-        nx, ny, nz = self.dims
-        xs = self.origin[0] + self.spacing[0] * np.arange(nx)
-        ys = self.origin[1] + self.spacing[1] * np.arange(ny)
-        zs = self.origin[2] + self.spacing[2] * np.arange(nz)
-        gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
+        gx, gy, gz = np.meshgrid(*self.axis_coords(), indexing="ij")
         return np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
 
     @property

@@ -6,20 +6,37 @@ nearest-neighbor interpolation from mesh points via a KD-tree, with a
 distance cutoff marking exterior voxels (value 0) — a faithful,
 fast stand-in for VTK's cell-locator-based probe.
 
-The one ``tree.query`` is *bounded by the cutoff*: a voxel farther than
-that from every mesh point is exterior whatever its nearest neighbour
-is, so the tree prunes on the bound instead of searching for an exact
-neighbour nobody reads (on the DWI meshes, 94 % of the voxels). SciPy's
-``distance_upper_bound`` is exclusive and the cutoff test is ``<=``,
-hence the bound is the next float above the cutoff; a miss comes back
-as distance ``inf`` and index ``n``, which must never index a field.
+The query is **occupancy-first**, like the ray-marcher it feeds
+(:mod:`repro.vtk.render.volume`): a cheap superset is computed on the
+lattice, and the exact kernel — the one ``tree.query`` — decides, on the
+survivors only.
+
+- **Lattice pre-filter.** A voxel within the cutoff of a mesh point lies
+  inside that point's cutoff *ball*, hence inside the ball's bounding
+  box. Each point's box is written as a closed interval of voxel indices
+  per axis, ``(p -+ cutoff - origin) / spacing``, widened by a relative
+  plus absolute slack (``_BOX_SLACK``) that dwarfs the rounding of the
+  lattice coordinates and of the tree's own distance arithmetic, and the
+  union of the boxes (:func:`repro.vtk.occupancy.box_union`) is the set
+  of voxels handed to the tree. On the DWI meshes that is under a tenth
+  of the lattice; the rest is exterior without asking.
+- **Cutoff-bounded query.** The query itself is bounded by the cutoff:
+  a voxel farther than that from every mesh point is exterior whatever
+  its nearest neighbour is, so the tree prunes on the bound instead of
+  searching for an exact neighbour nobody reads. SciPy's
+  ``distance_upper_bound`` is exclusive and the cutoff test is ``<=``,
+  hence the bound is the next float above the cutoff; a miss comes back
+  as distance ``inf`` and index ``n``, which must never index a field.
 
 **Bit-identity contract.** Every resampled field is byte-for-byte what
-the unbounded query gives (``resample_loop`` in
-``tests/oracles/vtk_loops.py``, compared in ``tests/test_vtk_oracles.py``):
-the bound only prunes subtrees that cannot hold a point within it, so
-the tree visits the candidates within the cutoff in the same order and
-an exact tie between two of them resolves to the same one.
+the unbounded query of every voxel gives (``resample_loop`` in
+``tests/oracles/vtk_loops.py``, compared in ``tests/test_vtk_oracles.py``,
+which also checks directly that no voxel within the cutoff is kept from
+the tree): queries are independent per target, so asking about a subset
+changes no answer; and the bound only prunes subtrees that cannot hold a
+point within it, so the tree visits the candidates within the cutoff in
+the same order and an exact tie between two of them resolves to the same
+one.
 """
 
 from __future__ import annotations
@@ -30,8 +47,16 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from repro.vtk.dataset import ImageData, UnstructuredGrid
+from repro.vtk.occupancy import box_union
 
 __all__ = ["resample_to_image"]
+
+# Widening of a cutoff ball's index box, relative to the coordinates'
+# magnitude in voxel units (plus the same absolute): ~1e7 roundings.
+_BOX_SLACK = 1e-9
+# The tree compares squared distances: a bound whose square underflows
+# to zero (a cutoff of 0) would miss even a voxel *on* a mesh point.
+_MIN_QUERY_BOUND = 1e-150
 
 
 def resample_to_image(
@@ -72,15 +97,28 @@ def resample_to_image(
             image.set_field(name, np.zeros(dims))
         return image
 
-    targets = image.point_coords()
     tree = cKDTree(grid.points)
     cutoff = cutoff_factor * float(np.mean(spacing))
-    dist, nearest = tree.query(targets, k=1, distance_upper_bound=np.nextafter(cutoff, np.inf))
-    inside = np.flatnonzero(dist <= cutoff)
-    nearest = nearest[inside]
+    # Occupancy first: only a voxel inside the bounding index box of some
+    # mesh point's cutoff ball can be within the cutoff of a mesh point.
+    reach = np.abs(grid.points) + np.abs(origin) + cutoff
+    slack = _BOX_SLACK * (1.0 + reach / spacing)
+    near = box_union(
+        (grid.points - cutoff - origin) / spacing - slack,
+        (grid.points + cutoff - origin) / spacing + slack,
+        dims,
+    ).reshape(-1).nonzero()[0]
+    targets = np.column_stack(
+        [axis[i] for axis, i in zip(image.axis_coords(), np.unravel_index(near, dims))]
+    )  # image.point_coords()[near], without the other rows
+    dist, nearest = tree.query(
+        targets, k=1, distance_upper_bound=max(np.nextafter(cutoff, np.inf), _MIN_QUERY_BOUND)
+    )
+    hit = dist <= cutoff
+    inside, nearest = near[hit], nearest[hit]
     for name in names:
         source = np.asarray(grid.point_data[name], dtype=np.float64)
-        sampled = np.zeros(len(targets))
+        sampled = np.zeros(image.num_points)
         sampled[inside] = source[nearest]
         image.set_field(name, sampled.reshape(dims))
     return image

@@ -99,6 +99,52 @@ def test_rpc_timeout_on_dead_server(sim, fabric):
     assert got == [pytest.approx(0.5)]
 
 
+def test_rpc_that_beats_its_deadline_leaves_no_reference_cycle(sim, fabric, monkeypatch):
+    """The reply-or-deadline race of ``forward`` is gone once the caller
+    has resumed — with the cyclic collector off, so by reference count
+    alone. The cancelled deadline timer used to keep the race's
+    callback, and the race kept the reply event and its message."""
+    import gc
+    import weakref
+
+    import repro.mercury.rpc as rpc_module
+    from repro.sim import AnyOf
+
+    class Tracked(AnyOf):
+        __slots__ = ("__weakref__",)
+
+    races = []
+
+    def tracked(*args):
+        race = Tracked(*args)
+        races.append(weakref.ref(race))
+        return race
+
+    monkeypatch.setattr(rpc_module, "AnyOf", tracked)
+    server = MercuryInstance(sim, fabric, "server", 0)
+    client = MercuryInstance(sim, fabric, "client", 1)
+
+    def echo(_hg, value):
+        return value
+        yield
+
+    server.register_rpc("echo", echo)
+    got = []
+
+    def caller():
+        got.append((yield from client.forward(server.address, "echo", 7, timeout=1.0)))
+
+    gc.disable()
+    try:
+        sim.spawn(caller())
+        sim.run()
+        assert len(races) == 1 and races[0]() is None
+    finally:
+        gc.enable()
+    assert got == [7]
+    assert sim.now < 1.0 and sim.queue_stats()["cancels"] == 1
+
+
 def test_rpc_concurrent_handlers_interleave(sim, fabric):
     """Two in-flight RPCs to the same server run concurrently."""
     server = MercuryInstance(sim, fabric, "server", 0)

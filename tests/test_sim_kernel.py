@@ -614,6 +614,60 @@ def test_any_of_on_already_fired_children_takes_the_lowest_index(sim):
     assert race.value == (0, "a")
 
 
+class TrackedAnyOf(AnyOf):
+    """``Event`` has ``__slots__``; a weak reference needs one more."""
+
+    __slots__ = ("__weakref__",)
+
+
+def test_cancelled_timer_drops_its_callbacks_and_frees_the_race_by_refcount(sim):
+    """``race -> _children -> timer -> _callbacks -> race._child_fired``
+    is a cycle for as long as the lost-race timer keeps its callbacks: a
+    successful ``cancel()`` drops them, so the race (and the winner's
+    value with it) dies with its last reference, not at the next
+    collection."""
+    import gc
+    import weakref
+
+    seen = []
+
+    def body():
+        reply, timer = sim.event(), sim.timeout(5.0)
+        race = TrackedAnyOf(sim, [reply, timer])
+        seen.append(weakref.ref(race))
+        sim.timeout(1.0).add_callback(lambda _ev: reply.succeed("reply"))
+        seen.append((yield race))
+        seen.append(timer.cancel())
+        seen.append(timer.cancel())  # a double cancel is still just False
+
+    gc.disable()
+    try:
+        sim.spawn(body())
+        assert sim.run() == 1.0  # the 5 s timer never pops
+        # The kernel's own frames hold the race while it resumes the
+        # waiter; once that returned, nothing does.
+        assert seen[0]() is None
+    finally:
+        gc.enable()
+    assert seen[1:] == [(0, "reply"), True, False]
+
+
+def test_cancel_under_a_live_direct_waiter_still_detaches_quietly(sim):
+    """The waiter of a cancelled timer never resumes; killing it later
+    detaches from a callback list that is already empty — a no-op."""
+    timer = sim.timeout(2.0)
+
+    def body():
+        yield timer
+
+    task = sim.spawn(body())
+    sim.run(until=1.0)
+    assert timer.cancel() and not timer.cancel()
+    task.kill()
+    sim.run()
+    assert task.finished and not timer.fired and sim.now == 1.0
+
+
 def test_run_until_fires_the_boundary_and_nothing_past_it(sim):
     fired = []
     head = sim.timeout(0.5)  # canceled below: a tombstone at the heap's head

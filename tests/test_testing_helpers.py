@@ -161,3 +161,28 @@ def test_chaos_sim_uninstalls_engines_on_teardown(chaos_sim):
     # Teardown (after this test returns) uninstalls the engine; the
     # check lives in the fixture itself, so simply exercising it here
     # is the coverage.
+
+
+def test_importing_the_helpers_does_not_import_pytest():
+    """``drive`` / ``run_until`` serve examples and benchmarks: a process
+    that wants them must not pay for pytest (nor the hypothesis plugin
+    it loads) just to decorate a fixture it never touches. The fixture
+    is built on first access instead."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    probe = (
+        "import sys\n"
+        "import repro.testing, repro.bench.harness, repro.core.pipelines\n"
+        "early = sorted(m for m in ('pytest', 'hypothesis') if m in sys.modules)\n"
+        "from repro.testing import chaos_sim\n"
+        "print(early, chaos_sim is not None and 'pytest' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[0] == "[] True"

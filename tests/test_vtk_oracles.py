@@ -1,11 +1,17 @@
 """Byte equality of the vectorised VTK kernels with the loops they replaced.
 
 ``rasterize`` (fragment batches + depth-peeling rounds), ``contour``
-(flat case table + stable sort), ``volume_render`` (footprint clip, ray
-chunks, transmittance scan) and ``resample_to_image`` (cutoff-bounded
-query) promise the exact bytes of the loops kept in
-``tests/oracles/vtk_loops.py``. No tolerance anywhere in this file: a
-last-bit difference is a failure.
+(flat case table + stable sort), ``volume_render`` (occupancy-first ray
+and sample rejection, ray chunks, transmittance scan) and
+``resample_to_image`` (lattice pre-filter, cutoff-bounded query) promise
+the exact bytes of the loops kept in ``tests/oracles/vtk_loops.py``. No
+tolerance anywhere in this file: a last-bit difference is a failure.
+
+The two occupancy tests are also checked directly, as what they claim
+to be — supersets: every sample the dense loop finds opaque is among
+the coordinates ``volume_render`` hands to ``map_coordinates``, and
+every voxel within the cutoff is among the targets
+``resample_to_image`` hands to the tree.
 """
 
 import warnings
@@ -15,8 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.vtk.filters.resample as resample_module
 import repro.vtk.render.rasterizer as rasterizer_module
 import repro.vtk.render.volume as volume_module
+import tests.oracles.vtk_loops as loops_module
 from repro.apps import DWIDataset, GrayScottParams, GrayScottSolver
 from repro.vtk import ImageData, MultiBlockDataSet, PolyData, UnstructuredGrid
 from repro.vtk.filters import contour, merge_blocks, resample_to_image
@@ -300,6 +308,14 @@ def views(bounds):
     return {
         "z": Camera.fit(bounds),
         "x": Camera.fit(bounds, direction="x"),
+        # right = +x and up = -y: lattice axes project onto *increasing* pixel indices.
+        "upside down": Camera(
+            position=(center[0], center[1], lo[2] - extent),
+            focal_point=tuple(center),
+            view_up=(0.0, -1.0, 0.0),
+            view_width=1.2 * extent,
+            view_height=1.2 * extent,
+        ),
         "rotated": Camera(
             position=tuple(center + extent * np.array([1.3, -0.9, -2.1])),
             focal_point=tuple(center),
@@ -438,6 +454,26 @@ def test_volume_render_brick_edge_on_a_pixel_centre(origin, spacing, pixels, fir
     assert np.isfinite(want.depth).any(axis=0).sum() >= pixels
 
 
+@pytest.mark.parametrize(
+    "origin, spacing, pixels, first", [(0.373, 1 / 3, 4, 1), (0.373, 1 / 3, 4, 2), (0.373, 0.1, 2, 1)]
+)
+def test_volume_render_brick_low_edge_on_a_pixel_centre(origin, spacing, pixels, first):
+    """The same on the side of lattice index 0, where no cell reaches
+    beyond the brick: only the pixel of padding round a flagged cell's
+    projection keeps the column whose ray grazes the face."""
+    image = ImageData(dims=(5, 5, 5), origin=(origin,) * 3, spacing=(spacing,) * 3)
+    image.set_field("f", np.ones(image.dims))
+    b = image.bounds
+    pitch = (b[1] - b[0]) / pixels
+    window = pitch * 8  # nine pixels
+    x = b[0] - window / 2 + first * pitch
+    y = (b[2] + b[3]) / 2
+    camera = Camera(position=(x, y, b[4] - 5.0), focal_point=(x, y, b[4]), view_width=window, view_height=window)
+    want = render_both(image, camera=camera, width=9, height=9, steps=4, value_range=(0.0, 1.0))
+    # right = -x: the brick covers the columns up to ``first``, the grazed one.
+    assert np.isfinite(want.depth).any(axis=0).sum() >= first
+
+
 @pytest.mark.parametrize("size", [(1, 1), (1, 9), (9, 1), (2, 2)])
 def test_volume_render_degenerate_frames(size):
     """A one-pixel axis puts its single ray on the window's edge."""
@@ -547,6 +583,218 @@ def test_volume_render_default_range_ignores_non_finite_voxels():
 
 
 # ---------------------------------------------------------------------------
+# volume_render: the occupancy tests are supersets
+def sampled_coordinates(patch, module):
+    """Record every coordinate column ``module.map_coordinates`` is
+    handed from now on, as 24-byte keys, next to the value it returned."""
+    seen = {}
+    real = module.map_coordinates
+
+    def recording(volume, coordinates, **kwargs):
+        values = real(volume, coordinates, **kwargs)
+        columns = np.ascontiguousarray(np.asarray(coordinates, dtype=np.float64).T)
+        seen.update(zip((c.tobytes() for c in columns), values))
+        return values
+
+    patch.setattr(module, "map_coordinates", recording)
+    return seen
+
+
+def render_both_checking_the_skip(image, field="f", **kwargs):
+    """``render_both``, plus: no sample that the dense loop finds opaque
+    was rejected (its ray unmarched or its cell unflagged) by the
+    kernel. Opacity is the loop's own expression on the loop's own
+    samples. Returns the image and (opaque, sampled) counts."""
+    with pytest.MonkeyPatch.context() as patch:
+        dense = sampled_coordinates(patch, loops_module)
+        kept = sampled_coordinates(patch, volume_module)
+        want = render_both(image, field, **kwargs)
+    camera = kwargs.get("camera") or Camera.fit(image.bounds)
+    b = image.bounds
+    corners = [(b[i], b[2 + j], b[4 + k]) for i in (0, 1) for j in (0, 1) for k in (0, 1)]
+    view_z = camera.world_to_view(np.array(corners))[:, 2]
+    z_near, z_far = float(view_z.min()), float(view_z.max())
+    steps = kwargs.get("steps", 64)
+    alpha_scale = (z_far - z_near) / max(steps - 1, 1) / max((z_far - z_near) / 16.0, 1e-9)
+    vmin, vmax = kwargs.get("value_range") or (image.field(field).min(), image.field(field).max())
+    keys = list(dense)
+    sample = np.array([dense[k] for k in keys])
+    ramp = loops_module.opacity_ramp(
+        sample, vmin, vmax, kwargs.get("max_opacity", 0.9), kwargs.get("opacity_power", 1.5)
+    )
+    opaque = np.isfinite(sample) & (np.clip(ramp * alpha_scale, 0.0, 1.0) > 1e-4)
+    dropped = [k for k, hit in zip(keys, opaque) if hit and k not in kept]
+    assert not dropped, f"{len(dropped)} of {opaque.sum()} opaque samples were skipped"
+    return want, int(opaque.sum()), len(kept)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    content=st.sampled_from(["random", "lattice", "nan holes", "inf holes", "blob"]),
+    view=st.sampled_from(["default", "x", "askew"]),
+    size=st.tuples(st.integers(1, 24), st.integers(1, 24)),
+    steps=st.sampled_from([2, 3, 17, 40]),
+    opacity_power=st.sampled_from([0.0, 0.5, 1.5, -1.0]),
+    value_range=st.sampled_from([None, (0.0, 1.0), (0.4, 0.6), (0.7, 3.0), (1.0, 1.0), (2.0, 1.0)]),
+    budget=st.sampled_from([1, 100, 1 << 15]),
+)
+def test_volume_render_skip_never_drops_an_opaque_sample(
+    seed, content, view, size, steps, opacity_power, value_range, budget
+):
+    """Random, lattice-valued, holed and mostly-empty bricks under any
+    camera, increasing, flat and decreasing ramps, ranges narrower than
+    the data and empty ones."""
+    rng = np.random.default_rng(seed)
+    dims = tuple(int(d) for d in rng.integers(2, 8, 3))
+    image = ImageData(dims=dims, origin=tuple(rng.uniform(-2, 2, 3)), spacing=tuple(rng.uniform(0.1, 1.0, 3)))
+    holes = rng.random(dims) < 0.12
+    values = {
+        "random": rng.random(dims),
+        "lattice": rng.integers(0, 3, dims) / 2.0,
+        "nan holes": np.where(holes, np.nan, rng.random(dims)),
+        "inf holes": np.where(holes, rng.choice([np.inf, -np.inf], dims), rng.random(dims)),
+        "blob": np.where(rng.random(dims) < 0.1, rng.random(dims), 0.0),  # most cells cold
+    }[content]
+    image.set_field("f", values)
+    if "holes" in content and value_range is None:
+        value_range = (0.0, 1.0)  # the loop's default range is not finite here
+    bounds = image.bounds
+    camera = None
+    if view == "x":
+        camera = Camera.fit(bounds, direction="x")
+    elif view == "askew":
+        lo, hi = np.array(bounds[0::2]), np.array(bounds[1::2])
+        toward = rng.normal(size=3)
+        focal = (lo + hi) / 2 + rng.uniform(-1, 1, 3) * (hi - lo) * rng.choice([0.0, 0.5])
+        camera = Camera(
+            position=tuple(focal - toward / np.linalg.norm(toward) * (2 * (hi - lo).max() + 1)),
+            focal_point=tuple(focal),
+            view_up=tuple(rng.normal(size=3)),
+            view_width=float((hi - lo).max() * rng.choice([0.3, 1.0, 3.0])),
+            view_height=float((hi - lo).max() * rng.choice([0.3, 1.0, 3.0])),
+        )
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        # A decreasing ramp divides by t == 0, in the loop and in the kernel.
+        warnings.filterwarnings("ignore", "divide by zero", RuntimeWarning)
+        patch.setattr(volume_module, "_SAMPLE_BUDGET", budget)
+        render_both_checking_the_skip(
+            image, camera=camera, width=size[0], height=size[1], steps=steps,
+            max_opacity=5.0, opacity_power=opacity_power, value_range=value_range,
+        )
+
+
+def test_volume_render_alpha_one_ulp_above_the_floor_contributes():
+    """The companion of the ``alpha == 1e-4`` test above: the next float
+    up is opaque, in a cell whose every other corner is cold."""
+    above = float(np.nextafter(1e-4, 1.0))
+    image, kwargs = exact_rays([0.0, 0.0, above])
+    want, opaque, _ = render_both_checking_the_skip(image, "a", **kwargs)
+    assert opaque == 9 and (want.rgba[..., 3] == np.float32(above)).all() and (want.depth == 6.0).all()
+
+
+def test_volume_render_decreasing_ramp_is_tested_at_its_lower_end():
+    """``opacity_power < 0`` turns the ramp around: the opaque side of
+    the floor is *below* it. ``0.5`` sits exactly on the floor here
+    (``5e-5 / 0.5 == 1e-4``), a value a few ulps below is opaque, and
+    only the ``v - margin`` end of the hot-point test can tell."""
+    below = 0.5 * (1.0 - 2.0**-50)
+    assert 5e-5 * 0.5**-1.0 == 1e-4 < 5e-5 * below**-1.0
+    image, kwargs = exact_rays([1.0, 1.0, below, 0.5])
+    image.field("a")[:, :, 4:] = 1.0
+    kwargs.update(max_opacity=5e-5, opacity_power=-1.0)
+    want, opaque, _ = render_both_checking_the_skip(image, "a", **kwargs)
+    assert opaque == 9 and (want.depth == 6.0).all()
+
+
+def test_volume_render_sample_rounded_above_all_its_corners_is_kept():
+    """An order-1 sample is a convex combination of its cell's corners
+    only up to rounding. Every voxel here sits exactly *on* the opacity
+    floor (not opaque), yet off the voxel centres the interpolation
+    rounds some samples an ulp or two up — opaque, in cells without one
+    opaque corner. The hot-point test's rounding margin is what keeps
+    those cells."""
+    image, kwargs = exact_rays([1e-4] * 17)
+    assert (image.field("a") == 1e-4).all()
+    kwargs["camera"] = Camera(position=(1.25, 1.1, -4.0), focal_point=(1.25, 1.1, 0.0), view_width=2.0, view_height=2.0)
+    want, opaque, _ = render_both_checking_the_skip(image, "a", **kwargs)
+    assert opaque > 0 and want.coverage() > 0.0
+
+
+def test_volume_render_hot_voxel_next_to_a_hole():
+    """A NaN corner makes its cell's samples NaN, but the hot voxel's
+    other seven cells still render; the hole must not eat the flag."""
+    image = ImageData(dims=(5, 5, 5))
+    field = np.zeros(image.dims)
+    field[2, 2, 2] = 1.0
+    field[3, 2, 2] = np.nan
+    field[2, 1, 2] = -np.inf
+    image.set_field("f", field)
+    for camera in views(image.bounds).values():
+        want, opaque, _ = render_both_checking_the_skip(
+            image, camera=camera, width=40, height=40, value_range=(0.0, 1.0)
+        )
+        assert opaque > 0 and 0.0 < want.coverage() < 0.3
+
+
+@pytest.mark.parametrize("where", [
+    (0, 2, 2), (4, 2, 2), (2, 0, 2), (2, 4, 2), (2, 2, 0), (2, 2, 5),  # faces
+    (0, 0, 2), (4, 2, 5), (2, 4, 0),  # edges
+    (0, 0, 0), (4, 4, 5), (0, 4, 5), (4, 0, 0),  # corners
+])
+def test_volume_render_single_hot_voxel_on_the_brick_boundary(where):
+    """The flag of a boundary voxel lives in fewer cells (one, at a
+    corner), including the top-layer cells that only a sample exactly on
+    the last lattice plane floors into."""
+    image = ImageData(dims=(5, 5, 6), origin=(-1.0, 0.5, 2.0), spacing=(0.5, 0.25, 1.0))
+    field = np.zeros(image.dims)
+    field[where] = 1.0
+    image.set_field("f", field)
+    for name, camera in views(image.bounds).items():
+        want, opaque, sampled = render_both_checking_the_skip(image, camera=camera, width=48, height=48)
+        assert opaque > 0 and want.coverage() > 0.0, name
+        assert sampled <= 0.1 * 48 * 48 * 64, (name, opaque, sampled)  # and little else is sampled
+
+
+def test_volume_render_samples_exactly_on_the_last_lattice_planes():
+    """Looking along x at a brick whose hot layer is its far side in x, y
+    and z at once: with the frame's edge rays and the last step exactly
+    on the boundary planes, those samples floor to index ``n - 1``."""
+    image = ImageData(dims=(4, 4, 4))
+    field = np.zeros(image.dims)
+    field[3], field[:, 3], field[:, :, 3] = 1.0, 0.75, 0.5
+    image.set_field("f", field)
+    camera = Camera(position=(-3.0, 1.5, 1.5), focal_point=(0.0, 1.5, 1.5), view_up=(0, 0, 1), view_width=3.0, view_height=3.0)
+    with pytest.MonkeyPatch.context() as patch:
+        kept = sampled_coordinates(patch, volume_module)
+        want = render_both(image, camera=camera, width=4, height=4, steps=4)
+    on_last_plane = [k for k in kept if 3.0 in np.frombuffer(k)]
+    assert on_last_plane and np.isfinite([kept[k] for k in on_last_plane]).any()
+    assert want.coverage() == 1.0
+
+
+def test_volume_render_all_cold_volume_is_never_sampled(monkeypatch):
+    def never(*_args, **_kwargs):
+        raise AssertionError("a cold volume reached map_coordinates")
+
+    image = random_brick(2)
+    monkeypatch.setattr(volume_module, "map_coordinates", never)
+    for kwargs in ({"value_range": (2.0, 3.0)}, {"value_range": (1.0, 1.0)}, {"max_opacity": 0.0}):
+        got = volume_render(image, "f", width=16, height=16, **kwargs)
+        assert_same_image(got, volume_render_loop(image, "f", width=16, height=16, **kwargs))
+        assert got.coverage() == 0.0 and not got.rgba.any() and got.brick_depth > 0.0
+
+
+def test_volume_render_one_pixel_frame_keeps_its_ray():
+    """The single ray of a 1 x 1 frame runs along the window's top-left
+    corner; the brick is placed under it."""
+    image = random_brick(4, origin=(3.5, 0.2, 0.0))
+    camera = Camera(position=(2.0, 0.0, -6.0), focal_point=(2.0, 0.0, 0.0), view_width=8.0, view_height=4.0)
+    want, opaque, _ = render_both_checking_the_skip(image, camera=camera, width=1, height=1)
+    assert opaque > 0 and want.coverage() == 1.0
+
+
+# ---------------------------------------------------------------------------
 # resample_to_image
 def assert_same_grid(got, want):
     assert got.dims == want.dims and got.origin == want.origin and got.spacing == want.spacing
@@ -615,3 +863,175 @@ def test_resample_all_outside_and_all_inside():
     near = resample_to_image(mesh, (4, 5, 6), cutoff_factor=100.0)
     assert (near.field("f") >= 1.0).all()
     assert_same_grid(near, resample_loop(mesh, (4, 5, 6), cutoff_factor=100.0))
+
+
+# ---------------------------------------------------------------------------
+# resample_to_image: the lattice pre-filter is a superset
+def queried_targets(patch):
+    """Record the targets ``resample_to_image`` hands to its tree."""
+    from scipy.spatial import cKDTree
+
+    targets = []
+
+    class Recording(cKDTree):
+        def query(self, x, *args, **kwargs):
+            targets.append(np.array(x))
+            return super().query(x, *args, **kwargs)
+
+    patch.setattr(resample_module, "cKDTree", Recording)
+    return targets
+
+
+def resample_checking_the_filter(mesh, dims, **kwargs):
+    """Resample, and check against an unbounded query of *every* voxel of
+    the lattice that came back: the fields are that query's, and no voxel
+    within the cutoff was kept from the tree. Returns the image and the
+    number of targets queried."""
+    from scipy.spatial import cKDTree
+
+    with pytest.MonkeyPatch.context() as patch:
+        targets = queried_targets(patch)
+        got = resample_to_image(mesh, dims, **kwargs)
+    (queried,) = targets
+    cutoff = kwargs.get("cutoff_factor", 2.0) * float(np.mean(got.spacing))
+    dist, nearest = cKDTree(mesh.points).query(got.point_coords(), k=1)
+    nearest = np.minimum(nearest, mesh.num_points - 1)  # a distance that overflows is a miss
+    asked = {row.tobytes() for row in queried}
+    missed = [row for row in got.point_coords()[dist <= cutoff] if row.tobytes() not in asked]
+    assert not missed, f"{len(missed)} voxels within the cutoff never reached the tree"
+    for name, values in mesh.point_data.items():
+        want = np.where(dist <= cutoff, np.asarray(values, dtype=np.float64)[nearest], 0.0)
+        assert got.field(name).tobytes() == want.reshape(dims).tobytes(), name
+    return got, len(queried)
+
+
+@pytest.mark.parametrize("origin, spacing", [(0.373, 1.1), (-2.253, 1 / 3), (1000.1, 0.7), (0.0, 1.0)])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_resample_point_exactly_the_cutoff_from_a_voxel_along_an_axis(origin, spacing, at):
+    """A mesh point *on* a voxel is two pitches — the cutoff — from the
+    voxels two further along each axis, up to the rounding of
+    ``origin + spacing * i``: the index box has to take whichever side
+    the tree's own arithmetic lands on."""
+    n = 6
+    bounds = (origin, origin + spacing * (n - 1)) * 3
+    xs = origin + spacing * np.arange(n)
+    mesh = point_cloud([(xs[at], xs[1], xs[2])], f=[3.0])
+    want = resample_loop(mesh, (n, n, n), bounds=bounds)
+    assert_same_grid(resample_to_image(mesh, (n, n, n), bounds=bounds), want)
+    got, queried = resample_checking_the_filter(mesh, (n, n, n), bounds=bounds)
+    assert got.field("f")[at, 1, 2] == 3.0 and got.field("f")[at + 1, 1, 3] == 3.0
+    assert queried <= 5**3  # the ball's box, not the lattice
+
+
+def test_resample_point_exactly_the_cutoff_from_a_voxel_along_a_diagonal():
+    """3-4-5: the voxel at (3, 4, 0) is exactly 5.0 from the origin."""
+    mesh = point_cloud([(0.0, 0.0, 0.0), (9.0, 9.0, 9.0)], f=[3.0, 5.0])
+    want = resample_loop(mesh, (10, 10, 10), cutoff_factor=5.0)
+    assert want.spacing == (1.0, 1.0, 1.0)
+    assert want.field("f")[3, 4, 0] == 3.0 and want.field("f")[9, 5, 6] == 5.0
+    assert want.field("f")[3, 4, 1] == 0.0 and want.field("f")[4, 4, 0] == 0.0
+    assert_same_grid(resample_to_image(mesh, (10, 10, 10), cutoff_factor=5.0), want)
+    resample_checking_the_filter(mesh, (10, 10, 10), cutoff_factor=5.0)
+
+
+def test_resample_points_outside_explicit_bounds():
+    """Mesh points beside, just outside and far outside the lattice: the
+    near ones still claim boundary voxels, the far ones' boxes clip to
+    nothing (also when their coordinates overflow any index)."""
+    rng = np.random.default_rng(8)
+    points = np.vstack([
+        rng.uniform(0.0, 1.0, (30, 3)),        # inside
+        rng.uniform(-0.3, 1.3, (60, 3)),       # around the faces
+        rng.uniform(5.0, 9.0, (20, 3)),        # far
+        [(1e300, 0.5, 0.5), (-1e300, -1e300, 0.5), (0.5, 0.5, 1.2)],
+    ])
+    mesh = point_cloud(points, f=rng.random(len(points)) + 1.0)
+    bounds = (0.0, 1.0) * 3
+    for cutoff_factor in (0.5, 1.0, 2.0):
+        kwargs = dict(bounds=bounds, cutoff_factor=cutoff_factor)
+        assert_same_grid(resample_to_image(mesh, (9, 8, 7), **kwargs), resample_loop(mesh, (9, 8, 7), **kwargs))
+        resample_checking_the_filter(mesh, (9, 8, 7), **kwargs)
+    lonely = point_cloud(points[-3:-1], f=[1.0, 2.0])
+    got, queried = resample_checking_the_filter(lonely, (9, 8, 7), bounds=bounds)
+    assert queried == 0 and not got.field("f").any()
+
+
+@pytest.mark.parametrize("flat_axes", [(2,), (0,), (0, 1), (0, 1, 2)])
+def test_resample_planar_linear_and_single_point_meshes(flat_axes):
+    """No extent along some axes: the lattice becomes a slab (a rod, a
+    cube) centred on the mesh, and the pre-filter's boxes follow. The
+    loop divides by the zero spacing here, so the reference is the
+    unbounded query alone."""
+    rng = np.random.default_rng(12)
+    points = rng.uniform(-1.0, 2.0, (1 if len(flat_axes) == 3 else 40, 3))
+    points[:, flat_axes] = 0.25
+    mesh = point_cloud(points, f=rng.random(len(points)) + 1.0)
+    got, queried = resample_checking_the_filter(mesh, (6, 7, 5))
+    assert all(s > 0.0 for s in got.spacing)
+    assert 0 < np.count_nonzero(got.field("f")) <= queried <= 6 * 7 * 5
+
+
+def test_resample_duplicated_points_resolve_like_the_loop():
+    """Coincident mesh points carrying different values are an exact tie
+    at every voxel; whichever the tree reports, it reports for a subset
+    of the targets too."""
+    rng = np.random.default_rng(5)
+    base = rng.uniform(0.0, 4.0, (25, 3))
+    points = np.vstack([base, base[::2], base[::3], base[:1]])
+    mesh = point_cloud(points, f=np.arange(len(points), dtype=np.float64) + 1.0)
+    want = resample_loop(mesh, (12, 12, 12), cutoff_factor=1.0)
+    assert 0 < np.count_nonzero(want.field("f")) < 12**3
+    assert_same_grid(resample_to_image(mesh, (12, 12, 12), cutoff_factor=1.0), want)
+    resample_checking_the_filter(mesh, (12, 12, 12), cutoff_factor=1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_points=st.integers(1, 60),
+    dims=st.tuples(*[st.sampled_from([2, 3, 6, 11])] * 3),
+    cutoff_factor=st.sampled_from([0.0, 0.3, 1.0, 2.0, 4.0]),
+    shifted=st.booleans(),
+)
+def test_resample_filter_never_hides_a_voxel_within_the_cutoff(seed, n_points, dims, cutoff_factor, shifted):
+    """Random clouds on anisotropic lattices, default bounds (points on
+    the lattice's faces) and bounds shifted half off the cloud."""
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-1.0, 1.0, (n_points, 3)) * rng.choice([0.1, 1.0, 30.0], 3) + rng.uniform(-50, 50, 3)
+    mesh = point_cloud(points, f=rng.random(n_points) + 1.0)
+    kwargs = {"cutoff_factor": cutoff_factor}
+    if shifted or n_points == 1:
+        lo, hi = points.min(axis=0) - 0.1, points.max(axis=0) + 0.1
+        shift = (hi - lo) * rng.uniform(-0.5, 0.5, 3)
+        kwargs["bounds"] = tuple(np.column_stack([lo + shift, hi + shift]).ravel())
+    assert_same_grid(resample_to_image(mesh, dims, **kwargs), resample_loop(mesh, dims, **kwargs))
+    resample_checking_the_filter(mesh, dims, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# box_union: the one "union of index boxes" both pre-filters share
+@pytest.mark.parametrize("seed", range(4))
+def test_box_union_matches_brute_force_in_one_two_and_three_dimensions(seed):
+    from repro.vtk.occupancy import box_union
+
+    rng = np.random.default_rng(seed)
+    for _ in range(60):
+        d = int(rng.integers(1, 4))
+        shape = tuple(int(n) for n in rng.integers(1, 7, d))
+        boxes = int(rng.integers(0, 6))
+        lo = rng.uniform(-3, 8, (boxes, d)).round(int(rng.integers(0, 3)))  # often whole numbers
+        hi = lo + rng.uniform(-1, 4, (boxes, d)).round(int(rng.integers(0, 3)))
+        want = np.zeros(shape, dtype=bool)
+        for index in np.ndindex(*shape):
+            want[index] = any(((lo[b] <= index) & (index <= hi[b])).all() for b in range(boxes))
+        got = box_union(lo, hi, shape)
+        assert got.dtype == bool and got.shape == shape and (got == want).all()
+
+
+def test_box_union_takes_unbounded_and_undefined_bounds():
+    from repro.vtk.occupancy import box_union
+
+    lo = np.array([[-np.inf, 1.0], [2.0, np.nan], [1e300, 0.0]])
+    hi = np.array([[0.0, 1e300], [np.inf, 0.0], [np.inf, 2.0]])
+    # NaN (inf - inf upstream) is "no bound on that side", never an error.
+    assert box_union(lo, hi, (4, 3)).astype(int).tolist() == [[0, 1, 1], [0, 0, 0], [1, 0, 0], [1, 0, 0]]

@@ -1,0 +1,145 @@
+"""Profile the timed section of one end-to-end benchmark workload.
+
+``python tools/profile_e2e.py --workload W [--seed N] [--quick] [--top K]
+[--sort tottime|cumtime] [--garbage]`` (or ``make profile-e2e WORKLOAD=W``)
+builds the workload the way ``bench_e2e`` does — inputs and set-up
+unprofiled, one thread, fixed hash seed — and prints, for the timed
+section alone:
+
+- the ``cProfile`` top-K and the total call count, which is the
+  benchmark's ``py_calls_m`` for that seed to the call (same section,
+  same way of counting);
+- a census of the cyclic collector: collections and seconds per
+  generation, read through ``gc.callbacks`` on a second, unprofiled run
+  (a callback under the profiler would add its own calls to the count);
+- with ``--garbage``, a third run with the collector *off*: what one
+  ``gc.collect()`` afterwards finds unreachable, by type — the objects
+  only the cyclic collector can free, i.e. what the collections of the
+  census are spent on.
+
+Every run is a fresh fork of the process that imported the program, as
+the benchmark's repetitions are, so each starts from the same heap. The
+tool reads ``bench_e2e.workloads.WORKLOADS`` and edits nothing there.
+"""
+
+from __future__ import annotations
+
+import argparse
+import cProfile
+import gc
+import os
+import pstats
+import sys
+import time
+from collections import Counter
+from typing import Callable, Dict, List
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
+
+from bench_e2e.run import FIXED_ENV  # noqa: E402  (needs the path set up above)
+
+
+def _timed_section(args: argparse.Namespace) -> Callable[[], None]:
+    """The workload with inputs made and set-up done; returns its ``run``."""
+    from bench_e2e.trace import PhaseRecorder
+    from bench_e2e.workloads import WORKLOADS
+
+    workload = WORKLOADS[args.workload](args.seed, args.quick, PhaseRecorder())
+    workload.make_inputs()
+    workload.setup()
+    gc.collect()
+    return workload.run
+
+
+def profile(args: argparse.Namespace) -> None:
+    run = _timed_section(args)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        run()
+    finally:
+        profiler.disable()
+    calls = sum(entry.callcount for entry in profiler.getstats())
+    print(f"== cProfile of the timed section, top {args.top} by {args.sort}")
+    pstats.Stats(profiler).strip_dirs().sort_stats(args.sort).print_stats(args.top)
+    print(f"total calls: {calls}  (py_calls_m {calls / 1e6:.6f})")
+
+
+def gc_census(args: argparse.Namespace) -> None:
+    run = _timed_section(args)
+    collections: Dict[int, int] = Counter()
+    seconds: Dict[int, float] = Counter()
+    started: List[float] = []
+
+    def on_gc(phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            started.append(time.perf_counter())
+        else:
+            collections[info["generation"]] += 1
+            seconds[info["generation"]] += time.perf_counter() - started.pop()
+
+    gc.callbacks.append(on_gc)
+    cpu = time.process_time()
+    try:
+        run()
+    finally:
+        cpu = time.process_time() - cpu
+        gc.callbacks.remove(on_gc)
+    print(f"== cyclic collector during the timed section ({cpu:.3f} CPU-s unprofiled)")
+    print(f"{'generation':>10s} {'collections':>12s} {'seconds':>9s}")
+    for generation in range(3):
+        print(f"{generation:>10d} {collections[generation]:>12d} {seconds[generation]:>9.4f}")
+    print(f"{'all':>10s} {sum(collections.values()):>12d} {sum(seconds.values()):>9.4f}")
+
+
+def garbage_census(args: argparse.Namespace) -> None:
+    run = _timed_section(args)
+    gc.disable()
+    run()
+    gc.set_debug(gc.DEBUG_SAVEALL)  # keep what the collection finds, in gc.garbage
+    gc.collect()
+    by_type = Counter(type(obj).__name__ for obj in gc.garbage)
+    print(f"== cyclic garbage of the timed section (collector off): {len(gc.garbage)} objects")
+    for name, count in by_type.most_common(args.top):
+        print(f"{count:>10d}  {name}")
+
+
+def _in_fork(section: Callable[[argparse.Namespace], None], args: argparse.Namespace) -> int:
+    sys.stdout.flush()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            section(args)
+            status = 0
+        finally:
+            sys.stdout.flush()
+            os._exit(status)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--quick", action="store_true", help="a quarter of the iterations")
+    p.add_argument("--top", type=int, default=25, help="rows per table")
+    p.add_argument("--sort", choices=("tottime", "cumtime"), default="tottime")
+    p.add_argument("--garbage", action="store_true",
+                   help="also run with the collector off and list the cyclic garbage by type")
+    args = p.parse_args()
+    if any(os.environ.get(k) != v for k, v in FIXED_ENV.items()):
+        os.execve(sys.executable, [sys.executable] + sys.orig_argv[1:], dict(os.environ, **FIXED_ENV))
+
+    from bench_e2e.workloads import WORKLOADS  # the one import of the program, before any fork
+
+    if args.workload not in WORKLOADS:
+        p.error(f"unknown workload {args.workload!r}; known: {', '.join(WORKLOADS)}")
+    print(f"{args.workload}, seed {args.seed}{', --quick' if args.quick else ''}")
+    sections = [profile, gc_census] + ([garbage_census] if args.garbage else [])
+    return max(_in_fork(section, args) for section in sections)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
