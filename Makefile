@@ -93,10 +93,14 @@ bench-e2e:
 # Where `git worktree add` is not possible, point BASE_TREE at an existing
 # checkout of the base (e.g. a `git clone` of the parent) instead of BASE:
 #   make bench-e2e-ab BASE_TREE=/root/scratch/base WORKLOAD=gs_iso_real
+# WORKLOAD takes several names or `all`: ten pairs for the first (the
+# claim), four (AB_ARGS="--other-pairs N") for each of the rest (the
+# must-not-move rows), one table per workload:
+#   make bench-e2e-ab BASE=HEAD~1 WORKLOAD="mb_scale_virtual all"
 SEED ?= 1
 bench-e2e-ab:
 	python tools/ab_e2e.py $(if $(BASE_TREE),--base-tree $(BASE_TREE),--base $(BASE)) \
-		--workload $(WORKLOAD) --seed $(SEED)
+		--workload $(WORKLOAD) --seed $(SEED) $(AB_ARGS)
 
 # Where a workload's timed section spends its host time (tools/profile_e2e.py):
 # cProfile top-K, the total call count (the benchmark's py_calls_m for the

@@ -9,6 +9,13 @@ Each script handles both payload modes transparently:
   and emit an empty local frame; compositing still runs for real, so
   communication behaviour is identical — used by the paper-scale
   benchmarks.
+
+A server with nothing to draw (virtual blocks only, no block at all, or
+blocks the iso-levels miss) hands the compositor
+:meth:`CompositeImage.empty`: the frame's declared size — what the wire
+is charged for — is a rendered frame's, but it has no storage and every
+z-buffer combine against it is a no-op, so the host pays for such a rank
+per message, not per pixel.
 """
 
 from __future__ import annotations
@@ -115,7 +122,7 @@ class IsoSurfaceScript(CatalystScript):
                 color_field=self.color_field, cmap=self.cmap, value_range=value_range,
             )
         else:
-            local_image = CompositeImage.blank(ctx.width, ctx.height, brick_depth=float(ctx.rank))
+            local_image = CompositeImage.empty(ctx.width, ctx.height, brick_depth=float(ctx.rank))
         image = yield from ctx.composite(local_image, op="zbuffer")
         ctx.results["image"] = image
         ctx.results["local_triangles"] = surface.num_triangles
@@ -173,7 +180,7 @@ class DWIVolumeScript(CatalystScript):
                 width=ctx.width, height=ctx.height, cmap=self.cmap,
             )
         else:
-            local_image = CompositeImage.blank(ctx.width, ctx.height, brick_depth=float(ctx.rank))
+            local_image = CompositeImage.empty(ctx.width, ctx.height, brick_depth=float(ctx.rank))
         image = yield from ctx.composite(local_image, op="over")
         ctx.results["image"] = image
         ctx.results["local_cells"] = total_cells

@@ -13,6 +13,13 @@ row range in half and exchanges the far half with the partner; finally
 the root gathers the P fragments. Per-rank traffic is O(pixels), the
 property that makes image compositing the only communication-heavy
 stage of parallel rendering (paper §III-C2).
+
+Host cost follows active pixels, as in IceT: ranks with nothing to draw
+contribute :meth:`CompositeImage.empty` frames (no storage), and a
+z-buffer combine in which the incoming fragment wins no pixel allocates
+nothing (:func:`~repro.vtk.render.image.combine_zbuffer`). The *wire*
+is still priced by frame size (``CompositeImage.nbytes``), not by
+active pixels.
 """
 
 from __future__ import annotations
@@ -163,8 +170,11 @@ def binary_swap(
             keep_lo, keep_hi = mid, hi
             send_lo, send_hi = lo, mid
             mine_in_front = False
-        # Both halves are views: ``current`` is never written in place
-        # (every combine allocates its result) and a receiver only reads.
+        # Both halves are views, and a combine that takes no pixel hands
+        # back its first argument's buffers: what makes that safe is that
+        # no frame is written after it is made — not ``current``, not a
+        # combine result, not a received fragment. Only ``_assemble``
+        # writes, into the frame it allocates.
         outgoing = current.rows(send_lo - lo, send_hi - lo)
         incoming: CompositeImage = yield from icomm.sendrecv(
             partner, outgoing, partner, tag=f"icet-swap-{k}"

@@ -37,6 +37,7 @@ a number (steady-state iterations must read zero).
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
@@ -75,14 +76,16 @@ class VirtualPayload:
     shape: Tuple[int, ...]
     dtype: str = "float64"
 
+    # Both sizes are read several times per block per iteration (expose,
+    # wire size, cell count, span tag): ``math.prod`` is one C call where
+    # ``np.prod`` builds an array, and exact where int64 would wrap.
     @property
     def nbytes(self) -> int:
-        n = int(np.prod(self.shape)) if self.shape else 1
-        return n * np.dtype(self.dtype).itemsize
+        return int(math.prod(self.shape)) * np.dtype(self.dtype).itemsize
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape)) if self.shape else 1
+        return int(math.prod(self.shape))
 
     def like(self) -> "VirtualPayload":
         return self

@@ -11,10 +11,21 @@ clamped bounding box), not a loop over triangles. All triangles are
 bounded and culled at once (a culled one owns zero fragments); in
 triangle order they are cut into batches of about ``_FRAGMENT_BUDGET``
 fragments, and one batch is expanded into flat arrays on which
-barycentrics, depth and color are evaluated in single NumPy expressions. Visibility is then resolved in
-*rounds*: round k holds the k-th covering fragment of every pixel (in
-triangle order, so at most one per pixel) and applies ``z < zbuf`` to
-all of them in one step.
+barycentrics, depth and color are evaluated in single NumPy expressions.
+Visibility is then resolved in *rounds*: round k holds the k-th covering
+fragment of every pixel (in triangle order, so at most one per pixel)
+and applies ``z < zbuf`` to all of them in one step.
+
+**Inside-only evaluation.** On an iso-surface about four in five
+fragments fail the barycentric test (a small triangle's box of ~50
+pixels is mostly corners). Only the three barycentrics are evaluated on
+the whole box; the batch is then compressed to the fragments inside
+their triangle, and depth, pixel index, the ``z > 0`` test, the sorts
+and the rounds see the compressed arrays. This is still the loop's
+arithmetic: every expression is elementwise, so a fragment's value does
+not depend on which other fragments share its array, and the compression
+keeps fragment order, so the stable sorts replay the same per-pixel
+sequence.
 
 **Bit-identity contract.** The image is byte-for-byte what drawing the
 triangles one after another into a float32 z-buffer gives
@@ -115,9 +126,15 @@ def rasterize(
         w0 = (y12[t] * dx + x21[t] * dy) / den
         w1 = (y20[t] * dx + x02[t] * dy) / den
         w2 = 1.0 - w0 - w1
+        # Most of a box is outside its triangle: only the inside fragments
+        # get a depth, a pixel index and a place in the rounds below.
+        inside = ((w0 >= -1e-9) & (w1 >= -1e-9) & (w2 >= -1e-9)).nonzero()[0]
+        if inside.size == 0:
+            continue
+        w0, w1, w2, t = w0[inside], w1[inside], w2[inside], t[inside]
         z = w0 * depth[tri[t, 0]] + w1 * depth[tri[t, 1]] + w2 * depth[tri[t, 2]]
-        pixel = gy * width + gx
-        cover = np.flatnonzero((w0 >= -1e-9) & (w1 >= -1e-9) & (w2 >= -1e-9) & (z > 0))
+        pixel = gy[inside] * width + gx[inside]
+        cover = (z > 0).nonzero()[0]
         if cover.size == 0:
             continue
 

@@ -53,7 +53,7 @@ def render_scene(
     bounds.
     """
     if not items:
-        return CompositeImage.blank(width, height)
+        return CompositeImage.empty(width, height)
     for kind, dataset, _ in items:
         if kind not in ("geometry", "volume"):
             raise ValueError(f"unknown representation kind {kind!r}")

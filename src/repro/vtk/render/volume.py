@@ -30,7 +30,8 @@ interpolation.
   pixel coordinates and widened to the cell's whole projection plus
   ``_RAY_PAD`` pixels against rounding at its edge; the union of these
   rectangles (:func:`repro.vtk.occupancy.box_union`) is the set of rays
-  marched. Every other pixel keeps the blank value.
+  marched. Every other pixel keeps the blank value; with no ray to
+  march the result is :meth:`CompositeImage.empty` — final, no storage.
 - **Ray chunks.** The marched rays are cut into chunks of about
   ``_SAMPLE_BUDGET`` samples (rays x steps); a ray lives in exactly one
   chunk and nothing is carried between chunks.
@@ -149,13 +150,20 @@ def volume_render(
     z_near = float(view_z.min())
     z_far = float(view_z.max())
     if z_far <= z_near:
-        return CompositeImage.blank(width, height)
-    image = CompositeImage.blank(width, height, brick_depth=z_near)
+        return CompositeImage.empty(width, height)
+
+    def nothing() -> CompositeImage:
+        # The early returns below: no storage, but the brick's ordering key.
+        # (Set, not passed: flowcheck resolves calls by bare name, and what
+        # goes into an ``empty`` would come out of every ``np.empty``.)
+        frame = CompositeImage.empty(width, height)
+        frame.brick_depth = z_near
+        return frame
 
     finite = np.isfinite(volume)
     if value_range is None:
         if not finite.any():
-            return image
+            return nothing()
         value_range = (
             float(volume.min(where=finite, initial=np.inf)),
             float(volume.max(where=finite, initial=-np.inf)),
@@ -192,7 +200,7 @@ def volume_render(
     cells[:, :, :-1] |= cells[:, :, 1:]
     flagged = np.argwhere(cells)
     if len(flagged) == 0:
-        return image
+        return nothing()
 
     # (2) Rays under a flagged cell: the cell's lower corner projected,
     # widened to the cell's whole projection and by one pixel pitch.
@@ -209,7 +217,7 @@ def volume_render(
     ).reshape(-1).nonzero()[0]
     n_rays = len(pixels)
     if n_rays == 0:
-        return image
+        return nothing()
 
     # View -> world: p = pos + x*right + y*up + z*forward, one component
     # at a time so that every array below has the step axis innermost.
@@ -269,6 +277,7 @@ def volume_render(
         hit = ray[first]
         depth[start + hit] = zs[flat[active][first] - hit * steps]
 
+    image = CompositeImage.blank(width, height, brick_depth=z_near)
     image.rgba.reshape(-1, 4)[pixels] = rgba
     image.depth.reshape(-1)[pixels] = depth
     return image

@@ -4,9 +4,12 @@
 it gives away and combines a view of the rows it keeps; this is the body
 it had before (``.copy()`` on ``outgoing`` and ``kept``), moved not
 edited. The production function promises a byte-identical composite
-(``tests/test_icet.py``). The helpers that did not change — combiner
-selection, the depth allgather, fragment assembly — are imported from
-the production module rather than duplicated.
+(``tests/test_icet.py``). The z-buffer combine is the oracle's own
+(``tests/oracles/image_combine.py``: always allocates, looks at every
+channel), so a change to the production kernel cannot carry this side
+along; the helpers that did not change — the ordered ``over`` combiner,
+the depth allgather, fragment assembly — are imported from the
+production module rather than duplicated.
 """
 
 from __future__ import annotations
@@ -14,10 +17,16 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.icet.communicator import IceTCommunicator
-from repro.icet.compositor import _allgather_depths, _assemble, _combiner
+from repro.icet.compositor import _allgather_depths, _assemble
+from repro.icet.compositor import _combiner as _production_combiner
 from repro.vtk.render.image import CompositeImage, combine_over
+from tests.oracles.image_combine import combine_zbuffer_copying
 
 __all__ = ["binary_swap_copying"]
+
+
+def _combiner(op: str):
+    return combine_zbuffer_copying if op == "zbuffer" else _production_combiner(op)
 
 
 def binary_swap_copying(

@@ -57,6 +57,27 @@ def test_virtual_payload_properties():
     assert scalar.size == 1 and scalar.nbytes == 8
 
 
+def test_virtual_payload_sizes_are_exact_python_ints():
+    """``size`` / ``nbytes`` are ``math.prod`` of the shape: what the
+    ``np.prod`` formula gave wherever that was right, and exact where
+    int64 wrapped around."""
+
+    def old_size(shape):
+        return int(np.prod(shape)) if shape else 1
+
+    shapes = [(), (0, 3), (7,), (128, 128, 121), (np.int64(64), np.int32(3), 5), tuple(np.array([4, 5]))]
+    for shape in shapes:
+        for dtype in ("uint8", "int32", "float64"):
+            vp = VirtualPayload(shape, dtype)
+            assert vp.size == old_size(shape)
+            assert vp.nbytes == old_size(shape) * np.dtype(dtype).itemsize == payload_nbytes(vp)
+            assert type(vp.size) is int and type(vp.nbytes) is int
+    huge = VirtualPayload((1 << 31, 1 << 31, 4), "float64")
+    with np.errstate(over="ignore"):
+        assert old_size(huge.shape) == 0  # what int64 made of 2**64
+    assert huge.size == 1 << 64 and huge.nbytes == 1 << 67
+
+
 # ---------------------------------------------------------------------------
 # send / recv
 def test_send_recv_roundtrip(sim, fabric):

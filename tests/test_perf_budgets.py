@@ -467,3 +467,149 @@ def test_volume_path_makes_no_more_calls_than_before_it_skipped():
     calls, image = _profiled_calls(both)
     assert image.coverage() > 0.05
     assert calls <= 1557, calls
+
+
+# ---------------------------------------------------------------------------
+# the image path pays for active pixels: no-op combines share, frames with
+# nothing in them have no storage, the rasteriser's compression is free of calls
+def test_combine_that_takes_no_pixel_shares_its_first_arguments_buffers(monkeypatch):
+    """Every z-buffer combine of a virtual-block run and about half of
+    those on rendered iso-surfaces take nothing: that costs one depth
+    comparison and no new frame. A combine that does take pixels makes
+    one choice per pixel, not one per channel."""
+    from repro.vtk.render.image import CompositeImage, combine_zbuffer
+
+    rng = np.random.default_rng(5)
+    a, b = CompositeImage.blank(64, 48, brick_depth=1.0), CompositeImage.blank(64, 48)
+    a.depth[:], b.depth[:] = 1.0 + rng.random((48, 64)), 3.0 + rng.random((48, 64))
+    for behind in (b, CompositeImage.empty(64, 48), a):  # farther, nothing there, all ties
+        result = combine_zbuffer(a, behind)
+        assert np.shares_memory(result.depth, a.depth) and np.shares_memory(result.rgba, a.rgba)
+        assert result is not a and result.brick_depth == min(a.brick_depth, behind.brick_depth)
+    part = combine_zbuffer(a.rows(5, 20), b.rows(5, 20))  # fragments of a swap round too
+    assert np.shares_memory(part.depth, a.depth) and part.shape == (15, 64)
+
+    b.depth[7, 9] = 0.5
+    chosen = []
+    real_where = np.where
+
+    def counting_where(condition, x, y):
+        chosen.append(np.broadcast(condition, x, y).size)
+        return real_where(condition, x, y)
+
+    monkeypatch.setattr(np, "where", counting_where)
+    result = combine_zbuffer(a, b)
+    monkeypatch.undo()
+    assert not np.shares_memory(result.depth, a.depth) and result.depth[7, 9] == 0.5
+    assert sorted(chosen) == [48 * 64, 48 * 64], chosen  # pixels and depths; channels ride along
+
+
+def test_binary_swap_of_empty_frames_allocates_one_frame():
+    """Eight ranks with nothing to draw (every rank of a virtual-block
+    run): the local frames have no storage and no combine takes a pixel,
+    so the swap's only frame-sized allocation is the image the root
+    assembles — the peak stays under two frames' bytes, where zero-filled
+    frames and allocating combines held more than eight."""
+    import tracemalloc
+
+    from repro.icet import MonaIceTCommunicator, binary_swap
+    from repro.testing import build_mona_world, run_all
+    from repro.vtk.render.image import CompositeImage
+
+    size, ranks = 256, 8
+    frame_bytes = CompositeImage.blank(size, size).nbytes
+    sim = Simulation(seed=4)
+    _, _, comms = build_mona_world(sim, ranks)
+
+    def body(comm, rank):
+        frame = CompositeImage.empty(size, size, brick_depth=float(rank))
+        return (yield from binary_swap(MonaIceTCommunicator(comm), frame, op="zbuffer"))
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        final, *others = run_all(sim, [body(c, r) for r, c in enumerate(comms)])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert final.shape == (size, size) and final.coverage() == 0.0 and final.nbytes == frame_bytes
+    assert final.rgba.flags.writeable and all(o is None for o in others)
+    assert frame_bytes <= peak < 2 * frame_bytes, (peak, frame_bytes)
+
+
+def test_scripts_with_nothing_to_draw_hand_the_compositor_a_frame_without_storage(monkeypatch):
+    """Virtual blocks (every paper-scale run) and servers whose blocks
+    miss the iso-levels: the local frame declares a rendered frame's
+    size and occupies one pixel."""
+    from repro.bench.harness import ColzaExperiment
+    from repro.catalyst.script import RenderContext
+    from repro.core.pipelines import DWIVolumeScript, IsoSurfaceScript
+    from repro.na import VirtualPayload
+    from repro.vtk.render.image import CompositeImage
+
+    handed = []
+    real_composite = RenderContext.composite
+
+    def recording(self, image, op="zbuffer"):
+        handed.append(image)
+        return (yield from real_composite(self, image, op=op))
+
+    monkeypatch.setattr(RenderContext, "composite", recording)
+    cold = _sphere_volume(6)  # r <= sqrt(3): an iso-level of 9 misses it
+    cases = [
+        (IsoSurfaceScript(field="r", isovalues=[9.0]), "libcolza-iso.so", VirtualPayload((16, 16, 15), "int32")),
+        (IsoSurfaceScript(field="r", isovalues=[9.0]), "libcolza-iso.so", cold),
+        (DWIVolumeScript(), "libcolza-dwi.so", VirtualPayload((4096,), "uint8")),
+    ]
+    for script, library, payload in cases:
+        del handed[:]
+        exp = ColzaExperiment(2, 2, script, seed=9, width=48, height=32, library=library).setup()
+        exp.run_iteration(1, [[(c, payload)] for c in range(2)])
+        assert len(handed) == 2
+        for rank, frame in enumerate(sorted(handed, key=lambda im: im.brick_depth)):
+            assert frame.depth.strides == (0, 0) and frame.rgba.strides[:2] == (0, 0)
+            assert not frame.depth.flags.writeable and frame.brick_depth == float(rank)
+            assert frame.nbytes == CompositeImage.blank(48, 32).nbytes and frame.coverage() == 0.0
+
+
+def _gray_scott_server_surface(seed=1, server=0):
+    """One server's share of ``bench_e2e``'s ``gs_iso_real`` at its last
+    iteration (its generator, grid, iso-levels, clip and camera): the
+    clipped two-level surface of blocks ``server, server + 4`` of eight."""
+    from repro.apps import GrayScottParams, GrayScottSolver
+    from repro.vtk import ImageData, PolyData
+    from repro.vtk.filters import clip_polydata, contour
+    from repro.vtk.render import Camera
+
+    g, half = 32, 16
+    solver = GrayScottSolver((g, g, g), params=GrayScottParams(seed=seed, F=0.03, k=0.055, dt=2.0, noise=0.02))
+    for _ in range(90 + 6 * 10):
+        solver.step_local()
+    v = solver.v[1:-1, 1:-1, 1:-1]
+    ranges = [(0, half + 1), (half, g)]
+    corners = [(x, y, z) for x in ranges for y in ranges for z in ranges]
+    pieces = []
+    for (x0, x1), (y0, y1), (z0, z1) in corners[server::4]:
+        block = ImageData(dims=(x1 - x0, y1 - y0, z1 - z0), origin=(float(x0), float(y0), float(z0)))
+        block.set_field("v", v[x0:x1, y0:y1, z0:z1].copy())
+        piece = clip_polydata(contour(block, [0.12, 0.25], "v"), (float(half), 0.0, 0.0), (1.0, 0.0, 0.0))
+        if piece.num_points:
+            pieces.append(piece)
+    return PolyData.concatenate(pieces), Camera.fit((g / 4, 3 * g / 4) * 3)
+
+
+def test_rasterize_makes_no_more_calls_than_before_it_compressed():
+    """``py_calls_m`` is an end-to-end metric: evaluating depth and pixel
+    on the inside fragments only must not be paid for in Python-level
+    calls per batch. One render of a server's Gray-Scott surface made
+    382 profiled calls before and may make 1 % more — 372 measured (the
+    compression is index expressions, and ``ndarray.nonzero`` replaces
+    ``np.flatnonzero``'s three calls)."""
+    from repro.vtk.render import rasterize
+
+    surface, camera = _gray_scott_server_surface()
+    calls, image = _profiled_calls(
+        rasterize, surface, camera, 256, 256, color_field="v", value_range=(0.12, 0.25)
+    )
+    assert surface.num_triangles > 1000 and image.coverage() > 0.05
+    assert calls <= 1.01 * 382, calls

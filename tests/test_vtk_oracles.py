@@ -158,6 +158,61 @@ def test_rasterize_offscreen_and_degenerate_triangles():
     assert_same_image(rasterize(only_culled, camera, 40, 40), rasterize_loop(only_culled, camera, 40, 40))
 
 
+def test_rasterize_batch_in_which_no_fragment_is_inside(monkeypatch):
+    """Depth, pixel index and the rounds are evaluated on the inside
+    fragments only: a batch whose boxes hold pixel centres but whose
+    triangles cover none of them has nothing left after the compression
+    and must leave the z-buffer it inherited alone."""
+    monkeypatch.setattr(rasterizer_module, "_FRAGMENT_BUDGET", 1)  # one triangle per batch
+    camera = Camera(position=(0, 0, -4), view_width=4, view_height=4)
+    # Diagonal slivers threaded between pixel centres: the pixel pitch is
+    # 1/8, so px - py = 8 (x + y) stays within 0.5 .. 0.58 of an integer.
+    sliver = lambda x, y: [(x, y, 0), (x + 0.5, y - 0.5, 0), (x + 0.51, y - 0.5, 0)]
+    points = np.array(
+        [(-1, -1, 1), (1, -1, 1), (0, 1, 1)] + sliver(-0.9375, 1.0) + sliver(-0.4375, 0.75)
+        + [(-1, 1, 2), (1, 1, 2), (0, -1, 2)],
+        dtype=np.float64,
+    )
+    mesh = PolyData(points, np.arange(12).reshape(-1, 3), {"s": np.linspace(0, 1, 12)})
+    slivers = PolyData(points[3:9], np.arange(6).reshape(-1, 3))
+    px, py, _ = camera.view_to_pixels(camera.world_to_view(slivers.points), 33, 33)
+    assert np.ptp(np.floor(px[:3])) >= 3 and np.ptp(np.floor(py[:3])) >= 3  # boxes hold pixel centres
+    assert rasterize(slivers, camera, 33, 33).coverage() == 0.0
+    assert_same_image(rasterize(slivers, camera, 33, 33), rasterize_loop(slivers, camera, 33, 33))
+    for kwargs in RENDER_MODES.values():
+        want = rasterize_loop(mesh, camera, 33, 33, **kwargs)
+        assert want.coverage() > 0.15
+        assert_same_image(rasterize(mesh, camera, 33, 33, **kwargs), want)
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 17])
+def test_rasterize_inside_by_barycentrics_but_behind_the_camera(monkeypatch, budget):
+    """``z > 0`` is tested after the compression to inside fragments: a
+    triangle wholly behind the camera draws nothing (alone in its batch,
+    the batch ends there), one that crosses the camera plane draws only
+    its part in front."""
+    monkeypatch.setattr(rasterizer_module, "_FRAGMENT_BUDGET", budget)
+    camera = Camera(position=(0, 0, 0), focal_point=(0, 0, 1), view_width=4, view_height=4)
+    points = np.array(
+        [
+            (-1.5, -1.5, -2), (1.5, -1.5, -2), (0, 1.5, -2),   # behind: z = -2 everywhere
+            (-1.5, 1.5, -1), (1.5, 1.5, -1), (0, -1.5, 3),     # crosses the camera plane
+            (-1, -1, 5), (1, -1, 5), (0, 1, 5),                # in front, partly hidden by the second
+            (-0.5, -0.5, 0), (0.5, -0.5, 0), (0, 0.5, 0),      # exactly in the camera plane: z == 0
+        ],
+        dtype=np.float64,
+    )
+    mesh = PolyData(points, np.arange(12).reshape(-1, 3), {"s": np.linspace(0, 1, 12)})
+    for kwargs in RENDER_MODES.values():
+        want = rasterize_loop(mesh, camera, 40, 40, **kwargs)
+        assert 0.05 < want.coverage() < 0.5 and want.depth.min() > 0.0
+        assert_same_image(rasterize(mesh, camera, 40, 40, **kwargs), want)
+    for hidden in (points[:3], points[9:]):
+        behind = PolyData(hidden, [(0, 1, 2)])
+        assert rasterize(behind, camera, 40, 40).coverage() == 0.0
+        assert_same_image(rasterize(behind, camera, 40, 40), rasterize_loop(behind, camera, 40, 40))
+
+
 def test_rasterize_culls_sliver_below_denominator_floor():
     """A sliver with 0 < |denom| < 1e-12 has finite barycentrics and
     pixels that test inside; the loop skips it on ``denom`` alone."""

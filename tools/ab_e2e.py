@@ -6,6 +6,12 @@ temporary ``git worktree``, then runs the ``BENCHMARK.json`` command
 (``bench_e2e/run.py``, run length from the same file) on it and on the
 working tree for K alternating pairs — base first in even pairs, the
 change first in odd ones, so drift of the box lands on both sides.
+``--workload`` takes several names, or ``all``: the first is the claim
+and gets ``--pairs`` (default 10), every other one is a must-not-move
+row and gets ``--other-pairs`` (default 4); one table per workload, so a
+claim and the workloads that share its code are one command
+(``make bench-e2e-ab BASE=REV WORKLOAD=all`` puts ``BENCHMARK.json``'s
+first workload first; ``--workload mb_scale_virtual all`` another).
 ``--base-tree DIR`` (``make bench-e2e-ab BASE_TREE=DIR ...``) uses an
 existing checkout of the base — a ``git clone`` of the parent, say —
 where worktrees cannot be created; it is left as it was found.
@@ -105,10 +111,16 @@ def main() -> int:
     base.add_argument("--base", help="git revision to compare the working tree against")
     base.add_argument("--base-tree", metavar="DIR",
                       help="an existing checkout of the base revision (no git worktree is made)")
-    p.add_argument("--workload", required=True, choices=[w["name"] for w in spec["workloads"]])
+    names = [w["name"] for w in spec["workloads"]]
+    p.add_argument("--workload", required=True, nargs="+", choices=names + ["all"],
+                   help="one or more workloads; 'all' stands for every one not already named")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--pairs", type=int, default=10, help="pairs of the first workload")
+    p.add_argument("--other-pairs", type=int, default=4, help="pairs of every further workload")
     args = p.parse_args()
+    workloads = list(dict.fromkeys(
+        name for given in args.workload for name in (names if given == "all" else [given])
+    ))
 
     if args.base_tree is None:
         checkout = _worktree(args.base)
@@ -117,15 +129,18 @@ def main() -> int:
             p.error("--base-tree is the working tree itself")
         checkout = contextlib.nullcontext(os.path.abspath(args.base_tree))
     with checkout as base_tree:
-        runs: Dict[str, List[Dict[str, Any]]] = {base_tree: [], ROOT: []}
-        for pair in range(args.pairs):
-            for tree in (base_tree, ROOT) if pair % 2 == 0 else (ROOT, base_tree):
-                runs[tree].append(run_once(tree, spec["command"], args.workload,
-                                           args.seed, spec["run_seconds"]))
-            print(f"pair {pair + 1}/{args.pairs} done", file=sys.stderr)
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} alternating pairs of "
-          f"{spec['run_seconds']} s: {args.base or base_tree} (base) vs working tree (change)")
-    report(spec, runs[base_tree], runs[ROOT])
+        for workload in workloads:
+            pairs = args.pairs if workload == workloads[0] else args.other_pairs
+            runs: Dict[str, List[Dict[str, Any]]] = {base_tree: [], ROOT: []}
+            for pair in range(pairs):
+                for tree in (base_tree, ROOT) if pair % 2 == 0 else (ROOT, base_tree):
+                    runs[tree].append(run_once(tree, spec["command"], workload,
+                                               args.seed, spec["run_seconds"]))
+                print(f"{workload}: pair {pair + 1}/{pairs} done", file=sys.stderr)
+            print(f"{workload}, seed {args.seed}, {pairs} alternating pairs of "
+                  f"{spec['run_seconds']} s: {args.base or base_tree} (base) vs working tree (change)")
+            report(spec, runs[base_tree], runs[ROOT])
+            print(flush=True)
     return 0
 
 
