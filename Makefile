@@ -107,6 +107,9 @@ bench-e2e-ab:
 # seed, to the call) and a census of the cyclic collector.
 #   make profile-e2e WORKLOAD=dwi_volume_real
 #   make profile-e2e WORKLOAD=elastic_tenants SEED=7 PROFILE_ARGS="--garbage --sort cumtime"
+# --phase setup profiles the other half of a run (what setup_s bills): the
+# ten costliest imports of a fresh interpreter, then make_inputs + setup.
+#   make profile-e2e WORKLOAD=elastic_tenants PROFILE_ARGS="--phase setup --sort ncalls"
 profile-e2e:
 	python tools/profile_e2e.py --workload $(WORKLOAD) --seed $(SEED) $(PROFILE_ARGS)
 

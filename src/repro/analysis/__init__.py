@@ -27,29 +27,30 @@ CLI: ``python -m repro.analysis lint`` / ``check`` / ``report`` /
 ``fuzz`` (see ``--help`` on each).
 """
 
-from repro.analysis.detlint import Finding, LintReport, run_lint
-from repro.analysis.flowcheck import CheckReport, FlowFinding, run_check
-from repro.analysis.report import AnalysisReport, run_report
 from repro.analysis.simtsan import RaceReport, Shared, SimTSan, tracked, untracked
 
-#: Lazy re-exports from repro.analysis.fuzz: the fuzz harness imports
-#: the chaos stack, which itself imports repro.analysis.simtsan — an
+#: Re-exports resolved on first access (PEP 562). Production code imports
+#: ``repro.analysis.simtsan`` (``Shared`` wraps the provider's tables),
+#: and that must not load the ``ast``-based analysers — a checker does
+#: not tax the path it checks. ``fuzz`` also has to be lazy: it imports
+#: the chaos stack, which imports ``repro.analysis.simtsan``, so an
 #: eager import here would close that cycle mid-initialization.
-_FUZZ_EXPORTS = (
-    "FUZZ_SCENARIOS",
-    "FuzzOutcome",
-    "FuzzReport",
-    "run_fuzz",
-    "run_fuzz_one",
-)
+_LAZY_EXPORTS = {
+    "Finding": "detlint", "LintReport": "detlint", "run_lint": "detlint",
+    "CheckReport": "flowcheck", "FlowFinding": "flowcheck", "run_check": "flowcheck",
+    "AnalysisReport": "report", "run_report": "report",
+    "FUZZ_SCENARIOS": "fuzz", "FuzzOutcome": "fuzz", "FuzzReport": "fuzz",
+    "run_fuzz": "fuzz", "run_fuzz_one": "fuzz",
+}
 
 
 def __getattr__(name: str):
-    if name in _FUZZ_EXPORTS:
-        from repro.analysis import fuzz
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
 
-        return getattr(fuzz, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
 
 __all__ = [
     "AnalysisReport",

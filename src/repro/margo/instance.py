@@ -87,13 +87,9 @@ class MargoInstance:
         self.model = model or get_cost_model("mona")
         self.xstream = Xstream(sim, name=f"{name}.es0")
         self.hg = MercuryInstance(sim, fabric, name, node_index, self.model)
+        self.address: Address = self.hg.address
         self.providers: Dict[str, Provider] = {}
         self._finalized = False
-
-    # ------------------------------------------------------------------
-    @property
-    def address(self) -> Address:
-        return self.hg.address
 
     # RPC ---------------------------------------------------------------
     def forward(

@@ -81,6 +81,8 @@ class MercuryInstance:
         self.name = name
         self.model = model or get_cost_model("mona")
         self.endpoint: Endpoint = fabric.register(name, node_index, self.model)
+        #: The endpoint's address (fixed for the instance's lifetime).
+        self.address: Address = self.endpoint.address
         self._handlers: Dict[str, Handler] = {}
         self._reply_seq = itertools.count()
         # At-most-once dispatch: a transport may deliver one request
@@ -93,10 +95,6 @@ class MercuryInstance:
         self._dispatch_task: Task = sim.spawn(self._dispatch_loop(), name=f"{name}.hg-dispatch")
 
     # ------------------------------------------------------------------
-    @property
-    def address(self) -> Address:
-        return self.endpoint.address
-
     @property
     def node_index(self) -> int:
         return self.endpoint.node_index

@@ -33,6 +33,11 @@ at the horizon, else consume the head" is one method, and ``pop()`` is
 ``peek`` and the model checker's Controlled tie-breaker, which must
 look before they choose.
 
+Not everything the kernel dispatches passes through here: under FIFO
+tie-breaking a call due *now* that would pop ahead of the whole heap
+waits on the kernel's run lane instead (``repro.sim.kernel``), and
+``Simulation.queue_stats`` adds those to the counts below.
+
 The queue also keeps the op counters the perf-trajectory harness and
 the perf-budget smoke tests assert on: pushes, pops, cancels,
 compactions, and the peak number of simultaneously live entries.
@@ -172,8 +177,10 @@ class EventQueue:
         return True
 
     def compact(self) -> None:
-        """Drop every tombstone and re-heapify the survivors, O(n)."""
-        self._heap = [e for e in self._heap if e[_CALL] is not None]
+        """Drop every tombstone and re-heapify the survivors, O(n). In
+        place: the kernel holds ``_heap`` itself (to see, without a
+        call, whether anything is due now), so it is never rebound."""
+        self._heap[:] = [e for e in self._heap if e[_CALL] is not None]
         heapq.heapify(self._heap)
         self._tombstones = 0
         self.compactions += 1

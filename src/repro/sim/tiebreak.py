@@ -21,9 +21,12 @@ resolve. Three strategies exist:
   list of choice indices replays any explored interleaving.
 
 The hot path stays hot: strategies install plain attributes on the
-simulation (``_perturb_salt``, ``_controller``) at construction time,
+simulation (``_perturb_salt``, ``_controller``) from its constructor,
 so ``_schedule_at`` keeps its inline key computation and the event
-loop pays nothing unless a controller is present.
+loop pays nothing unless a controller is present. Only plain FIFO — no
+salt, no controller — gets the kernel's run lane, which orders
+same-instant wake-ups without drawing keys; ``Perturbed`` and
+``Controlled`` need a key per call and keep every call on the heap.
 
 The driver protocol ``Controlled`` defers to (duck-typed; the concrete
 implementation is :class:`repro.analysis.mcheck.ScheduleController`):

@@ -72,6 +72,7 @@ class SSGAgent(Provider):
         observer: Optional[Callable[[str, Address], None]] = None,
     ):
         super().__init__(margo, "ssg")
+        self.address: Address = margo.address
         self.config = config or SwimConfig()
         self.group_file = group_file
         self.view = MembershipView(margo.address, sim=margo.sim)
@@ -104,10 +105,6 @@ class SSGAgent(Provider):
         self.export("join", self._rpc_join)
 
     # ------------------------------------------------------------------
-    @property
-    def address(self) -> Address:
-        return self.margo.address
-
     def members(self) -> List[Address]:
         """Sorted addresses this agent currently believes are members."""
         return self.view.alive()

@@ -20,6 +20,7 @@ sibling artifacts, so two same-seed runs must produce identical bytes.
 from __future__ import annotations
 
 from bisect import bisect_left
+from math import ceil, log
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.telemetry.sketch import QuantileSketch
@@ -102,9 +103,24 @@ class Histogram:
     # ------------------------------------------------------------------
     def observe(self, value: float) -> None:
         value = float(value)
+        sketch = self.sketch
         # Sketch first: it rejects what it cannot hold (NaN, infinities)
         # before mutating itself, so a refused value bumps no bucket.
-        self.sketch.add(value)
+        if sketch.count and value >= sketch.min_value:
+            # One observation per message lands here: QuantileSketch.add
+            # for a positive value into a non-empty sketch, spelled out
+            # (tests/test_telemetry_sketch.py holds the two together).
+            key = ceil(log(value) / sketch._log_gamma)
+            pos = sketch._pos
+            pos[key] = pos[key] + 1 if key in pos else 1
+            sketch.count += 1
+            sketch.total += value
+            if value < sketch._min:
+                sketch._min = value
+            elif value > sketch._max:
+                sketch._max = value
+        else:
+            sketch.add(value)
         # First bound >= value; past the last one is the +inf bucket.
         self.bucket_counts[bisect_left(self.bounds, value)] += 1
 

@@ -44,7 +44,6 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.vtk.dataset import ImageData, UnstructuredGrid
 from repro.vtk.occupancy import box_union
@@ -57,6 +56,21 @@ _BOX_SLACK = 1e-9
 # The tree compares squared distances: a bound whose square underflows
 # to zero (a cutoff of 0) would miss even a voxel *on* a mesh point.
 _MIN_QUERY_BOUND = 1e-150
+
+
+def _load_ckdtree():
+    """Bind ``scipy.spatial.cKDTree`` as this module's global of that
+    name, on first use (see ``repro.vtk.render.volume``)."""
+    global cKDTree
+    from scipy.spatial import cKDTree
+
+    return cKDTree
+
+
+def __getattr__(name: str):
+    if name == "cKDTree":
+        return _load_ckdtree()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def resample_to_image(
@@ -97,6 +111,10 @@ def resample_to_image(
             image.set_field(name, np.zeros(dims))
         return image
 
+    try:
+        cKDTree
+    except NameError:  # the process's first resample, with no DWIVolumeScript deployed
+        _load_ckdtree()
     tree = cKDTree(grid.points)
     cutoff = cutoff_factor * float(np.mean(spacing))
     # Occupancy first: only a voxel inside the bounding index box of some

@@ -98,7 +98,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from repro.vtk.dataset import ImageData
 from repro.vtk.occupancy import box_union
@@ -119,6 +118,26 @@ _ALPHA_FLOOR = 1e-4
 _MARGIN_ULPS = 64
 # Pixels added all round a flagged cell's projected rectangle.
 _RAY_PAD = 1.0
+
+
+def _load_map_coordinates():
+    """Bind ``scipy.ndimage.map_coordinates`` as this module's global of
+    that name. On first use, not at import: ``scipy.ndimage`` costs more
+    to import than the rest of ``repro``, and only a volume pipeline
+    samples. From then on the global *is* scipy's function."""
+    global map_coordinates
+    from scipy.ndimage import map_coordinates
+
+    return map_coordinates
+
+
+def __getattr__(name: str):
+    # Reached while the global is unbound: ``from ... import
+    # map_coordinates`` (how DWIVolumeScript pays at deployment) or a
+    # test about to patch it.
+    if name == "map_coordinates":
+        return _load_map_coordinates()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def volume_render(
@@ -227,6 +246,10 @@ def volume_render(
     depth = np.full(n_rays, np.inf, dtype=np.float64)
     top = [n - 1 for n in volume.shape]
 
+    try:
+        map_coordinates
+    except NameError:  # the process's first render, with no DWIVolumeScript deployed
+        _load_map_coordinates()
     per_chunk = max(_SAMPLE_BUDGET // max(steps, 1), 1)
     for start in range(0, n_rays, per_chunk):
         rays = slice(start, start + per_chunk)

@@ -22,18 +22,8 @@ Hot-path contracts (``tests/test_perf_budgets.py`` pins them as counts):
   once per event (:meth:`EventQueue.pop_until`: skip tombstones, check
   the horizon, consume) — never a peek followed by a pop.
 - **Firing is one call.** :meth:`Event.succeed` / :meth:`Event.fail`
-  hand each waiter straight to ``_schedule_call``; an event nobody
-  waits on schedules nothing.
-- **A same-instant wake-up skips the heap.** Under FIFO tie-breaking
-  ``_schedule_call`` appends to the *run lane* — a deque drained before
-  the next heap pop — whenever the heap holds nothing due at ``now``:
-  the call would have drawn a key above every key queued, so that is
-  where the heap would have put it (DESIGN §12 has the argument,
-  ``tests/test_kernel_run_lane.py`` the heap-only kernel to compare
-  with). A timer with one waiter that pops under the same condition
-  resumes the waiter from the pop, the call the lane would have
-  dispatched next. Once the heap holds a tie at ``now``, and for the
-  whole of a perturbed or model-checked run, every call takes the heap.
+  hand each waiter straight to ``_schedule_call``, which pushes
+  directly; an event nobody waits on schedules nothing.
 - **A waiting task costs no allocation.** A task leaves its one bound
   ``Task._resume`` on the event it yields, and :class:`AnyOf` its one
   bound ``_child_fired`` on every child: no closure per yield or child.
@@ -62,7 +52,6 @@ Example
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.sim.equeue import FOREVER, NO_ARG, EventQueue
@@ -93,9 +82,6 @@ def _splitmix64(x: int) -> int:
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
 
-
-#: What ``run`` drains when a simulation has no run lane: always empty.
-_NO_LANE: deque = deque()
 
 #: Process-wide default perturbation seed, consulted by Simulation()
 #: when no explicit ``perturb_seed`` is given. Set via perturbed_ties().
@@ -248,27 +234,6 @@ class Event:
             for cb in callbacks:
                 schedule(cb, self)
         return self
-
-    def _expire(self, value: Any) -> None:
-        """The scheduled firing of a timer under FIFO tie-breaking (what
-        :meth:`Simulation.timeout` queues instead of :meth:`succeed`).
-
-        Only the event loop calls this, with the run lane drained. A
-        single waiter would go to the lane and be dispatched next when
-        the heap holds nothing due now (see the module docstring), so it
-        is resumed from here instead; any other case is ``succeed``.
-        """
-        callbacks = self._callbacks
-        if len(callbacks) == 1 and not self._fired:
-            sim = self.sim
-            heap = sim._heap
-            if not heap or heap[0][0] > sim._now:
-                self._fired = True
-                self._value = value
-                self._callbacks = []
-                callbacks[0](self)
-                return
-        self.succeed(value)
 
     def cancel(self) -> bool:
         """Cancel a pending *timer* event (one made by ``timeout``).
@@ -576,16 +541,6 @@ class Simulation:
             tiebreaker = _default_tiebreaker
         if tiebreaker is not None:
             tiebreaker.install(self)
-        #: The run lane: calls due now, in dispatch order, ahead of the
-        #: whole heap (module docstring). None when ties are perturbed
-        #: or handed to a controller — those need a key per call.
-        self._lane: Optional[deque] = (
-            deque() if self._perturb_salt is None and self._controller is None else None
-        )
-        self._lane_pushes = 0
-        # The queue's heap, to test "nothing due now" without a call
-        # (EventQueue never rebinds it).
-        self._heap = self._queue._heap
         #: Global resume counter (see Task.clock).
         self._switch_epoch = 0
         #: Installed SimTSan detector, if any (repro.analysis.simtsan).
@@ -672,11 +627,10 @@ class Simulation:
         whose race was lost — an RPC reply arriving before its deadline —
         can be withdrawn from the queue instead of firing into nothing.
         """
-        if not delay >= 0:  # negative, or NaN (which no comparison rejects)
-            raise ValueError(f"delay must be >= 0, got {delay!r}")
+        if delay < 0:
+            raise ValueError(f"negative delay {delay!r}")
         ev = Event(self, name)
-        fire = ev.succeed if self._lane is None else ev._expire
-        ev._shandle = self._schedule_at(self._now + delay, fire, value)
+        ev._shandle = self._schedule_at(self._now + delay, ev.succeed, value)
         return ev
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
@@ -709,7 +663,7 @@ class Simulation:
 
     def spawn_at(self, when: float, gen: Coroutine, name: str = "") -> Task:
         """Spawn a task whose first step runs at absolute time ``when``."""
-        if not when >= self._now:  # in the past, or NaN
+        if when < self._now:
             raise ValueError(f"spawn_at({when}) is in the past (now={self._now})")
         task = Task(self, gen, name)
         if self._current_task is not None:
@@ -730,22 +684,12 @@ class Simulation:
         """
         if self._controller is not None:
             return self._run_controlled(until)
-        limit = FOREVER if until is None else until
-        if self._now > limit:
-            return self._now  # nothing is due before now, lane included
         # One queue call per event: pop_until skips tombstones, checks
         # the horizon and consumes the entry in a single method call.
         pop_until = self._queue.pop_until
+        limit = FOREVER if until is None else until
         no_arg = NO_ARG
-        lane = self._lane if self._lane is not None else _NO_LANE
-        popleft = lane.popleft
         while True:
-            while lane:
-                call, arg = popleft()
-                if arg is no_arg:
-                    call()
-                else:
-                    call(arg)
             entry = pop_until(limit)
             if entry is None:
                 break
@@ -761,22 +705,16 @@ class Simulation:
     def step(self) -> bool:
         """Process a single scheduled call; False when queue is empty."""
         ctl = self._controller
-        if self._lane:
-            call, arg = self._lane.popleft()
+        if ctl is None:
+            entry = self._queue.pop()
         else:
-            if ctl is None:
-                entry = self._queue.pop()
-            else:
-                entry = self._controlled_take(None)
-            if entry is None:
-                return False
-            self._now = entry[0]
-            call, arg = entry[2], entry[3]
-            if ctl is not None:
-                ctl.begin_step(self, entry)
-            elif getattr(call, "__func__", None) is Event._expire:
-                # One call per step: the timer's waiter takes the next.
-                call = call.__self__.succeed
+            entry = self._controlled_take(None)
+        if entry is None:
+            return False
+        self._now = entry[0]
+        call, arg = entry[2], entry[3]
+        if ctl is not None:
+            ctl.begin_step(self, entry)
         if arg is NO_ARG:
             call()
         else:
@@ -825,14 +763,14 @@ class Simulation:
 
     def peek(self) -> Optional[float]:
         """Time of the next scheduled call, or None if idle."""
-        return self._now if self._lane else self._queue.peek_when()
+        return self._queue.peek_when()
 
     # ------------------------------------------------------------------
     # queue observability (chaos monitors, perf-budget tests, benches)
     @property
     def queue_depth(self) -> int:
         """Live (non-canceled) entries currently scheduled."""
-        return len(self._queue) + len(self._lane or ())
+        return len(self._queue)
 
     @property
     def queue_tombstones(self) -> int:
@@ -842,17 +780,8 @@ class Simulation:
     def queue_stats(self) -> dict:
         """Event-queue op counters; also publishes them as gauges under
         the ``sim`` metrics scope (``sim.event_queue_*``), so the chaos
-        monitor and bench reports observe compaction behaviour.
-
-        ``pushes`` / ``pops`` / ``depth`` are calls scheduled, dispatched
-        and waiting, whether they went through the heap or the run lane
-        (a waiter a timer resumed from its own pop is neither scheduled
-        nor dispatched); ``peak_depth`` is the heap's high-water mark."""
+        monitor and bench reports observe compaction behaviour."""
         stats = self._queue.stats()
-        waiting = len(self._lane or ())
-        stats["pushes"] += self._lane_pushes
-        stats["pops"] += self._lane_pushes - waiting
-        stats["depth"] += waiting
         scope = self.metrics.scope("sim")
         scope.gauge("event_queue_depth").set(stats["depth"])
         scope.gauge("event_queue_tombstones").set(stats["tombstones"])
@@ -874,21 +803,13 @@ class Simulation:
             key = _splitmix64(key ^ self._perturb_salt)
         return self._queue.push(when, key, call, arg)
 
-    def _schedule_call(self, call: Callable[..., Any], arg: Any = NO_ARG) -> None:
-        """``_schedule_at(now, ...)`` without a handle: every wake-up of
-        every waiter goes through here — onto the run lane when the heap
-        holds nothing due now, else pushed directly."""
-        lane = self._lane
-        if lane is not None:
-            heap = self._heap
-            if not heap or heap[0][0] > self._now:
-                lane.append((call, arg))
-                self._lane_pushes += 1
-                return
+    def _schedule_call(self, call: Callable[..., Any], arg: Any = NO_ARG) -> list:
+        """``_schedule_at(now, ...)``, pushed directly: every wake-up of
+        every waiter goes through here."""
         key = next(self._seq)
         if self._perturb_salt is not None:
             key = _splitmix64(key ^ self._perturb_salt)
-        self._queue.push(self._now, key, call, arg)
+        return self._queue.push(self._now, key, call, arg)
 
     def schedule_many(
         self, items: Iterable[tuple], relative: bool = False
@@ -909,9 +830,9 @@ class Simulation:
             when, call = item[0], item[1]
             arg = item[2] if len(item) > 2 else NO_ARG
             if relative:
+                if when < 0:
+                    raise ValueError(f"negative delay {when!r}")
                 when = now + when
-            if not when >= now:  # in the past, or NaN
-                raise ValueError(f"schedule_many({item[0]!r}) is in the past (now={now})")
             key = next(seq)
             if salt is not None:
                 key = _splitmix64(key ^ salt)

@@ -211,6 +211,46 @@ def test_echo_rpc_round_trip_stays_under_its_call_budget():
     assert calls <= 260, calls
 
 
+def test_steady_swim_ping_stays_under_its_call_and_heap_budgets():
+    """A ping round trip in a converged 16-member group whose rumours are
+    spent — period timer, probe span, ping RPC with its deadline, handler,
+    reply — costs at most 270 Python + C calls (255 measured; 302 while
+    every wake-up went through the heap and ``address`` was a chain of
+    three properties) and puts at most 5 entries on the heap: the period
+    timer, the deadline, two message arrivals and the handler's compute
+    charge. The other 5 scheduled calls are same-instant wake-ups, which
+    take the run lane (12 ``heappush`` calls before it)."""
+    sim = Simulation(seed=21)
+    _, _, agents = build_ssg_group(sim, 16, config=SwimConfig(period=0.25))
+    run_until(sim, lambda: converged(agents), max_time=120)
+    sim.run(until=sim.now + 30.0)
+    probes = sim.metrics.get("ssg.probes")
+    probes_before, queue_before = probes.value, sim.queue_stats()
+    names, _ = _profiled_entries(lambda: sim.run(until=sim.now + 10.0))
+    pings = probes.value - probes_before
+    queue_after = sim.queue_stats()
+    assert pings >= 600
+    assert sum(names.values()) <= 270 * pings, sum(names.values()) / pings
+    heap_pushes = sum(n for name, n in names.items() if "heappush" in name)
+    assert heap_pushes <= 5 * pings, heap_pushes / pings
+    # ... and the lane's entries are still counted as calls scheduled.
+    assert queue_after["pushes"] - queue_before["pushes"] >= 10 * pings - 16
+
+
+def test_histogram_observe_stays_under_its_call_budget():
+    """One observation per message: the sketch update is spelled out in
+    ``observe`` (itself, ``log``, ``ceil``, ``bisect_left``), not a chain
+    of ``add`` / ``_key`` / ``isnan`` / ``abs`` / ``dict.get`` under it."""
+    from repro.telemetry.metrics import Histogram
+
+    hist = Histogram("transit")
+    hist.observe(3e-6)  # the first observation takes QuantileSketch.add
+    noop_calls, _ = _profiled_calls(lambda: None)
+    calls, _ = _profiled_calls(hist.observe, 2e-6)
+    assert calls - noop_calls + 1 <= 7, calls - noop_calls + 1
+    assert hist.count == 2 and hist.min == 2e-6 and hist.max == 3e-6
+
+
 def test_address_hash_is_computed_once():
     """``hash(addr)`` after construction encodes and checksums nothing."""
     from repro.na import Address
@@ -613,3 +653,78 @@ def test_rasterize_makes_no_more_calls_than_before_it_compressed():
     )
     assert surface.num_triangles > 1000 and image.coverage() > 0.05
     assert calls <= 1.01 * 382, calls
+
+
+# ---------------------------------------------------------------------------
+# start-up: a run pays for the libraries it uses
+def _in_a_fresh_interpreter(code):
+    """Run ``code`` in a child with this process's import path (so
+    ``sys.modules`` starts clean); returns what it printed, as JSON."""
+    import json
+    import os
+    import subprocess
+    import sys
+    import textwrap
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    child = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
+
+
+_ON_FIRST_USE = (
+    "scipy.ndimage", "scipy.spatial",
+    "repro.analysis.detlint", "repro.analysis.flowcheck", "repro.analysis.report",
+    "pytest",
+)
+
+
+def test_importing_the_stack_loads_neither_scipy_nor_the_static_analysers():
+    """``scipy.ndimage`` + ``scipy.spatial`` cost more to import than the
+    rest of ``repro`` and only the volume pipeline calls them; the
+    ``ast``-based analysers are ``make check``'s. Importing the stack, the
+    bench harness and the pipelines loads none of them — deploying a
+    ``DWIVolumeScript`` loads both scipy modules, in set-up."""
+    loaded = _in_a_fresh_interpreter(f"""
+        import json, sys
+        import repro.core, repro.bench.harness, repro.core.pipelines
+        from repro.analysis.simtsan import Shared
+        names = {_ON_FIRST_USE!r}
+        after_import = [name for name in names if name in sys.modules]
+        repro.core.pipelines.DWIVolumeScript()
+        print(json.dumps([after_import, [name for name in names if name in sys.modules]]))
+    """)
+    assert loaded == [[], ["scipy.ndimage", "scipy.spatial"]]
+
+
+def test_the_volume_kernels_called_cold_bind_scipys_functions_as_their_globals():
+    """No ``DWIVolumeScript`` deployed: the first ``resample_to_image`` /
+    ``volume_render`` of the process import what they need, and from then
+    on the module global *is* scipy's function — nothing per call."""
+    out = _in_a_fresh_interpreter("""
+        import json, sys
+        import numpy as np
+        import repro.vtk.filters.resample as resample_module
+        import repro.vtk.render.volume as volume_module
+        from repro.vtk import UnstructuredGrid
+
+        before = [name in vars(module) for module, name in
+                  ((resample_module, "cKDTree"), (volume_module, "map_coordinates"))]
+        before += [name in sys.modules for name in ("scipy.spatial", "scipy.ndimage")]
+        points = np.random.default_rng(3).uniform(-1.0, 1.0, (200, 3))
+        cells = np.arange(200).reshape(50, 4)
+        mesh = UnstructuredGrid(points, cells, point_data={"r": np.linalg.norm(points, axis=1)})
+        brick = resample_module.resample_to_image(mesh, (12, 12, 12), fields=["r"])
+        image = volume_module.volume_render(brick, "r", width=24, height=24, steps=12)
+        import scipy.ndimage, scipy.spatial
+        print(json.dumps({
+            "before": before,
+            "covered": image.coverage() > 0,
+            "bound": [vars(resample_module)["cKDTree"] is scipy.spatial.cKDTree,
+                      vars(volume_module)["map_coordinates"] is scipy.ndimage.map_coordinates],
+        }))
+    """)
+    assert out == {"before": [False] * 4, "covered": True, "bound": [True, True]}

@@ -45,6 +45,36 @@ def test_negative_timeout_rejected(sim):
         sim.timeout(-0.1)
 
 
+@pytest.mark.parametrize("schedule", [
+    lambda sim: sim.timeout(float("nan")),
+    lambda sim: sim.spawn_at(float("nan"), iter(())),
+    lambda sim: sim.schedule_many([(float("nan"), print)]),
+    lambda sim: sim.schedule_many([(float("nan"), print)], relative=True),
+])
+def test_nan_time_rejected(sim, schedule):
+    """``nan < 0`` is false: a NaN delay used to be queued, and the clock
+    read NaN while it fired."""
+    with pytest.raises(ValueError):
+        schedule(sim)
+    assert sim.queue_depth == 0
+    sim.run()
+    assert sim.now == 0.0
+
+
+def test_schedule_many_into_the_past_rejected(sim):
+    """It used to be accepted, and the next ``run`` set the clock back."""
+    sim.run(until=5.0)
+    with pytest.raises(ValueError):
+        sim.schedule_many([(1.0, print)])
+    with pytest.raises(ValueError):
+        sim.schedule_many([(-1.0, print)], relative=True)
+    fired = []
+    sim.schedule_many([(5.0, fired.append, "now")])
+    sim.schedule_many([(1.0, fired.append, "in 1 s")], relative=True)
+    sim.run()
+    assert fired == ["now", "in 1 s"] and sim.now == 6.0
+
+
 def test_run_until_stops_clock(sim):
     def body(sim):
         yield sim.timeout(10.0)

@@ -170,3 +170,20 @@ def test_histogram_buckets_match_a_linear_scan():
             want[scan(bounds, v)] += 1
         assert hist.bucket_counts == want
         assert sum(hist.bucket_counts) == hist.count == len(values)
+
+
+@pytest.mark.parametrize("case", range(0, 50, 3))
+def test_histogram_observe_is_the_sketch_add_it_spells_out(case):
+    """``Histogram.observe`` folds the common case of ``QuantileSketch.add``
+    inline (a positive value into a non-empty sketch): after any stream the
+    histogram's sketch is the one ``add`` builds, ``total`` to the bit."""
+    from repro.telemetry.metrics import Histogram
+
+    values = [float(v) for v in _distribution(case)] + [1e-12, 5e-13, 0.0]
+    hist, sketch = Histogram("h"), QuantileSketch()
+    for v in values:
+        hist.observe(v)
+        sketch.add(v)
+        assert hist.sketch.total == sketch.total
+    assert hist.sketch == sketch
+    assert (hist.count, hist.min, hist.max) == (sketch.count, sketch.min, sketch.max)

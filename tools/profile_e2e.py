@@ -1,10 +1,10 @@
-"""Profile the timed section of one end-to-end benchmark workload.
+"""Profile the timed section, or the set-up, of one end-to-end benchmark workload.
 
 ``python tools/profile_e2e.py --workload W [--seed N] [--quick] [--top K]
-[--sort tottime|cumtime] [--garbage]`` (or ``make profile-e2e WORKLOAD=W``)
-builds the workload the way ``bench_e2e`` does — inputs and set-up
-unprofiled, one thread, fixed hash seed — and prints, for the timed
-section alone:
+[--sort tottime|cumtime|ncalls] [--phase run|setup] [--garbage]`` (or ``make
+profile-e2e WORKLOAD=W``) builds the workload the way ``bench_e2e`` does
+— inputs and set-up unprofiled, one thread, fixed hash seed — and
+prints, for the timed section alone:
 
 - the ``cProfile`` top-K and the total call count, which is the
   benchmark's ``py_calls_m`` for that seed to the call (same section,
@@ -16,6 +16,11 @@ section alone:
   ``gc.collect()`` afterwards finds unreachable, by type — the objects
   only the cyclic collector can free, i.e. what the collections of the
   census are spent on.
+
+``--phase setup`` looks at the other half of a run, what ``setup_s``
+bills: the ten modules that cost most to import, from a fresh
+interpreter under ``-X importtime`` importing what the benchmark's driver
+imports, then the ``cProfile`` top-K of ``make_inputs`` + ``setup``.
 
 Every run is a fresh fork of the process that imported the program, as
 the benchmark's repetitions are, so each starts from the same heap. The
@@ -29,6 +34,7 @@ import cProfile
 import gc
 import os
 import pstats
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -40,30 +46,76 @@ sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
 from bench_e2e.run import FIXED_ENV  # noqa: E402  (needs the path set up above)
 
 
-def _timed_section(args: argparse.Namespace) -> Callable[[], None]:
-    """The workload with inputs made and set-up done; returns its ``run``."""
+#: What the benchmark's driver imports before it forks (bench_e2e.run).
+_DRIVER_IMPORTS = "import bench_e2e.measure, bench_e2e.report"
+
+
+def _workload(args: argparse.Namespace):
     from bench_e2e.trace import PhaseRecorder
     from bench_e2e.workloads import WORKLOADS
 
-    workload = WORKLOADS[args.workload](args.seed, args.quick, PhaseRecorder())
+    return WORKLOADS[args.workload](args.seed, args.quick, PhaseRecorder())
+
+
+def _set_up(workload) -> None:
     workload.make_inputs()
     workload.setup()
+
+
+def _timed_section(args: argparse.Namespace) -> Callable[[], None]:
+    """The workload with inputs made and set-up done; returns its ``run``."""
+    workload = _workload(args)
+    _set_up(workload)
     gc.collect()
     return workload.run
 
 
-def profile(args: argparse.Namespace) -> None:
-    run = _timed_section(args)
+def _profiled(args: argparse.Namespace, what: str, call: Callable[..., None], *call_args) -> int:
+    """Print the cProfile top-K of ``call``; returns its total call count."""
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        run()
+        call(*call_args)
     finally:
         profiler.disable()
-    calls = sum(entry.callcount for entry in profiler.getstats())
-    print(f"== cProfile of the timed section, top {args.top} by {args.sort}")
+    print(f"== cProfile of {what}, top {args.top} by {args.sort}")
     pstats.Stats(profiler).strip_dirs().sort_stats(args.sort).print_stats(args.top)
+    return sum(entry.callcount for entry in profiler.getstats())
+
+
+def profile(args: argparse.Namespace) -> None:
+    calls = _profiled(args, "the timed section", _timed_section(args))
     print(f"total calls: {calls}  (py_calls_m {calls / 1e6:.6f})")
+
+
+def profile_setup(args: argparse.Namespace) -> None:
+    calls = _profiled(args, "make_inputs + setup", _set_up, _workload(args))
+    print(f"total calls: {calls}")
+
+
+def import_census(args: argparse.Namespace) -> int:
+    """The modules that cost most to import, by their own time, in a
+    fresh interpreter that imports what the benchmark's driver does."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((ROOT, os.path.join(ROOT, "src"))))
+    child = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", _DRIVER_IMPORTS],
+        capture_output=True, text=True, env=env, cwd=ROOT,
+    )
+    if child.returncode:
+        sys.stderr.write(child.stderr)
+        return child.returncode
+    rows = []
+    for line in child.stderr.splitlines():  # "import time:  self us | cumulative | name"
+        fields = line.removeprefix("import time:").split("|")
+        if len(fields) == 3 and fields[0].strip().isdigit():
+            rows.append((int(fields[0]), int(fields[1]), fields[2].strip()))
+    total = sum(own for own, _, _ in rows)
+    print(f"== imports of a fresh interpreter ({_DRIVER_IMPORTS!r}): "
+          f"{len(rows)} modules, {total / 1e6:.3f} s; the ten costliest by own time")
+    print(f"{'own ms':>9s} {'with children':>14s}  module")
+    for own, cumulative, name in sorted(rows, reverse=True)[:10]:
+        print(f"{own / 1e3:>9.1f} {cumulative / 1e3:>14.1f}  {name}")
+    return 0
 
 
 def gc_census(args: argparse.Namespace) -> None:
@@ -125,7 +177,9 @@ def main() -> int:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--quick", action="store_true", help="a quarter of the iterations")
     p.add_argument("--top", type=int, default=25, help="rows per table")
-    p.add_argument("--sort", choices=("tottime", "cumtime"), default="tottime")
+    p.add_argument("--sort", choices=("tottime", "cumtime", "ncalls"), default="tottime")
+    p.add_argument("--phase", choices=("run", "setup"), default="run",
+                   help="run: the timed section (default); setup: imports, make_inputs and setup")
     p.add_argument("--garbage", action="store_true",
                    help="also run with the collector off and list the cyclic garbage by type")
     args = p.parse_args()
@@ -137,6 +191,8 @@ def main() -> int:
     if args.workload not in WORKLOADS:
         p.error(f"unknown workload {args.workload!r}; known: {', '.join(WORKLOADS)}")
     print(f"{args.workload}, seed {args.seed}{', --quick' if args.quick else ''}")
+    if args.phase == "setup":
+        return max(import_census(args), _in_fork(profile_setup, args))
     sections = [profile, gc_census] + ([garbage_census] if args.garbage else [])
     return max(_in_fork(section, args) for section in sections)
 
