@@ -110,6 +110,10 @@ bench-e2e-ab:
 # --phase setup profiles the other half of a run (what setup_s bills): the
 # ten costliest imports of a fresh interpreter, then make_inputs + setup.
 #   make profile-e2e WORKLOAD=elastic_tenants PROFILE_ARGS="--phase setup --sort ncalls"
+# --phase sim reads the simulated clock: per tenant-iteration attempt, outcome,
+# 2PC rounds, simulated seconds per phase and the gap since the previous attempt,
+# flagging any phase that sat out a control-plane deadline.
+#   make profile-e2e WORKLOAD=elastic_tenants PROFILE_ARGS="--phase sim"
 profile-e2e:
 	python tools/profile_e2e.py --workload $(WORKLOAD) --seed $(SEED) $(PROFILE_ARGS)
 

@@ -1,5 +1,8 @@
 """Fig. 10: elastic (8 -> 72 procs) vs static DWI rendering."""
 
+import hashlib
+import json
+
 import numpy as np
 
 from repro.bench import Table
@@ -38,3 +41,8 @@ def test_fig10_elastic_dwi(benchmark):
     # Before growth begins, elastic == static-8 behaviour (growing).
     pre = elastic[1 : GROW_FROM_ITERATION - 1]
     assert all(a <= b * 1.05 for a, b in zip(pre, pre[1:]))
+    # One pipeline per process: the per-process library load (PR 22)
+    # must leave the series exactly as recorded before it.
+    assert hashlib.sha256(json.dumps(elastic).encode()).hexdigest() == (
+        "4e2ec7a0e583ebbdb0ddeeda899c1447e992ba806d5d1d3c40570f61fedd8bff"
+    )

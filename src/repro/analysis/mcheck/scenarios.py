@@ -623,3 +623,166 @@ def _mc_tenant_churn(seed: int, controller) -> McheckOutcome:
         "beta_remains": all(beta_left.values()),
     }
     return _mc_finish(ctx, tsan, controller, errors, payload, extra)
+
+
+class _LatticeLinks:
+    """A link cost model whose every message takes one tick.
+
+    With one-tick transits, whole-tick injected delays and a zero
+    backoff, every 2PC message of a window lands on a lattice of
+    instants — and messages that merely fall *near* each other on a
+    real fabric tie exactly, which is what hands their order to the
+    explorer. ``TICK`` is a power of two, so the sums are exact.
+    """
+
+    TICK = 2.0 ** -10
+
+    def __init__(self, model):
+        self._model = model
+
+    def p2p_time(self, nbytes: int, same_node: bool = False) -> float:
+        return self.TICK
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+
+@mcheck_scenario
+def _mc_prepare_first_no(seed: int, controller) -> McheckOutcome:
+    """The first NO decides a prepare round: is the early decision safe?
+
+    Three servers. ``d`` has (falsely, for a while) dropped ``s`` from
+    its view, so it answers the first round with a NO that excuses
+    ``s``; ``s`` is slow — two ticks towards it, one tick back — so its
+    YES to round 1 is *late*: it reaches the client in the very instant
+    round 1's ``activate_abort`` reaches ``s`` and round 2's prepare
+    reaches ``a`` and ``d``. The explorer owns every order of those
+    three (and of whatever else shares the later instants, ``d``'s view
+    healing included). In each: ``activate`` succeeds, no commit follows
+    a round that was not unanimous, the abort nobody waited for undoes
+    ``s``'s late YES before the next prepare reaches it (per-pair FIFO),
+    no server holds a ``_prepared`` entry once ``activate`` has
+    returned, every member froze the client's view, and no vote or ack
+    task is left waiting.
+    """
+    from repro.chaos.scenarios import CLIENT, LIGHT_BLOCK, build_stack
+    from repro.na.fabric import LinkAction
+
+    ctx, tsan = _controlled_stack(
+        controller,
+        build_stack,
+        seed=seed,
+        n_servers=3,
+        library=FLUSH,
+        config={"flush_bytes_per_second": 1048576.0},
+    )
+    sim, h = ctx.sim, ctx.handle
+    tick = _LatticeLinks.TICK
+    errors: List[str] = []
+    extra: List[str] = []
+    a, d, s = sorted(ctx.deployment.live_daemons(), key=lambda x: x.address)
+    for margo in [ctx.margo] + [x.margo for x in (a, d, s)]:
+        margo.hg.endpoint.model = _LatticeLinks(margo.hg.endpoint.model)
+    h.ACTIVATE_BACKOFF = (0.0, 0.0)
+    client_address = ctx.margo.address
+
+    #: (source, destination) -> arrival instants of the window's messages.
+    arrivals: Dict[Any, List[float]] = {}
+
+    def slow_links(source, dest, _size, _tag):
+        delay = 0.0
+        if source == client_address and dest == s.address:
+            delay = 2 * tick
+        elif source == s.address and dest == client_address:
+            delay = tick
+        if client_address in (source, dest):
+            arrivals.setdefault((source, dest), []).append(sim.now + tick + delay)
+        return LinkAction(delay=delay) if delay else None
+
+    sim.add_interceptor("na.send", slow_links)
+    d.provider.view = lambda: [a.address, d.address]
+
+    #: (proposed, votes, deciding NO) per prepare round, as the client saw it.
+    rounds: List[Any] = []
+    real_prepare = h._prepare
+
+    def logged_prepare(iteration, proposed):
+        votes, dissent = yield from real_prepare(iteration, proposed)
+        rounds.append((proposed, list(votes), dissent))
+        return votes, dissent
+
+    h._prepare = logged_prepare
+
+    def _heal():
+        yield sim.timeout(6 * tick)
+        del d.provider.view
+        # Round 1's abort was not awaited from ``s`` but it was sent: it
+        # has undone the late YES before any later prepare can arrive.
+        yield sim.timeout(tick)
+        with untracked(sim):
+            stale = sorted(s.provider._prepared)
+        if stale:
+            extra.append(f"the excused member still holds {stale}: its abort never came")
+
+    def _window():
+        view = yield from _guarded(errors, "activate", h.activate(1))
+        with untracked(sim):
+            held = {
+                x.name: sorted(x.provider._prepared)
+                for x in ctx.deployment.live_daemons()
+                if x.provider._prepared
+            }
+            frozen = {
+                x.name: x.provider.pipelines[h.name].current_view
+                for x in ctx.deployment.live_daemons()
+                if (h.name, 1) in x.provider._active
+            }
+        if view is None:
+            # Nothing in this window makes agreement impossible.
+            extra.append(f"activate failed, {sorted(frozen)} committed: {errors}")
+            return
+        if held:
+            extra.append(f"_prepared entries survive a returned activate: {held}")
+        last = rounds[-1]
+        if last[2] is not None or len(last[1]) != len(last[0]) or any(
+            v["vote"] != "yes" for v in last[1]
+        ):
+            extra.append(f"commit after a round that was not unanimous: {last}")
+        if set(frozen) != {x.name for x in (a, d, s)} or any(
+            v != tuple(view) for v in frozen.values()
+        ):
+            extra.append(f"members froze {frozen}, the client {view}")
+        yield from _guarded(errors, "stage", h.stage(1, 0, LIGHT_BLOCK))
+        yield from _guarded(errors, "execute", h.execute(1))
+        yield from _guarded(errors, "deactivate", h.deactivate(1))
+
+    controller.arm()
+    healer = sim.spawn(_heal(), name="mc-heal")
+    window = sim.spawn(_window(), name="mc-first-no")
+    run_until(sim, _spawn_all_done(sim, [healer, window]), max_time=300)
+    controller.disarm()
+    sim.remove_interceptor("na.send", slow_links)
+
+    # Every absorbed vote and ack has answered or timed out by now.
+    sim.run(until=sim.now + 2 * h.CONTROL_TIMEOUT)
+    waiting = sorted(
+        t.name
+        for t in sim.tasks
+        if not t.finished
+        and t.name.startswith(("colza-prepare", "colza-activate_abort@", "colza-activate_commit@"))
+    )
+    if waiting:
+        extra.append(f"tasks left waiting: {waiting}")
+    if not any(r[2] is not None and len(r[1]) < len(r[0]) for r in rounds):
+        extra.append("no round was decided before every vote was in")
+    # The window is only worth exploring while the three messages tie.
+    racing = {
+        "late YES": arrivals[s.address, client_address][0],
+        "round 1's abort at s": arrivals[client_address, s.address][1],
+        "round 2's prepare at a": arrivals[client_address, a.address][2],
+    }
+    if len(set(racing.values())) != 1:
+        extra.append(f"the window no longer races: {racing}")
+    extra.extend(_residual_charges(ctx))
+    payload = {"scenario": "prepare_first_no", "rounds": len(rounds)}
+    return _mc_finish(ctx, tsan, controller, errors, payload, extra)

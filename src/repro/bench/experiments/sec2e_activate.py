@@ -3,12 +3,16 @@
 The paper: "no overhead if the group hasn't changed when activate is
 called, and an overhead in the order of a second when the group did
 change" (dependent on SSG's gossip parameters). We measure the
-client-observed activate duration in three situations:
+client-observed activate duration in five situations:
 
 - steady group (no change since last activate);
 - right after a join has fully propagated (client view stale);
 - immediately after the join, while gossip is still propagating —
-  activate's 2PC must retry until all members agree.
+  activate's 2PC must retry until all members agree;
+- right after a graceful leave has fully propagated (the client's
+  view still lists the leaver): the survivors' NO decides the first
+  round, nobody waits for the server that said goodbye;
+- immediately after the leave request, while it is still propagating.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.bench.harness import ColzaExperiment
+from repro.core import ColzaAdmin
 from repro.core.pipelines import IsoSurfaceScript
 from repro.na import VirtualPayload
 from repro.ssg import SwimConfig
@@ -45,18 +50,35 @@ def run(n_servers: int = 4, seed: int = 3, swim_period: float = 0.5) -> Dict[str
     unchanged = exp.timings[-1].activate
 
     # Join fully propagated before the next activate.
-    drive(sim, exp.add_server_with_pipeline(node_index=n_servers), max_time=600)
+    joined = drive(sim, exp.add_server_with_pipeline(node_index=n_servers), max_time=600)
     run_until(sim, exp.deployment.converged, max_time=600)
     exp.run_iteration(3, blocks)
     changed_settled = exp.timings[-1].activate
 
     # Join still propagating: activate immediately after the daemon is up.
-    drive(sim, exp.add_server_with_pipeline(node_index=n_servers + 1), max_time=600)
+    racer = drive(sim, exp.add_server_with_pipeline(node_index=n_servers + 1), max_time=600)
     exp.run_iteration(4, blocks)
     changed_racing = exp.timings[-1].activate
+
+    # Graceful leave fully propagated before the next activate.
+    admin = ColzaAdmin(exp.client_margos[0])
+    run_until(sim, exp.deployment.converged, max_time=600)
+    drive(sim, admin.request_leave(racer.address), max_time=600)
+    run_until(sim, lambda: not racer.running and exp.deployment.converged(), max_time=600)
+    exp.run_iteration(5, blocks)
+    shrunk_settled = exp.timings[-1].activate
+    shrunk_settled_rounds = list(sim.trace.find("colza.activate", iteration=5))[-1].tags["attempts"]
+
+    # Leave still propagating: activate right after the request.
+    drive(sim, admin.request_leave(joined.address), max_time=600)
+    exp.run_iteration(6, blocks)
+    shrunk_racing = exp.timings[-1].activate
 
     return {
         "unchanged": unchanged,
         "changed_settled": changed_settled,
         "changed_racing": changed_racing,
+        "shrunk_settled": shrunk_settled,
+        "shrunk_settled_rounds": shrunk_settled_rounds,
+        "shrunk_racing": shrunk_racing,
     }

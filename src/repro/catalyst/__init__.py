@@ -2,9 +2,10 @@
 
 This package plays the role of ParaView Catalyst in the Colza stack:
 
-- :class:`CoProcessor` — per-staging-process co-processing driver; it
-  charges the (large) one-time VTK/Python initialization cost on first
-  use, runs user pipeline scripts, and — crucially — supports being
+- :class:`CoProcessor` — per-pipeline co-processing driver; it has the
+  process's :class:`VtkRuntime` charge the (large) one-time VTK/Python
+  initialization cost on first use (once per process, however many
+  pipelines it runs), runs user pipeline scripts, and — crucially — supports being
   **re-initialized with a different controller** after membership
   changes (the ParaView fix described in §II-D);
 - :class:`CatalystScript` / :class:`RenderContext` — the Python
@@ -26,7 +27,7 @@ register_communicator_factory(
     "mona", lambda controller: MonaIceTCommunicator(controller.communicator.comm)
 )
 
-from repro.catalyst.coprocessor import CoProcessor
+from repro.catalyst.coprocessor import CoProcessor, VtkRuntime
 from repro.catalyst.costs import PipelineCostModel, cells_of
 from repro.catalyst.script import CatalystScript, RenderContext
 
@@ -35,5 +36,6 @@ __all__ = [
     "CoProcessor",
     "PipelineCostModel",
     "RenderContext",
+    "VtkRuntime",
     "cells_of",
 ]

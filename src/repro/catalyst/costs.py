@@ -8,9 +8,9 @@ Calibration anchors (see EXPERIMENTS.md for the full derivation):
 - **volume** 1.2e-6 s/cell — Fig. 7: DWI volume rendering at 8 procs
   reaches ~60 s around iteration 25-26 (~450M cells); Fig. 10: 72
   procs keep the 553M-cell final iterations under ~10 s.
-- **init** 8 s — Figs. 9/10: a newly added server's first execution
-  carries a visible VTK-library + Python-interpreter start-up spike;
-  §III-C2 discards first iterations for the same reason.
+- **init** 8 s, once per process — Figs. 9/10: a newly added server's
+  first execution carries a visible VTK-library + Python-interpreter
+  start-up spike; §III-C2 discards first iterations for the same reason.
 - per-pixel costs cover rasterization/ray-march image-space work.
 
 These constants make *absolute* simulated times land in the paper's
@@ -63,7 +63,9 @@ class PipelineCostModel:
     volume_per_cell: float = 1.2e-6
     #: Rasterization, per output pixel.
     raster_per_pixel: float = 2.0e-8
-    #: One-time VTK + Python interpreter initialization, per process.
+    #: One-time VTK + Python interpreter initialization, per process:
+    #: charged by the process's first execution whichever pipeline runs
+    #: it, shared by all of them (:class:`~repro.catalyst.VtkRuntime`).
     init_seconds: float = 8.0
 
     # ------------------------------------------------------------------

@@ -17,7 +17,7 @@ the C++ API's request objects.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Collection, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.core.backoff import backoff_delay
 from repro.core.distribution import get_policy
@@ -29,7 +29,10 @@ from repro.na.payload import payload_nbytes
 from repro.sim.kernel import Task
 from repro.ssg import GroupFile
 
-__all__ = ["ColzaClient", "DistributedPipelineHandle", "PipelineHandle"]
+__all__ = ["ColzaClient", "DistributedPipelineHandle", "EXCUSED", "PipelineHandle"]
+
+#: What a teardown broadcast reports for a member it did not wait for.
+EXCUSED = "excused"
 
 
 class ColzaClient:
@@ -61,12 +64,24 @@ class ColzaClient:
         self.group_file = group_file
         self.tenant = tenant
         self.view: List[Address] = []
+        #: The server that answered the last :meth:`connect`.
+        self._contact: Optional[Address] = None
 
     # ------------------------------------------------------------------
     def connect(self) -> Generator:
-        """Fetch the current membership view from any live server."""
+        """Fetch the current membership view from any live server.
+
+        The server that answered last time is asked first, then the
+        group file in file order: a crashed server is never removed
+        from the file, so without this every refresh would pay the
+        probe deadline for each dead entry ahead of the first live one.
+        """
         last_error: Optional[Exception] = None
-        for candidate in self.group_file.candidates():
+        candidates = self.group_file.candidates()
+        if self._contact is not None and self._contact in candidates:
+            candidates.remove(self._contact)
+            candidates.insert(0, self._contact)
+        for candidate in candidates:
             try:
                 view = yield from self.margo.provider_call(
                     candidate, "colza", "get_view", timeout=self.CONTROL_TIMEOUT
@@ -74,6 +89,7 @@ class ColzaClient:
             except RpcError as err:
                 last_error = err
                 continue
+            self._contact = candidate
             self.view = list(view)
             return self.view
         raise RpcError(f"no staging server reachable: {last_error}")
@@ -262,6 +278,7 @@ class DistributedPipelineHandle:
         input: dict,
         timeout: Optional[float] = None,
         tolerate_errors: bool = False,
+        excused: Collection[Address] = (),
     ) -> Generator:
         """Issue an RPC to every server in the frozen view, concurrently.
 
@@ -270,17 +287,28 @@ class DistributedPipelineHandle:
         immediately (fail-fast): a member that crashed mid-execute must
         not stall the client behind its never-answered RPC. Failures in
         the remaining in-flight calls are absorbed, never orphaned.
+
+        ``excused`` members are sent the RPC like everyone else but not
+        waited for, and a tolerated reply that names members as ``gone``
+        excuses those too (DESIGN §11, the excuse rule): a live member's
+        word that the group dropped someone is enough not to sit out a
+        deadline on them. An excused member's slot in the result list
+        holds :data:`EXCUSED` unless its answer came in anyway; whatever
+        it answers later is absorbed.
         """
         sim = self.margo.sim
         servers = list(self.frozen_view)
         if not servers:
             return []
-        results: dict = {}
-        remaining = [len(servers)]
+        # By position, with a running count: the per-reply path of an
+        # ordinary broadcast hashes no address and calls nothing.
+        results: list = [EXCUSED] * len(servers)
+        awaited = [s not in excused for s in servers]
+        remaining = [awaited.count(True)]
         complete = sim.event(f"{method}.complete")
         failure = sim.event(f"{method}.failure")
 
-        def one(server):
+        def one(i, server):
             try:
                 result = yield from self.margo.provider_call(
                     server, "colza", method, input, timeout=timeout
@@ -291,20 +319,71 @@ class DistributedPipelineHandle:
                         failure.succeed((server, err))
                     return
                 result = err
-            results[server] = result
-            remaining[0] -= 1
+            results[i] = result
+            settled = [i]
+            if tolerate_errors and isinstance(result, dict):
+                settled += [servers.index(m) for m in result.get("gone", ()) if m in servers]
+            for j in settled:
+                if awaited[j]:
+                    awaited[j] = False
+                    remaining[0] -= 1
             if remaining[0] == 0 and not complete.fired:
                 complete.succeed()
 
-        for server in servers:
-            sim.spawn(one(server), name=f"colza-{method}@{server}")
+        for i, server in enumerate(servers):
+            sim.spawn(one(i, server), name=f"colza-{method}@{server}")
+        if remaining[0] == 0:
+            complete.succeed()
         idx, value = yield sim.any_of([complete, failure])
         if idx == 1:
             server, err = value
             raise RpcError(f"{method} failed at {server}: {err}")
-        return [results[s] for s in servers]
+        return list(results)  # a late answer still lands in ``results``
 
     # ------------------------------------------------------------------
+    def _prepare(self, iteration: int, proposed: Tuple[Address, ...]) -> Generator:
+        """One 2PC prepare round: ``(votes received, deciding NO or None)``.
+
+        Unanimity needs every vote, but the first NO that carries the
+        voter's view decides the round on the spot (it ends the AllOf
+        early): the coordinator stops collecting and the votes still
+        out are absorbed when they arrive. A member that stays silent
+        while nobody dissents still costs its deadline — telling slow
+        from dead is SWIM's job, not this round's.
+        """
+        sim = self.margo.sim
+        payload = {
+            "pipeline": self.name,
+            "iteration": iteration,
+            "view": list(proposed),
+        }
+        votes: List[dict] = []
+        dissent: List[dict] = []
+
+        def prepare_one(server):
+            try:
+                vote = yield from self.margo.provider_call(
+                    server, "colza", "activate_prepare", payload,
+                    timeout=self.CONTROL_TIMEOUT,
+                )
+            except RpcError:
+                # Unreachable member: treat as a no-vote; SWIM will
+                # eventually remove it from everyone's views.
+                vote = {"vote": "no", "reason": "unreachable", "dead": server}
+            votes.append(vote)
+            if vote["vote"] == "no" and "view" in vote and not round_over.fired:
+                dissent.append(vote)
+                round_over.succeed()
+            return vote
+
+        tasks = [
+            sim.spawn(prepare_one(server), name="colza-prepare")
+            for server in proposed
+        ]
+        round_over = sim.all_of([t.join() for t in tasks])
+        yield round_over
+        return votes, dissent[0] if dissent else None
+
     def activate(
         self,
         iteration: int,
@@ -331,30 +410,8 @@ class DistributedPipelineHandle:
         self.last_recovery = None
         proposed = tuple(sorted(self.client.view))
         for attempt in range(self.MAX_ACTIVATE_RETRIES):
-            payload = {
-                "pipeline": self.name,
-                "iteration": iteration,
-                "view": list(proposed),
-            }
-
-            def prepare_one(server):
-                try:
-                    vote = yield from self.margo.provider_call(
-                        server, "colza", "activate_prepare", payload,
-                        timeout=self.CONTROL_TIMEOUT,
-                    )
-                    return vote
-                except RpcError:
-                    # Unreachable member: treat as a no-vote; SWIM will
-                    # eventually remove it from everyone's views.
-                    return {"vote": "no", "reason": "unreachable", "dead": server}
-
-            tasks = [
-                sim.spawn(prepare_one(server), name="colza-prepare")
-                for server in proposed
-            ]
-            votes = yield sim.all_of([t.join() for t in tasks])
-            if all(v["vote"] == "yes" for v in votes):
+            votes, dissent = yield from self._prepare(iteration, proposed)
+            if dissent is None and all(v["vote"] == "yes" for v in votes):
                 self.frozen_view = proposed
                 self.client.view = list(proposed)
                 # Recovery commits move block payloads between servers
@@ -391,22 +448,21 @@ class DistributedPipelineHandle:
                     tags["missing_blocks"] = sorted(missing)
                 sim.trace.end(span, **tags)
                 return list(self.frozen_view)
-            # Abort the prepared servers, adopt a dissenting view, retry.
+            # Abort the prepared servers, adopt the dissenting view, retry.
+            # Everyone proposed is told; members the dissenter's view
+            # no longer lists are not waited for.
+            dead = {v["dead"] for v in votes if v.get("reason") == "unreachable"}
             self.frozen_view = proposed
             yield from self._broadcast(
                 "activate_abort",
                 {"pipeline": self.name, "iteration": iteration},
                 timeout=self.CONTROL_TIMEOUT,
                 tolerate_errors=True,
+                excused=set(proposed).difference(dissent["view"]) if dissent is not None else (),
             )
-            dead = {v["dead"] for v in votes if v.get("reason") == "unreachable"}
-            adopted = False
-            for vote in votes:
-                if vote["vote"] == "no" and "view" in vote:
-                    proposed = tuple(sorted(set(vote["view"]) - dead))
-                    adopted = True
-                    break
-            if not adopted and dead:
+            if dissent is not None:
+                proposed = tuple(sorted(set(dissent["view"]) - dead))
+            elif dead:
                 proposed = tuple(a for a in proposed if a not in dead)
                 if not proposed:
                     raise RpcError("activate: no reachable staging servers")
@@ -493,10 +549,22 @@ class DistributedPipelineHandle:
         ``keep_data=True`` ends the activation epoch but leaves staged
         blocks and replicas in place, so the re-activation can recover
         them instead of the client re-staging (DESIGN §11).
+
+        Naming the frozen view asks each member to report, with its
+        acknowledgement, the members of it that its SWIM view has
+        dropped (``gone``); nobody waits for those (see
+        :meth:`_broadcast`). The usual caller is here *because* a member
+        died and a survivor said so, and waiting out the dead member's
+        deadline would tell it nothing more.
         """
         results = yield from self._broadcast(
             "deactivate",
-            {"pipeline": self.name, "iteration": iteration, "keep_data": keep_data},
+            {
+                "pipeline": self.name,
+                "iteration": iteration,
+                "keep_data": keep_data,
+                "view": list(self.frozen_view),
+            },
             timeout=self.CONTROL_TIMEOUT,
             tolerate_errors=True,
         )

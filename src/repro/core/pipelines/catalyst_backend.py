@@ -15,9 +15,10 @@ the paper works around.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Dict, Generator, List, Optional
 
-from repro.catalyst import CoProcessor
+from repro.catalyst import CoProcessor, VtkRuntime
 from repro.catalyst.costs import PipelineCostModel
 from repro.catalyst.script import CatalystScript
 from repro.core.backend import Backend, register_backend
@@ -29,6 +30,12 @@ __all__ = ["CatalystBackend", "MPI_COMM_REGISTRY"]
 
 #: daemon name -> static MpiComm, provisioned by MPI-mode deployments.
 MPI_COMM_REGISTRY: Dict[str, Any] = {}
+
+#: daemon process (its MargoInstance) -> the VTK runtime every pipeline
+#: instance of that process shares: the library load is paid once per
+#: process, not once per pipeline (two tenants' first execute on a
+#: joined server costs one ``init_seconds``).
+_RUNTIMES: "weakref.WeakKeyDictionary[Any, VtkRuntime]" = weakref.WeakKeyDictionary()
 
 
 class CatalystBackend(Backend):
@@ -57,6 +64,7 @@ class CatalystBackend(Backend):
             costs=self.config.get("costs") or PipelineCostModel(),
             width=self.config.get("width", 256),
             height=self.config.get("height", 256),
+            runtime=_RUNTIMES.setdefault(margo, VtkRuntime(margo.sim)),
         )
         self.camera = self.config.get("camera")
         self.comm = None

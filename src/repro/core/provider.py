@@ -409,12 +409,17 @@ class ColzaProvider(Provider):
             self.leaving = True
             if self.on_ready_to_leave is not None:
                 self.on_ready_to_leave()
-        if pipeline is None or not was_active:
-            # Explicitly idempotent: deactivating a key that was never
-            # active (double-deactivate, tolerant abort broadcasts,
-            # post-crash cleanup) is a no-op, reported distinctly.
-            return "not-active"
-        return "deactivated"
+        # Explicitly idempotent: deactivating a key that was never
+        # active (double-deactivate, tolerant abort broadcasts,
+        # post-crash cleanup) is a no-op, reported distinctly.
+        status = "not-active" if pipeline is None or not was_active else "deactivated"
+        if "view" not in input:
+            return status
+        # The abort path names the frozen view it is tearing down; the
+        # acknowledgement says which of those members this server's
+        # SWIM view has dropped, so the client stops waiting for them.
+        mine = set(self.view())
+        return {"status": status, "gone": [m for m in input["view"] if m not in mine]}
 
     def _rpc_migrate(self, input: dict) -> Generator:
         """Receive a departing peer's pipeline state (future work (3))."""

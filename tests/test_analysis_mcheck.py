@@ -167,7 +167,7 @@ def test_explore_without_pruning_finds_the_same_bug(toy_scenarios):
 
 # ---------------------------------------------------------------------------
 # the clean tree explores clean
-@pytest.mark.parametrize("scenario", ["quota_backpressure", "tenant_churn"])
+@pytest.mark.parametrize("scenario", ["quota_backpressure", "tenant_churn", "prepare_first_no"])
 def test_clean_tree_scenario_explores_clean(scenario):
     report = explore(scenario, 0, max_schedules=16)
     assert report.ok, report.render()
@@ -181,6 +181,7 @@ def test_all_scenarios_are_registered():
         "2pc_activation",
         "abort_during_recovery",
         "owner_crash_adoption",
+        "prepare_first_no",
         "quota_backpressure",
         "tenant_churn",
     ]

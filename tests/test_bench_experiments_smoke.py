@@ -5,6 +5,9 @@ code paths quickly so the regular test suite catches regressions in
 the experiment harnesses themselves.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.bench.experiments import (
@@ -16,6 +19,7 @@ from repro.bench.experiments import (
     fig1a_dwi_dataset,
     fig4_resize,
     fig7_dwi,
+    fig9_elastic,
     sec2e_activate,
     table1_p2p,
     table2_reduce,
@@ -56,6 +60,30 @@ def test_sec2e_smoke():
     results = sec2e_activate.run(n_servers=2)
     assert results["unchanged"] < 0.01
     assert results["changed_racing"] > results["unchanged"]
+
+
+def test_sec2e_holds_in_both_directions():
+    """§II-E for a *leave*: "no overhead if the group hasn't changed …
+    in the order of a second when the group did change"."""
+    results = sec2e_activate.run()
+    # 10.0 s (two deadlines on the server that said goodbye) before the
+    # survivors' NO decided the round.
+    assert results["shrunk_settled"] < 0.5
+    assert results["shrunk_settled_rounds"] <= 2
+    assert results["shrunk_racing"] < 2.5
+    # The join direction is what it was.
+    assert results["unchanged"] < 0.01
+    assert 0.02 < results["changed_racing"] < 2.5
+
+
+def test_fig9_single_tenant_elastic_run_is_bit_identical():
+    """One pipeline per process: sharing the library load between a
+    process's pipelines must not move a single-tenant figure. The
+    digest was recorded before the load became per-process."""
+    records = fig9_elastic.run()
+    assert records[0]["execute"] - records[1]["execute"] == pytest.approx(8.0)  # init, once
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == "fa3d7862e506d351772bba6c34092aa43bf483549ddb9911325994acd2669145"
 
 
 def test_ablation_reduce_smoke():

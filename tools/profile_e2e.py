@@ -1,7 +1,7 @@
 """Profile the timed section, or the set-up, of one end-to-end benchmark workload.
 
 ``python tools/profile_e2e.py --workload W [--seed N] [--quick] [--top K]
-[--sort tottime|cumtime|ncalls] [--phase run|setup] [--garbage]`` (or ``make
+[--sort tottime|cumtime|ncalls] [--phase run|setup|sim] [--garbage]`` (or ``make
 profile-e2e WORKLOAD=W``) builds the workload the way ``bench_e2e`` does
 — inputs and set-up unprofiled, one thread, fixed hash seed — and
 prints, for the timed section alone:
@@ -21,6 +21,14 @@ prints, for the timed section alone:
 bills: the ten modules that cost most to import, from a fresh
 interpreter under ``-X importtime`` importing what the benchmark's driver
 imports, then the ``cProfile`` top-K of ``make_inputs`` + ``setup``.
+
+``--phase sim`` reads the *simulated* clock instead of the host's: one
+row per tenant-iteration attempt (``colza.iteration`` span) of the timed
+section — outcome, 2PC prepare rounds, simulated seconds in activate /
+stage / execute / deactivate and the gap since the tenant's previous
+attempt — flagging every phase that lasted a control-plane deadline or
+more. It is how a stall that no host profile shows (a client sitting out
+``CONTROL_TIMEOUT`` on a departed server) is found.
 
 Every run is a fresh fork of the process that imported the program, as
 the benchmark's repetitions are, so each starts from the same heap. The
@@ -91,6 +99,59 @@ def profile(args: argparse.Namespace) -> None:
 def profile_setup(args: argparse.Namespace) -> None:
     calls = _profiled(args, "make_inputs + setup", _set_up, _workload(args))
     print(f"total calls: {calls}")
+
+
+_PHASES = ("activate", "stage", "execute", "deactivate")
+
+
+def sim_phases(args: argparse.Namespace) -> None:
+    """Simulated seconds per phase of every tenant-iteration attempt."""
+    from repro.core.client import DistributedPipelineHandle
+
+    deadline = DistributedPipelineHandle.CONTROL_TIMEOUT
+    workload = _workload(args)
+    _set_up(workload)
+    trace = workload.sim.trace
+    before = len(trace.spans)
+    t0 = workload.sim.now
+    workload.run()
+    print(f"== simulated seconds per tenant-iteration attempt of the timed section "
+          f"({workload.sim.now - t0:.2f} s simulated)")
+    print(f"   '!' a phase of CONTROL_TIMEOUT ({deadline:g} s) or more; "
+          f"'*' a span that never ended (a failed phase), read up to the attempt's end")
+    print(f"{'at':>8s}  {'pipeline':<14s} {'iter':>4s} {'try':>3s} {'outcome':<9s} {'rounds':>6s} "
+          + " ".join(f"{name:>11s}" for name in _PHASES) + f" {'gap':>8s}")
+    last_end: Dict[str, float] = {}
+    flagged = 0
+    for span in trace.spans[before:]:
+        if span.name != "colza.iteration":
+            continue
+        tags = span.tags
+        end = span.end if span.end is not None else workload.sim.now
+        cells = []
+        rounds = 0
+        for phase in _PHASES:
+            children = [c for c in span.children if c.name == f"colza.{phase}"]
+            seconds = sum((c.end if c.end is not None else end) - c.start for c in children)
+            mark = "*" if any(c.end is None for c in children) else ""
+            if seconds >= deadline:
+                mark += "!"
+                flagged += 1
+            cells.append(f"{seconds:>9.4f}{mark:<2s}" if children else f"{'-':>9s}  ")
+            if phase == "activate":
+                for activate in children:
+                    prepares = Counter(
+                        c.tags["dest"] for c in activate.children
+                        if c.tags.get("rpc") == "colza/activate_prepare"
+                    )
+                    rounds += max(prepares.values(), default=0)
+        pipeline = str(tags.get("pipeline"))
+        gap = span.start - last_end[pipeline] if pipeline in last_end else None
+        last_end[pipeline] = end
+        print(f"{span.start - t0:>8.3f}  {pipeline:<14s} {tags.get('iteration', -1):>4d} "
+              f"{tags.get('attempt', 0):>3d} {str(tags.get('outcome', 'open')):<9s} {rounds:>6d} "
+              + " ".join(cells) + (f" {gap:>8.3f}" if gap is not None else f" {'-':>8s}"))
+    print(f"phases at or past the deadline: {flagged}")
 
 
 def import_census(args: argparse.Namespace) -> int:
@@ -178,8 +239,9 @@ def main() -> int:
     p.add_argument("--quick", action="store_true", help="a quarter of the iterations")
     p.add_argument("--top", type=int, default=25, help="rows per table")
     p.add_argument("--sort", choices=("tottime", "cumtime", "ncalls"), default="tottime")
-    p.add_argument("--phase", choices=("run", "setup"), default="run",
-                   help="run: the timed section (default); setup: imports, make_inputs and setup")
+    p.add_argument("--phase", choices=("run", "setup", "sim"), default="run",
+                   help="run: the timed section (default); setup: imports, make_inputs and setup; "
+                        "sim: simulated seconds per phase of every tenant-iteration attempt")
     p.add_argument("--garbage", action="store_true",
                    help="also run with the collector off and list the cyclic garbage by type")
     args = p.parse_args()
@@ -193,6 +255,8 @@ def main() -> int:
     print(f"{args.workload}, seed {args.seed}{', --quick' if args.quick else ''}")
     if args.phase == "setup":
         return max(import_census(args), _in_fork(profile_setup, args))
+    if args.phase == "sim":
+        return _in_fork(sim_phases, args)
     sections = [profile, gc_census] + ([garbage_census] if args.garbage else [])
     return max(_in_fork(section, args) for section in sections)
 
