@@ -114,6 +114,9 @@ bench-e2e-ab:
 # 2PC rounds, simulated seconds per phase and the gap since the previous attempt,
 # flagging any phase that sat out a control-plane deadline.
 #   make profile-e2e WORKLOAD=elastic_tenants PROFILE_ARGS="--phase sim"
+# --by-module adds the timed section's calls per defining module and per
+# function, rows summing to py_calls_m: the table to size a call-count change by.
+#   make profile-e2e WORKLOAD=mb_scale_virtual PROFILE_ARGS="--by-module"
 profile-e2e:
 	python tools/profile_e2e.py --workload $(WORKLOAD) --seed $(SEED) $(PROFILE_ARGS)
 

@@ -8,8 +8,8 @@ the invariant still "passes", the trajectory gate compares garbage.
 This pass closes the loop over the whole program:
 
 - **Producers** are metric registrations —
-  ``<scope>.counter("x")``/``gauge``/``histogram`` with a literal
-  name — and literal trace spans (``trace.begin("layer.event")``,
+  ``<scope>.counter("x")``/``gauge``/``histogram``/``pulled`` with a
+  literal name — and literal trace spans (``trace.begin("layer.event")``,
   ``trace.add(...)``).  Scope prefixes resolve through locals
   (``core = sim.metrics.scope("core")``), class fields
   (``self._metrics = ...scope("ssg")`` in ``__init__``, used from any
@@ -21,7 +21,12 @@ This pass closes the loop over the whole program:
   wildcard-prefix producer with the same member name) is an error.
 - A registration that is never **updated** (no chained or
   via-variable ``inc``/``set``/``observe``/``add``) is a warning: the
-  metric exists but no path increments it.
+  metric exists but no path increments it. A registration returned by
+  a ``cached_property`` is the handle that property holds: it is
+  updated when any ``<x>.<property>.inc(...)`` (or ``set`` ...) is. A
+  pulled counter (``scope.pulled("x", self, "attr")``) is updated when
+  its source's class increments ``self.attr`` (``+=``) — a pull of a
+  count nothing advances reports 0 forever.
 - The same fully-resolved counter ``.inc()``'d twice in one function
   is a warning — the double-count-per-iteration hazard the bench
   trajectory's op-count identity assertion would otherwise surface at
@@ -40,7 +45,7 @@ from repro.analysis.flowcheck.callgraph import CallGraph
 from repro.analysis.flowcheck.model import FunctionInfo, Program, dotted_name
 from repro.analysis.flowcheck.passes import Raw, flowpass, parent_map
 
-REGISTER_ATTRS = {"counter", "gauge", "histogram"}
+REGISTER_ATTRS = {"counter", "gauge", "histogram", "pulled"}
 UPDATE_ATTRS = {"inc", "set", "observe", "add"}
 #: Chained reads that still count as "the registration is used".
 READ_ATTRS = {"value", "summary", "quantile"}
@@ -153,6 +158,49 @@ def _field_is_updated(fn: FunctionInfo, attr: str) -> bool:
     return False
 
 
+def _is_cached_property(fn: FunctionInfo) -> bool:
+    return any(
+        (dotted_name(dec) or "").rsplit(".", 1)[-1] == "cached_property"
+        for dec in fn.node.decorator_list
+    )
+
+
+def _updated_handles(fns: List[Tuple[str, FunctionInfo]]) -> Set[str]:
+    """Attribute names ``X`` some function updates as ``<x>.X.inc()``
+    (or another update/read): the cached-property handles in use."""
+    out: Set[str] = set()
+    for _, fn in fns:
+        for node in ast.walk(fn.node):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in (UPDATE_ATTRS | READ_ATTRS)
+                and isinstance(node.func.value, ast.Attribute)
+            ):
+                out.add(node.func.value.attr)
+    return out
+
+
+def _pull_is_counted(program: Program, fn: FunctionInfo, call: ast.Call) -> bool:
+    """``pulled(name, source, "attr")``: does anything ``+=`` the
+    attribute — in the class, for ``source`` = ``self``, else anywhere?"""
+    attr = _literal(call.args[2]) if len(call.args) > 2 else None
+    if attr is None:
+        return True  # a dynamic attribute name is not a contract
+    source = call.args[1]
+    if isinstance(source, ast.Name) and source.id == "self" and fn.cls is not None:
+        nodes = [m.node for m in fn.cls.methods.values()]
+    else:
+        nodes = [f.node for f in program.functions.values()]
+    return any(
+        isinstance(node, ast.AugAssign)
+        and isinstance(node.target, ast.Attribute)
+        and node.target.attr == attr
+        for tree in nodes
+        for node in ast.walk(tree)
+    )
+
+
 @flowpass("FC010", "metric-contract", severity="error")
 def check_metric_contract(program: Program, graph: CallGraph) -> Iterator[Raw]:
     #: (prefix, member) for every literal metric registration.
@@ -166,6 +214,7 @@ def check_metric_contract(program: Program, graph: CallGraph) -> Iterator[Raw]:
     #: (fn, full name) -> inc sites, for the double-count rule.
     inc_sites: Dict[Tuple[str, str], List[ast.Call]] = {}
     fns = sorted(program.functions.items())
+    handles = _updated_handles(fns)
 
     for _, fn in fns:
         parents = parent_map(fn.node)
@@ -203,7 +252,11 @@ def check_metric_contract(program: Program, graph: CallGraph) -> Iterator[Raw]:
                 produced.add((prefix, member))
                 parent = parents.get(node)
                 used = False
-                if isinstance(parent, ast.Attribute) and parent.attr in (
+                if attr == "pulled":
+                    used = _pull_is_counted(program, fn, node)
+                elif isinstance(parent, ast.Return) and _is_cached_property(fn):
+                    used = fn.name in handles
+                elif isinstance(parent, ast.Attribute) and parent.attr in (
                     UPDATE_ATTRS | READ_ATTRS
                 ):
                     used = True

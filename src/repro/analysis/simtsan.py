@@ -21,10 +21,16 @@ once a task resumes, what it does with previously-read values is
 beyond a dynamic tool's visibility (and re-validation patterns like
 the provider's activation epochs exist precisely for that case).
 
-Everything is opt-in and observer-effect-free: ``Shared`` containers
-behave exactly like ``dict`` until a :class:`SimTSan` is installed on
-their simulation, and installing one changes no scheduling decision —
-the same seed still produces the same trace, plus diagnostics. Race
+Everything is opt-in and observer-effect-free. A :class:`Shared` *is* a
+plain ``dict`` — it overrides no dict method, so with no detector
+installed an access is the dict operation and nothing else — that
+registers itself, weakly, with its simulation. :meth:`SimTSan.install`
+switches the class of every live container of that simulation to an
+observing subclass whose methods report each access first, containers
+built while a detector is installed are born observing, and
+:meth:`SimTSan.uninstall` switches them back (DESIGN §9). Installing a
+detector changes no scheduling decision — the same seed still produces
+the same trace, plus diagnostics. Race
 diagnostics go three ways: a :class:`RaceReport` on
 :attr:`SimTSan.races`, a ``simtsan.race`` zero-length span with
 span-linked tags (object label, key, reader/writer tasks and source
@@ -40,6 +46,7 @@ from __future__ import annotations
 
 import os
 import sys
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
@@ -118,14 +125,19 @@ class SimTSan:
 
     # ------------------------------------------------------------------
     def install(self) -> "SimTSan":
+        """Attach to the simulation and start observing every
+        :class:`Shared` built on it, before or after this call."""
         if getattr(self.sim, "_simtsan", None) is not None:
             raise RuntimeError("a SimTSan detector is already installed")
         self.sim._simtsan = self
+        _containers(self.sim).switch(_ObservedShared)
         return self
 
     def uninstall(self) -> None:
+        """Detach: the simulation's containers go back to plain dicts."""
         if self.sim._simtsan is self:
             self.sim._simtsan = None
+            _containers(self.sim).switch(Shared)
 
     @property
     def active(self) -> bool:
@@ -251,16 +263,43 @@ def untracked(sim: Any) -> Iterator[None]:
         detector._suspended -= 1
 
 
-class Shared(dict):
-    """A dict whose accesses SimTSan can observe.
+class _Containers:
+    """The live :class:`Shared` containers built on one simulation, in
+    registration order, held weakly: registering a container never
+    keeps it alive."""
 
-    With no detector installed (or ``sim=None``) every operation is a
-    plain dict operation plus one attribute check — cheap enough to
-    leave adopted permanently on the SSG membership view, the
+    def __init__(self) -> None:
+        self._live: "weakref.WeakValueDictionary[int, Shared]" = weakref.WeakValueDictionary()
+        self._registered = 0
+
+    def add(self, shared: "Shared") -> None:
+        self._live[self._registered] = shared
+        self._registered += 1
+
+    def switch(self, cls: type) -> None:
+        """Make every live container an instance of ``cls``."""
+        for shared in list(self._live.values()):
+            shared.__class__ = cls
+
+
+def _containers(sim: Any) -> _Containers:
+    registry = getattr(sim, "_simtsan_containers", None)
+    if registry is None:
+        registry = sim._simtsan_containers = _Containers()
+    return registry
+
+
+class Shared(dict):
+    """A dict SimTSan can observe.
+
+    It overrides no dict method: with no detector installed (or
+    ``sim=None``) an access is exactly the dict operation — cheap enough
+    to leave adopted permanently on the SSG membership view, the
     provider's pipeline table, and the 2PC activation/prepared state.
+    Observation is a class switch (see the module docstring).
     """
 
-    __slots__ = ("_sim", "label", "_tsan_reads")
+    __slots__ = ("_sim", "label", "_tsan_reads", "__weakref__")
 
     def __init__(
         self,
@@ -274,107 +313,85 @@ class Shared(dict):
         self.label = label
         #: key -> {task: (task clock, sim time, source site)}
         self._tsan_reads: Dict[Any, Dict[Any, Tuple[int, float, str]]] = {}
+        if sim is not None:
+            _containers(sim).add(self)
+            if sim._simtsan is not None:
+                self.__class__ = _ObservedShared
 
-    def _detector(self) -> Optional[SimTSan]:
-        sim = self._sim
-        return sim._simtsan if sim is not None else None
+
+class _ObservedShared(Shared):
+    """A :class:`Shared` while a detector is installed on its
+    simulation: each access reports to the detector, then runs."""
+
+    __slots__ = ()
 
     # ------------------------------------------------------------------
     # reads
     def __getitem__(self, key):
-        det = self._detector()
-        if det is not None:
-            det.on_read(self, key)
+        self._sim._simtsan.on_read(self, key)
         return super().__getitem__(key)
 
     def get(self, key, default=None):
-        det = self._detector()
-        if det is not None:
-            det.on_read(self, key)
+        self._sim._simtsan.on_read(self, key)
         return super().get(key, default)
 
     def __contains__(self, key):
-        det = self._detector()
-        if det is not None:
-            det.on_read(self, key)
+        self._sim._simtsan.on_read(self, key)
         return super().__contains__(key)
 
     def __iter__(self):
-        det = self._detector()
-        if det is not None:
-            det.on_read(self, _WHOLE)
+        self._sim._simtsan.on_read(self, _WHOLE)
         return super().__iter__()
 
     def __len__(self):
-        det = self._detector()
-        if det is not None:
-            det.on_read(self, _WHOLE)
+        self._sim._simtsan.on_read(self, _WHOLE)
         return super().__len__()
 
     def keys(self):
-        det = self._detector()
-        if det is not None:
-            det.on_read(self, _WHOLE)
+        self._sim._simtsan.on_read(self, _WHOLE)
         return super().keys()
 
     def values(self):
-        det = self._detector()
-        if det is not None:
-            det.on_read(self, _WHOLE)
+        self._sim._simtsan.on_read(self, _WHOLE)
         return super().values()
 
     def items(self):
-        det = self._detector()
-        if det is not None:
-            det.on_read(self, _WHOLE)
+        self._sim._simtsan.on_read(self, _WHOLE)
         return super().items()
 
     # ------------------------------------------------------------------
     # writes
     def __setitem__(self, key, value):
-        det = self._detector()
-        if det is not None:
-            det.on_write(self, key)
+        self._sim._simtsan.on_write(self, key)
         super().__setitem__(key, value)
 
     def __delitem__(self, key):
-        det = self._detector()
-        if det is not None:
-            det.on_write(self, key)
+        self._sim._simtsan.on_write(self, key)
         super().__delitem__(key)
 
     def pop(self, key, *default):
-        det = self._detector()
-        if det is not None:
-            det.on_write(self, key)
+        self._sim._simtsan.on_write(self, key)
         return super().pop(key, *default)
 
     def setdefault(self, key, default=None):
-        det = self._detector()
-        if det is not None:
-            # A plain read when present, a write when absent.
-            if super().__contains__(key):
-                det.on_read(self, key)
-            else:
-                det.on_write(self, key)
+        det = self._sim._simtsan
+        # A plain read when present, a write when absent.
+        if super().__contains__(key):
+            det.on_read(self, key)
+        else:
+            det.on_write(self, key)
         return super().setdefault(key, default)
 
     def update(self, *args, **kwargs):
-        det = self._detector()
-        if det is not None:
-            det.on_write(self, _WHOLE)
+        self._sim._simtsan.on_write(self, _WHOLE)
         super().update(*args, **kwargs)
 
     def clear(self):
-        det = self._detector()
-        if det is not None:
-            det.on_write(self, _WHOLE)
+        self._sim._simtsan.on_write(self, _WHOLE)
         super().clear()
 
     def popitem(self):
-        det = self._detector()
-        if det is not None:
-            det.on_write(self, _WHOLE)
+        self._sim._simtsan.on_write(self, _WHOLE)
         return super().popitem()
 
 

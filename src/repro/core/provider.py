@@ -15,6 +15,7 @@ pipeline's communicator at the *next* activate.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.analysis.simtsan import Shared
@@ -26,6 +27,7 @@ from repro.mercury import RpcError
 from repro.na.address import Address
 from repro.na.payload import MemoryHandle
 from repro.ssg import SSGAgent
+from repro.telemetry.metrics import Counter, MetricScope
 
 __all__ = ["ColzaProvider", "mona_address_of"]
 
@@ -40,6 +42,40 @@ def mona_address_of(margo_addr: Address) -> Address:
     """
     prefix, name = margo_addr.uri.rsplit("/", 1)
     return Address(f"{prefix}/mona-{name}")
+
+
+class _Counters:
+    """The provider's event counters in one metric scope: ``core`` for
+    the totals, ``tenant.<name>`` per tenant. Each is registered at its
+    first increment — a counter appears in the snapshot once it has
+    counted, as when every event looked it up — and held from then on."""
+
+    def __init__(self, scope: MetricScope):
+        self._scope = scope
+
+    @cached_property
+    def activations_committed(self) -> Counter:
+        return self._scope.counter("activations_committed")
+
+    @cached_property
+    def blocks_staged(self) -> Counter:
+        return self._scope.counter("blocks_staged")
+
+    @cached_property
+    def bytes_staged(self) -> Counter:
+        return self._scope.counter("bytes_staged")
+
+    @cached_property
+    def executes(self) -> Counter:
+        return self._scope.counter("executes")
+
+    @cached_property
+    def blocks_replicated(self) -> Counter:
+        return self._scope.counter("blocks_replicated")
+
+    @cached_property
+    def replica_bytes(self) -> Counter:
+        return self._scope.counter("replica_bytes")
 
 
 class ColzaProvider(Provider):
@@ -98,6 +134,10 @@ class ColzaProvider(Provider):
         self.leaving = False
         #: Membership-change log (events observed via SSG).
         self.membership_events: List[Tuple[float, str, Address]] = []
+        #: Event counters: the ``core`` totals, and per tenant (made at
+        #: the tenant's first event here).
+        self._core_counters = _Counters(margo.sim.metrics.scope("core"))
+        self._tenant_counters: Dict[str, _Counters] = {}
 
         #: Called (by the admin provider) when a deferred leave becomes
         #: actionable at deactivate time.
@@ -175,6 +215,13 @@ class ColzaProvider(Provider):
             return False
         self.leaving = True
         return True
+
+    def _counters_of(self, tenant: str) -> _Counters:
+        counters = self._tenant_counters.get(tenant)
+        if counters is None:
+            scope = self.margo.sim.metrics.scope(f"tenant.{tenant}")
+            counters = self._tenant_counters[tenant] = _Counters(scope)
+        return counters
 
     # ------------------------------------------------------------------
     # tenancy (DESIGN §13)
@@ -305,10 +352,8 @@ class ColzaProvider(Provider):
             self.replicas.drop_iteration(name, iteration)
             self.tenants.release(name, iteration)
         yield from pipeline.activate(iteration, list(view))
-        self.margo.sim.metrics.scope("core").counter("activations_committed").inc()
-        self.margo.sim.metrics.scope(f"tenant.{tenant}").counter(
-            "activations_committed"
-        ).inc()
+        self._core_counters.activations_committed.inc()
+        self._counters_of(tenant).activations_committed.inc()
         return result
 
     def _rpc_activate_abort(self, input: dict) -> Generator:
@@ -357,12 +402,11 @@ class ColzaProvider(Provider):
         except BaseException:
             self.tenants.uncharge(tenant, name, iteration, block_id)
             raise
-        core = self.margo.sim.metrics.scope("core")
-        core.counter("blocks_staged").inc()
-        core.counter("bytes_staged").inc(handle.nbytes)
-        scope = self.margo.sim.metrics.scope(f"tenant.{tenant}")
-        scope.counter("blocks_staged").inc()
-        scope.counter("bytes_staged").inc(handle.nbytes)
+        self._core_counters.blocks_staged.inc()
+        self._core_counters.bytes_staged.inc(handle.nbytes)
+        counters = self._counters_of(tenant)
+        counters.blocks_staged.inc()
+        counters.bytes_staged.inc(handle.nbytes)
         factor = pipeline.replication_factor
         view = list(pipeline.current_view)
         if factor >= 2 and len(view) >= 2:
@@ -377,8 +421,8 @@ class ColzaProvider(Provider):
         tenant = self._stamp_tenant(name)
         pipeline = self.pipelines[name]
         yield from pipeline.execute(iteration)
-        self.margo.sim.metrics.scope("core").counter("executes").inc()
-        self.margo.sim.metrics.scope(f"tenant.{tenant}").counter("executes").inc()
+        self._core_counters.executes.inc()
+        self._counters_of(tenant).executes.inc()
         return "executed"
 
     def _rpc_deactivate(self, input: dict) -> Generator:
@@ -468,9 +512,8 @@ class ColzaProvider(Provider):
             payload=payload,
         )
         self.replicas.put(name, iteration, block)
-        core = self.margo.sim.metrics.scope("core")
-        core.counter("blocks_replicated").inc()
-        core.counter("replica_bytes").inc(handle.nbytes)
+        self._core_counters.blocks_replicated.inc()
+        self._core_counters.replica_bytes.inc(handle.nbytes)
         return "replicated"
 
     def _rpc_inventory(self, input: dict) -> Generator:

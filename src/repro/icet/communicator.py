@@ -10,7 +10,10 @@ communicators.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Generator, Optional
+
+from repro.telemetry.metrics import Counter
 
 __all__ = ["IceTCommunicator", "MPIIceTCommunicator", "MonaIceTCommunicator"]
 
@@ -33,6 +36,10 @@ class IceTCommunicator:
         """The owning simulation (both transports expose it via
         ``comm.instance.sim``); used by the compositing spans."""
         return self.comm.instance.sim
+
+    @cached_property
+    def _m_composites(self) -> Counter:
+        return self.sim.metrics.scope("icet").counter("composites")
 
     def send(self, dest: int, payload: Any, tag: Any = 0) -> Generator:
         return (yield from self.comm.send(dest, payload, tag))

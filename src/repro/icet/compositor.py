@@ -53,7 +53,7 @@ def _traced(strategy: str):
                 sim.trace.end(span, error=type(err).__name__)
                 raise
             sim.trace.end(span)
-            sim.metrics.scope("icet").counter("composites").inc()
+            icomm._m_composites.inc()
             return result
 
         return wrapper

@@ -14,6 +14,7 @@ while explicit compute goes through ``margo.compute(seconds)``.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Callable, Dict, Generator, Optional
 
 from repro.argo import Xstream
@@ -23,6 +24,7 @@ from repro.na.costmodel import CostModel, get_cost_model
 from repro.na.fabric import Fabric
 from repro.na.payload import MemoryHandle
 from repro.sim.kernel import Event, Simulation
+from repro.telemetry.metrics import Histogram
 
 __all__ = ["MargoInstance", "Provider"]
 
@@ -141,16 +143,20 @@ class MargoInstance:
         (slow-node fault injection: thermal throttling, a noisy
         neighbor, a failing disk behind the pipeline).
         """
-        factor = self.sim.intercept("margo.compute", self.name)
-        if factor is not None:
-            seconds *= float(factor)
-        span = self.sim.trace.begin("margo.compute", instance=self.name, seconds=seconds)
+        sim = self.sim
+        if "margo.compute" in sim._interceptors:
+            factor = sim.intercept("margo.compute", self.name)
+            if factor is not None:
+                seconds *= float(factor)
+        span = sim.trace.begin("margo.compute", instance=self.name, seconds=seconds)
         result = yield from self.xstream.compute(seconds)
-        self.sim.trace.end(span)
-        self.sim.metrics.scope("margo").histogram("compute_seconds").observe(
-            span.duration if span.recorded else seconds
-        )
+        sim.trace.end(span)
+        self._m_compute.observe(span.duration if span.recorded else seconds)
         return result
+
+    @cached_property
+    def _m_compute(self) -> Histogram:
+        return self.sim.metrics.scope("margo").histogram("compute_seconds")
 
     # lifecycle --------------------------------------------------------------
     def _attach_provider(self, provider: Provider) -> None:

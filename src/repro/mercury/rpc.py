@@ -88,9 +88,10 @@ class MercuryInstance:
         # At-most-once dispatch: a transport may deliver one request
         # twice (duplication faults); replaying a handler would stage a
         # block twice or re-run a 2PC vote. Remember recently seen
-        # request identities and drop replays.
+        # request identities — (reply-to uri, reply tag): two strs,
+        # whose hashes are cached — and drop replays.
         self._seen_requests: set = set()
-        self._seen_order: Deque[Tuple[Address, str]] = deque()
+        self._seen_order: Deque[Tuple[str, str]] = deque()
         self._finalized = False
         self._dispatch_task: Task = sim.spawn(self._dispatch_loop(), name=f"{name}.hg-dispatch")
 
@@ -208,7 +209,7 @@ class MercuryInstance:
         while True:
             msg: Message = yield self.endpoint.recv(tag=_RPC_TAG)
             request: RpcRequest = msg.payload
-            ident = (request.reply_to, request.reply_tag)
+            ident = (request.reply_to.uri, request.reply_tag)
             if ident in self._seen_requests:
                 continue  # duplicate delivery: already dispatched
             self._seen_requests.add(ident)
@@ -225,8 +226,12 @@ class MercuryInstance:
         # ULT forever — the process looks alive to the network (its
         # endpoint accepts messages) but never answers, the failure mode
         # SWIM cannot distinguish from a crash.
-        if self.sim.intercept("hg.handler", self.name, request.name) == "hang":
-            yield Event(self.sim, name=f"{self.name}.chaos-hang")  # flowcheck: disable=FC002 -- chaos fault injection: the hang verdict wants a forever-pending event
+        sim = self.sim
+        if (
+            "hg.handler" in sim._interceptors
+            and sim.intercept("hg.handler", self.name, request.name) == "hang"
+        ):
+            yield Event(sim, name=f"{self.name}.chaos-hang")  # flowcheck: disable=FC002 -- chaos fault injection: the hang verdict wants a forever-pending event
             return
         # Server half of the distributed trace: nest under the caller's
         # forward span carried in the request.

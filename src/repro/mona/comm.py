@@ -38,6 +38,7 @@ from repro.na.address import Address
 from repro.na.fabric import Message
 from repro.na.payload import payload_nbytes
 from repro.sim.kernel import Event, Task
+from repro.telemetry.metrics import Counter, Histogram
 
 __all__ = ["MonaComm", "REDUCE_BYTES_PER_SEC"]
 
@@ -66,10 +67,9 @@ def _traced(op: str):
                 sim.trace.end(span, error=type(err).__name__)
                 raise
             sim.trace.end(span)
-            scope = sim.metrics.scope("mona")
-            scope.counter("collectives").inc()
+            self._m_collectives.inc()
             if span.recorded:
-                scope.histogram("collective_seconds").observe(span.duration)
+                self._m_collective_seconds.observe(span.duration)
             return result
 
         return wrapper
@@ -90,6 +90,14 @@ class MonaComm:
             raise ValueError(f"{instance.address} not in communicator") from None
         self.size = len(self.addresses)
         self._coll_seq = itertools.count()
+
+    @functools.cached_property
+    def _m_collectives(self) -> Counter:
+        return self.instance.sim.metrics.scope("mona").counter("collectives")
+
+    @functools.cached_property
+    def _m_collective_seconds(self) -> Histogram:
+        return self.instance.sim.metrics.scope("mona").histogram("collective_seconds")
 
     # ------------------------------------------------------------------
     # derived communicators

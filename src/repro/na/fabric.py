@@ -21,10 +21,14 @@ Semantics:
   Colza ``stage`` data path.
 
 ``send`` is the hop every RPC, SWIM probe and MoNA message takes, so it
-does each thing once: one clock read, one address hash for the FIFO
-horizon, no interceptor call unless one is installed, constant event
-names (an event per message is cheap; formatting an address into its
-name is not — source and destination are on the ``na.send`` span).
+does each thing once: one clock read, one count of the message (in
+``messages_sent`` / ``bytes_sent``, which ``sim.metrics`` pulls rather
+than being pushed a second copy), no interceptor call unless one is
+installed, constant event names (an event per message is cheap;
+formatting an address into its name is not — source and destination are
+on the ``na.send`` span). Endpoints and FIFO horizons are keyed by
+``address.uri``, whose hash the str caches, so a message costs no
+``Address.__hash__`` call.
 """
 
 from __future__ import annotations
@@ -122,15 +126,15 @@ class Endpoint:
         address: Address,
         node_index: int,
         model: CostModel,
-        horizon: Dict[Address, float],
+        horizon: Dict[str, float],
     ):
         self.fabric = fabric
         self.address = address
         self.node_index = node_index
         self.model = model
-        #: destination -> arrival time of the last message sent there:
-        #: the fabric's FIFO record for this *address* (it outlives the
-        #: endpoint, see Fabric.register).
+        #: destination uri -> arrival time of the last message sent
+        #: there: the fabric's FIFO record for this *address* (it
+        #: outlives the endpoint, see Fabric.register).
         self._horizon = horizon
         self.alive = True
         #: True after a *crash* teardown: the owner process is gone, so
@@ -172,20 +176,23 @@ class Fabric:
 
     def __init__(self, sim: Simulation):
         self.sim = sim
-        self._endpoints: Dict[Address, Endpoint] = {}
+        #: address uri -> live endpoint.
+        self._endpoints: Dict[str, Endpoint] = {}
         # FIFO horizon enforcing non-overtaking delivery per (source,
-        # destination): ``horizon[src][dest]``. Keyed by *address*, not
-        # by endpoint, so it survives a deregister/register of the same
-        # name (a restarted daemon still queues behind what its
-        # predecessor put on the wire); each endpoint is handed its
-        # inner dict, so a send hashes one address, not a pair twice.
-        self._fifo_horizon: Dict[Address, Dict[Address, float]] = {}
-        #: Counters: total messages / bytes moved (for reports).
+        # destination): ``horizon[src][dest]``, by uri. Keyed by
+        # *address*, not by endpoint, so it survives a
+        # deregister/register of the same name (a restarted daemon still
+        # queues behind what its predecessor put on the wire); each
+        # endpoint is handed its inner dict, so a send makes one lookup.
+        self._fifo_horizon: Dict[str, Dict[str, float]] = {}
+        #: Totals moved (messages, and message + bulk bytes): the one
+        #: count of each, which ``na.messages_sent`` / ``na.bytes_sent``
+        #: report.
         self.messages_sent = 0
         self.bytes_sent = 0
         self._metrics = sim.metrics.scope("na")
-        self._m_messages = self._metrics.counter("messages_sent")
-        self._m_bytes = self._metrics.counter("bytes_sent")
+        self._metrics.pulled("messages_sent", self, "messages_sent")
+        self._metrics.pulled("bytes_sent", self, "bytes_sent")
         self._m_dropped = self._metrics.counter("messages_dropped")
         self._m_transit = self._metrics.histogram("send_transit_seconds")
         self._m_rdma = self._metrics.histogram("rdma_seconds")
@@ -195,18 +202,17 @@ class Fabric:
     def register(self, name: str, node_index: int, model: CostModel) -> Endpoint:
         """Create an endpoint ``na+sim://nid<idx>/<name>``."""
         address = Address.make(f"nid{node_index:05d}", name)
-        if address in self._endpoints:
+        uri = address.uri
+        if uri in self._endpoints:
             raise NAError(f"address {address} already registered")
-        ep = Endpoint(
-            self, address, node_index, model, self._fifo_horizon.setdefault(address, {})
-        )
-        self._endpoints[address] = ep
+        ep = Endpoint(self, address, node_index, model, self._fifo_horizon.setdefault(uri, {}))
+        self._endpoints[uri] = ep
         return ep
 
     def deregister(self, endpoint: Endpoint) -> None:
         """Remove an endpoint; in-flight messages to it are dropped."""
         endpoint.alive = False
-        self._endpoints.pop(endpoint.address, None)
+        self._endpoints.pop(endpoint.address.uri, None)
 
     def quiesce(self, endpoint: Endpoint) -> None:
         """Crash teardown: deregister, and let any operation the dead
@@ -215,10 +221,10 @@ class Fabric:
         endpoint.quiesced = True
 
     def lookup(self, address: Address) -> Optional[Endpoint]:
-        return self._endpoints.get(address)
+        return self._endpoints.get(address.uri)
 
     def is_alive(self, address: Address) -> bool:
-        return address in self._endpoints
+        return address.uri in self._endpoints
 
     # ------------------------------------------------------------------
     # messaging
@@ -249,7 +255,8 @@ class Fabric:
         action: Optional[LinkAction] = None
         if "na.send" in sim._interceptors:
             action = sim.intercept("na.send", source, dest, size, tag)
-        dest_ep = self._endpoints.get(dest)
+        dest_uri = dest.uri
+        dest_ep = self._endpoints.get(dest_uri)
         same_node = dest_ep is not None and dest_ep.node_index == src.node_index
         transit = src.model.p2p_time(size, same_node=same_node)
         if action is not None and action.delay > 0:
@@ -258,15 +265,13 @@ class Fabric:
         now = sim._now
         arrive = now + transit
         horizon = src._horizon
-        earliest = horizon.get(dest)
+        earliest = horizon.get(dest_uri)
         if earliest is not None and earliest > arrive:
             arrive = earliest
-        horizon[dest] = arrive
+        horizon[dest_uri] = arrive
 
         self.messages_sent += 1
         self.bytes_sent += size
-        self._m_messages.inc()
-        self._m_bytes.inc(size)
         self._m_transit.observe(arrive - now)
 
         # Event names are constants: formatting an address into a
@@ -281,7 +286,7 @@ class Fabric:
         span = sim.trace.begin_async("na.send", src=source, dest=dest, nbytes=size)
 
         def arrive_cb() -> None:
-            target = self._endpoints.get(dest)
+            target = self._endpoints.get(dest_uri)
             delivered = not dropped and target is not None and target.alive
             if delivered:
                 target._mailbox.deliver(msg)
@@ -295,7 +300,7 @@ class Fabric:
         if action is not None and action.duplicate and not dropped:
 
             def duplicate_cb() -> None:
-                target = self._endpoints.get(dest)
+                target = self._endpoints.get(dest_uri)
                 if target is not None and target.alive:
                     target._mailbox.deliver(msg)
 
@@ -319,27 +324,29 @@ class Fabric:
 
         Serialized on the puller's NIC: concurrent pulls queue.
         """
-        owner_ep = self._endpoints.get(handle.owner)
+        sim = self.sim
+        owner_ep = self._endpoints.get(handle.owner.uri)
         same_node = owner_ep is not None and owner_ep.node_index == puller.node_index
         cost = puller.model.rdma_time(handle.nbytes, same_node=same_node)
-        factor = self.sim.intercept("na.rdma", puller.address, handle.owner, handle.nbytes)
-        if factor is not None:
-            cost *= float(factor)
+        if "na.rdma" in sim._interceptors:
+            factor = sim.intercept("na.rdma", puller.address, handle.owner, handle.nbytes)
+            if factor is not None:
+                cost *= float(factor)
         self.bytes_sent += handle.nbytes
-        self._m_bytes.inc(handle.nbytes)
         return self._bulk_transfer(puller, cost, lambda: handle.payload, "rdma_pull", handle.nbytes)
 
     def rdma_push(self, pusher: Endpoint, handle: MemoryHandle, payload: Any) -> Event:
         """Write ``payload`` into the remote buffer behind ``handle``."""
-        owner_ep = self._endpoints.get(handle.owner)
+        sim = self.sim
+        owner_ep = self._endpoints.get(handle.owner.uri)
         same_node = owner_ep is not None and owner_ep.node_index == pusher.node_index
         size = payload_nbytes(payload)
         cost = pusher.model.rdma_time(size, same_node=same_node)
-        factor = self.sim.intercept("na.rdma", pusher.address, handle.owner, size)
-        if factor is not None:
-            cost *= float(factor)
+        if "na.rdma" in sim._interceptors:
+            factor = sim.intercept("na.rdma", pusher.address, handle.owner, size)
+            if factor is not None:
+                cost *= float(factor)
         self.bytes_sent += size
-        self._m_bytes.inc(size)
 
         def apply() -> Any:
             handle.payload = payload

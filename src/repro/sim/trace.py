@@ -5,9 +5,9 @@ Spans form a *tree*: parentage is recorded at begin time —
 - within a task, via a per-task span stack (``begin`` pushes, ``end``
   pops), so ``colza.execute`` contains the collective spans it drives;
 - across tasks, via spawn inheritance: a task spawned while a span is
-  open adopts that span as its ambient parent
-  (:meth:`Tracer.inherit`), so concurrent ``stage`` tasks still hang
-  off their iteration span;
+  open adopts that span as its ambient parent (a new ``Task`` reads it
+  off the spawning context, as :meth:`Tracer.current_span` would), so
+  concurrent ``stage`` tasks still hang off their iteration span;
 - across processes, via the RPC trace context: Mercury forwards the
   caller's current span id on the wire and the handler's spans nest
   under it — distributed tracing, one simulated machine at a time.
@@ -31,6 +31,7 @@ mutates them nor fires ``on_end`` callbacks.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
@@ -142,70 +143,20 @@ def _canonical(value: Any) -> Any:
     )
 
 
-class Tracer:
-    """Collects a span tree and counters against the simulated clock."""
+def _span_opener(method: str, detached: bool, doc: str):
+    """The body of :meth:`Tracer.begin` and :meth:`Tracer.begin_async`,
+    bound to ``detached``: resolve the span's context (task, parent,
+    stack), link it under its parent and — unless ``detached`` — push
+    it on the context's stack, in the one call the layers make per
+    message. ``tags`` is the caller's fresh ``**tags`` dict and becomes
+    the span's own."""
+    unrecorded = _DISABLED_ASYNC_SPAN if detached else _DISABLED_SPAN
 
-    def __init__(self, sim: "Any"):
-        self._sim = sim
-        self.spans: List[Span] = []
-        self.counters: Dict[str, float] = {}
-        self.enabled = True
-        #: Callbacks invoked with each span as it finishes (invariant
-        #: monitors, live dashboards). Exceptions propagate — a checker
-        #: failing is a test failure, not something to swallow.
-        self.on_end: List[Any] = []
-        self._ids = 0
-        #: Id of ``spans[0]``: ids are dense, so span ``i`` sits at
-        #: ``spans[i - _first_id]`` (clear() drops spans, never ids).
-        self._first_id = 0
-        #: Span stack for code running outside any task.
-        self._root_stack: List[Span] = []
-
-    # ------------------------------------------------------------------
-    # context plumbing
-    def current_span(self) -> Optional[Span]:
-        """The innermost open span of the current execution context."""
-        task = self._sim._current_task
-        if task is None:
-            return self._root_stack[-1] if self._root_stack else None
-        if task.trace_stack:
-            return task.trace_stack[-1]
-        return task.trace_parent
-
-    def inherit(self, task: "Any") -> None:
-        """Adopt the current span as ``task``'s ambient parent (called
-        by :meth:`Simulation.spawn` for every new task)."""
-        task.trace_parent = self.current_span()
-
-    # ------------------------------------------------------------------
-    def begin(self, name: str, parent: Union[Span, int, None] = None, **tags: Any) -> Span:
-        """Open a span at the current simulated time.
-
-        Parentage defaults to the current context (span stack, then the
-        task's spawn-inherited parent); pass ``parent`` (a span or span
-        id, e.g. an RPC trace context) to override.
-        """
+    def open_span(
+        self: "Tracer", name: str, parent: Union[Span, int, None] = None, **tags: Any
+    ) -> Span:
         if not self.enabled:
-            return _DISABLED_SPAN
-        return self._make_span(name, parent, tags, detached=False)
-
-    def begin_async(self, name: str, parent: Union[Span, int, None] = None, **tags: Any) -> Span:
-        """Open a span that never becomes the current span.
-
-        For operations whose end lives in another execution context
-        (message transit, RDMA completion): the span records its parent
-        for the tree but later ``begin`` calls will not nest under it.
-        """
-        if not self.enabled:
-            return _DISABLED_ASYNC_SPAN
-        return self._make_span(name, parent, tags, detached=True)
-
-    def _make_span(self, name: str, parent, tags: Dict[str, Any], detached: bool) -> Span:
-        """Record a span: resolve its context (task, parent, stack),
-        link it under its parent and — unless ``detached`` — push it on
-        the context's stack, all in this one call (the layers open a
-        span per message). ``tags`` is the caller's fresh ``**tags``
-        dict and becomes the span's own."""
+            return unrecorded
         sim = self._sim
         task = sim._current_task
         if task is None:
@@ -242,6 +193,68 @@ class Tracer:
             else:
                 stack.append(span)
         return span
+
+    open_span.__name__, open_span.__qualname__, open_span.__doc__ = method, f"Tracer.{method}", doc
+    # Its own code object, named for the method, keeps the two apart in
+    # a profile (one code object would merge them under one entry).
+    names = {"co_name": method}
+    if sys.version_info >= (3, 11):
+        names["co_qualname"] = open_span.__qualname__
+    open_span.__code__ = open_span.__code__.replace(**names)
+    return open_span
+
+
+class Tracer:
+    """Collects a span tree and counters against the simulated clock."""
+
+    def __init__(self, sim: "Any"):
+        self._sim = sim
+        self.spans: List[Span] = []
+        self.counters: Dict[str, float] = {}
+        self.enabled = True
+        #: Callbacks invoked with each span as it finishes (invariant
+        #: monitors, live dashboards). Exceptions propagate — a checker
+        #: failing is a test failure, not something to swallow.
+        self.on_end: List[Any] = []
+        self._ids = 0
+        #: Id of ``spans[0]``: ids are dense, so span ``i`` sits at
+        #: ``spans[i - _first_id]`` (clear() drops spans, never ids).
+        self._first_id = 0
+        #: Span stack for code running outside any task.
+        self._root_stack: List[Span] = []
+
+    # ------------------------------------------------------------------
+    # context plumbing
+    def current_span(self) -> Optional[Span]:
+        """The innermost open span of the current execution context."""
+        task = self._sim._current_task
+        if task is None:
+            return self._root_stack[-1] if self._root_stack else None
+        if task.trace_stack:
+            return task.trace_stack[-1]
+        return task.trace_parent
+
+    begin = _span_opener(
+        "begin",
+        detached=False,
+        doc="""Open a span at the current simulated time.
+
+        Parentage defaults to the current context (span stack, then the
+        task's spawn-inherited parent); pass ``parent`` (a span or span
+        id, e.g. an RPC trace context) to override.
+        """,
+    )
+
+    begin_async = _span_opener(
+        "begin_async",
+        detached=True,
+        doc="""Open a span that never becomes the current span.
+
+        For operations whose end lives in another execution context
+        (message transit, RDMA completion): the span records its parent
+        for the tree but later ``begin`` calls will not nest under it.
+        """,
+    )
 
     def end(self, span: Span, **tags: Any) -> Span:
         """Close a span at the current simulated time.

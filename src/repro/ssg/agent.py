@@ -10,6 +10,7 @@ message; joins go through any live member listed in the
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.argo.sync import Mutex
@@ -18,6 +19,7 @@ from repro.mercury import RpcError, RpcTimeout
 from repro.na.address import Address
 from repro.ssg.config import SwimConfig
 from repro.ssg.view import MembershipView, Status, Update
+from repro.telemetry.metrics import Counter
 
 __all__ = ["GroupFile", "SSGAgent", "converged"]
 
@@ -119,6 +121,14 @@ class SSGAgent(Provider):
             self._extra_observers.remove(observer)
         except ValueError:
             pass
+
+    @cached_property
+    def _m_probes(self) -> Counter:
+        return self._metrics.counter("probes")
+
+    @cached_property
+    def _m_suspicions(self) -> Counter:
+        return self._metrics.counter("suspicions")
 
     def _notify(self, event: str, member: Address) -> None:
         self._metrics.counter(f"members_{event}").inc()
@@ -242,7 +252,7 @@ class SSGAgent(Provider):
         # budget is spent — a reachable suspect must always get the
         # chance to refute before the suspicion timer expires.
         sim = self.margo.sim
-        self._metrics.counter("probes").inc()
+        self._m_probes.inc()
         span = sim.trace.begin("ssg.probe", prober=self.address, target=target)
         extra = None
         if self.view.status_of(target) is Status.SUSPECT:
@@ -261,8 +271,9 @@ class SSGAgent(Provider):
     def _send_ping(self, target: Address, extra: Optional[List[Update]] = None) -> Generator:
         # Fault injection point: suppressed gossip looks exactly like a
         # lost probe — the deadline elapses, then the timeout fires.
-        if self.margo.sim.intercept("ssg.gossip", self.address, target):
-            yield self.margo.sim.timeout(self.config.ping_timeout)
+        sim = self.margo.sim
+        if "ssg.gossip" in sim._interceptors and sim.intercept("ssg.gossip", self.address, target):
+            yield sim.timeout(self.config.ping_timeout)
             raise RpcTimeout(f"ssg ping {self.address}->{target} suppressed")
         updates = self._piggyback()
         if extra:
@@ -300,8 +311,9 @@ class SSGAgent(Provider):
     def _ping_req_one(self, proxy: Address, target: Address) -> Generator:
         # Suppression is keyed on (prober, target): indirect probes of a
         # suppressed target fail too, so suspicion can actually form.
-        if self.margo.sim.intercept("ssg.gossip", self.address, target):
-            yield self.margo.sim.timeout(self.config.ping_req_timeout)
+        sim = self.margo.sim
+        if "ssg.gossip" in sim._interceptors and sim.intercept("ssg.gossip", self.address, target):
+            yield sim.timeout(self.config.ping_req_timeout)
             return False
         try:
             status = yield from self.margo.provider_call(
@@ -322,7 +334,7 @@ class SSGAgent(Provider):
         inc = self.view.incarnation_of(target)
         update = Update(Status.SUSPECT, target, inc)
         if self._apply_and_notify(update):
-            self._metrics.counter("suspicions").inc()
+            self._m_suspicions.inc()
             self._queue_update(update)
             self.margo.sim.spawn(
                 self._suspicion_timer(target, inc), name=f"suspicion@{self.address}"

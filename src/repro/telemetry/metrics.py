@@ -10,11 +10,25 @@ their metrics under a component scope (``na``, ``mercury``, ``margo``,
     na.histogram("transit_seconds").observe(0.002)
 
 Names are ``<component>.<metric>``; re-registering a name as a
-different metric kind raises. Histograms combine fixed buckets (for
+different metric type raises. Histograms combine fixed buckets (for
 distribution reports) with a :class:`~repro.telemetry.sketch
 .QuantileSketch` (for p50/p90/p99). Snapshots serialize
 deterministically — they feed the bench reports and the trace digest's
 sibling artifacts, so two same-seed runs must produce identical bytes.
+
+Nothing on a per-event path goes through the registry (DESIGN §12):
+
+- a total a layer already keeps is *pulled*, not pushed:
+  ``scope.pulled("messages_sent", fabric, "messages_sent")`` reports the
+  fabric's own int (summed over every source registered under the name)
+  as a counter whenever a snapshot is taken;
+- any other metric is looked up once and held as an attribute handle —
+  a ``functools.cached_property`` on the layer, so the metric is
+  registered at its first update exactly as a per-event lookup would
+  have registered it, and every later update is a plain attribute read.
+
+A registered metric therefore lives as long as the simulation: there is
+no way to drop one while a layer still holds its handle.
 """
 
 from __future__ import annotations
@@ -25,7 +39,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.telemetry.sketch import QuantileSketch
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "MetricScope"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "MetricScope", "PulledCounter"]
 
 #: Default histogram buckets: log-spaced seconds, 1 µs .. 1000 s.
 DEFAULT_BUCKETS: Tuple[float, ...] = tuple(
@@ -175,7 +189,34 @@ class Histogram:
         return repr(self.bounds[idx])
 
 
-Metric = Union[Counter, Gauge, Histogram]
+class PulledCounter:
+    """A counter whose total a layer already keeps.
+
+    Nothing increments it: the value is read, when reported, from the
+    named int attribute of every registered source and summed (two
+    fabrics on one simulation report one ``na.messages_sent``). A layer
+    that pulls counts each event once, in its own attribute. The value
+    reads back as the float a pushed :class:`Counter` would hold, so a
+    snapshot cannot tell the two apart.
+    """
+
+    kind = "counter"
+    __slots__ = ("name", "sources")
+
+    def __init__(self, name: str):
+        self.name = name
+        #: ``(object, attribute name)`` pairs whose values sum to the total.
+        self.sources: List[Tuple[Any, str]] = []
+
+    @property
+    def value(self) -> float:
+        return float(sum(getattr(source, attr) for source, attr in self.sources))
+
+    def snapshot(self) -> Dict[str, Any]:
+        return {"kind": self.kind, "value": self.value}
+
+
+Metric = Union[Counter, Gauge, Histogram, PulledCounter]
 
 
 class MetricScope:
@@ -196,6 +237,9 @@ class MetricScope:
     def histogram(self, name: str, **kwargs: Any) -> Histogram:
         return self._registry.histogram(f"{self.component}.{name}", **kwargs)
 
+    def pulled(self, name: str, source: Any, attr: str) -> PulledCounter:
+        return self._registry.pulled(f"{self.component}.{name}", source, attr)
+
 
 class MetricsRegistry:
     """All metrics of one simulation, keyed ``<component>.<metric>``."""
@@ -206,32 +250,39 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------------
     def scope(self, component: str) -> MetricScope:
-        # Scopes are stateless views; interning them keeps hot paths
-        # (one scope() call per probe/ping at SWIM scale) allocation-free.
+        # Scopes are stateless views, interned so that resolving a
+        # handle allocates nothing after the component's first one.
         scope = self._scopes.get(component)
         if scope is None:
             scope = self._scopes[component] = MetricScope(self, component)
         return scope
 
-    def _get_or_create(self, name: str, factory, kind: str) -> Metric:
+    def _get_or_create(self, name: str, cls: type, **kwargs: Any) -> Metric:
         metric = self._metrics.get(name)
         if metric is None:
-            metric = factory()
-            self._metrics[name] = metric
-        elif metric.kind != kind:
+            metric = self._metrics[name] = cls(name, **kwargs)
+        elif type(metric) is not cls:
             raise TypeError(
-                f"metric {name!r} already registered as {metric.kind}, not {kind}"
+                f"metric {name!r} already registered as "
+                f"{type(metric).__name__}, not {cls.__name__}"
             )
         return metric
 
     def counter(self, name: str) -> Counter:
-        return self._get_or_create(name, lambda: Counter(name), "counter")
+        return self._get_or_create(name, Counter)
 
     def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, lambda: Gauge(name), "gauge")
+        return self._get_or_create(name, Gauge)
 
     def histogram(self, name: str, **kwargs: Any) -> Histogram:
-        return self._get_or_create(name, lambda: Histogram(name, **kwargs), "histogram")
+        return self._get_or_create(name, Histogram, **kwargs)
+
+    def pulled(self, name: str, source: Any, attr: str) -> PulledCounter:
+        """Report ``source.<attr>`` (an int the layer keeps) under
+        ``name``, added to what the name's other sources report."""
+        metric = self._get_or_create(name, PulledCounter)
+        metric.sources.append((source, attr))
+        return metric
 
     # ------------------------------------------------------------------
     def get(self, name: str) -> Optional[Metric]:
@@ -252,6 +303,3 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """All metrics as a name-sorted plain dict (JSON-ready)."""
         return {name: self._metrics[name].snapshot() for name in self.names()}
-
-    def clear(self) -> None:
-        self._metrics.clear()

@@ -26,3 +26,16 @@ class Worker:
         # line 26: FC010 warning (same counter inc'd twice per call)
         core.counter("steps").inc()
         sim.trace.begin("worker.step")
+
+
+class Link:
+    def __init__(self, sim):
+        self._metrics = sim.metrics.scope("link")
+        self.retries = 0
+        # line 36: FC010 warning (pulls a count nothing advances)
+        self._metrics.pulled("retries", self, "retries")
+
+    @functools.cached_property
+    def _m_drops(self):
+        # line 41: FC010 warning (a held handle no path updates)
+        return self._metrics.counter("drops")

@@ -33,3 +33,31 @@ class Tenanted:
         scope = sim.metrics.scope(f"tenant.{tenant}")
         scope.counter("blocks").inc()
         yield sim.timeout(1)
+
+
+class Link:
+    """Held handles and pulled counts: each registration is updated."""
+
+    def __init__(self, sim):
+        self._metrics = sim.metrics.scope("link")
+        self.retries = 0
+        self._metrics.pulled("retries", self, "retries")
+
+    @functools.cached_property
+    def _m_drops(self):
+        return self._metrics.counter("drops")
+
+    def send(self, ok):
+        if not ok:
+            self.retries += 1
+            self._m_drops.inc()
+
+
+class Peer:
+    @functools.cached_property
+    def sends(self):
+        return self._scope.counter("sends")
+
+
+def count_send(peer):
+    peer.sends.inc()

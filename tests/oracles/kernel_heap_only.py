@@ -648,7 +648,7 @@ class Simulation:
         task = Task(self, gen, name)
         if self._current_task is not None:
             task.tenant = self._current_task.tenant
-        self.trace.inherit(task)
+        task.trace_parent = self.trace.current_span()
         self.tasks.append(task)
         if len(self.tasks) >= self._task_prune_at:
             self._prune_tasks()
@@ -668,7 +668,7 @@ class Simulation:
         task = Task(self, gen, name)
         if self._current_task is not None:
             task.tenant = self._current_task.tenant
-        self.trace.inherit(task)
+        task.trace_parent = self.trace.current_span()
         self.tasks.append(task)
         self._schedule_at(when, task._start)
         return task

@@ -177,13 +177,15 @@ def test_fc009_quiet_on_compensated_and_post_commit_paths():
 # FC010: metric contract
 def test_fc010_flags_phantom_dead_and_double_counted_metrics():
     report = check_fixture("fc010_bad.py", select=["FC010"])
-    assert lines_of(report, "FC010") == [7, 13, 20, 27]
+    assert lines_of(report, "FC010") == [7, 13, 20, 27, 36, 41]
     by_line = {f.line: f for f in report.unsuppressed()}
     assert by_line[7].severity == "error"  # phantom span consumer
     assert by_line[13].severity == "error"  # unregistered metric read
     assert by_line[20].severity == "warning"  # registered, never updated
     assert by_line[27].severity == "warning"  # double count per call
     assert "double-counted" in by_line[27].message
+    assert by_line[36].severity == "warning"  # pulls a count nothing advances
+    assert by_line[41].severity == "warning"  # held handle never updated
 
 
 def test_fc010_quiet_on_matched_spans_and_wildcard_scopes():

@@ -216,3 +216,89 @@ def test_2pc_activation_run_is_simtsan_clean():
     tsan.assert_clean()
     ctx.monitor.assert_ok()
     tsan.uninstall()
+
+
+# ---------------------------------------------------------------------------
+# opt-in by class switch: free when nobody observes, complete when one does
+def _race(sim, table, key):
+    """A reader of ``table[key]`` suspended while a writer rewrites it."""
+
+    def reader(sim):
+        _ = table.get(key)
+        yield sim.timeout(1.0)
+
+    def writer(sim):
+        yield sim.timeout(0.5)
+        table[key] = "rewritten"
+
+    sim.spawn(reader(sim), name="reader")
+    sim.spawn(writer(sim), name="writer")
+
+
+def test_detector_installed_after_build_stack_observes_the_stack():
+    from repro.chaos.scenarios import build_stack
+
+    ctx = build_stack(seed=0, n_servers=3)
+    provider = ctx.deployment.live_daemons()[0].provider
+    view = provider.agent.view._members
+    assert type(provider._active) is Shared and type(view) is Shared
+    tsan = SimTSan(ctx.sim).install()
+    assert type(provider._active) is not Shared and type(view) is not Shared
+    _race(ctx.sim, provider._active, ("p", 1))
+    ctx.sim.run(until=ctx.sim.now + 2.0)
+    assert [(r.label, r.reader, r.writer) for r in tsan.races] == [
+        (provider._active.label, "reader", "writer")
+    ]
+    tsan.uninstall()
+    assert type(provider._active) is Shared and type(view) is Shared
+    del provider._active[("p", 1)]
+
+
+def test_shared_built_after_install_observes_from_birth(sim):
+    tsan = SimTSan(sim).install()
+    table = tracked(sim, {"x": 0}, label="late")
+    _race(sim, table, "x")
+    sim.run()
+    assert [r.label for r in tsan.races] == ["late"]
+
+
+def test_uninstall_then_fresh_install_still_observes(sim):
+    table = tracked(sim, {"x": 0}, label="demo")
+    first = SimTSan(sim).install()
+    first.uninstall()
+    _race(sim, table, "x")
+    sim.run(until=1.0)
+    assert first.races == []
+    second = SimTSan(sim).install()
+    _race(sim, table, "x")
+    sim.run()
+    assert first.races == [] and len(second.races) == 1
+
+
+def test_the_registry_keeps_no_container_alive(sim):
+    import gc
+    import weakref
+
+    table = tracked(sim, {"x": 0}, label="short-lived")
+    ref = weakref.ref(table)
+    del table
+    gc.collect()
+    assert ref() is None
+    tsan = SimTSan(sim).install()  # switches what is left: nothing
+    tsan.uninstall()
+
+
+def test_unobserved_shared_get_is_the_dict_get_alone(sim):
+    """With no detector a read is one call — ``dict.get`` itself, no
+    Python frame of this module in between."""
+    import cProfile
+
+    table = tracked(sim, {"x": 1}, label="demo")
+    profile = cProfile.Profile()
+    profile.runcall(table.get, "x")
+    calls = {
+        entry.code if isinstance(entry.code, str) else entry.code.co_name: entry.callcount
+        for entry in profile.getstats()
+    }
+    calls.pop("<method 'disable' of '_lsprof.Profiler' objects>", None)
+    assert calls == {"<method 'get' of 'dict' objects>": 1}

@@ -1,0 +1,135 @@
+"""The metric contract: what ``sim.metrics`` reports, byte for byte.
+
+Layers hold their metrics as handles resolved once (or, for totals a
+layer already keeps, as pulled views of its own counts), so a report is
+only right if every handle is the object the registry reports. These
+tests pin the serialized snapshot of a few representative runs, and
+check that identity after a run.
+"""
+
+import hashlib
+import json
+
+from repro.bench.harness import ColzaExperiment
+from repro.chaos import scenarios
+from repro.core.pipelines import IsoSurfaceScript
+from repro.na import VirtualPayload
+from repro.sim import Simulation
+from repro.testing import build_margo_ring, drive
+
+#: SHA-256 of ``json.dumps(sim.metrics.snapshot(), sort_keys=True)``,
+#: recorded while every layer still looked its metrics up per event and
+#: the fabric pushed each message into registry counters.
+SNAPSHOT_DIGESTS = {
+    "colza_iteration": "d39a662e86e2787f8b93c0710c56bdab327fb5a3727ed2b7e9b7031340e82238",
+    "drop_during_2pc@3": "b6c88aeafea281fc6ced42fcee5bfe57139633e28cd7f009669d04a9930641d5",
+    "tenant_owner_crash_recovery_isolated@3": "88115e11b220ff67b303bbba9d9777ccba849430652ec2f34d21716101a4bd09",
+    "two_fabrics": "3f7ffc67702452bb38a955b904214fc0e52cf6f45e77ea91b3339453183a6a03",
+}
+
+
+def _digest(sim) -> str:
+    return hashlib.sha256(
+        json.dumps(sim.metrics.snapshot(), sort_keys=True).encode()
+    ).hexdigest()
+
+
+def _experiment():
+    exp = ColzaExperiment(
+        4, 8, IsoSurfaceScript(field="dist", isovalues=[1.0]),
+        seed=42, width=64, height=64, library="libcolza-iso.so",
+    ).setup()
+    exp.run_iteration(1, [[(c, VirtualPayload((8192,), "float64"))] for c in range(8)])
+    return exp
+
+
+def _scenario_sim(monkeypatch, name, seed):
+    sims = []
+    finish = scenarios._finish
+
+    def capture(ctx, *args, **kwargs):
+        sims.append(ctx.sim)
+        return finish(ctx, *args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "_finish", capture)
+    assert scenarios.run_scenario(name, seed=seed).ok
+    (sim,) = sims
+    return sim
+
+
+def _two_fabrics():
+    """Two Margo rings, each on its own fabric, sharing one simulation:
+    RPCs and a bulk pull on both, so the pulled ``na`` totals sum."""
+    sim = Simulation(seed=5)
+    rings = [build_margo_ring(sim, 3, name_prefix=p)[1] for p in ("left", "right")]
+
+    def echo(_hg, value):
+        return value
+        yield
+
+    for ring in rings:
+        for margo in ring:
+            margo.hg.register_rpc("echo", echo)
+
+    def body():
+        for ring in rings:
+            for i, margo in enumerate(ring):
+                peer = ring[(i + 1) % len(ring)]
+                yield from margo.forward(peer.address, "echo", list(range(i + 3)))
+                yield from margo.compute(1e-4 * (i + 1))
+            payload = yield ring[0].bulk_pull(ring[1].expose(VirtualPayload((1000,), "float64")))
+            assert payload.nbytes == 8000
+
+    drive(sim, body())
+    return sim, rings
+
+
+def test_one_colza_iteration_snapshot_is_pinned():
+    assert _digest(_experiment().sim) == SNAPSHOT_DIGESTS["colza_iteration"]
+
+
+def test_chaos_scenario_snapshots_are_pinned(monkeypatch):
+    for name in ("drop_during_2pc", "tenant_owner_crash_recovery_isolated"):
+        monkeypatch.undo()
+        sim = _scenario_sim(monkeypatch, name, 3)
+        assert _digest(sim) == SNAPSHOT_DIGESTS[f"{name}@3"], name
+
+
+def test_two_fabrics_on_one_simulation_report_the_sum():
+    sim, rings = _two_fabrics()
+    fabrics = [ring[0].fabric for ring in rings]
+    assert fabrics[0] is not fabrics[1]
+    assert all(f.messages_sent > 0 for f in fabrics)
+    messages = sim.metrics.get("na.messages_sent").value
+    assert messages == float(sum(f.messages_sent for f in fabrics))
+    assert sim.metrics.get("na.bytes_sent").value == float(sum(f.bytes_sent for f in fabrics))
+    assert _digest(sim) == SNAPSHOT_DIGESTS["two_fabrics"]
+
+
+def test_every_held_handle_is_the_metric_the_registry_reports():
+    """After a run, each layer's handle and the registry's entry are one
+    object (and the pulled ``na`` totals read the fabric itself): no
+    layer counts into a metric the snapshot no longer reports."""
+    from repro.telemetry.metrics import Counter, Histogram
+
+    exp = _experiment()
+    metrics, fabric = exp.sim.metrics, exp.deployment.fabric
+    holders = [fabric]
+    for daemon in exp.deployment.live_daemons():
+        provider = daemon.provider
+        holders += [daemon.margo, daemon.agent, provider._core_counters]
+        holders += provider._tenant_counters.values()
+        holders += [p.comm for p in provider.pipelines.values() if getattr(p, "comm", None)]
+    handles = [
+        (type(holder).__name__, value)
+        for holder in holders
+        for value in vars(holder).values()
+        if isinstance(value, (Counter, Histogram))
+    ]
+    assert {kind for kind, _ in handles} == {
+        "Fabric", "MargoInstance", "SSGAgent", "_Counters", "MonaComm",
+    }
+    for kind, handle in handles:
+        assert metrics.get(handle.name) is handle, (kind, handle.name)
+    for name in ("messages_sent", "bytes_sent"):
+        assert metrics.get(f"na.{name}").sources == [(fabric, name)]

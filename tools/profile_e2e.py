@@ -1,14 +1,19 @@
 """Profile the timed section, or the set-up, of one end-to-end benchmark workload.
 
 ``python tools/profile_e2e.py --workload W [--seed N] [--quick] [--top K]
-[--sort tottime|cumtime|ncalls] [--phase run|setup|sim] [--garbage]`` (or ``make
-profile-e2e WORKLOAD=W``) builds the workload the way ``bench_e2e`` does
-— inputs and set-up unprofiled, one thread, fixed hash seed — and
-prints, for the timed section alone:
+[--sort tottime|cumtime|ncalls] [--phase run|setup|sim] [--garbage] [--by-module]``
+(or ``make profile-e2e WORKLOAD=W``) builds the workload the way
+``bench_e2e`` does — inputs and set-up unprofiled, one thread, fixed hash
+seed — and prints, for the timed section alone:
 
 - the ``cProfile`` top-K and the total call count, which is the
   benchmark's ``py_calls_m`` for that seed to the call (same section,
   same way of counting);
+- with ``--by-module``, the same calls grouped by the module that
+  defines the function called — each ``repro`` module, C functions,
+  generated code, other packages — and then the top-K functions by
+  calls. The rows sum to the total, so they are exact for a seed too:
+  the table to size a change to ``py_calls_m`` with, layer by layer;
 - a census of the cyclic collector: collections and seconds per
   generation, read through ``gc.callbacks`` on a second, unprofiled run
   (a callback under the profiler would add its own calls to the count);
@@ -79,7 +84,8 @@ def _timed_section(args: argparse.Namespace) -> Callable[[], None]:
 
 
 def _profiled(args: argparse.Namespace, what: str, call: Callable[..., None], *call_args) -> int:
-    """Print the cProfile top-K of ``call``; returns its total call count."""
+    """Print the cProfile top-K of ``call`` (and, with ``--by-module``,
+    its calls by module and function); returns its total call count."""
     profiler = cProfile.Profile()
     profiler.enable()
     try:
@@ -88,7 +94,47 @@ def _profiled(args: argparse.Namespace, what: str, call: Callable[..., None], *c
         profiler.disable()
     print(f"== cProfile of {what}, top {args.top} by {args.sort}")
     pstats.Stats(profiler).strip_dirs().sort_stats(args.sort).print_stats(args.top)
-    return sum(entry.callcount for entry in profiler.getstats())
+    entries = profiler.getstats()
+    if args.by_module:
+        _print_by_module(entries, args.top)
+    return sum(entry.callcount for entry in entries)
+
+
+def _module_of(code) -> str:
+    """Where a profiled function is defined: ``repro.<module>``, or a
+    bucket for everything outside the package."""
+    if isinstance(code, str):  # "<built-in method ...>", "<method 'get' of 'dict' objects>"
+        return "(C functions)"
+    path = code.co_filename.replace(os.sep, "/")
+    if "/repro/" in path and path.endswith(".py"):
+        module = "repro." + path.rsplit("/repro/", 1)[1][:-3].replace("/", ".")
+        return module.removesuffix(".__init__")
+    if path.startswith("<"):  # "<string>": dataclass-generated __init__ and the like
+        return "(generated code)"
+    if "site-packages/" in path:
+        return path.split("site-packages/", 1)[1].split("/", 1)[0]
+    return "(stdlib)"
+
+
+def _print_by_module(entries, top: int) -> None:
+    by_module: Dict[str, int] = Counter()
+    by_function: Dict[str, int] = Counter()
+    for entry in entries:
+        module = _module_of(entry.code)
+        by_module[module] += entry.callcount
+        code = entry.code
+        name = code if isinstance(code, str) else getattr(code, "co_qualname", code.co_name)
+        by_function[f"{module}:{name}"] += entry.callcount
+    total = sum(by_module.values())
+    rows = sorted(by_module.items(), key=lambda kv: (-kv[1], kv[0]))
+    print(f"== calls of the timed section by defining module ({total} in all)")
+    print(f"{'calls':>10s} {'share':>7s}  module")
+    for module, calls in rows:
+        print(f"{calls:>10d} {calls / total:>7.1%}  {module}")
+    print(f"== the {top} functions called most")
+    print(f"{'calls':>10s} {'share':>7s}  module:function")
+    for name, calls in sorted(by_function.items(), key=lambda kv: (-kv[1], kv[0]))[:top]:
+        print(f"{calls:>10d} {calls / total:>7.1%}  {name}")
 
 
 def profile(args: argparse.Namespace) -> None:
@@ -244,6 +290,8 @@ def main() -> int:
                         "sim: simulated seconds per phase of every tenant-iteration attempt")
     p.add_argument("--garbage", action="store_true",
                    help="also run with the collector off and list the cyclic garbage by type")
+    p.add_argument("--by-module", action="store_true",
+                   help="also print the timed section's calls per defining module and per function")
     args = p.parse_args()
     if any(os.environ.get(k) != v for k, v in FIXED_ENV.items()):
         os.execve(sys.executable, [sys.executable] + sys.orig_argv[1:], dict(os.environ, **FIXED_ENV))
