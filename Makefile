@@ -1,6 +1,6 @@
 # Convenience targets for the Colza reproduction.
 
-.PHONY: install test chaos autoscale lint check check-fast report sarif fuzz mcheck bench bench-trajectory bench-trajectory-update bench-analysis bench-analysis-update bench-autoscale bench-autoscale-update bench-e2e bench-e2e-smoke bench-e2e-ab profile-e2e examples results clean
+.PHONY: install test chaos autoscale lint check check-fast report sarif mcheck bench bench-trajectory bench-trajectory-update bench-analysis bench-analysis-update bench-autoscale bench-autoscale-update bench-e2e bench-e2e-smoke bench-e2e-ab profile-e2e examples results clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -38,14 +38,13 @@ report:
 sarif:
 	@PYTHONPATH=src python -m repro.analysis report --sarif src
 
-fuzz:
-	PYTHONPATH=src python -m repro.analysis fuzz -n 5 --repro-dir .mcheck-repros
-
 # Colzacheck: systematically explore same-timestamp interleavings of
-# every protocol scenario; minimized counterexamples (replay with
+# every protocol scenario, then sample five seeded random walks of the
+# two whole-run scenarios; minimized counterexamples (replay with
 # `python -m repro.analysis replay <file>`) land in .mcheck-repros/.
 mcheck:
 	PYTHONPATH=src python -m repro.analysis mcheck --out .mcheck-repros
+	PYTHONPATH=src python -m repro.analysis mcheck --walk 5 --scenario resilient_iterations --scenario swim_convergence --out .mcheck-repros
 
 bench:
 	pytest benchmarks/ --benchmark-only
@@ -130,7 +129,6 @@ examples:
 	python examples/mandelbulb_elastic.py
 	python examples/dwi_volume.py
 	python examples/fault_tolerance.py
-	python examples/adios_sst_coupling.py
 	python examples/multi_tenant.py
 	python examples/autoscale_slo.py
 

@@ -1,7 +1,7 @@
 """Determinism analysis toolchain (DESIGN §9).
 
-Three cooperating tools turn the kernel's determinism claim from
-convention into something enforced:
+Cooperating tools turn the kernel's determinism claim from convention
+into something enforced:
 
 - :mod:`repro.analysis.detlint` — an AST linter (stdlib ``ast`` only)
   whose rules target the ways this codebase could silently lose
@@ -12,9 +12,9 @@ convention into something enforced:
 - :mod:`repro.analysis.simtsan` — a runtime yield-point race detector
   for state shared across cooperative tasks (SSG views, the provider's
   pipeline table, 2PC activation state).
-- :mod:`repro.analysis.fuzz` — a schedule-perturbation fuzzer that
-  re-runs scenarios under seeded permutations of same-timestamp
-  tie-breaking and diffs invariant-level digests.
+- :mod:`repro.analysis.mcheck` — Colzacheck, the schedule explorer
+  (DESIGN §15): DFS over same-timestamp interleavings with DPOR-style
+  pruning, or seeded random walks, with replayable counterexamples.
 - :mod:`repro.analysis.flowcheck` — an interprocedural protocol and
   resource-lifecycle analyzer (DESIGN §10): whole-program call graph
   over spawn edges and RPC name strings, with dataflow passes for task
@@ -24,7 +24,7 @@ convention into something enforced:
   and flowcheck for CI artifacts.
 
 CLI: ``python -m repro.analysis lint`` / ``check`` / ``report`` /
-``fuzz`` (see ``--help`` on each).
+``mcheck`` / ``replay`` (see ``--help`` on each).
 """
 
 from repro.analysis.simtsan import RaceReport, Shared, SimTSan, tracked, untracked
@@ -32,15 +32,11 @@ from repro.analysis.simtsan import RaceReport, Shared, SimTSan, tracked, untrack
 #: Re-exports resolved on first access (PEP 562). Production code imports
 #: ``repro.analysis.simtsan`` (``Shared`` wraps the provider's tables),
 #: and that must not load the ``ast``-based analysers — a checker does
-#: not tax the path it checks. ``fuzz`` also has to be lazy: it imports
-#: the chaos stack, which imports ``repro.analysis.simtsan``, so an
-#: eager import here would close that cycle mid-initialization.
+#: not tax the path it checks.
 _LAZY_EXPORTS = {
     "Finding": "detlint", "LintReport": "detlint", "run_lint": "detlint",
     "CheckReport": "flowcheck", "FlowFinding": "flowcheck", "run_check": "flowcheck",
     "AnalysisReport": "report", "run_report": "report",
-    "FUZZ_SCENARIOS": "fuzz", "FuzzOutcome": "fuzz", "FuzzReport": "fuzz",
-    "run_fuzz": "fuzz", "run_fuzz_one": "fuzz",
 }
 
 
@@ -55,18 +51,13 @@ def __getattr__(name: str):
 __all__ = [
     "AnalysisReport",
     "CheckReport",
-    "FUZZ_SCENARIOS",
     "Finding",
     "FlowFinding",
-    "FuzzOutcome",
-    "FuzzReport",
     "LintReport",
     "RaceReport",
     "Shared",
     "SimTSan",
     "run_check",
-    "run_fuzz",
-    "run_fuzz_one",
     "run_lint",
     "run_report",
     "tracked",

@@ -6,8 +6,7 @@
     python -m repro.analysis check [paths...] [--select FC001,FC010] [--show-suppressed]
     python -m repro.analysis check --changed [REF]
     python -m repro.analysis report [paths...] [--json | --sarif]
-    python -m repro.analysis fuzz [--scenario NAME] [--seed N] [-n N | --fuzz-seeds 0,1,2] [--json] [--repro-dir DIR]
-    python -m repro.analysis mcheck [--scenario NAME] [--seed N] [--max-schedules N] [--max-flips N] [--out DIR] [--json]
+    python -m repro.analysis mcheck [--scenario NAME] [--seed N] [--max-schedules N] [--max-flips N] [--walk N] [--out DIR] [--json]
     python -m repro.analysis replay FILE [FILE...]
 
 ``lint`` (detlint) and ``check`` (flowcheck) exit 1 if any unsuppressed
@@ -15,15 +14,13 @@ finding remains; ``check --changed REF`` restricts the *reported* file
 set to the callgraph closure of the git diff against REF (default HEAD)
 while still analyzing the whole tree; ``report`` merges both into one
 document — SARIF-lite JSON by default, real SARIF 2.1.0 with
-``--sarif`` — and exits 1 under the same condition; ``fuzz`` exits 1 if
-any perturbed schedule produces an invariant violation or an invariant
-digest differing from the unperturbed baseline, and with ``--repro-dir``
-writes each divergence as a replayable ``.sched`` file; ``mcheck``
+``--sarif`` — and exits 1 under the same condition; ``mcheck``
 systematically explores same-timestamp interleavings of a scenario's
-racy window and exits 1 if any explored schedule violates an invariant
-(the minimized counterexample is written to ``--out``); ``replay``
-re-executes ``.sched`` counterexamples from either tool and exits 1
-unless every one reproduces its recorded failure identity.
+racy window (or, with ``--walk N``, samples N seeded random walks of
+it) and exits 1 if any run violates an invariant (the minimized
+counterexample is written to ``--out``); ``replay`` re-executes
+``.sched`` counterexamples and exits 1 unless every one reproduces its
+recorded failure identity.
 """
 
 from __future__ import annotations
@@ -77,61 +74,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from repro.analysis.fuzz import FUZZ_SCENARIOS, outcome_schedule, run_fuzz
-
-    if args.list:
-        for name in sorted(FUZZ_SCENARIOS):
-            print(name)
-        return 0
-    fuzz_seeds = (
-        [int(s) for s in args.fuzz_seeds.split(",")] if args.fuzz_seeds else None
-    )
-    exit_code = 0
-    for scenario in args.scenario or sorted(FUZZ_SCENARIOS):
-        report = run_fuzz(scenario, seed=args.seed, fuzz_seeds=fuzz_seeds, n=args.n)
-        if args.repro_dir and not report.ok:
-            out = Path(args.repro_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            for outcome in report.divergences:
-                path = out / (
-                    f"fuzz-{report.scenario}-s{report.seed}"
-                    f"-f{outcome.fuzz_seed}.sched"
-                )
-                outcome_schedule(outcome).save(str(path))
-                print(f"  repro written: {path}", file=sys.stderr)
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "scenario": report.scenario,
-                        "seed": report.seed,
-                        "ok": report.ok,
-                        "perturbed_schedules": report.perturbed_schedules,
-                        "baseline_invariant_digest": report.baseline.invariant_digest,
-                        "outcomes": [
-                            {
-                                "fuzz_seed": o.fuzz_seed,
-                                "schedule_digest": o.schedule_digest,
-                                "invariant_digest": o.invariant_digest,
-                                "violations": list(o.violations),
-                            }
-                            for o in report.outcomes
-                        ],
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
-            )
-        else:
-            print(report.render())
-        if not report.ok:
-            exit_code = 1
-    return exit_code
-
-
 def _cmd_mcheck(args: argparse.Namespace) -> int:
-    from repro.analysis.mcheck import explore, scenario_names
+    from repro.analysis.mcheck import explore, random_walk, scenario_names
 
     if args.list:
         for name in scenario_names():
@@ -140,15 +84,21 @@ def _cmd_mcheck(args: argparse.Namespace) -> int:
     log = (lambda msg: print(f"  {msg}", file=sys.stderr)) if args.verbose else None
     exit_code = 0
     for scenario in args.scenario or scenario_names():
-        report = explore(
-            scenario,
-            seed=args.seed,
-            max_schedules=args.max_schedules,
-            max_flips=args.max_flips,
-            prune=not args.no_prune,
-            do_shrink=not args.no_shrink,
-            log=log,
-        )
+        if args.walk:
+            report = random_walk(
+                scenario, seed=args.seed, walks=args.walk,
+                do_shrink=not args.no_shrink, log=log,
+            )
+        else:
+            report = explore(
+                scenario,
+                seed=args.seed,
+                max_schedules=args.max_schedules,
+                max_flips=args.max_flips,
+                prune=not args.no_prune,
+                do_shrink=not args.no_shrink,
+                log=log,
+            )
         if args.json:
             print(json.dumps(report.to_json(), indent=2, sort_keys=True))
         else:
@@ -181,7 +131,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                 json.dumps(
                     {
                         "file": path,
-                        "tool": schedule.tool,
                         "scenario": schedule.scenario,
                         "matches": result.matches,
                         "diverged": result.diverged,
@@ -251,26 +200,9 @@ def main(argv=None) -> int:
     )
     report.set_defaults(fn=_cmd_report)
 
-    fuzz = sub.add_parser("fuzz", help="run the schedule-perturbation fuzzer")
-    fuzz.add_argument(
-        "--scenario",
-        action="append",
-        help="fuzz scenario name (repeatable; default: all). See --list.",
-    )
-    fuzz.add_argument("--seed", type=int, default=0, help="scenario seed")
-    fuzz.add_argument("-n", type=int, default=5, help="number of fuzz seeds (0..n-1)")
-    fuzz.add_argument("--fuzz-seeds", help="explicit comma-separated fuzz seeds")
-    fuzz.add_argument("--json", action="store_true", help="machine-readable output")
-    fuzz.add_argument("--list", action="store_true", help="list fuzz scenarios")
-    fuzz.add_argument(
-        "--repro-dir",
-        metavar="DIR",
-        help="write each divergence as a replayable .sched file under DIR",
-    )
-    fuzz.set_defaults(fn=_cmd_fuzz)
-
     mcheck = sub.add_parser(
-        "mcheck", help="systematically explore schedule interleavings (Colzacheck)"
+        "mcheck",
+        help="explore schedule interleavings, or sample them with --walk (Colzacheck)",
     )
     mcheck.add_argument(
         "--scenario",
@@ -286,6 +218,13 @@ def main(argv=None) -> int:
         type=int,
         default=3,
         help="preemption bound: max non-FIFO choices per schedule (default 3)",
+    )
+    mcheck.add_argument(
+        "--walk",
+        type=int,
+        default=0,
+        metavar="N",
+        help="sample N seeded random walks (seeds 0..N-1) instead of the DFS",
     )
     mcheck.add_argument(
         "--no-prune",
@@ -310,7 +249,7 @@ def main(argv=None) -> int:
     mcheck.set_defaults(fn=_cmd_mcheck)
 
     rep = sub.add_parser(
-        "replay", help="re-execute .sched counterexamples (mcheck or fuzz)"
+        "replay", help="re-execute .sched counterexamples"
     )
     rep.add_argument("files", nargs="+", help=".sched files to replay")
     rep.add_argument("--json", action="store_true", help="machine-readable output")

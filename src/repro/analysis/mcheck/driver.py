@@ -1,27 +1,31 @@
-"""The exploration driver the ``Controlled`` tie-breaker defers to.
+"""The exploration driver a controlled :class:`~repro.sim.Simulation`
+defers to.
 
-A :class:`ScheduleController` is the concrete implementation of the
-driver protocol documented in :mod:`repro.sim.tiebreak`. One controller
-drives one scenario run: whenever the kernel finds two or more live
-events sharing the earliest timestamp (a *choice point*), the
-controller answers with the index to fire next — replaying a recorded
-``prefix`` of choices and defaulting to ``0`` (FIFO) beyond it — and
-records everything the explorer needs to enumerate the neighbouring
-schedules:
+A :class:`ScheduleController` implements the driver protocol in
+:mod:`repro.sim.kernel`. One controller drives one scenario run:
+whenever the kernel finds two or more live events sharing the earliest
+timestamp (a *choice point*), the controller answers with the command
+to apply — replaying a recorded ``prefix`` of commands, then either the
+FIFO head (``0``) or, given a ``walk`` seed, a splitmix64 draw over the
+awake candidates — and records everything the explorer needs to
+enumerate the neighbouring schedules:
 
 - the choice points themselves (candidate keys and fingerprints, the
-  index taken), which become the branching structure of the DFS;
+  command taken), which become the branching structure of the DFS and,
+  for a walk, the choice vector a counterexample replays;
 - per-step *access footprints*: the set of SimTSan ``Shared``-container
   reads and writes each executed event performed, collected through
   :attr:`repro.analysis.simtsan.SimTSan.on_access`. Footprints are the
   independence relation — two steps commute unless one writes a key
   the other touches — that the explorer's sleep-set pruning and
-  trace canonicalization are keyed on.
+  trace canonicalization are keyed on. A step that ran before any
+  detector was attached has no footprint at all, not an empty one:
+  it conflicts with everything.
 
 The controller starts *disarmed*: the kernel pops FIFO and records
 nothing, so stack bring-up (SWIM convergence alone is thousands of
 events) costs no choice points. Scenarios arm it only around the racy
-window under test.
+window under test — or, for the walk scenarios, for the whole run.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.simtsan import _WHOLE
+from repro.sim.rng import MASK64, splitmix64
 
 __all__ = [
     "ChoiceRecord",
@@ -80,13 +85,16 @@ class StepRecord:
     task: Optional[str] = None
     #: True once ``task`` came from an actual access (authoritative).
     task_pinned: bool = False
+    #: False when no footprint source was attached as the step ran: its
+    #: accesses are unknown, so it conflicts with every step.
+    observed: bool = True
     #: Shared-container accesses: sets of ``(shared label, key)``.
     reads: Set[Tuple[str, Any]] = field(default_factory=set)
     writes: Set[Tuple[str, Any]] = field(default_factory=set)
 
     @property
     def touches(self) -> bool:
-        return bool(self.reads or self.writes)
+        return not self.observed or bool(self.reads or self.writes)
 
     def footprint_json(self) -> Dict[str, List[str]]:
         return {
@@ -133,12 +141,14 @@ def _overlaps(xs: Set[Tuple[str, Any]], ys: Set[Tuple[str, Any]]) -> bool:
 
 def footprints_conflict(a: StepRecord, b: StepRecord) -> bool:
     """The dependence relation: two steps conflict iff one wrote a
-    Shared key the other read or wrote. Steps with disjoint (or empty)
-    footprints commute — executing them in either order yields the
-    same protocol state, the Mazurkiewicz-equivalence fact the
-    explorer's pruning and trace dedup both rest on."""
+    Shared key the other read or wrote, or either went unobserved.
+    Observed steps with disjoint (or empty) footprints commute —
+    executing them in either order yields the same protocol state, the
+    Mazurkiewicz-equivalence fact the explorer's pruning and trace
+    dedup both rest on."""
     return (
-        _overlaps(a.writes, b.writes)
+        not (a.observed and b.observed)
+        or _overlaps(a.writes, b.writes)
         or _overlaps(a.writes, b.reads)
         or _overlaps(a.reads, b.writes)
     )
@@ -150,13 +160,18 @@ class ScheduleController:
     Parameters
     ----------
     prefix:
-        Choice indices to force, in choice-point order. Beyond the
-        prefix every choice defaults to ``0`` — the FIFO head — so the
-        empty prefix reproduces the FIFO schedule bit-identically.
+        Commands to force, in choice-point order. Beyond the prefix
+        every choice defaults to ``0`` — the FIFO head — so the empty
+        prefix reproduces the FIFO schedule bit-identically.
+    walk:
+        A seed: beyond the prefix, fire the awake candidate a
+        splitmix64 draw picks instead of the FIFO head. ``taken`` then
+        records every draw, so the walk replays as a plain prefix.
     """
 
-    def __init__(self, prefix: Tuple[int, ...] = ()):
+    def __init__(self, prefix: Tuple[int, ...] = (), walk: Optional[int] = None):
         self.prefix: Tuple[int, ...] = tuple(prefix)
+        self._walk_salt = None if walk is None else splitmix64(walk & MASK64)
         self.armed = False
         #: Decisions answered so far (armed choice points only).
         self.choices: List[ChoiceRecord] = []
@@ -205,7 +220,12 @@ class ScheduleController:
         if not live:
             live = list(candidates)
         i = len(self.choices)
-        cmd = self.prefix[i] if i < len(self.prefix) else 0
+        if i < len(self.prefix):
+            cmd = self.prefix[i]
+        elif self._walk_salt is None:
+            cmd = 0
+        else:
+            cmd = splitmix64(self._walk_salt ^ i) % len(live)
         if cmd == -1 and len(live) > 1:
             self.sleeping.add(live[0][1])
             pick = live[1]
@@ -243,6 +263,7 @@ class ScheduleController:
             key=popped[1],
             label=fingerprint(call),
             task=getattr(owner, "name", None) if owner is not None else None,
+            observed=self._tsan is not None,
         )
         self.steps.append(record)
         self.by_key[record.key] = record

@@ -1,4 +1,5 @@
-"""Systematic schedule exploration: DPOR-style DFS over choice prefixes.
+"""Schedule exploration: DPOR-style DFS over choice prefixes, and
+seeded random walks.
 
 The state space is the tree of *choice vectors*: at every armed choice
 point (two or more live events at the same timestamp) the driver takes
@@ -38,7 +39,9 @@ write/write or read/write overlap exists on any key
 reordered run is Mazurkiewicz-equivalent to this one and is skipped
 without running. A candidate that never executed in this run (e.g. a
 timer the chosen branch canceled) is conservatively explored — its
-effects are unknown, which is exactly why it is interesting.
+effects are unknown, which is exactly why it is interesting. So is a
+reordering across any step that ran before a footprint source was
+attached: an unobserved step is not an independent one.
 
 Two further bounds keep the tree finite and the budget honest:
 
@@ -49,9 +52,16 @@ Two further bounds keep the tree finite and the budget honest:
 
 Runs are deduplicated by **canonical trace**: the sequence of
 footprint-bearing steps, normalized by commuting adjacent independent
-steps into a stable order (footprint-free steps commute with
-everything and are dropped). Two runs with equal canonical traces are
-the same Mazurkiewicz trace; the second is counted, not re-expanded.
+steps into a stable order (observed footprint-free steps commute
+with everything and are dropped; unobserved steps stay, in place).
+Two runs with equal canonical traces are the same Mazurkiewicz trace;
+the second is counted, not re-expanded.
+
+The second strategy, :func:`random_walk`, samples instead of
+enumerating: each walk seed drives one run whose every armed choice is
+a splitmix64 draw over the awake candidates. What a walk took is an
+ordinary choice vector, so a violating walk is shrunk, saved and
+replayed exactly like a DFS counterexample.
 """
 
 from __future__ import annotations
@@ -72,6 +82,7 @@ __all__ = [
     "ExploreReport",
     "RunRecord",
     "explore",
+    "random_walk",
     "run_schedule",
     "shrink",
 ]
@@ -96,9 +107,14 @@ class RunRecord:
 
 
 def run_schedule(
-    scenario: str, seed: int, prefix: Tuple[int, ...] = ()
+    scenario: str,
+    seed: int,
+    prefix: Tuple[int, ...] = (),
+    walk: Optional[int] = None,
 ) -> RunRecord:
-    """Execute one scenario under one forced choice prefix."""
+    """Execute one scenario under one forced choice prefix (then FIFO,
+    or the draws of walk seed ``walk``). A walk's record carries the
+    commands it took as its prefix: the vector that replays it."""
     from repro.analysis.mcheck.scenarios import MCHECK_SCENARIOS
 
     try:
@@ -108,11 +124,12 @@ def run_schedule(
             f"unknown mcheck scenario {scenario!r}; "
             f"have {sorted(MCHECK_SCENARIOS)}"
         ) from None
-    controller = ScheduleController(prefix)
+    controller = ScheduleController(prefix, walk=walk)
     outcome = fn(seed, controller)
+    taken = tuple(controller.taken)
     return RunRecord(
-        prefix=tuple(prefix),
-        taken=tuple(controller.taken),
+        prefix=tuple(prefix) if walk is None else taken,
+        taken=taken,
         controller=controller,
         violations=tuple(outcome.violations),
         digest=outcome.digest,
@@ -136,8 +153,9 @@ def canonical_trace(steps: List[StepRecord]) -> str:
     """Digest of the run's footprint-bearing steps in Foata-normalized
     order: each step bubbles left past adjacent independent steps until
     blocked by a conflict (or a smaller signature), so all linearizations
-    of one Mazurkiewicz trace map to one digest. Footprint-free steps
-    commute with everything and are elided entirely."""
+    of one Mazurkiewicz trace map to one digest. Observed footprint-free
+    steps commute with everything and are elided entirely; unobserved
+    steps conflict with everything and stay where they ran."""
     touching = [s for s in steps if s.touches]
     canon: List[StepRecord] = []
     sigs: List[Tuple] = []
@@ -185,9 +203,10 @@ def _chain_conflicts(
     ctl: ScheduleController,
     chain: List[StepRecord],
     window: List[StepRecord],
-) -> Set[Tuple[str, str]]:
+) -> Optional[Set[Tuple[str, str]]]:
     """Dependent (label, label) pairs between a moved task chain and the
-    task chains it would cross.
+    task chains it would cross; None when any of those steps went
+    unobserved (its dependences are unknown).
 
     Each window task's footprint is aggregated from its first window
     slice to the end of the recording, symmetric with the candidate
@@ -208,6 +227,8 @@ def _chain_conflicts(
         opposing.extend(
             s for s in ctl.steps[step.order + 1 :] if s.task == step.task
         )
+    if not all(s.observed for s in chain) or not all(s.observed for s in opposing):
+        return None
     pairs: Set[Tuple[str, str]] = set()
     for step in opposing:
         for piece in chain:
@@ -221,8 +242,8 @@ def _flip_conflicts(
 ) -> Optional[Set[Tuple[str, str]]]:
     """The dependent (label, label) pairs flipping to ``alt`` reorders.
 
-    None means the candidate never ran (explore unconditionally); an
-    empty set means the flip is provably Mazurkiewicz-equivalent to
+    None means the candidate never ran or a step it would cross went
+    unobserved (explore unconditionally); an empty set means the flip is provably Mazurkiewicz-equivalent to
     this run (safe to prune); a non-empty set justifies exploration and
     feeds the coverage report's "yield-point pairs exercised"."""
     slices = _candidate_slices(run, choice_index, alt)
@@ -242,7 +263,7 @@ def _postpone_conflicts(
     Postponement pushes the chosen step's task chain past every later
     same-burst step, so the window is everything executed after it in
     this run. Empty set: the chain commutes with all of it — the
-    postponed run is equivalent and is pruned."""
+    postponed run is equivalent and is pruned; None: explore."""
     ctl = run.controller
     choice = ctl.choices[choice_index]
     if choice.at_step >= len(ctl.steps):
@@ -283,6 +304,9 @@ class ExploreReport:
     counterexample: Optional[RunRecord] = None
     shrunk_prefix: Optional[Tuple[int, ...]] = None
     shrink_runs: int = 0
+    #: Walk seeds asked for (0 = a DFS report); a walk report counts
+    #: distinct schedule digests as its distinct traces.
+    walks: int = 0
 
     @property
     def ok(self) -> bool:
@@ -303,7 +327,6 @@ class ExploreReport:
             else self.counterexample.prefix
         )
         return Schedule(
-            tool="mcheck",
             scenario=self.scenario,
             seed=self.seed,
             choices=tuple(prefix),
@@ -335,6 +358,8 @@ class ExploreReport:
             "dependent_pairs": sorted(list(p) for p in self.dependent_pairs),
             "shrink_runs": self.shrink_runs,
         }
+        if self.walks:
+            doc["walks"] = self.walks
         if self.counterexample is not None:
             doc["violations"] = list(self.counterexample.violations)
             doc["violation_digest"] = self.counterexample.violation_digest
@@ -346,18 +371,29 @@ class ExploreReport:
         return doc
 
     def render(self) -> str:
-        lines = [
-            f"mcheck {self.scenario} seed={self.seed}: "
-            f"{self.runs} schedule(s) executed, "
-            f"{self.distinct_traces} distinct trace(s), "
-            f"{self.pruned} pruned ({self.pruned_ratio:.0%}), "
-            f"{self.dedup_hits} deduped, {self.bounded} delay-bounded"
-        ]
+        head = f"mcheck {self.scenario} seed={self.seed}: "
+        if self.walks:
+            head += (
+                f"{self.runs} of {self.walks} random walk(s) run, "
+                f"{self.distinct_traces} distinct schedule digest(s)"
+            )
+        else:
+            head += (
+                f"{self.runs} schedule(s) executed, "
+                f"{self.distinct_traces} distinct trace(s), "
+                f"{self.pruned} pruned ({self.pruned_ratio:.0%}), "
+                f"{self.dedup_hits} deduped, {self.bounded} delay-bounded"
+            )
+        lines = [head]
         lines.append(
             f"  choice points: {self.choice_points} "
             f"(widest {self.max_frontier}-way), "
             f"armed steps: {self.armed_steps}, "
-            f"dependent pairs exercised: {len(self.dependent_pairs)}"
+            + (
+                f"most non-FIFO choices in one walk: {self.max_flips_used}"
+                if self.walks
+                else f"dependent pairs exercised: {len(self.dependent_pairs)}"
+            )
         )
         if self.frontier_truncated:
             lines.append(
@@ -402,7 +438,8 @@ def shrink(
     best = list(record.prefix)
     runs = 0
     for i in reversed(range(len(best))):
-        if best[i] == 0:
+        # A kept reversion drops the zeros it leaves trailing.
+        if i >= len(best) or best[i] == 0:
             continue
         if runs >= max_runs:
             break
@@ -515,4 +552,46 @@ def explore(
 
     if stack and report.runs >= max_schedules:
         report.budget_exhausted = True
+    return report
+
+
+# ---------------------------------------------------------------------------
+def random_walk(
+    scenario: str,
+    seed: int = 0,
+    walks: int = 5,
+    do_shrink: bool = True,
+    log: Optional[Callable[[str], None]] = None,
+) -> ExploreReport:
+    """Sample ``scenario``'s schedule space: one run per walk seed
+    ``0 .. walks-1``, every armed choice a seeded draw.
+
+    Stops at the first violating walk; its taken vector is the
+    counterexample, shrunk like a DFS one. ``distinct_traces`` counts
+    distinct schedule digests (``sim.trace.digest()``) — evidence the
+    walks moved the schedule at all.
+    """
+    report = ExploreReport(scenario=scenario, seed=seed, walks=walks)
+    digests: Set[str] = set()
+    for walk in range(walks):
+        record = run_schedule(scenario, seed, walk=walk)
+        ctl = record.controller
+        report.runs += 1
+        report.armed_steps += len(ctl.steps)
+        report.choice_points += len(ctl.choices)
+        report.max_frontier = max([report.max_frontier, *(c.n for c in ctl.choices)])
+        flips = sum(1 for c in record.taken if c)
+        report.max_flips_used = max(report.max_flips_used, flips)
+        if log is not None:
+            log(
+                f"walk {walk}: choices={len(ctl.choices)} non-FIFO={flips} "
+                f"steps={len(ctl.steps)} violations={len(record.violations)}"
+            )
+        if record.violations:
+            report.counterexample = record
+            if do_shrink:
+                report.shrunk_prefix, report.shrink_runs = shrink(scenario, seed, record)
+            break
+        digests.add(record.digest)
+    report.distinct_traces = len(digests)
     return report

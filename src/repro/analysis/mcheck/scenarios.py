@@ -5,7 +5,9 @@ uses), runs bring-up under plain FIFO scheduling with the exploration
 driver *disarmed*, then arms it around a deliberately concurrent window
 — the part whose same-timestamp interleavings the explorer enumerates —
 and finally quiesces, audits, and reduces the run to a
-:class:`McheckOutcome`.
+:class:`McheckOutcome`. The two whole-run scenarios at the end
+(``resilient_iterations``, ``swim_convergence``) arm before bring-up
+instead: they are what ``mcheck --walk`` samples.
 
 Scenario rules (what keeps the clean tree clean in *every* schedule):
 
@@ -40,7 +42,7 @@ from repro.analysis.simtsan import SimTSan, untracked
 from repro.core.backend import register_backend
 from repro.core.pipelines.stats import StatisticsBackend
 from repro.core.tenancy import TenancyConfig, TenantQuota
-from repro.sim import Controlled, tie_strategy
+from repro.sim import Simulation, controlled_ties
 from repro.testing import drive, run_until
 
 __all__ = [
@@ -115,7 +117,7 @@ def scenario_names() -> List[str]:
 def _controlled_stack(controller, builder, **kwargs):
     """Build a stack whose Simulation defers tie-breaks to ``controller``
     and whose Shared accesses feed the controller's footprints."""
-    with tie_strategy(Controlled(controller)):
+    with controlled_ties(controller):
         ctx = builder(**kwargs)
     tsan = SimTSan(ctx.sim).install()
     controller.attach(tsan)
@@ -786,3 +788,79 @@ def _mc_prepare_first_no(seed: int, controller) -> McheckOutcome:
     extra.extend(_residual_charges(ctx))
     payload = {"scenario": "prepare_first_no", "rounds": len(rounds)}
     return _mc_finish(ctx, tsan, controller, errors, payload, extra)
+
+
+# ---------------------------------------------------------------------------
+# whole-run scenarios: armed from the first event, so a random walk
+# reorders boot, membership and the workload alike. Bring-up runs before
+# SimTSan is installed: those steps are unobserved, and the DFS never
+# prunes across them. Guarantees are checked absolutely.
+def _swim_converged(sim, agents) -> bool:
+    from repro.ssg.agent import converged
+
+    with untracked(sim):
+        return converged(agents)
+
+
+@mcheck_scenario
+def _mc_resilient_iterations(seed: int, controller) -> McheckOutcome:
+    """Boot four servers and run three resilient iterations.
+
+    However same-instant deliveries interleave, from SWIM bring-up
+    through every 2PC round: each activate commits a view of all four
+    servers, the invariant monitor stays clean (blocks singly owned,
+    frozen views agreed), and the group ends with its four members.
+    """
+    from repro.chaos.scenarios import _workload, build_stack
+
+    controller.arm()
+    ctx, tsan = _controlled_stack(controller, build_stack, seed=seed)
+    with untracked(ctx.sim):
+        servers = sorted(str(a) for a in ctx.deployment.addresses())
+    errors: List[str] = []
+    sizes = drive(ctx.sim, _guarded(errors, "workload", _workload(ctx)), max_time=600)
+    extra: List[str] = []
+    if sizes != [len(servers)] * 3:
+        extra.append(f"iteration views {sizes}, not all {len(servers)} servers: {errors}")
+    with untracked(ctx.sim):
+        members = sorted(str(a) for a in ctx.deployment.addresses())
+    if members != servers:
+        extra.append(f"final membership {members}, expected {servers}")
+    payload = {"scenario": "resilient_iterations", "view_sizes": sizes, "members": members}
+    return _mc_finish(ctx, tsan, controller, errors, payload, extra)
+
+
+@mcheck_scenario
+def _mc_swim_convergence(seed: int, controller) -> McheckOutcome:
+    """Five SWIM agents converge, one leaves gracefully, the other four
+    reconverge: final membership must not depend on gossip tie-breaks."""
+    from repro.testing import build_ssg_group
+
+    controller.arm()
+    sim = Simulation(seed=seed, controller=controller)
+    _fabric, _group, agents = build_ssg_group(sim, 5)
+    tsan = SimTSan(sim).install()
+    controller.attach(tsan)
+    violations: List[str] = []
+
+    def _converge(phase: str) -> None:
+        try:
+            run_until(sim, lambda: _swim_converged(sim, agents), max_time=120)
+        except TimeoutError:
+            violations.append(f"{phase} convergence timed out at t={sim.now:.2f}")
+
+    _converge("initial")
+    drive(sim, agents[-1].leave(), max_time=60)
+    _converge("post-leave")
+    controller.disarm()
+    sim.run(until=sim.now + 5.0)
+    with untracked(sim):
+        members = sorted(str(a) for a in agents[0].members())
+    expected = sorted(str(a.address) for a in agents[:-1])
+    if members != expected:
+        violations.append(f"final membership {members}, expected {expected}")
+    if not _swim_converged(sim, agents):
+        violations.append(f"group not converged at t={sim.now:.2f}")
+    tsan.uninstall()
+    payload = {"scenario": "swim_convergence", "members": members, "races": len(tsan.races)}
+    return McheckOutcome(violations=violations, digest=sim.trace.digest(), payload=payload)

@@ -1,43 +1,41 @@
-"""Replayable counterexample files (``.sched``) shared by mcheck and fuzz.
+"""Replayable counterexample files (``.sched``).
 
 A schedule file pins everything needed to re-execute one exact run of
-one scenario:
+one scenario: the scenario seed plus the **choice vector** — the
+command the exploration driver took at every same-timestamp choice
+point (``0`` = FIFO head, so the all-zero vector *is* the FIFO schedule
+and trailing zeros can be dropped). DFS and random walks both end in
+one, so both write the same file.
 
-- for the model checker, the scenario seed plus the **choice vector** —
-  the index the exploration driver took at every same-timestamp choice
-  point (``0`` = FIFO head, so the all-zero vector *is* the FIFO
-  schedule and trailing zeros can be dropped);
-- for the schedule fuzzer, the scenario seed plus the splitmix64
-  **perturbation seed** that permuted the tie-break keys.
-
-Both tools also record a **violation digest** — the strict canonical
-hash (:func:`repro.analysis.fuzz.invariant_digest`) of the scenario
-name, seed, and sorted violation list — so a replay can assert it
-reproduced *the same* failure, not merely *a* failure. Fuzz
-counterexamples additionally pin the run's invariant digest, because a
-fuzz divergence may be a guarantee drift with no violation at all.
+It also records a **violation digest** — the strict canonical hash
+(:func:`invariant_digest`) of the scenario name, seed, and sorted
+violation list — so a replay can assert it reproduced *the same*
+failure, not merely *a* failure. A file with no violation digest pins
+a clean run: its replay must stay clean.
 
 Format (JSON, one object)::
 
-    {"format": "repro-sched-v1", "tool": "mcheck" | "fuzz",
-     "scenario": ..., "seed": ...,
-     "choices": [...] | "fuzz_seed": ...,
-     "violation_digest": ..., "violations": [...],
-     "invariant_digest": ...?, "meta": {...}}
+    {"format": "repro-sched-v1", "tool": "mcheck",
+     "scenario": ..., "seed": ..., "choices": [...],
+     "violation_digest": ..., "violations": [...], "meta": {...}}
 
-``python -m repro.analysis replay <file>`` dispatches on ``tool``.
+``python -m repro.analysis replay <file>`` re-executes it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
+
+from repro.sim.trace import canonical_tags
 
 __all__ = [
     "SCHED_FORMAT",
     "ReplayResult",
     "Schedule",
+    "invariant_digest",
     "replay",
     "violation_digest",
 ]
@@ -45,10 +43,26 @@ __all__ = [
 SCHED_FORMAT = "repro-sched-v1"
 
 
+def invariant_digest(payload: Dict[str, Any]) -> str:
+    """Canonical hash of a JSON-like payload.
+
+    Canonicalization is *strict* — the same policy as the tracer's
+    schedule digest (:func:`repro.sim.trace.canonical_tags`): JSON
+    primitives, lists/tuples/dicts thereof, numpy scalars, and
+    Address-like objects (rendered via ``str``). Anything else raises
+    ``TypeError`` instead of silently degrading to ``str(value)`` —
+    default reprs carry memory addresses, which would make the digest
+    differ between two identical runs (or, worse, collide two genuinely
+    different outcomes that happen to repr alike).
+    """
+    blob = json.dumps(
+        canonical_tags(payload), sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 def violation_digest(scenario: str, seed: int, violations: Iterable[str]) -> str:
     """Canonical hash identifying *which* failure a run produced."""
-    from repro.analysis.fuzz import invariant_digest
-
     return invariant_digest(
         {
             "scenario": scenario,
@@ -62,40 +76,29 @@ def violation_digest(scenario: str, seed: int, violations: Iterable[str]) -> str
 class Schedule:
     """One pinned run of one scenario — the counterexample artifact."""
 
-    tool: str  #: "mcheck" or "fuzz"
     scenario: str
     seed: int
-    #: mcheck: command per choice point (0 = FIFO head, k = k-th awake
+    #: Command per choice point (0 = FIFO head, k = k-th awake
     #: candidate, -1 = postpone the head; trailing zeros dropped).
     choices: Tuple[int, ...] = ()
-    #: fuzz: the tie-break perturbation seed (None for mcheck).
-    fuzz_seed: Optional[int] = None
     #: Expected failure identity; None for a clean pinned schedule.
     violation_digest: Optional[str] = None
     violations: Tuple[str, ...] = ()
-    #: fuzz only: the run's full invariant digest (divergences may
-    #: drift guarantees without producing a violation string).
-    invariant_digest: Optional[str] = None
     meta: Dict[str, Any] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     def to_json(self) -> Dict[str, Any]:
         doc: Dict[str, Any] = {
             "format": SCHED_FORMAT,
-            "tool": self.tool,
+            "tool": "mcheck",
             "scenario": self.scenario,
             "seed": self.seed,
+            "choices": list(self.choices),
         }
-        if self.tool == "fuzz":
-            doc["fuzz_seed"] = self.fuzz_seed
-        else:
-            doc["choices"] = list(self.choices)
         if self.violation_digest is not None:
             doc["violation_digest"] = self.violation_digest
         if self.violations:
             doc["violations"] = list(self.violations)
-        if self.invariant_digest is not None:
-            doc["invariant_digest"] = self.invariant_digest
         if self.meta:
             doc["meta"] = self.meta
         return doc
@@ -108,17 +111,20 @@ class Schedule:
                 f"not a schedule file: format={fmt!r} (expected {SCHED_FORMAT!r})"
             )
         tool = doc.get("tool")
-        if tool not in ("mcheck", "fuzz"):
+        if tool == "fuzz":
+            raise ValueError(
+                "'fuzz' schedules pin a tie-break permutation the kernel no "
+                "longer has (the fuzzer was removed); re-find the failure "
+                "with `mcheck --walk`, whose schedules replay as choices"
+            )
+        if tool != "mcheck":
             raise ValueError(f"unknown schedule tool {tool!r}")
         return cls(
-            tool=tool,
             scenario=doc["scenario"],
             seed=int(doc["seed"]),
             choices=tuple(int(c) for c in doc.get("choices", ())),
-            fuzz_seed=doc.get("fuzz_seed"),
             violation_digest=doc.get("violation_digest"),
             violations=tuple(doc.get("violations", ())),
-            invariant_digest=doc.get("invariant_digest"),
             meta=dict(doc.get("meta", {})),
         )
 
@@ -141,40 +147,26 @@ class ReplayResult:
     schedule: Schedule
     violations: Tuple[str, ...]
     violation_digest: str
-    #: fuzz replays: the re-run's invariant digest.
-    invariant_digest: Optional[str] = None
-    #: mcheck replays: the forced choice vector no longer matched the
-    #: live candidates (code drifted since the file was written).
+    #: The forced choice vector no longer matched the live candidates
+    #: (code drifted since the file was written).
     diverged: bool = False
     payload: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def matches(self) -> bool:
-        """Did the replay reproduce the recorded failure identity?"""
+        """Did the replay reproduce the recorded failure identity (or,
+        for a clean pin, stay clean)?"""
         if self.diverged:
             return False
-        if self.schedule.violation_digest is not None:
-            if self.violation_digest != self.schedule.violation_digest:
-                return False
-        if (
-            self.schedule.invariant_digest is not None
-            and self.invariant_digest is not None
-        ):
-            if self.invariant_digest != self.schedule.invariant_digest:
-                return False
-        return True
+        if self.schedule.violation_digest is None:
+            return not self.violations
+        return self.violation_digest == self.schedule.violation_digest
 
     def render(self) -> str:
         sched = self.schedule
-        head = (
-            f"replay {sched.tool}:{sched.scenario} seed={sched.seed} "
-            + (
-                f"choices={list(sched.choices)}"
-                if sched.tool == "mcheck"
-                else f"fuzz_seed={sched.fuzz_seed}"
-            )
-        )
-        lines = [head]
+        lines = [
+            f"replay {sched.scenario} seed={sched.seed} choices={list(sched.choices)}"
+        ]
         if self.diverged:
             lines.append(
                 "  DIVERGED: recorded choices no longer match the live "
@@ -189,29 +181,15 @@ class ReplayResult:
                 f"{sched.violation_digest[:12]} "
                 f"(replay: {self.violation_digest[:12]})"
             )
-        elif not self.violations:
+        elif self.violations:
+            lines.append("  REGRESSED: pinned clean, but the replay violates")
+        else:
             lines.append("  clean (no violations, none expected)")
         return "\n".join(lines)
 
 
 def replay(schedule: Schedule) -> ReplayResult:
     """Re-execute a pinned schedule and compare failure identities."""
-    if schedule.tool == "fuzz":
-        from repro.analysis.fuzz import run_fuzz_one
-
-        outcome = run_fuzz_one(
-            schedule.scenario, schedule.seed, schedule.fuzz_seed
-        )
-        return ReplayResult(
-            schedule=schedule,
-            violations=tuple(outcome.violations),
-            violation_digest=violation_digest(
-                schedule.scenario, schedule.seed, outcome.violations
-            ),
-            invariant_digest=outcome.invariant_digest,
-            payload=dict(outcome.payload),
-        )
-
     from repro.analysis.mcheck.explore import run_schedule
 
     record = run_schedule(schedule.scenario, schedule.seed, schedule.choices)

@@ -17,9 +17,9 @@ situ pipeline actually sees:
   the bench gates its resize count, not its miss count.
 
 Every generator is a pure function of ``(seed, parameters)`` built on
-the kernel's splitmix64 mixer — no RNG state, no numpy stream, so a
-trace can be regenerated anywhere (tests, benches, examples) and is
-byte-stable across platforms.
+the splitmix64 mixer (:mod:`repro.sim.rng`) — no RNG state, no numpy
+stream, so a trace can be regenerated anywhere (tests, benches,
+examples) and is byte-stable across platforms.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List
 
-from repro.sim.kernel import _MASK64, _splitmix64
+from repro.sim.rng import MASK64, splitmix64
 
 __all__ = ["TRACES", "adversarial", "bursty", "diurnal", "trace"]
 
@@ -36,7 +36,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 def _uniform(seed: int, index: int) -> float:
     """Deterministic uniform in [0, 1) from ``(seed, index)``."""
-    mixed = _splitmix64((seed * _GOLDEN + index * 0xBF58476D1CE4E5B9) & _MASK64)
+    mixed = splitmix64((seed * _GOLDEN + index * 0xBF58476D1CE4E5B9) & MASK64)
     return mixed / float(1 << 64)
 
 

@@ -148,21 +148,15 @@ def build_stack(
     stage_timeout: Optional[float] = 2.0,
     data_timeout: Optional[float] = 6.0,
     control_timeout: float = 2.0,
-    perturb_seed: Optional[int] = None,
     procs_per_node: int = 1,
 ) -> ChaosContext:
     """A booted, converged Colza stack with an invariant monitor attached.
-
-    ``perturb_seed`` turns on the kernel's seeded permutation of
-    same-timestamp tie-breaking (see :mod:`repro.analysis.fuzz`); it
-    defaults to whatever :class:`repro.sim.perturbed_ties` context is
-    in force, so fuzzed re-runs need no parameter threading.
 
     ``procs_per_node`` co-locates daemons on nodes (failure domains) —
     node-failure scenarios crash all daemons of one node and rely on
     replica placement having avoided it.
     """
-    sim = Simulation(seed=seed, perturb_seed=perturb_seed)
+    sim = Simulation(seed=seed)
     deployment = Deployment(sim, swim_config=swim or _fast_swim())
     drive(
         sim,

@@ -15,6 +15,8 @@ The public surface:
 - :class:`Resource` — FIFO server with capacity (models cores/NICs).
 - :class:`Interrupt`, :class:`Killed` — cancellation machinery.
 - :class:`RngRegistry` — named deterministic random streams.
+- :func:`controlled_ties` — hand same-time choices to an exploration
+  driver (the model checker's hook).
 - :mod:`repro.sim.platform` — the cluster model (nodes, transports,
   launch latencies) shared by NA and the benchmarks.
 """
@@ -28,30 +30,24 @@ from repro.sim.kernel import (
     SimulationError,
     Simulation,
     Task,
-    perturbed_ties,
+    controlled_ties,
 )
 from repro.sim.resources import Resource
 from repro.sim.rng import RngRegistry
-from repro.sim.tiebreak import Controlled, Fifo, Perturbed, TieBreaker, tie_strategy
 from repro.sim.trace import Span, Tracer
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Controlled",
     "Event",
-    "Fifo",
     "Interrupt",
     "Killed",
-    "Perturbed",
     "Resource",
     "RngRegistry",
     "Simulation",
     "SimulationError",
     "Span",
     "Task",
-    "TieBreaker",
     "Tracer",
-    "perturbed_ties",
-    "tie_strategy",
+    "controlled_ties",
 ]

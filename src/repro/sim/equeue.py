@@ -30,8 +30,8 @@ One queue call per event: the event loop drains through
 at the horizon, else consume the head" is one method, and ``pop()`` is
 ``pop_until(inf)``, so there is one implementation of popping.
 ``peek_when`` / ``frontier`` / ``take`` remain for ``Simulation.step``,
-``peek`` and the model checker's Controlled tie-breaker, which must
-look before they choose.
+``peek`` and a controlled simulation (the model checker's driver),
+which must look before they choose.
 
 Not everything the kernel dispatches passes through here: under FIFO
 tie-breaking a call due *now* that would pop ahead of the whole heap
@@ -65,8 +65,7 @@ class EventQueue:
 
     ``push`` returns the entry itself — that list is the cancellation
     handle. Keys must be unique and monotone in schedule order (the
-    kernel's sequence counter, possibly permuted by perturbation mode);
-    the queue never compares ``call``/``arg``.
+    kernel's sequence counter); the queue never compares ``call``/``arg``.
     """
 
     __slots__ = (

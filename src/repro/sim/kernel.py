@@ -10,11 +10,19 @@ Determinism: events scheduled for the same simulated time fire in
 schedule order (a monotonically increasing sequence number breaks
 ties), so a given program produces an identical trace on every run.
 Whether program *correctness* accidentally depends on that FIFO
-tie-break order is testable: perturbation mode (``perturb_seed``, or
-the :func:`perturbed_ties` context manager used by
-``repro.analysis.fuzz``) replaces the sequence number with a seeded
-bijective permutation of it, yielding a different — but equally
-deterministic — interleaving of same-timestamp events.
+tie-break order is testable: a simulation built with a ``controller``
+(or inside :func:`controlled_ties`, which is how the model checker
+takes over scenario code that builds its own simulation) hands every
+choice between same-time events to that driver. Keys stay FIFO, so a
+driver that always answers ``0`` reproduces the FIFO schedule exactly.
+The driver protocol (duck-typed; the implementation is
+``repro.analysis.mcheck.ScheduleController``):
+
+- ``armed`` — while false, the loop pops FIFO and asks nothing;
+- ``choose(sim, when, candidates) -> int`` — called when two or more
+  live entries share the earliest time; ``candidates`` are queue
+  entries in key (FIFO) order; returns the index to fire next;
+- ``begin_step(sim, popped)`` — called before every popped call runs.
 
 Hot-path contracts (``tests/test_perf_budgets.py`` pins them as counts):
 
@@ -33,7 +41,7 @@ Hot-path contracts (``tests/test_perf_budgets.py`` pins them as counts):
   with). A timer with one waiter that pops under the same condition
   resumes the waiter from the pop, the call the lane would have
   dispatched next. Once the heap holds a tie at ``now``, and for the
-  whole of a perturbed or model-checked run, every call takes the heap.
+  whole of a controlled run, every call takes the heap.
 - **A waiting task costs no allocation.** A task leaves its one bound
   ``Task._resume`` on the event it yields, and :class:`AnyOf` its one
   bound ``_child_fired`` on every child: no closure per yield or child.
@@ -63,6 +71,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from contextlib import contextmanager
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.sim.equeue import FOREVER, NO_ARG, EventQueue
@@ -76,63 +85,37 @@ __all__ = [
     "Simulation",
     "SimulationError",
     "Task",
-    "perturbed_ties",
+    "controlled_ties",
 ]
 
 # A task body: a generator yielding Events and returning an arbitrary value.
 Coroutine = Generator["Event", Any, Any]
 
-_MASK64 = (1 << 64) - 1
-
-
-def _splitmix64(x: int) -> int:
-    """A 64-bit bijective mixer (Steele et al.): unique inputs map to
-    unique outputs, so perturbed tie-break keys never collide."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
 #: What ``run`` drains when a simulation has no run lane: always empty.
 _NO_LANE: deque = deque()
 
-#: Process-wide default perturbation seed, consulted by Simulation()
-#: when no explicit ``perturb_seed`` is given. Set via perturbed_ties().
-_default_perturb_seed: Optional[int] = None
-
-#: Process-wide default tie-break strategy, consulted by Simulation()
-#: when no explicit ``tiebreaker`` is given. Set via
-#: :class:`repro.sim.tiebreak.tie_strategy` (the model checker's way of
-#: taking over scenario code that builds its own Simulation).
-_default_tiebreaker: Optional[Any] = None
+#: Process-wide default exploration driver, consulted by Simulation()
+#: when no explicit ``controller`` is given. Set via controlled_ties().
+_default_controller: Optional[Any] = None
 
 
-class perturbed_ties:
-    """Context manager: simulations built inside the block perturb
-    their same-timestamp tie-breaking with ``seed``.
+@contextmanager
+def controlled_ties(controller: Any):
+    """Context manager: simulations built inside the block hand their
+    same-timestamp choices to ``controller`` (unless given one
+    explicitly), so the model checker can drive *unmodified* scenario
+    code that constructs its own :class:`Simulation`::
 
-    Lets the schedule fuzzer re-run *unmodified* scenario code (which
-    constructs its own :class:`Simulation`) under a perturbed schedule::
-
-        with perturbed_ties(7):
-            result = run_scenario("baseline_no_faults", seed=0)
+        with controlled_ties(driver):
+            ctx = build_stack(seed=0)
     """
-
-    def __init__(self, seed: Optional[int]):
-        self.seed = seed
-        self._outer: Optional[int] = None
-
-    def __enter__(self) -> "perturbed_ties":
-        global _default_perturb_seed
-        self._outer = _default_perturb_seed
-        _default_perturb_seed = self.seed
-        return self
-
-    def __exit__(self, *exc) -> None:
-        global _default_perturb_seed
-        _default_perturb_seed = self._outer
-        return None
+    global _default_controller
+    outer = _default_controller
+    _default_controller = controller
+    try:
+        yield controller
+    finally:
+        _default_controller = outer
 
 
 class SimulationError(RuntimeError):
@@ -544,55 +527,31 @@ class Simulation:
         When true (default), an uncaught exception in any task aborts
         :meth:`run`; when false, the failure is recorded on the task's
         ``done`` event only.
-    perturb_seed:
-        When given, same-timestamp tie-breaking follows a seeded
-        bijective permutation of the schedule order instead of FIFO —
-        still fully deterministic per seed, but a *different*
-        interleaving, used by the schedule fuzzer to prove protocol
-        correctness does not ride on accidental FIFO order. ``None``
-        (the default) falls back to the ambient :func:`perturbed_ties`
-        context, then to plain FIFO.
-    tiebreaker:
-        A :class:`repro.sim.tiebreak.TieBreaker` strategy naming the
-        tie-break policy explicitly — ``Fifo()`` (bit-identical to the
-        default), ``Perturbed(seed)`` (same as ``perturb_seed=seed``),
-        or ``Controlled(driver)`` (the model checker's exploration
-        hook). ``None`` falls back to the ambient
-        :class:`~repro.sim.tiebreak.tie_strategy` context, then to the
-        ``perturb_seed`` resolution above.
+    controller:
+        An exploration driver (the protocol in the module docstring)
+        deciding every choice between same-time events while armed.
+        ``None`` falls back to the ambient :func:`controlled_ties`
+        context, then to plain FIFO with the run lane.
     """
 
     def __init__(
         self,
         seed: int = 0,
         strict: bool = True,
-        perturb_seed: Optional[int] = None,
-        tiebreaker: Optional[Any] = None,
+        controller: Optional[Any] = None,
     ):
         self._now = 0.0
         self._queue = EventQueue()
         self._seq = itertools.count()
         self.strict = strict
-        if perturb_seed is None:
-            perturb_seed = _default_perturb_seed
-        #: The tie-break perturbation seed in force (None = FIFO).
-        self.perturb_seed = perturb_seed
-        self._perturb_salt = (
-            None if perturb_seed is None else _splitmix64(perturb_seed & _MASK64)
-        )
-        #: Exploration driver for same-timestamp choices (installed by
-        #: the Controlled tie-break strategy; None = no interposition).
-        self._controller: Optional[Any] = None
-        if tiebreaker is None:
-            tiebreaker = _default_tiebreaker
-        if tiebreaker is not None:
-            tiebreaker.install(self)
+        if controller is None:
+            controller = _default_controller
+        #: Exploration driver for same-timestamp choices (None = FIFO).
+        self._controller: Optional[Any] = controller
         #: The run lane: calls due now, in dispatch order, ahead of the
-        #: whole heap (module docstring). None when ties are perturbed
-        #: or handed to a controller — those need a key per call.
-        self._lane: Optional[deque] = (
-            deque() if self._perturb_salt is None and self._controller is None else None
-        )
+        #: whole heap (module docstring). None under a controller, which
+        #: needs a key per call.
+        self._lane: Optional[deque] = deque() if controller is None else None
         self._lane_pushes = 0
         # The queue's heap, to test "nothing due now" without a call
         # (EventQueue never rebinds it).
@@ -875,12 +834,7 @@ class Simulation:
         """Schedule ``call`` (optionally with one argument — saving a
         closure allocation on the hottest paths) at absolute time
         ``when``. Returns the queue handle (cancelable)."""
-        key = next(self._seq)
-        if self._perturb_salt is not None:
-            # Bijective, so keys stay unique: same-time events fire in
-            # a seeded permutation of schedule order instead of FIFO.
-            key = _splitmix64(key ^ self._perturb_salt)
-        return self._queue.push(when, key, call, arg)
+        return self._queue.push(when, next(self._seq), call, arg)
 
     def _schedule_call(self, call: Callable[..., Any], arg: Any = NO_ARG) -> None:
         """``_schedule_at(now, ...)`` without a handle: every wake-up of
@@ -893,10 +847,7 @@ class Simulation:
                 lane.append((call, arg))
                 self._lane_pushes += 1
                 return
-        key = next(self._seq)
-        if self._perturb_salt is not None:
-            key = _splitmix64(key ^ self._perturb_salt)
-        self._queue.push(self._now, key, call, arg)
+        self._queue.push(self._now, next(self._seq), call, arg)
 
     def schedule_many(
         self, items: Iterable[tuple], relative: bool = False
@@ -911,7 +862,6 @@ class Simulation:
         """
         now = self._now
         seq = self._seq
-        salt = self._perturb_salt
         specs = []
         for item in items:
             when, call = item[0], item[1]
@@ -920,8 +870,5 @@ class Simulation:
                 when = now + when
             if not when >= now:  # in the past, or NaN
                 raise ValueError(f"schedule_many({item[0]!r}) is in the past (now={now})")
-            key = next(seq)
-            if salt is not None:
-                key = _splitmix64(key ^ salt)
-            specs.append((when, key, call, arg))
+            specs.append((when, next(seq), call, arg))
         return self._queue.push_many(specs)

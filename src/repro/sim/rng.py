@@ -3,7 +3,9 @@
 Every stochastic element of the simulation (gossip jitter, srun launch
 latency, workload noise) draws from its own named stream so that adding
 a new consumer of randomness never perturbs existing ones — runs stay
-reproducible as the code evolves.
+reproducible as the code evolves. :func:`splitmix64` is the
+stateless mixer for draws that must be a pure function of their
+inputs (load traces, the model checker's random walks).
 """
 
 from __future__ import annotations
@@ -12,7 +14,18 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["RngRegistry"]
+__all__ = ["MASK64", "RngRegistry", "splitmix64"]
+
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64(x: int) -> int:
+    """A 64-bit bijective mixer (Steele et al.): unique inputs map to
+    unique outputs."""
+    x = (x + 0x9E3779B97F4A7C15) & MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
+    return x ^ (x >> 31)
 
 
 class RngRegistry:

@@ -1,15 +1,19 @@
-"""Colzacheck: the DPOR-style systematic model checker (repro.analysis.mcheck).
+"""Colzacheck: the schedule explorer (repro.analysis.mcheck).
 
-Three layers of evidence:
+Four layers of evidence:
 
-- unit: the controlled tie-break driver replays prefixes exactly, the
-  FIFO default stays bit-identical to the stock scheduler, schedule
-  files round-trip, and the strict canonicalizer rejects sloppy
-  payloads;
+- unit: the exploration driver replays prefixes exactly, the FIFO
+  default stays bit-identical to the stock scheduler, schedule files
+  round-trip, and the strict canonicalizer rejects sloppy payloads;
 - toy scenarios: a FIFO-clean order-dependent bug that only a non-FIFO
   interleaving exposes must be *found*, minimized, and replayed to the
   identical violation digest — including one reachable only through
-  the ``-1`` postponement command (the DPOR backtracking move);
+  the ``-1`` postponement command (the DPOR backtracking move), one
+  whose racy steps ran before any footprint source was attached, and
+  one a random walk finds;
+- random walks: the same walk seed replays the same run, different
+  seeds move the schedule, and every walk of the whole-run scenarios
+  takes non-FIFO choices while their guarantees hold;
 - seeded regressions: re-introducing two real, previously-fixed races
   into a scratch copy of the tree (the deactivate epoch re-check and
   the stage quota uncharge-on-abort) must make ``python -m
@@ -17,6 +21,7 @@ Three layers of evidence:
   counterexample whose replay reproduces the same failure.
 """
 
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -25,20 +30,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.fuzz import invariant_digest, outcome_schedule, run_fuzz_one
 from repro.analysis.mcheck import (
     MCHECK_SCENARIOS,
     McheckOutcome,
     Schedule,
     ScheduleController,
     explore,
+    random_walk,
     replay,
     run_schedule,
     scenario_names,
 )
-from repro.analysis.mcheck.sched import SCHED_FORMAT
+from repro.analysis.mcheck.sched import SCHED_FORMAT, invariant_digest
 from repro.analysis.simtsan import SimTSan, tracked
-from repro.sim import Controlled, Simulation, tie_strategy
+from repro.sim import Simulation, controlled_ties
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -65,7 +70,7 @@ def test_controlled_empty_prefix_is_bit_identical_to_fifo():
     _tie_heavy(base)
 
     controller = ScheduleController(())
-    with tie_strategy(Controlled(controller)):
+    with controlled_ties(controller):
         sim = Simulation(seed=11)
     controller.arm()
     _tie_heavy(sim)
@@ -75,8 +80,7 @@ def test_controlled_empty_prefix_is_bit_identical_to_fifo():
 
 def test_disarmed_controller_records_nothing():
     controller = ScheduleController(())
-    with tie_strategy(Controlled(controller)):
-        sim = Simulation(seed=11)
+    sim = Simulation(seed=11, controller=controller)
     _tie_heavy(sim)  # never armed
     assert controller.choices == []
     assert controller.steps == []
@@ -84,14 +88,12 @@ def test_disarmed_controller_records_nothing():
 
 # ---------------------------------------------------------------------------
 # toy scenarios: FIFO-clean bugs only exploration can reach
-def _toy(seed, controller, hops):
+def _toy(seed, controller, hops, blind=False):
     """Writer sets ``x`` at t=1; reader hops ``hops`` zero-delay yields
     then requires ``x`` present. FIFO always runs the write first, so
-    the bug is invisible until the explorer reorders the burst."""
-    with tie_strategy(Controlled(controller)):
-        sim = Simulation(seed=seed)
-    tsan = SimTSan(sim).install()
-    controller.attach(tsan)
+    the bug is invisible until the explorer reorders the burst.
+    ``blind`` attaches the footprint source only after the burst."""
+    sim = Simulation(seed=seed, controller=controller)
     table = tracked(sim, {}, label="toy.table")
     violations = []
 
@@ -109,6 +111,9 @@ def _toy(seed, controller, hops):
     controller.arm()
     sim.spawn(writer(sim), name="toy-writer")
     sim.spawn(reader(sim), name="toy-reader")
+    if blind:
+        sim.run(until=2.0)
+    controller.attach(SimTSan(sim).install())
     sim.run()
     controller.disarm()
     return McheckOutcome(
@@ -120,9 +125,10 @@ def _toy(seed, controller, hops):
 def toy_scenarios():
     MCHECK_SCENARIOS["toy_flip"] = lambda seed, ctl: _toy(seed, ctl, 0)
     MCHECK_SCENARIOS["toy_postpone"] = lambda seed, ctl: _toy(seed, ctl, 5)
+    MCHECK_SCENARIOS["toy_blind"] = lambda seed, ctl: _toy(seed, ctl, 0, blind=True)
     yield
-    MCHECK_SCENARIOS.pop("toy_flip", None)
-    MCHECK_SCENARIOS.pop("toy_postpone", None)
+    for name in ("toy_flip", "toy_postpone", "toy_blind"):
+        MCHECK_SCENARIOS.pop(name, None)
 
 
 def test_toy_bug_is_fifo_clean(toy_scenarios):
@@ -165,6 +171,23 @@ def test_explore_without_pruning_finds_the_same_bug(toy_scenarios):
     )
 
 
+def test_pruning_explores_steps_it_could_not_observe(toy_scenarios):
+    # The racy burst runs before SimTSan is attached: its steps have no
+    # footprints because nobody watched, not because they touch
+    # nothing, so no flip across them may be pruned as independent.
+    record = run_schedule("toy_blind", 0, ())
+    assert record.ok and record.controller.steps
+    assert not any(step.observed for step in record.controller.steps)
+    pruned = explore("toy_blind", 0, max_schedules=32)
+    unpruned = explore("toy_blind", 0, max_schedules=32, prune=False)
+    assert not unpruned.ok
+    assert not pruned.ok, pruned.render()
+    assert (
+        pruned.counterexample.violation_digest
+        == unpruned.counterexample.violation_digest
+    )
+
+
 # ---------------------------------------------------------------------------
 # the clean tree explores clean
 @pytest.mark.parametrize("scenario", ["quota_backpressure", "tenant_churn", "prepare_first_no"])
@@ -176,6 +199,11 @@ def test_clean_tree_scenario_explores_clean(scenario):
     assert report.pruned > 0  # and the DPOR pruning did work
 
 
+def test_unknown_scenario_rejected():
+    with pytest.raises(KeyError, match="unknown mcheck scenario"):
+        run_schedule("no_such_scenario", 0)
+
+
 def test_all_scenarios_are_registered():
     assert scenario_names() == [
         "2pc_activation",
@@ -183,15 +211,21 @@ def test_all_scenarios_are_registered():
         "owner_crash_adoption",
         "prepare_first_no",
         "quota_backpressure",
+        "resilient_iterations",
+        "swim_convergence",
         "tenant_churn",
     ]
+
+
+def test_registry_has_the_advertised_scenarios():
+    # the two whole-run scenarios CI walks with ``mcheck --walk``
+    assert {"resilient_iterations", "swim_convergence"} <= set(MCHECK_SCENARIOS)
 
 
 # ---------------------------------------------------------------------------
 # the counterexample file format
 def test_schedule_roundtrip(tmp_path):
     schedule = Schedule(
-        tool="mcheck",
         scenario="toy",
         seed=3,
         choices=(0, 2, -1),
@@ -204,7 +238,7 @@ def test_schedule_roundtrip(tmp_path):
     loaded = Schedule.load(str(path))
     assert loaded == schedule
     doc = json.loads(path.read_text())
-    assert doc["format"] == SCHED_FORMAT
+    assert doc["format"] == SCHED_FORMAT and doc["tool"] == "mcheck"
     assert doc["choices"] == [0, 2, -1]
 
 
@@ -217,9 +251,14 @@ def test_schedule_rejects_foreign_documents():
         )
 
 
+def test_fuzz_schedules_are_rejected_naming_the_removal():
+    doc = {"format": SCHED_FORMAT, "tool": "fuzz", "scenario": "swim_convergence", "seed": 0}
+    with pytest.raises(ValueError, match="fuzzer was removed"):
+        Schedule.from_json(doc)
+
+
 def test_stale_choice_vector_flags_divergence(toy_scenarios):
     schedule = Schedule(
-        tool="mcheck",
         scenario="toy_flip",
         seed=0,
         choices=(9, 9, 9),  # indices no live frontier can satisfy
@@ -230,16 +269,54 @@ def test_stale_choice_vector_flags_divergence(toy_scenarios):
     assert not result.matches
 
 
-def test_fuzz_counterexamples_share_the_format(tmp_path):
-    outcome = run_fuzz_one("swim_convergence", 0, 1)
-    schedule = outcome_schedule(outcome)
-    assert schedule.tool == "fuzz"
-    assert schedule.fuzz_seed == 1
-    path = tmp_path / "fuzz.sched"
+def test_a_clean_pin_requires_a_clean_replay(toy_scenarios):
+    # Pin the bug's schedule as clean: the replay violates, so it must
+    # not match (and ``replay`` must exit non-zero).
+    found = explore("toy_flip", 0, max_schedules=32).schedule()
+    pinned = dataclasses.replace(found, violation_digest=None, violations=())
+    result = replay(pinned)
+    assert result.violations == ("reader observed x missing",)
+    assert not result.matches, result.render()
+    clean = dataclasses.replace(pinned, choices=())
+    assert replay(clean).matches
+
+
+# ---------------------------------------------------------------------------
+# random walks: the second strategy of the same controller
+def test_same_walk_seed_replays_the_same_run():
+    one = run_schedule("resilient_iterations", 0, walk=3)
+    two = run_schedule("resilient_iterations", 0, walk=3)
+    assert one.taken == two.taken and one.prefix == one.taken
+    assert one.digest == two.digest
+    assert one.ok, one.violations
+    # The taken vector alone replays it: a walk is an ordinary schedule.
+    assert run_schedule("resilient_iterations", 0, one.taken).digest == one.digest
+
+
+def test_walk_seeds_move_the_schedule():
+    report = random_walk("resilient_iterations", 0, walks=5)
+    assert report.ok, report.render()
+    assert report.runs == 5 and report.distinct_traces == 5
+
+
+@pytest.mark.parametrize("scenario", ["resilient_iterations", "swim_convergence"])
+def test_every_walk_takes_a_non_fifo_choice_and_keeps_the_guarantees(scenario):
+    for walk in range(5):
+        record = run_schedule(scenario, 0, walk=walk)
+        assert record.ok, record.violations
+        assert any(record.taken), f"walk {walk} took only FIFO heads"
+
+
+def test_walk_finds_shrinks_and_replays_the_toy_bug(toy_scenarios, tmp_path):
+    report = random_walk("toy_flip", 0, walks=8)
+    assert not report.ok
+    schedule = report.schedule()
+    assert schedule.violations == ("reader observed x missing",)
+    assert len(schedule.choices) <= len(report.counterexample.taken)
+    path = tmp_path / "walk.sched"
     schedule.save(str(path))
     result = replay(Schedule.load(str(path)))
     assert result.matches, result.render()
-    assert result.invariant_digest == outcome.invariant_digest
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +325,13 @@ def test_invariant_digest_is_order_insensitive():
     assert invariant_digest({"a": 1, "b": [1, 2]}) == invariant_digest(
         {"b": [1, 2], "a": 1}
     )
+
+
+def test_invariant_digest_is_canonical():
+    a = invariant_digest({"b": 2, "a": [1, 2]})
+    b = invariant_digest({"a": [1, 2], "b": 2})
+    assert a == b
+    assert a != invariant_digest({"a": [2, 1], "b": 2})  # list order is content
 
 
 def test_invariant_digest_rejects_non_canonical_payloads():

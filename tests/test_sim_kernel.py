@@ -722,11 +722,14 @@ def test_run_until_does_not_advance_past_a_queued_entry_or_rewind(sim):
 
 
 # ---------------------------------------------------------------------------
-# schedule perturbation (repro.analysis.fuzz rides on this)
-def _tie_order(perturb_seed):
+# controlled ties (repro.analysis.mcheck rides on this)
+def _tie_order(walk):
+    from repro.analysis.mcheck import ScheduleController
     from repro.sim import Simulation
 
-    sim = Simulation(seed=0, perturb_seed=perturb_seed)
+    controller = ScheduleController(walk=walk)
+    controller.arm()
+    sim = Simulation(seed=0, controller=None if walk is None else controller)
     order = []
 
     def body(sim, tag):
@@ -739,28 +742,29 @@ def _tie_order(perturb_seed):
     return order
 
 
-def test_perturbation_shuffles_ties_but_not_time():
+def test_an_armed_walk_permutes_ties_but_never_their_times():
     baseline = _tie_order(None)
-    perturbed = _tie_order(7)
+    walked = _tie_order(7)
     assert baseline == [(1.0, t) for t in "abcdef"]
-    assert perturbed != baseline  # ties really were permuted
-    assert sorted(perturbed) == sorted(baseline)  # same events, same times
-    assert all(when == 1.0 for when, _ in perturbed)
+    assert walked != baseline  # ties really were permuted
+    assert sorted(walked) == baseline  # same events, same times
 
 
-def test_perturbation_is_seeded():
+def test_an_armed_walk_is_seeded():
     assert _tie_order(3) == _tie_order(3)
     assert _tie_order(3) != _tie_order(4)
 
 
-def test_perturbed_ties_context_sets_default():
-    from repro.sim import Simulation, perturbed_ties
+def test_controlled_ties_context_sets_default():
+    from repro.analysis.mcheck import ScheduleController
+    from repro.sim import Simulation, controlled_ties
 
-    with perturbed_ties(11):
+    controller = ScheduleController()
+    with controlled_ties(controller):
         inner = Simulation(seed=0)
-        assert inner.perturb_seed == 11
+        assert inner._controller is controller and inner._lane is None
         # An explicit argument still wins over the ambient default.
-        explicit = Simulation(seed=0, perturb_seed=5)
-        assert explicit.perturb_seed == 5
+        other = ScheduleController()
+        assert Simulation(seed=0, controller=other)._controller is other
     outer = Simulation(seed=0)
-    assert outer.perturb_seed is None
+    assert outer._controller is None and outer._lane is not None
