@@ -114,11 +114,13 @@ def scenario_names() -> List[str]:
 
 # ---------------------------------------------------------------------------
 # plumbing
-def _controlled_stack(controller, builder, **kwargs):
+def _controlled_stack(controller, **kwargs):
     """Build a stack whose Simulation defers tie-breaks to ``controller``
     and whose Shared accesses feed the controller's footprints."""
+    from repro.chaos.scenarios import build_stack
+
     with controlled_ties(controller):
-        ctx = builder(**kwargs)
+        ctx = build_stack(**kwargs)
     tsan = SimTSan(ctx.sim).install()
     controller.attach(tsan)
     return ctx, tsan
@@ -232,11 +234,10 @@ def _mc_2pc_activation(seed: int, controller) -> McheckOutcome:
     charges evaporate and the very next stage span fails the
     staged-implies-charged audit.
     """
-    from repro.chaos.scenarios import LIGHT_BLOCK, build_stack
+    from repro.chaos.scenarios import LIGHT_BLOCK
 
     ctx, tsan = _controlled_stack(
         controller,
-        build_stack,
         seed=seed,
         n_servers=2,
         library=FLUSH,
@@ -312,11 +313,10 @@ def _mc_abort_during_recovery(seed: int, controller) -> McheckOutcome:
     block accounting (no block loss beyond the noted failure) and leak
     no quota charges for adoption stages that aborted.
     """
-    from repro.chaos.scenarios import LIGHT_BLOCK, build_stack
+    from repro.chaos.scenarios import LIGHT_BLOCK
 
     ctx, tsan = _controlled_stack(
         controller,
-        build_stack,
         seed=seed,
         n_servers=3,
         library=FLUSH,
@@ -387,11 +387,10 @@ def _mc_owner_crash_adoption(seed: int, controller) -> McheckOutcome:
     same-timestamp delivery order; every choice must end with each
     block singly owned and nothing re-staged by the client.
     """
-    from repro.chaos.scenarios import LIGHT_BLOCK, build_stack
+    from repro.chaos.scenarios import LIGHT_BLOCK
 
     ctx, tsan = _controlled_stack(
         controller,
-        build_stack,
         seed=seed,
         n_servers=3,
         library=FLUSH,
@@ -472,11 +471,10 @@ def _mc_quota_backpressure(seed: int, controller) -> McheckOutcome:
     backpressuring to the patience deadline, and the final accounting
     audit must balance charges against staged blocks.
     """
-    from repro.chaos.scenarios import LIGHT_BLOCK, build_multi_tenant_stack
+    from repro.chaos.scenarios import LIGHT_BLOCK
 
     ctx, tsan = _controlled_stack(
         controller,
-        build_multi_tenant_stack,
         seed=seed,
         n_servers=1,
         tenants=("alpha",),
@@ -487,7 +485,7 @@ def _mc_quota_backpressure(seed: int, controller) -> McheckOutcome:
         ),
     )
     sim = ctx.sim
-    h = ctx.sessions["alpha"].handle
+    h = ctx.handles["alpha"]
     errors: List[str] = []
 
     def _setup():
@@ -553,11 +551,10 @@ def _mc_tenant_churn(seed: int, controller) -> McheckOutcome:
     agrees whether gamma exists), leave alpha's iteration untouched,
     and strand no charges for the departed tenant.
     """
-    from repro.chaos.scenarios import LIGHT_BLOCK, build_multi_tenant_stack
+    from repro.chaos.scenarios import LIGHT_BLOCK
 
     ctx, tsan = _controlled_stack(
         controller,
-        build_multi_tenant_stack,
         seed=seed,
         n_servers=2,
         tenants=("alpha", "beta"),
@@ -566,8 +563,8 @@ def _mc_tenant_churn(seed: int, controller) -> McheckOutcome:
         tenancy=TenancyConfig(max_tenants=2),
     )
     sim = ctx.sim
-    alpha = ctx.sessions["alpha"].handle
-    beta_client = ctx.sessions["beta"].client
+    alpha = ctx.handles["alpha"]
+    beta_client = ctx.handles["beta"].client
     errors: List[str] = []
 
     _margo, gamma_client = ctx.deployment.make_client(
@@ -667,12 +664,11 @@ def _mc_prepare_first_no(seed: int, controller) -> McheckOutcome:
     returned, every member froze the client's view, and no vote or ack
     task is left waiting.
     """
-    from repro.chaos.scenarios import CLIENT, LIGHT_BLOCK, build_stack
+    from repro.chaos.scenarios import CLIENT, LIGHT_BLOCK
     from repro.na.fabric import LinkAction
 
     ctx, tsan = _controlled_stack(
         controller,
-        build_stack,
         seed=seed,
         n_servers=3,
         library=FLUSH,
@@ -811,10 +807,10 @@ def _mc_resilient_iterations(seed: int, controller) -> McheckOutcome:
     servers, the invariant monitor stays clean (blocks singly owned,
     frozen views agreed), and the group ends with its four members.
     """
-    from repro.chaos.scenarios import _workload, build_stack
+    from repro.chaos.scenarios import _workload
 
     controller.arm()
-    ctx, tsan = _controlled_stack(controller, build_stack, seed=seed)
+    ctx, tsan = _controlled_stack(controller, seed=seed)
     with untracked(ctx.sim):
         servers = sorted(str(a) for a in ctx.deployment.addresses())
     errors: List[str] = []

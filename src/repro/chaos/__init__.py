@@ -23,10 +23,10 @@ from repro.chaos.invariants import InvariantMonitor
 from repro.chaos.scenarios import (
     SCENARIOS,
     ChaosContext,
+    Scenario,
     ScenarioResult,
     build_stack,
     run_scenario,
-    scenario,
     scenario_names,
 )
 
@@ -42,11 +42,11 @@ __all__ = [
     "LinkFault",
     "Partition",
     "RdmaFault",
+    "Scenario",
     "ScenarioResult",
     "SlowFault",
     "build_stack",
     "name_of",
     "run_scenario",
-    "scenario",
     "scenario_names",
 ]

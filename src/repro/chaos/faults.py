@@ -15,7 +15,7 @@ object, so a plan can be built before the stack it will torment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence, Tuple
 
 __all__ = [
@@ -194,6 +194,15 @@ class FaultPlan:
             lines.append(" ".join(parts))
         header = f"FaultPlan({self.note})" if self.note else "FaultPlan"
         return "\n".join([header] + sorted(lines))
+
+    def shifted(self, dt: float) -> "FaultPlan":
+        """The same plan with every ``start``/``end``/``at`` moved by
+        ``dt`` — how a plan written relative to an instant is armed."""
+        moved = []
+        for f in self.faults:
+            times = {k: getattr(f, k) + dt for k in ("start", "end", "at") if hasattr(f, k)}
+            moved.append(replace(f, **times))
+        return FaultPlan(tuple(moved), note=self.note)
 
     # ------------------------------------------------------------------
     @classmethod

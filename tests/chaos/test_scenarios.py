@@ -11,9 +11,22 @@ Three layers of assurance:
    a real protocol regression (a fleet that cannot fail proves nothing).
 """
 
+from dataclasses import fields
+
 import pytest
 
-from repro.chaos import run_scenario, scenario_names
+from repro.chaos import (
+    CrashFault,
+    FaultPlan,
+    GossipSuppression,
+    HangFault,
+    LinkFault,
+    Partition,
+    RdmaFault,
+    SlowFault,
+    run_scenario,
+    scenario_names,
+)
 
 SEEDS = [0, 1]
 
@@ -70,6 +83,30 @@ def test_scenario_is_deterministic(name):
     assert other.digest != first.digest, f"{name} digest ignores the seed"
 
 
+def test_shifted_plan_moves_every_time_and_keeps_the_rest():
+    """Rows write fault times relative to the arm instant; ``shifted``
+    is how they become absolute, for every fault kind."""
+    plan = FaultPlan((
+        LinkFault(0.0, 2.0, src="client", drop_p=0.5, dup_p=0.1, delay=0.02),
+        Partition(1.0, 3.0, side_a=("colza-1",), side_b=("colza-2",)),
+        CrashFault(at=0.5, server="colza-2"),
+        HangFault(0.5, 1.1, server="colza-3", kill_at_end=True),
+        SlowFault(0.0, 4.0, server="colza-0", factor=6.0),
+        RdmaFault(0.0, 3.0, factor=300.0, initiator="client"),
+        GossipSuppression(1.0, 2.2, target="colza-1", prober="colza-0"),
+    ), note="every kind")
+    moved = plan.shifted(17.25)
+    assert moved.note == plan.note
+    assert [type(f) for f in moved] == [type(f) for f in plan]
+    for before, after in zip(plan, moved):
+        for fld in fields(before):
+            value = getattr(before, fld.name)
+            if fld.name in ("start", "end", "at"):
+                value += 17.25
+            assert getattr(after, fld.name) == value, (before, fld.name)
+    assert plan.shifted(0.0).describe() == plan.describe()
+
+
 # ---------------------------------------------------------------------------
 # the faults must actually bite (a fleet of no-ops would also "pass")
 def test_crash_then_join_restores_capacity():
@@ -113,26 +150,16 @@ def test_node_failure_recovers_from_off_node_replicas():
     assert result.info["fallbacks"] == 0
 
 
-def test_lost_deactivate_is_retried_not_reexecuted(monkeypatch):
+def test_lost_deactivate_is_retried_not_reexecuted():
     """drop_client_links@3 drops one ``deactivate`` after iteration 1
     executed: the client must finish the iteration by retrying the
     idempotent deactivate, not by running activate/stage/execute again
     (a stateful backend would accumulate the iteration twice)."""
     from collections import Counter
 
-    from repro.chaos import scenarios
-
-    built = []
-    real = scenarios.build_stack
-
-    def capture(*args, **kwargs):
-        built.append(real(*args, **kwargs))
-        return built[-1]
-
-    monkeypatch.setattr(scenarios, "build_stack", capture)
     result = run_scenario("drop_client_links", seed=3)
     assert result.ok, "\n".join(result.violations)
-    sim = built[0].sim
+    sim = result.sim
     executes = Counter(
         s.tags["iteration"] for s in sim.trace.spans
         if s.name == "colza.execute" and s.end is not None

@@ -12,7 +12,7 @@ and on a run that calls ``Tracer.clear()`` with spans still open.
 import pytest
 
 from repro.bench.harness import ColzaExperiment
-from repro.chaos import scenarios
+from repro.chaos import run_scenario
 from repro.core.pipelines import IsoSurfaceScript
 from repro.na import VirtualPayload
 from repro.sim import Simulation
@@ -85,19 +85,10 @@ def test_harness_run():
     ("churn_stress", 3),  # joins and graceful leaves
     ("tenant_owner_crash_recovery_isolated", 3),  # two tenants, a crash, recovery
 ])
-def test_chaos_scenarios(monkeypatch, name, seed):
-    sims = []
-    finish = scenarios._finish
-
-    def capture(ctx, *args, **kwargs):
-        sims.append(ctx.sim)
-        return finish(ctx, *args, **kwargs)
-
-    monkeypatch.setattr(scenarios, "_finish", capture)
-    result = scenarios.run_scenario(name, seed=seed)
+def test_chaos_scenarios(name, seed):
+    result = run_scenario(name, seed=seed)
     assert result.ok, result.violations
-    (sim,) = sims
-    _assert_children_match_parent_ids(sim.trace, min_spans=1000, min_depth=4)
+    _assert_children_match_parent_ids(result.sim.trace, min_spans=1000, min_depth=4)
 
 
 def test_clear_with_spans_still_open():
