@@ -1,6 +1,6 @@
 # Convenience targets for the Colza reproduction.
 
-.PHONY: install test chaos autoscale lint check check-fast report sarif mcheck bench bench-trajectory bench-trajectory-update bench-analysis bench-analysis-update bench-autoscale bench-autoscale-update bench-e2e bench-e2e-smoke bench-e2e-ab profile-e2e examples results clean
+.PHONY: install test chaos autoscale lint check check-fast report sarif mcheck bench bench-e2e bench-e2e-smoke bench-e2e-ab profile-e2e examples results clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -48,32 +48,6 @@ mcheck:
 
 bench:
 	pytest benchmarks/ --benchmark-only
-
-# Kernel perf-trajectory suite: run pinned-seed scenes, gate against
-# the committed BENCH_kernel.json (>20% regression on any tracked
-# metric fails). `-update` refreshes the baseline after intentional
-# perf changes.
-bench-trajectory:
-	PYTHONPATH=src python -m repro.bench trajectory --check
-
-bench-trajectory-update:
-	PYTHONPATH=src python -m repro.bench trajectory --update
-
-# Static-analysis trajectory: whole-tree flowcheck wall time and
-# finding counts, gated against the committed BENCH_analysis.json.
-bench-analysis:
-	PYTHONPATH=src python -m repro.bench trajectory --suite analysis --check
-
-bench-analysis-update:
-	PYTHONPATH=src python -m repro.bench trajectory --suite analysis --update
-
-# SLO-autoscaler trajectory: miss rate, resize counts and safety
-# violations under pinned load traces, gated against BENCH_autoscale.json.
-bench-autoscale:
-	PYTHONPATH=src python -m repro.bench trajectory --suite autoscale --check
-
-bench-autoscale-update:
-	PYTHONPATH=src python -m repro.bench trajectory --suite autoscale --update
 
 # End-to-end benchmark (bench_e2e/README.md): all four full-stack
 # workloads, then the regression verdict against the committed

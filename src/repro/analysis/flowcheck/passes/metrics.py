@@ -1,10 +1,11 @@
 """FC010: metric-contract — consumed telemetry must actually exist.
 
 The chaos invariant monitor keys its checks off span names
-(``span.name == "colza.stage"``) and the bench trajectory pins counter
+(``span.name == "colza.stage"``) and the trajectory scenes read counter
 values (``sim.metrics.get("ssg.probes")``).  Both are stringly-typed:
 rename a counter at its producer and the consumer silently reads 0 —
-the invariant still "passes", the trajectory gate compares garbage.
+the invariant still "passes", and a pinned trajectory row goes red at
+run time without naming the rename.
 This pass closes the loop over the whole program:
 
 - **Producers** are metric registrations —
@@ -28,9 +29,9 @@ This pass closes the loop over the whole program:
   its source's class increments ``self.attr`` (``+=``) — a pull of a
   count nothing advances reports 0 forever.
 - The same fully-resolved counter ``.inc()``'d twice in one function
-  is a warning — the double-count-per-iteration hazard the bench
-  trajectory's op-count identity assertion would otherwise surface at
-  run time only.
+  is a warning — the double-count-per-iteration hazard that would
+  otherwise surface only at run time, as a pinned trajectory count
+  that moved.
 
 Dynamic names (``counter(name)``) are skipped: they are read-back
 aggregation, not contracts.

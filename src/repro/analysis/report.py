@@ -10,7 +10,7 @@ Two serializations of the same merged finding list:
 
 ``to_json()``
     The stable ``sarif-lite-1`` shape (flat finding dicts) consumed by
-    the repo's own tests and the bench trajectory harness.
+    the repo's own tests and ``make report``.
 
 ``to_sarif()``
     Real SARIF 2.1.0 — one run, one driver carrying both tools' rule

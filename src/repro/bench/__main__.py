@@ -128,10 +128,6 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "report":
         return _run_report(argv[1:])
-    if argv and argv[0] == "trajectory":
-        from repro.bench.trajectory import main as trajectory_main
-
-        return trajectory_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Run Colza-reproduction experiments interactively.",

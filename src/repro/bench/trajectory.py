@@ -1,107 +1,33 @@
-"""The tracked perf-trajectory suites (DES kernel + static analysis).
+"""The perf trajectory: pinned-seed scenes whose rows are exact.
 
-Runs a pinned-seed set of *scenes* and writes a per-suite baseline
-artifact. The ``kernel`` suite — event throughput, timer
-cancellation/compaction, SWIM churn at 256/1024/4096 members, MoNA
-reduce at large fan-in — writes ``BENCH_kernel.json``: per scene, the
-deterministic op counts (events scheduled/processed, cancels, probes,
-view rebuilds, peak queue depth) plus wall time and a *normalized*
-throughput. The ``analysis`` suite times a whole-tree flowcheck run
-(all FC001..FC010 passes, taint fixpoint included) and writes
-``BENCH_analysis.json`` so analyzer slowdowns and finding-count drift
-are gated like kernel regressions.
+Each scene drives one fast path — raw event throughput, timer
+cancellation and compaction, SWIM churn at 256 and 4096 members, MoNA
+reduce at large fan-in, the SLO controller under two load traces — and
+returns only what repeats exactly for :data:`SEED`: op counts (events
+scheduled/processed, cancels, probes, view rebuilds, peak queue depth)
+and product counts (SLO misses, resizes). No wall clock: host cost is
+``bench_e2e``'s, judged by its paired A/B tool.
 
-Normalization makes the regression gate machine-portable: every run
-first times a fixed pure-Python calibration loop, and throughputs are
-reported as events per calibration-op (dimensionless). A faster or
-slower machine shifts the calibration and the scene alike, so the
-ratio tracks *kernel* efficiency, not host speed.
-
-Comparison (``--check``, used by ``make bench-trajectory`` and CI)
-fails when any tracked metric regresses by more than
-:data:`TOLERANCE` (20%) against the committed baseline:
-
-- count metrics (op counts) regress by *growing*;
-- throughput metrics regress by *shrinking*.
-
-Large improvements are reported as warnings — refresh the baseline
-with ``--update`` so the gate keeps teeth.
-
-Usage::
-
-    python -m repro.bench trajectory                  # run, write latest
-    python -m repro.bench trajectory --check          # + gate vs baseline
-    python -m repro.bench trajectory --update         # refresh baseline
-    python -m repro.bench trajectory --scenes kernel_events,swim_churn_256
-    python -m repro.bench trajectory --suite analysis --check
+``tests/test_perf_budgets.py`` pins every scene's whole row in an
+inline table and compares for equality; a moved count is re-pinned by
+hand, with its reason next to the new row.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-import time
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict
 
 import numpy as np
 
 #: Pinned seed for every scene — op counts must be reproducible.
 SEED = 1234
 
-#: Regression gate: tracked metrics may drift this much vs baseline.
-TOLERANCE = 0.20
 
-#: Default artifact paths (repo root relative) for the kernel suite;
-#: other suites derive theirs from :data:`SUITES`.
-BASELINE_PATH = "BENCH_kernel.json"
-LATEST_PATH = "BENCH_kernel.latest.json"
-
-#: Pre-optimization wall times for the SWIM-churn scenes, measured on
-#: the flat-heapq kernel (no cancelable timers, full view re-sorts,
-#: per-call span/scope allocation) with the *identical* pinned-seed
-#: workload via ``git stash`` on the machine that produced the first
-#: committed baseline. Informational — recorded in every report so the
-#: acceptance speedup (>= 3x at 4096 members) stays documented next to
-#: the numbers it is claimed against; never part of the gate.
-PRE_PR_REFERENCE = {
-    "swim_churn_256": {"wall_seconds": 1.375, "probes": 2117},
-    "swim_churn_1024": {"wall_seconds": 2.786, "probes": 2116},
-    "swim_churn_4096": {"wall_seconds": 8.836, "probes": 2112},
-}
-
-
-def _wall() -> float:
-    return time.perf_counter()  # detlint: disable=DET001 -- bench harness: real wall time is the measurand
-
-
-# ---------------------------------------------------------------------------
-# calibration
-def calibrate(ops: int = 2_000_000, passes: int = 2) -> Dict[str, float]:
-    """Time a fixed pure-Python loop (best of ``passes``); ops/second.
-
-    Deliberately kernel-free: if calibration exercised the kernel, a
-    kernel speedup would cancel out of every normalized throughput.
-    """
-    best = float("inf")
-    acc = 0
-    for _ in range(passes):
-        t0 = _wall()
-        acc = 0
-        for i in range(ops):
-            acc += i & 7
-        best = min(best, _wall() - t0)
-    return {"ops": float(ops), "wall_seconds": best, "ops_per_sec": ops / best, "acc": float(acc)}
-
-
-# ---------------------------------------------------------------------------
-# scenes
-def scene_kernel_events(seed: int = SEED) -> Dict[str, float]:
+def scene_kernel_events() -> Dict[str, Any]:
     """Raw event throughput: timer storms + one bulk schedule_many."""
     from repro.sim import Simulation
 
-    sim = Simulation(seed=seed)
+    sim = Simulation(seed=SEED)
     rng = sim.rng.stream("bench.kernel_events")
 
     n_tasks, n_waits = 100, 200
@@ -119,27 +45,22 @@ def scene_kernel_events(seed: int = SEED) -> Dict[str, float]:
     batch = [(float(w), fired.append, i) for i, w in enumerate(rng.random(20_000) * 10.0)]
     sim.schedule_many(batch, relative=True)
 
-    t0 = _wall()
     sim.run()
-    wall = _wall() - t0
     stats = sim.queue_stats()
-    events = stats["pushes"]
     return {
-        "wall_seconds": wall,
         "events_scheduled": stats["pushes"],
         "events_processed": stats["pops"],
         "peak_queue_depth": stats["peak_depth"],
         "bulk_fired": len(fired),
-        "events_per_sec": events / wall,
     }
 
 
-def scene_kernel_cancel(seed: int = SEED) -> Dict[str, float]:
+def scene_kernel_cancel() -> Dict[str, Any]:
     """Cancellation fast path: most timers are withdrawn, tombstones
     must compact instead of accumulating."""
     from repro.sim import Simulation
 
-    sim = Simulation(seed=seed)
+    sim = Simulation(seed=SEED)
     rng = sim.rng.stream("bench.kernel_cancel")
 
     n_timers, keep_every = 30_000, 5
@@ -154,20 +75,15 @@ def scene_kernel_cancel(seed: int = SEED) -> Dict[str, float]:
         yield sim.timeout(0)
 
     sim.spawn(driver(), name="canceler")
-    t0 = _wall()
     sim.run()
-    wall = _wall() - t0
     stats = sim.queue_stats()
-    events = stats["pushes"] + stats["cancels"]
     return {
-        "wall_seconds": wall,
         "events_scheduled": stats["pushes"],
         "events_processed": stats["pops"],
         "cancels": stats["cancels"],
         "compactions": stats["compactions"],
         "tombstones_left": stats["tombstones"],
         "peak_queue_depth": stats["peak_depth"],
-        "events_per_sec": events / wall,
     }
 
 
@@ -179,10 +95,8 @@ def build_swim_churn(
 ):
     """Bring up the sampled SWIM-churn topology (see scene_swim_churn).
 
-    Returns ``(sim, agents, churn_task)`` with the churn driver already
-    spawned; the caller runs the simulation and reads the counters.
-    Uses only APIs common to pre- and post-optimization kernels so the
-    same workload can be timed against both.
+    Returns ``(sim, agents)`` with the churn driver already spawned;
+    the caller runs the simulation and reads the counters.
     """
     from repro.sim import Simulation
     from repro.ssg import GroupFile, SSGAgent
@@ -231,50 +145,39 @@ def build_swim_churn(
             target._apply_and_notify(Update(Status.ALIVE, fresh, i))
             i += 1
 
-    churn_task = sim.spawn(churn(), name="churn-driver")
-    return sim, agents, churn_task
+    sim.spawn(churn(), name="churn-driver")
+    return sim, agents
 
 
-def scene_swim_churn(
-    n_members: int, seed: int = SEED, sim_seconds: float = 15.0
-) -> Dict[str, float]:
+def scene_swim_churn(n_members: int) -> Dict[str, Any]:
     """SWIM churn at scale: 32 active agents holding ``n_members``-sized
     views, echo members answering pings, continuous join/leave churn.
-
-    The pre-optimization kernel re-sorted the whole view per probe and
-    popped a stale deadline timer per RPC; this scene is the ISSUE's
-    >= 3x acceptance workload at ``n_members=4096``.
-    """
-    sim, agents, _ = build_swim_churn(n_members, seed=seed)
-    t0 = _wall()
-    sim.run(until=sim.now + sim_seconds)
-    wall = _wall() - t0
+    Per-period work is O(active agents): the events barely grow with
+    the view, and the views never rebuild."""
+    sim, agents = build_swim_churn(n_members)
+    sim.run(until=sim.now + 15.0)
     stats = sim.queue_stats()
     probes = sim.metrics.get("ssg.probes")
-    rebuilds = sum(a.view.rebuilds for a in agents)
-    view_total = sum(a.view.size() for a in agents)
-    events = stats["pushes"]
     return {
-        "wall_seconds": wall,
         "events_scheduled": stats["pushes"],
         "events_processed": stats["pops"],
         "cancels": stats["cancels"],
         "peak_queue_depth": stats["peak_depth"],
-        "probes": probes.value if probes else 0.0,
-        "view_rebuilds": rebuilds,
-        "view_total_size": view_total,
-        "events_per_sec": events / wall,
+        "probes": int(probes.value) if probes else 0,
+        "view_rebuilds": sum(a.view.rebuilds for a in agents),
+        "view_total_size": sum(a.view.size() for a in agents),
     }
 
 
-def scene_mona_reduce(seed: int = SEED, ranks: int = 128, elems: int = 32_768) -> Dict[str, float]:
+def scene_mona_reduce() -> Dict[str, Any]:
     """MoNA reduce at large fan-in, real ndarrays: binary + binomial
     trees back to back; the combine bodies fold in place."""
     from repro.sim import Simulation
     from repro.mona.ops import SUM
     from repro.testing import build_mona_world, run_all
 
-    sim = Simulation(seed=seed)
+    ranks, elems = 128, 32_768
+    sim = Simulation(seed=SEED)
     sim.trace.enabled = False
     fabric, instances, comms = build_mona_world(sim, ranks, procs_per_node=8)
     rng = sim.rng.stream("bench.mona_reduce")
@@ -282,7 +185,6 @@ def scene_mona_reduce(seed: int = SEED, ranks: int = 128, elems: int = 32_768) -
         (rng.random(elems) * (r + 1)).astype(np.float64) for r in range(ranks)
     ]
 
-    t0 = _wall()
     binary = run_all(
         sim, [c.reduce(p, op=SUM, root=0) for c, p in zip(comms, payloads)]
     )
@@ -290,386 +192,39 @@ def scene_mona_reduce(seed: int = SEED, ranks: int = 128, elems: int = 32_768) -
         sim,
         [c.reduce(p, op=SUM, root=0, algorithm="binomial") for c, p in zip(comms, payloads)],
     )
-    wall = _wall() - t0
     stats = sim.queue_stats()
-    checksum = float(binary[0].sum()) + float(binomial[0].sum())
-    identical = bool(np.array_equal(binary[0], binomial[0]))
-    events = stats["pushes"]
     return {
-        "wall_seconds": wall,
         "events_scheduled": stats["pushes"],
         "events_processed": stats["pops"],
-        "reduce_checksum": checksum,
-        "trees_bit_identical": identical,
-        "events_per_sec": events / wall,
+        "reduce_checksum": float(binary[0].sum()) + float(binomial[0].sum()),
+        "trees_bit_identical": bool(np.array_equal(binary[0], binomial[0])),
     }
 
 
-def scene_flowcheck_tree() -> Dict[str, float]:
-    """Whole-tree flowcheck: every FC pass (taint fixpoint included)
-    over src/. Finding counts are the determinism check; the gate
-    catches analyzer slowdowns and finding/suppression drift."""
-    from repro.analysis.flowcheck import run_check
-
-    src = Path(__file__).resolve().parents[2]  # src/
-    t0 = _wall()
-    report = run_check([str(src)], root=str(src.parent))
-    wall = _wall() - t0
-    return {
-        "wall_seconds": wall,
-        "files_checked": report.files_checked,
-        "findings_total": len(report.findings),
-        "findings_unsuppressed": len(report.unsuppressed()),
-        "files_per_sec": report.files_checked / wall,
-    }
-
-
-def scene_mcheck_explore() -> Dict[str, float]:
-    """Systematic exploration of the quota_backpressure window (model
-    checker, repro.analysis.mcheck): schedule/prune/pair counts are the
-    determinism check — a drifting count means the explorer's frontier
-    or the scenario's choice structure changed — and ``violations``
-    baselines at 0 so any invariant break on the clean tree fails the
-    gate outright."""
-    from repro.analysis.mcheck import explore
-
-    t0 = _wall()
-    report = explore("quota_backpressure", 0, max_schedules=16)
-    wall = _wall() - t0
-    return {
-        "wall_seconds": wall,
-        "violations": 0 if report.ok else len(report.counterexample.violations),
-        "runs": report.runs,
-        "distinct_traces": report.distinct_traces,
-        "pruned": report.pruned,
-        "dependent_pairs": len(report.dependent_pairs),
-        "choice_points": report.choice_points,
-        "schedules_per_sec": report.runs / wall,
-    }
-
-
-def scene_autoscale_trace(shape: str) -> Dict[str, float]:
+def scene_autoscale_trace(shape: str) -> Dict[str, Any]:
     """The closed-loop SLO controller under one pinned load trace:
-    miss and resize counts are the tracked product metrics (DESIGN §16)
-    — a regression here means the controller started missing deadlines
-    it used to meet, or thrashing where it used to hold."""
+    miss and resize counts are the product metrics (DESIGN §16) — a
+    moved row means the controller started missing deadlines it used to
+    meet, or thrashing where it used to hold."""
     from repro.bench.experiments.autoscale_slo import _run_regime
     from repro.bench.loadtraces import trace
 
     kwargs = {"burst": 6.0} if shape == "bursty" else {}
     loads = trace(shape, 12, seed=23, **kwargs)
-    t0 = _wall()
     m = _run_regime("slo", "grayscott", loads, 4, 23)
-    wall = _wall() - t0
     return {
-        "wall_seconds": wall,
-        "slo_misses": float(m["slo_misses"]),
-        "resizes": float(m["resizes"]),
-        "resize_failures": float(m["resize_failures"]),
-        "final_servers": float(m["final_servers"]),
-        "iterations_per_sec": len(loads) / wall,
+        key: int(m[key])
+        for key in ("slo_misses", "resizes", "resize_failures", "final_servers")
     }
 
 
-def scene_autoscale_chaos() -> Dict[str, float]:
-    """Two controller-attacking chaos scenarios (join-target crash,
-    telemetry blackout) at a pinned seed. ``violations`` baselines at 0
-    so any ControllerSafety break on the clean tree fails the gate."""
-    from repro.chaos.scenarios import run_scenario
-
-    t0 = _wall()
-    crash = run_scenario("autoscale_join_target_crash", seed=0)
-    blackout = run_scenario("autoscale_telemetry_blackout", seed=0)
-    wall = _wall() - t0
-    return {
-        "wall_seconds": wall,
-        "violations": float(len(crash.violations) + len(blackout.violations)),
-        "resize_failures": float(crash.info["resize_failures"]),
-        "servers_after_recovery": float(crash.info["servers"]),
-        "degraded_steps": float(blackout.info["degraded_steps"]),
-        "scenarios_per_sec": 2.0 / wall,
-    }
-
-
-#: Scene registry: name -> (runner, tracked metric spec).
-#: Spec maps metric name -> "count" (regresses by growing) or
-#: "throughput" (regresses by shrinking). Untracked fields are
-#: informational.
-SCENES: Dict[str, Tuple[Callable[[], Dict[str, float]], Dict[str, str]]] = {
-    "kernel_events": (
-        scene_kernel_events,
-        {
-            "events_scheduled": "count",
-            "peak_queue_depth": "count",
-            "norm_throughput": "throughput",
-        },
-    ),
-    "kernel_cancel": (
-        scene_kernel_cancel,
-        {
-            "events_scheduled": "count",
-            "cancels": "count",
-            "tombstones_left": "count",
-            "norm_throughput": "throughput",
-        },
-    ),
-    "swim_churn_256": (
-        lambda: scene_swim_churn(256),
-        {
-            "events_scheduled": "count",
-            "probes": "count",
-            "view_rebuilds": "count",
-            "norm_throughput": "throughput",
-        },
-    ),
-    "swim_churn_1024": (
-        lambda: scene_swim_churn(1024),
-        {
-            "events_scheduled": "count",
-            "probes": "count",
-            "view_rebuilds": "count",
-            "norm_throughput": "throughput",
-        },
-    ),
-    "swim_churn_4096": (
-        lambda: scene_swim_churn(4096),
-        {
-            "events_scheduled": "count",
-            "probes": "count",
-            "view_rebuilds": "count",
-            "norm_throughput": "throughput",
-        },
-    ),
-    "mona_reduce": (
-        scene_mona_reduce,
-        {
-            "events_scheduled": "count",
-            "norm_throughput": "throughput",
-        },
-    ),
+#: Scene registry: name -> runner returning the scene's row.
+SCENES: Dict[str, Callable[[], Dict[str, Any]]] = {
+    "kernel_events": scene_kernel_events,
+    "kernel_cancel": scene_kernel_cancel,
+    "swim_churn_256": lambda: scene_swim_churn(256),
+    "swim_churn_4096": lambda: scene_swim_churn(4096),
+    "mona_reduce": scene_mona_reduce,
+    "autoscale_bursty": lambda: scene_autoscale_trace("bursty"),
+    "autoscale_adversarial": lambda: scene_autoscale_trace("adversarial"),
 }
-
-#: The static-analysis suite. ``findings_unsuppressed`` baselines at 0,
-#: so *any* unsuppressed finding regresses the gate; ``findings_total``
-#: growing past tolerance means suppressions are accumulating faster
-#: than an intentional --update.
-ANALYSIS_SCENES: Dict[str, Tuple[Callable[[], Dict[str, float]], Dict[str, str]]] = {
-    "flowcheck_tree": (
-        scene_flowcheck_tree,
-        {
-            "findings_total": "count",
-            "findings_unsuppressed": "count",
-            "norm_throughput": "throughput",
-        },
-    ),
-    "mcheck_explore": (
-        scene_mcheck_explore,
-        {
-            "violations": "count",
-            "runs": "count",
-            "pruned": "count",
-            "norm_throughput": "throughput",
-        },
-    ),
-}
-
-#: The SLO-autoscaler suite: product metrics (miss rate, resize
-#: counts, safety violations) gated like perf numbers — the controller
-#: may not quietly start missing deadlines or thrashing.
-AUTOSCALE_SCENES: Dict[str, Tuple[Callable[[], Dict[str, float]], Dict[str, str]]] = {
-    "autoscale_bursty": (
-        lambda: scene_autoscale_trace("bursty"),
-        {
-            "slo_misses": "count",
-            "resizes": "count",
-            "resize_failures": "count",
-            "norm_throughput": "throughput",
-        },
-    ),
-    "autoscale_adversarial": (
-        lambda: scene_autoscale_trace("adversarial"),
-        {
-            "slo_misses": "count",
-            "resizes": "count",
-            "norm_throughput": "throughput",
-        },
-    ),
-    "autoscale_chaos": (
-        scene_autoscale_chaos,
-        {
-            "violations": "count",
-            "resize_failures": "count",
-            "norm_throughput": "throughput",
-        },
-    ),
-}
-
-#: Suite registry: name -> (scene registry, baseline path, latest path).
-SUITES: Dict[str, Tuple[Dict, str, str]] = {
-    "kernel": (SCENES, BASELINE_PATH, LATEST_PATH),
-    "analysis": (ANALYSIS_SCENES, "BENCH_analysis.json", "BENCH_analysis.latest.json"),
-    "autoscale": (AUTOSCALE_SCENES, "BENCH_autoscale.json", "BENCH_autoscale.latest.json"),
-}
-
-
-# ---------------------------------------------------------------------------
-# suite driver
-def run_suite(
-    scene_names: Optional[List[str]] = None,
-    suite: str = "kernel",
-) -> Dict[str, Any]:
-    """Run one suite's scenes and return its BENCH report dict."""
-    scenes = SUITES[suite][0]
-    names = list(scenes) if scene_names is None else scene_names
-    unknown = [n for n in names if n not in scenes]
-    if unknown:
-        raise SystemExit(f"unknown scenes {unknown}; available: {list(scenes)}")
-
-    cal = calibrate()
-    report: Dict[str, Any] = {
-        "schema": 1,
-        "suite": suite,
-        "seed": SEED,
-        "tolerance": TOLERANCE,
-        "calibration": cal,
-        "scenes": {},
-    }
-    if suite == "kernel":
-        report["pre_pr_reference"] = PRE_PR_REFERENCE
-    for name in names:
-        runner, tracked = scenes[name]
-        print(f"  scene {name} ...", file=sys.stderr, flush=True)
-        # Best-of-3: wall time (and hence throughput) takes the fastest
-        # pass — cold-start noise (allocator, page cache, numpy warm-up)
-        # otherwise dwarfs the 20% gate. Op counts must be identical
-        # across passes: the scenes are pinned-seed deterministic, and a
-        # mismatch is a determinism bug worth failing loudly on.
-        passes = [runner() for _ in range(3)]
-        first = passes[0]
-        for other in passes[1:]:
-            for metric, value in first.items():
-                if metric == "wall_seconds" or metric.endswith("_per_sec"):
-                    continue
-                if other.get(metric) != value:
-                    raise AssertionError(
-                        f"scene {name}: non-deterministic metric {metric}: "
-                        f"{value!r} vs {other.get(metric)!r}"
-                    )
-        result = dict(first)
-        result["wall_seconds"] = min(p["wall_seconds"] for p in passes)
-        for rate_key in [k for k in first if k.endswith("_per_sec")]:
-            result[rate_key] = max(p[rate_key] for p in passes)
-            result["norm_throughput"] = result[rate_key] / cal["ops_per_sec"]
-        result["tracked"] = tracked
-        report["scenes"][name] = result
-    return report
-
-
-def compare(baseline: Dict[str, Any], current: Dict[str, Any], tolerance: float = TOLERANCE):
-    """Gate ``current`` against ``baseline``.
-
-    Returns ``(regressions, warnings)`` — lists of human-readable
-    strings. A scene missing from the baseline is a warning (new scene,
-    gate starts on the next --update); a scene missing from the current
-    run is a regression (silent coverage loss).
-    """
-    regressions: List[str] = []
-    warnings: List[str] = []
-    base_scenes = baseline.get("scenes", {})
-    cur_scenes = current.get("scenes", {})
-    for name, base in base_scenes.items():
-        cur = cur_scenes.get(name)
-        if cur is None:
-            regressions.append(f"{name}: scene missing from current run")
-            continue
-        for metric, kind in base.get("tracked", {}).items():
-            if metric not in base or metric not in cur:
-                warnings.append(f"{name}.{metric}: not present in both runs")
-                continue
-            b, c = float(base[metric]), float(cur[metric])
-            if kind == "count":
-                if c > b * (1 + tolerance) + 1e-9:
-                    regressions.append(
-                        f"{name}.{metric}: {c:g} vs baseline {b:g} (+{(c - b) / max(b, 1e-12):.0%})"
-                    )
-                elif b and c < b * (1 - tolerance):
-                    warnings.append(
-                        f"{name}.{metric}: dropped to {c:g} from {b:g} — workload shrank? "
-                        "refresh baseline if intentional"
-                    )
-            elif kind == "throughput":
-                if c < b * (1 - tolerance):
-                    regressions.append(
-                        f"{name}.{metric}: {c:.4g} vs baseline {b:.4g} ({(c - b) / b:.0%})"
-                    )
-                elif c > b * (1 + tolerance):
-                    warnings.append(
-                        f"{name}.{metric}: improved to {c:.4g} from {b:.4g} — "
-                        "consider --update to tighten the gate"
-                    )
-    for name in cur_scenes:
-        if name not in base_scenes:
-            warnings.append(f"{name}: new scene (not in baseline; gated after --update)")
-    return regressions, warnings
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench trajectory",
-        description="Run a tracked perf-trajectory suite (kernel or analysis).",
-    )
-    parser.add_argument(
-        "--suite",
-        choices=sorted(SUITES),
-        default="kernel",
-        help="which scene suite to run (default: kernel)",
-    )
-    parser.add_argument("--out", default=None, help="where to write this run's report")
-    parser.add_argument("--baseline", default=None, help="committed baseline path")
-    parser.add_argument("--check", action="store_true", help="fail on >20%% regression vs baseline")
-    parser.add_argument("--update", action="store_true", help="write the baseline instead of --out")
-    parser.add_argument("--scenes", help="comma-separated subset of scenes")
-    args = parser.parse_args(argv)
-
-    _, suite_baseline, suite_latest = SUITES[args.suite]
-    if args.baseline is None:
-        args.baseline = suite_baseline
-    if args.out is None:
-        args.out = suite_latest
-
-    names = args.scenes.split(",") if args.scenes else None
-    report = run_suite(names, suite=args.suite)
-
-    out_path = args.baseline if args.update else args.out
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"trajectory report written to {out_path}", file=sys.stderr)
-
-    for name, scene in report["scenes"].items():
-        print(
-            f"  {name:18s} wall={scene['wall_seconds']:.3f}s "
-            f"events={int(scene.get('events_scheduled', 0))} "
-            f"norm={scene.get('norm_throughput', 0):.4g}"
-        )
-
-    if args.check and not args.update:
-        try:
-            with open(args.baseline) as fh:
-                baseline = json.load(fh)
-        except FileNotFoundError:
-            print(f"no baseline at {args.baseline}; run with --update first", file=sys.stderr)
-            return 2
-        regressions, warns = compare(baseline, report)
-        for w in warns:
-            print(f"WARN {w}", file=sys.stderr)
-        if regressions:
-            for r in regressions:
-                print(f"REGRESSION {r}", file=sys.stderr)
-            return 1
-        print("trajectory gate passed (all tracked metrics within tolerance)", file=sys.stderr)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

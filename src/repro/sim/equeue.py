@@ -38,9 +38,9 @@ tie-breaking a call due *now* that would pop ahead of the whole heap
 waits on the kernel's run lane instead (``repro.sim.kernel``), and
 ``Simulation.queue_stats`` adds those to the counts below.
 
-The queue also keeps the op counters the perf-trajectory harness and
-the perf-budget smoke tests assert on: pushes, pops, cancels,
-compactions, and the peak number of simultaneously live entries.
+The queue also keeps the op counters the pinned trajectory rows and
+the perf-budget tests assert on: pushes, pops, cancels, compactions,
+and the peak number of simultaneously live entries.
 """
 
 from __future__ import annotations

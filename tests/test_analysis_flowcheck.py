@@ -382,12 +382,14 @@ def test_changed_mode_reports_only_the_diff_closure(tmp_path):
 
 def test_tree_is_clean():
     """The acceptance gate: zero unsuppressed flowcheck findings over
-    src/, and every suppression carries a reason."""
+    src/, every suppression carries a reason, and suppressions do not
+    creep: a new one is pinned here by hand."""
     report = run_check([str(SRC)], root=str(SRC.parent))
     assert report.ok, "\n" + report.render()
     for finding in report.findings:
         if finding.suppressed:
             assert finding.reason
+    assert len(report.findings) == 3, "\n" + report.render()
 
 
 # ---------------------------------------------------------------------------

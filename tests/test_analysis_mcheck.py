@@ -197,6 +197,10 @@ def test_clean_tree_scenario_explores_clean(scenario):
     assert report.runs >= 2  # exploration actually happened
     assert report.dependent_pairs  # and exercised real conflicts
     assert report.pruned > 0  # and the DPOR pruning did work
+    if scenario == "quota_backpressure":  # the frontier, exact for the seed
+        counts = (report.runs, report.pruned, report.distinct_traces,
+                  len(report.dependent_pairs), report.choice_points)
+        assert counts == (5, 54, 2, 6, 32), counts
 
 
 def test_unknown_scenario_rejected():
