@@ -85,7 +85,8 @@ bench-e2e-ab:
 #   make profile-e2e WORKLOAD=elastic_tenants PROFILE_ARGS="--phase setup --sort ncalls"
 # --phase sim reads the simulated clock: per tenant-iteration attempt, outcome,
 # 2PC rounds, simulated seconds per phase and the gap since the previous attempt,
-# flagging any phase that sat out a control-plane deadline.
+# flagging any phase that sat out a control-plane deadline; then the wire bytes
+# per iteration by what sent them (icet.binary_swap, mona.gather, colza/stage, ...).
 #   make profile-e2e WORKLOAD=elastic_tenants PROFILE_ARGS="--phase sim"
 # --by-module adds the timed section's calls per defining module and per
 # function, rows summing to py_calls_m: the table to size a call-count change by.

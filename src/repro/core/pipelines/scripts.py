@@ -12,10 +12,10 @@ Each script handles both payload modes transparently:
 
 A server with nothing to draw (virtual blocks only, no block at all, or
 blocks the iso-levels miss) hands the compositor
-:meth:`CompositeImage.empty`: the frame's declared size — what the wire
-is charged for — is a rendered frame's, but it has no storage and every
-z-buffer combine against it is a no-op, so the host pays for such a rank
-per message, not per pixel.
+:meth:`CompositeImage.empty`: it has no storage, the wire is charged a
+sparse-image header and one run for it, and every z-buffer combine
+against it is a no-op, so the host pays for such a rank per message, not
+per pixel.
 """
 
 from __future__ import annotations

@@ -17,9 +17,11 @@ stage of parallel rendering (paper §III-C2).
 Host cost follows active pixels, as in IceT: ranks with nothing to draw
 contribute :meth:`CompositeImage.empty` frames (no storage), and a
 z-buffer combine in which the incoming fragment wins no pixel allocates
-nothing (:func:`~repro.vtk.render.image.combine_zbuffer`). The *wire*
-is still priced by frame size (``CompositeImage.nbytes``), not by
-active pixels.
+nothing (:func:`~repro.vtk.render.image.combine_zbuffer`). So does the
+wire: every fragment a swap round, a fold or the root gather sends is
+priced as IceT's sparse image of it (``CompositeImage.nbytes``: a
+header, run lengths and the active pixels), by both communicators, and
+an empty fragment costs a header and one run.
 """
 
 from __future__ import annotations

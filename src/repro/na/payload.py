@@ -17,7 +17,9 @@ never of how Python happens to serialise it. :func:`payload_nbytes`
 therefore prices structurally:
 
 - an object with an ``nbytes`` attribute **declares** its size — NumPy
-  arrays and :class:`VirtualPayload` (their storage), ``CompositeImage``,
+  arrays and :class:`VirtualPayload` (their storage), ``CompositeImage``
+  (IceT's sparse image of it: a 28-byte header, 8 bytes per run pair,
+  20 per active pixel — not its storage),
   :class:`MemoryHandle` (the region it names), and the wire records
   :class:`~repro.na.address.Address` (encoded URI +
   ``ADDRESS_FRAMING_BYTES`` = 62) and ssg

@@ -16,6 +16,13 @@ import numpy as np
 
 __all__ = ["CompositeImage"]
 
+# IceT's sparse image, in bytes: seven ``IceTUInt`` header words, two
+# ``IceTUInt`` run lengths per (inactive, active) pair, RGBA + depth as
+# float32 per active pixel.
+_SPARSE_HEADER = 28
+_RUN_PAIR = 8
+_ACTIVE_PIXEL = 20
+
 
 @dataclass
 class CompositeImage:
@@ -34,9 +41,19 @@ class CompositeImage:
     first argument's buffers* (:func:`combine_zbuffer` when nothing is
     taken), so writing into any frame one did not make can change
     another. A frame that is final and has nothing in it is
-    :meth:`empty`: same ``shape``, ``nbytes`` (wire size), ``coverage()``
-    and ``rows()`` as :meth:`blank`, but read-only and without storage;
+    :meth:`empty`: same ``shape``, ``nbytes``, ``coverage()`` and
+    ``rows()`` as :meth:`blank`, but read-only and without storage;
     :meth:`copy` gives a writable frame that owns its data.
+
+    **Wire size.** ``nbytes`` — what :func:`repro.na.payload_nbytes`
+    charges for a frame or fragment — is the size of IceT's sparse image:
+    a 28-byte header, 8 bytes per (inactive, active) run pair in
+    row-major order, 20 bytes (RGBA + depth) per active pixel, i.e. one
+    with a finite depth. Inactive pixels are not sent, so the encoding is
+    lossless because every frame keeps them at the background,
+    ``(0, 0, 0, 0)`` / ``inf`` (``tests/oracles/sparse_image.py``
+    encodes it for real). An :meth:`empty` frame, or a row slice of one,
+    is a header and one run, priced from its strides alone.
     """
 
     rgba: np.ndarray
@@ -83,7 +100,15 @@ class CompositeImage:
 
     @property
     def nbytes(self) -> int:
-        return self.rgba.nbytes + self.depth.nbytes
+        """The wire size: IceT's sparse image (see the class docstring)."""
+        depth = self.depth
+        if depth.strides == (0, 0):  # only :meth:`empty` (or a row slice) is: all background
+            return _SPARSE_HEADER + _RUN_PAIR
+        active = np.isfinite(depth).reshape(-1)
+        # A run pair starts at the first pixel and at every inactive
+        # pixel that follows an active one.
+        pairs = 1 + np.count_nonzero(active[:-1] > active[1:])
+        return int(_SPARSE_HEADER + _RUN_PAIR * pairs + _ACTIVE_PIXEL * np.count_nonzero(active))
 
     def coverage(self) -> float:
         """Fraction of pixels with any content."""

@@ -4,7 +4,10 @@
 last commit whose :func:`repro.na.payload_nbytes` priced ``Address`` and
 ssg ``Update`` records by *pickling* them (PR 16's tree), so the declared
 sizes that replaced the pickle must reproduce every row — a simulated
-byte is a simulated second, and every pinned digest rides on them.
+byte is a simulated second, and every pinned digest rides on them. The
+``composite_image`` group alone was re-recorded when frames came to be
+priced as IceT's sparse image (``tests/oracles/sparse_image.py`` is that
+group's reference).
 
 ``groups()`` builds the payloads, in a fixed order, from nothing but
 public constructors; the golden file maps each group name to the list of
@@ -129,9 +132,15 @@ def groups() -> Dict[str, List[Any]]:
         [VirtualPayload((4,)), VirtualPayload((4,), "float32")],
     ]
     image = CompositeImage.blank(7, 5, brick_depth=2.0)
+    partly = CompositeImage.blank(7, 5)
+    partly.depth[1:3, 2:6] = 1.5  # two runs of four pixels
+    ends = CompositeImage.blank(7, 5)
+    ends.depth[0, 0] = ends.depth[-1, -1] = 0.5
+    empty = CompositeImage.empty(7, 5)
     out["composite_image"] = [
         image, image.rows(1, 4), image.rows(2, 2), CompositeImage.blank(256, 256),
         (0, 3, image.rows(0, 3)), [None, (0, 5, image)],
+        partly, partly.rows(2, 5), empty, empty.rows(1, 4), ends,
     ]
     handle = MemoryHandle.expose(a, grid)
     out["memory_handle"] = [

@@ -79,11 +79,13 @@ def test_sec2e_holds_in_both_directions():
 def test_fig9_single_tenant_elastic_run_is_bit_identical():
     """One pipeline per process: sharing the library load between a
     process's pipelines must not move a single-tenant figure. The
-    digest was recorded before the load became per-process."""
+    digest was recorded before the load became per-process, and
+    re-pinned when frames came to be priced as IceT's sparse image
+    (shorter composites: every ``execute`` moved, nothing else)."""
     records = fig9_elastic.run()
     assert records[0]["execute"] - records[1]["execute"] == pytest.approx(8.0)  # init, once
     digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
-    assert digest == "fa3d7862e506d351772bba6c34092aa43bf483549ddb9911325994acd2669145"
+    assert digest == "e53082c37bfa29bfd5927194b8094ff86b851cf5b729e99666189b53d816a998"
 
 
 def test_ablation_reduce_smoke():

@@ -173,7 +173,7 @@ def test_combining_fragments_of_different_shapes_raises(combine):
 def test_empty_frame_is_a_blank_frame_without_storage(width, height):
     empty, blank = CompositeImage.empty(width, height, 2.5), CompositeImage.blank(width, height, 2.5)
     assert_same_image(empty, blank)
-    assert empty.nbytes == blank.nbytes == 20 * width * height  # the wire size
+    assert empty.nbytes == blank.nbytes == 36  # the wire size: a sparse-image header and one run
     assert empty.shape == blank.shape == (height, width)
     if height:
         assert empty.coverage() == blank.coverage() == 0.0

@@ -654,7 +654,8 @@ def test_binary_swap_of_empty_frames_allocates_one_frame():
     from repro.vtk.render.image import CompositeImage
 
     size, ranks = 256, 8
-    frame_bytes = CompositeImage.blank(size, size).nbytes
+    blank = CompositeImage.blank(size, size)
+    frame_bytes = blank.rgba.nbytes + blank.depth.nbytes  # storage, not the wire size
     sim = Simulation(seed=4)
     _, _, comms = build_mona_world(sim, ranks)
 
@@ -669,15 +670,52 @@ def test_binary_swap_of_empty_frames_allocates_one_frame():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert final.shape == (size, size) and final.coverage() == 0.0 and final.nbytes == frame_bytes
+    assert final.shape == (size, size) and final.coverage() == 0.0
+    assert final.rgba.nbytes + final.depth.nbytes == frame_bytes
     assert final.rgba.flags.writeable and all(o is None for o in others)
     assert frame_bytes <= peak < 2 * frame_bytes, (peak, frame_bytes)
 
 
+def test_pricing_a_frame_takes_a_fixed_number_of_calls(monkeypatch):
+    """``payload_nbytes`` reads a frame's wire size once per message that
+    carries it. An ``empty()`` frame (every rank of a virtual-block run)
+    is priced from its strides, without a NumPy call; a rendered 256 x 128
+    fragment takes the same ten calls (12 allowed) whether it holds one
+    run or 16 384: no Python loop over rows or runs."""
+    from repro.vtk.render.image import CompositeImage
+
+    empty = CompositeImage.empty(256, 256)
+    part = empty.rows(64, 192)
+
+    def numpy_called(*args, **kwargs):
+        raise AssertionError("NumPy called to price an empty frame")
+
+    monkeypatch.setattr(np, "isfinite", numpy_called)
+    monkeypatch.setattr(np, "count_nonzero", numpy_called)
+    for frame in (empty, part):
+        calls, size = _profiled_calls(lambda: frame.nbytes)
+        assert size == 36 and calls <= 4, calls
+    monkeypatch.undo()
+
+    rng = np.random.default_rng(2)
+    masks = {
+        "no run": np.zeros((128, 256), dtype=bool),
+        "one run": np.arange(128 * 256).reshape(128, 256) // 4096 == 3,
+        "random": rng.random((128, 256)) < 0.5,
+        "checkerboard": np.indices((128, 256)).sum(axis=0) % 2 == 0,
+    }
+    calls = {}
+    for name, mask in masks.items():
+        frame = CompositeImage.blank(256, 128)
+        frame.depth[mask] = 1.0
+        calls[name], _ = _profiled_calls(lambda: frame.nbytes)
+    assert max(calls.values()) <= 12 and len(set(calls.values())) == 1, calls
+
+
 def test_scripts_with_nothing_to_draw_hand_the_compositor_a_frame_without_storage(monkeypatch):
     """Virtual blocks (every paper-scale run) and servers whose blocks
-    miss the iso-levels: the local frame declares a rendered frame's
-    size and occupies one pixel."""
+    miss the iso-levels: the local frame declares a blank frame's wire
+    size (a sparse-image header and one run) and occupies one pixel."""
     from repro.bench.harness import ColzaExperiment
     from repro.catalyst.script import RenderContext
     from repro.core.pipelines import DWIVolumeScript, IsoSurfaceScript

@@ -33,7 +33,12 @@ section — outcome, 2PC prepare rounds, simulated seconds in activate /
 stage / execute / deactivate and the gap since the tenant's previous
 attempt — flagging every phase that lasted a control-plane deadline or
 more. It is how a stall that no host profile shows (a client sitting out
-``CONTROL_TIMEOUT`` on a departed server) is found.
+``CONTROL_TIMEOUT`` on a departed server) is found. It ends with the
+timed section's wire bytes — the ``na.send`` and ``na.rdma`` spans,
+which add up to ``wire_mb_per_iter`` — grouped by what sent them: each
+span's nearest ancestor outside ``na`` (``icet.binary_swap``,
+``mona.gather``, ...), and for a request or reply of an RPC the RPC
+(``colza/stage``, ``colza/replicate``, ``ssg/ping``, ...).
 
 Every run is a fresh fork of the process that imported the program, as
 the benchmark's repetitions are, so each starts from the same heap. The
@@ -198,6 +203,43 @@ def sim_phases(args: argparse.Namespace) -> None:
               f"{tags.get('attempt', 0):>3d} {str(tags.get('outcome', 'open')):<9s} {rounds:>6d} "
               + " ".join(cells) + (f" {gap:>8.3f}" if gap is not None else f" {'-':>8s}"))
     print(f"phases at or past the deadline: {flagged}")
+    _wire_by_sender(trace, before, workload.iterations)
+
+
+def _sender(trace, span) -> str:
+    """What a message or bulk transfer was sent for: its nearest ancestor
+    span outside ``na`` — for an RPC's request or reply (``hg.*``), the
+    RPC it carries."""
+    parent = span.parent
+    while parent is not None and parent >= trace._first_id:
+        above = trace.spans[parent - trace._first_id]
+        if above.name.startswith("hg."):
+            return str(above.tags.get("rpc"))
+        if not above.name.startswith("na."):
+            return above.name
+        parent = above.parent
+    return "(no span)"
+
+
+def _wire_by_sender(trace, before: int, iterations: int) -> None:
+    """The timed section's wire bytes (``na.send`` messages and ``na.rdma``
+    transfers, what ``wire_mb_per_iter`` counts) by what sent them, from
+    the trace alone."""
+    messages: Dict[tuple, int] = Counter()
+    nbytes: Dict[tuple, int] = Counter()
+    for span in trace.spans[before:]:
+        if span.name in ("na.send", "na.rdma"):
+            key = (_sender(trace, span), span.name)
+            messages[key] += 1
+            nbytes[key] += span.tags["nbytes"]
+    total = sum(nbytes.values())
+    print(f"== wire bytes of the timed section by sender: the nearest span outside na "
+          f"(an RPC for hg.*), {total / 1e6:.3f} MB in all, {total / 1e6 / iterations:.4f} MB per iteration")
+    print(f"{'layer':<12s} {'sent for':<28s} {'span':<8s} {'count':>7s} {'MB/iter':>10s} {'share':>7s}")
+    for (sender, name), size in sorted(nbytes.items(), key=lambda kv: (-kv[1], kv[0])):
+        layer = sender.replace("/", ".").split(".", 1)[0]
+        print(f"{layer:<12s} {sender:<28s} {name:<8s} {messages[sender, name]:>7d} "
+              f"{size / 1e6 / iterations:>10.4f} {size / max(total, 1):>7.1%}")
 
 
 def import_census(args: argparse.Namespace) -> int:
