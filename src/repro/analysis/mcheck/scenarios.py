@@ -704,8 +704,8 @@ def _mc_prepare_first_no(seed: int, controller) -> McheckOutcome:
     rounds: List[Any] = []
     real_prepare = h._prepare
 
-    def logged_prepare(iteration, proposed):
-        votes, dissent = yield from real_prepare(iteration, proposed)
+    def logged_prepare(iteration, proposed, gone=()):
+        votes, dissent = yield from real_prepare(iteration, proposed, gone)
         rounds.append((proposed, list(votes), dissent))
         return votes, dissent
 
@@ -783,6 +783,151 @@ def _mc_prepare_first_no(seed: int, controller) -> McheckOutcome:
         extra.append(f"the window no longer races: {racing}")
     extra.extend(_residual_charges(ctx))
     payload = {"scenario": "prepare_first_no", "rounds": len(rounds)}
+    return _mc_finish(ctx, tsan, controller, errors, payload, extra)
+
+
+@mcheck_scenario
+def _mc_prepare_relay(seed: int, controller) -> McheckOutcome:
+    """A tombstone relayed by a prepare vs SWIM's gossip of it vs an abort.
+
+    Three servers ``a``, ``b``, ``x`` shared by two tenants; alpha's
+    iteration 1 is frozen on all three when ``x`` crashes. ``a`` holds
+    ``x``'s DEAD record (its suspicion timer fired), ``b`` has not heard.
+    On a one-tick lattice, three messages then reach ``b`` in one
+    instant: beta's prepare relaying the record (R3), ``a``'s SWIM probe
+    gossiping the same record, and alpha's ``abort()`` of the frozen
+    iteration. The explorer owns their order (and of whatever shares the
+    later instants: alpha's retry relays what the abort's acks carried).
+    In each: both activates succeed, every member freezes the client's
+    view, no frozen view holds a member a live agent has a terminal
+    record for, and each agent's observer fires at most once per member.
+    """
+    from repro.chaos.scenarios import LIGHT_BLOCK
+    from repro.ssg import Status, Update
+
+    ctx, tsan = _controlled_stack(
+        controller,
+        seed=seed,
+        n_servers=3,
+        tenants=("alpha", "beta"),
+        library=FLUSH,
+        config={"flush_bytes_per_second": 1048576.0},
+    )
+    sim = ctx.sim
+    alpha, beta = ctx.handles["alpha"], ctx.handles["beta"]
+    tick = _LatticeLinks.TICK
+    errors: List[str] = []
+    extra: List[str] = []
+    a, b, x = sorted(ctx.deployment.live_daemons(), key=lambda d: d.address)
+    for margo in [h.margo for h in (alpha, beta)] + [d.margo for d in (a, b, x)]:
+        margo.hg.endpoint.model = _LatticeLinks(margo.hg.endpoint.model)
+    for h in (alpha, beta):
+        h.ACTIVATE_BACKOFF = (0.0, 0.0)
+    drive(sim, alpha.activate(1), max_time=120)
+
+    #: server name -> (event, member) as its agent's observers saw them.
+    heard: Dict[str, List[Any]] = {d.name: [] for d in (a, b)}
+    for d in (a, b):
+        d.provider.agent.add_observer(
+            lambda event, member, log=heard[d.name]: log.append((event, member))
+        )
+    #: which message told ``b``, and whether alpha's epoch was still
+    #: live there (then ``b`` aborts it on the death too).
+    told: Dict[str, Any] = {}
+
+    def _b_told(_event, _member):
+        with untracked(sim):
+            live = (alpha.name, 1) in b.provider._active
+        told.setdefault("b_told_by", sim.current_task.name.rsplit(".", 1)[-1])
+        told.setdefault("b_frozen_when_told", live)
+
+    b.provider.agent.add_observer(_b_told)
+    ctx.monitor.note_failure(x.name)
+    x.crash()
+    # a's suspicion timer fires: observers run, the record is queued for gossip.
+    record = Update(Status.DEAD, x.address, a.provider.agent.view.incarnation_of(x.address))
+    a.provider.agent.apply_tombstones([record])
+
+    #: (source, destination) -> arrival instants of the window's messages.
+    arrivals: Dict[Any, List[float]] = {}
+
+    def lattice_arrivals(source, dest, _size, _tag):
+        arrivals.setdefault((source, dest), []).append(sim.now + tick)
+        return None
+
+    sim.add_interceptor("na.send", lattice_arrivals)
+
+    def _audit(tenant: str, handle, view) -> None:
+        with untracked(sim):
+            live = ctx.deployment.live_daemons()
+            frozen = {
+                d.name: d.provider.pipelines[handle.name].current_view
+                for d in live
+                if (handle.name, 1) in d.provider._active
+            }
+            buried = {
+                u.member for d in live for v in frozen.values()
+                for u in d.provider.agent.tombstones(v)
+            }
+        if view is None:
+            extra.append(f"{tenant}: activate failed: {errors}")
+            return
+        if set(frozen) != {d.name for d in live if d.address in view} or any(
+            v != tuple(view) for v in frozen.values()
+        ):
+            extra.append(f"{tenant}: members froze {frozen}, the client {view}")
+        if buried:
+            extra.append(f"{tenant}: a frozen view holds {sorted(buried)}, buried by a live agent")
+
+    def _finish_iteration(handle) -> Generator:
+        yield from _guarded(errors, "stage", handle.stage(1, 0, LIGHT_BLOCK))
+        yield from _guarded(errors, "execute", handle.execute(1))
+        yield from _guarded(errors, "deactivate", handle.deactivate(1))
+
+    def _alpha():
+        acks = yield from _guarded(errors, "abort", alpha.abort(1))
+        gone = [u for ack in acks or () if isinstance(ack, dict) for u in ack["gone"]]
+        view = yield from _guarded(errors, "alpha-activate", alpha.activate(1, gone=gone))
+        _audit("alpha", alpha, view)
+        if view is not None:
+            yield from _finish_iteration(alpha)
+
+    def _beta():
+        view = yield from _guarded(errors, "beta-activate", beta.activate(1, gone=[record]))
+        _audit("beta", beta, view)
+        if view is not None:
+            yield from _finish_iteration(beta)
+
+    controller.arm()
+    gossip = sim.spawn(a.provider.agent._probe(b.address), name="mc-gossip")
+    tasks = [sim.spawn(_alpha(), name="mc-alpha"), sim.spawn(_beta(), name="mc-beta"), gossip]
+    run_until(sim, _spawn_all_done(sim, tasks), max_time=300)
+    controller.disarm()
+    sim.remove_interceptor("na.send", lattice_arrivals)
+    sim.run(until=sim.now + 2 * alpha.CONTROL_TIMEOUT)
+
+    for name, log in heard.items():
+        repeated = sorted({str(m) for event, m in log if log.count((event, m)) > 1})
+        if repeated:
+            extra.append(f"{name}'s observers fired twice for {repeated}: {log}")
+    if heard[b.name].count(("died", x.address)) != 1:
+        extra.append(f"{b.name} never heard that {x.name} died: {heard[b.name]}")
+    # The window is only worth exploring while the three messages tie.
+    racing = {
+        "the relayed record": arrivals[beta.margo.address, b.address][0],
+        "the gossip": arrivals[a.address, b.address][0],
+        "the abort": arrivals[alpha.margo.address, b.address][0],
+    }
+    if len(set(racing.values())) != 1:
+        extra.append(f"the window no longer races: {racing}")
+    extra.extend(_residual_charges(ctx))
+    with untracked(sim):
+        attempts = {
+            str(span.tags["pipeline"]): span.tags["attempts"]
+            for span in sim.trace.find("colza.activate", iteration=1)
+            if "relayed" in span.tags
+        }
+    payload = {"scenario": "prepare_relay", "attempts": attempts, **told}
     return _mc_finish(ctx, tsan, controller, errors, payload, extra)
 
 

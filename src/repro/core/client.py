@@ -27,7 +27,7 @@ from repro.mercury import RpcError
 from repro.na.address import Address
 from repro.na.payload import payload_nbytes
 from repro.sim.kernel import Task
-from repro.ssg import GroupFile
+from repro.ssg import GroupFile, Update
 
 __all__ = ["ColzaClient", "DistributedPipelineHandle", "EXCUSED", "PipelineHandle"]
 
@@ -289,10 +289,11 @@ class DistributedPipelineHandle:
         the remaining in-flight calls are absorbed, never orphaned.
 
         ``excused`` members are sent the RPC like everyone else but not
-        waited for, and a tolerated reply that names members as ``gone``
-        excuses those too (DESIGN §11, the excuse rule): a live member's
-        word that the group dropped someone is enough not to sit out a
-        deadline on them. An excused member's slot in the result list
+        waited for, and a tolerated reply whose ``gone`` list holds a
+        terminal SWIM record about a member excuses that member too
+        (DESIGN §11, the excuse rule): a live member's word that the
+        group dropped someone is enough not to sit out a deadline on
+        them. An excused member's slot in the result list
         holds :data:`EXCUSED` unless its answer came in anyway; whatever
         it answers later is absorbed.
         """
@@ -322,7 +323,8 @@ class DistributedPipelineHandle:
             results[i] = result
             settled = [i]
             if tolerate_errors and isinstance(result, dict):
-                settled += [servers.index(m) for m in result.get("gone", ()) if m in servers]
+                settled += [servers.index(u.member) for u in result.get("gone", ())
+                            if u.member in servers]
             for j in settled:
                 if awaited[j]:
                     awaited[j] = False
@@ -341,7 +343,9 @@ class DistributedPipelineHandle:
         return list(results)  # a late answer still lands in ``results``
 
     # ------------------------------------------------------------------
-    def _prepare(self, iteration: int, proposed: Tuple[Address, ...]) -> Generator:
+    def _prepare(
+        self, iteration: int, proposed: Tuple[Address, ...], gone: Sequence[Update] = ()
+    ) -> Generator:
         """One 2PC prepare round: ``(votes received, deciding NO or None)``.
 
         Unanimity needs every vote, but the first NO that carries the
@@ -349,7 +353,9 @@ class DistributedPipelineHandle:
         early): the coordinator stops collecting and the votes still
         out are absorbed when they arrive. A member that stays silent
         while nobody dissents still costs its deadline — telling slow
-        from dead is SWIM's job, not this round's.
+        from dead is SWIM's job, not this round's. ``gone`` (terminal
+        SWIM records) rides the prepare to every voter, which applies
+        it before comparing views; the key is absent when empty.
         """
         sim = self.margo.sim
         payload = {
@@ -357,6 +363,8 @@ class DistributedPipelineHandle:
             "iteration": iteration,
             "view": list(proposed),
         }
+        if gone:
+            payload["gone"] = list(gone)
         votes: List[dict] = []
         dissent: List[dict] = []
 
@@ -389,6 +397,7 @@ class DistributedPipelineHandle:
         iteration: int,
         recover: bool = False,
         expected: Sequence[int] = (),
+        gone: Sequence[Update] = (),
     ) -> Generator:
         """2PC activate: agree on a frozen view, then commit everywhere.
 
@@ -402,15 +411,33 @@ class DistributedPipelineHandle:
         staged somewhere — no client re-stage needed), ``recovered``
         (blocks adopted from replicas), ``missing`` (orphans with no
         surviving replica — the caller must fall back to re-staging).
+
+        ``gone`` holds terminal SWIM records (DEAD/LEFT ``Update``
+        records) the caller was given, e.g. by the acknowledgements of
+        the abort before this retry; each deciding NO may add more. The
+        coordinator keeps them all, never proposes a member it holds a
+        record for, and relays them with every prepare, so a voter whose
+        gossip is behind learns of the departure from the prepare itself
+        (R3, docs/protocols.md §2). The span's ``relayed`` tag counts
+        them (absent when none).
         """
         if not self.client.view:
             yield from self.client.connect()
         sim = self.margo.sim
         span = sim.trace.begin("colza.activate", pipeline=self.name, iteration=iteration)
         self.last_recovery = None
+        records: Dict[Address, Update] = {}
+        for update in gone:
+            records[update.member] = update
         proposed = tuple(sorted(self.client.view))
         for attempt in range(self.MAX_ACTIVATE_RETRIES):
-            votes, dissent = yield from self._prepare(iteration, proposed)
+            if records:
+                proposed = tuple(a for a in proposed if a not in records)
+                if not proposed:
+                    raise RpcError("activate: no live staging servers")
+            votes, dissent = yield from self._prepare(
+                iteration, proposed, records.values() if records else ()
+            )
             if dissent is None and all(v["vote"] == "yes" for v in votes):
                 self.frozen_view = proposed
                 self.client.view = list(proposed)
@@ -431,6 +458,8 @@ class DistributedPipelineHandle:
                     "attempts": attempt + 1,
                     "view": ";".join(str(a) for a in self.frozen_view),
                 }
+                if records:
+                    tags["relayed"] = len(records)
                 if recover:
                     present: set = set()
                     missing: set = set()
@@ -461,6 +490,8 @@ class DistributedPipelineHandle:
                 excused=set(proposed).difference(dissent["view"]) if dissent is not None else (),
             )
             if dissent is not None:
+                for update in dissent["gone"] if "gone" in dissent else ():
+                    records[update.member] = update
                 proposed = tuple(sorted(set(dissent["view"]) - dead))
             elif dead:
                 proposed = tuple(a for a in proposed if a not in dead)
@@ -471,7 +502,10 @@ class DistributedPipelineHandle:
             if attempt % 5 == 4:
                 yield from self.client.refresh_view()
                 proposed = tuple(sorted(set(self.client.view) - dead))
-        sim.trace.end(span, failed=True)
+        tags = {"failed": True}
+        if records:
+            tags["relayed"] = len(records)
+        sim.trace.end(span, **tags)
         raise RpcError(f"activate({iteration}) failed to reach agreement")
 
     def stage(
@@ -551,11 +585,12 @@ class DistributedPipelineHandle:
         them instead of the client re-staging (DESIGN §11).
 
         Naming the frozen view asks each member to report, with its
-        acknowledgement, the members of it that its SWIM view has
-        dropped (``gone``); nobody waits for those (see
-        :meth:`_broadcast`). The usual caller is here *because* a member
-        died and a survivor said so, and waiting out the dead member's
-        deadline would tell it nothing more.
+        acknowledgement, the terminal SWIM records (DEAD/LEFT) it holds
+        for members of it (``gone``); nobody waits for those (see
+        :meth:`_broadcast`), and :meth:`run_resilient_iteration` relays
+        them to the retry's :meth:`activate`. The usual caller is here
+        *because* a member died and a survivor said so, and waiting out
+        the dead member's deadline would tell it nothing more.
         """
         results = yield from self._broadcast(
             "deactivate",
@@ -596,6 +631,8 @@ class DistributedPipelineHandle:
         last_error: Optional[Exception] = None
         #: Block ids the servers already hold (confirmed by recovery).
         staged: set = set()
+        #: Terminal SWIM records the last abort's acknowledgements carried.
+        gone: List[Update] = []
         for attempt in range(max_attempts):
             span = sim.trace.begin(
                 "colza.iteration",
@@ -607,7 +644,7 @@ class DistributedPipelineHandle:
             try:
                 recover = bool(staged)
                 view = yield from self.activate(
-                    iteration, recover=recover, expected=sorted(staged)
+                    iteration, recover=recover, expected=sorted(staged), gone=gone
                 )
                 if recover:
                     report = self.last_recovery or {}
@@ -647,7 +684,10 @@ class DistributedPipelineHandle:
                 core.counter("iteration_retries").inc()
                 tenant_scope.counter("iteration_retries").inc()
                 # Nothing will recover an executed iteration's blocks.
-                yield from self.abort(iteration, keep_data=not executed)
+                acks = yield from self.abort(iteration, keep_data=not executed)
+                # The survivors' word on who is gone rides the retry's
+                # prepares (R3), so no voter waits for gossip to agree.
+                gone = [u for ack in acks if isinstance(ack, dict) for u in ack["gone"]]
                 if exhausted:
                     break
                 yield sim.timeout(self._backoff(attempt, *self.RETRY_BACKOFF))

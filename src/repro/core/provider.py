@@ -305,6 +305,10 @@ class ColzaProvider(Provider):
     # 2PC (client-coordinated)
     def _rpc_activate_prepare(self, input: dict) -> Generator:
         yield self.margo.sim.timeout(0)
+        if "gone" in input:
+            # The coordinator relays terminal SWIM records some member
+            # told it (R3): take them before comparing views.
+            self.agent.apply_tombstones(input["gone"])
         name = input["pipeline"]
         iteration = input["iteration"]
         proposed: Tuple[Address, ...] = tuple(input["view"])
@@ -317,7 +321,11 @@ class ColzaProvider(Provider):
             return {"vote": "no", "reason": "leaving", "view": self.view()}
         mine = tuple(self.view())
         if mine != proposed:
-            return {"vote": "no", "reason": "view-mismatch", "view": list(mine)}
+            vote = {"vote": "no", "reason": "view-mismatch", "view": list(mine)}
+            gone = self.agent.tombstones(proposed)
+            if gone:
+                vote["gone"] = gone
+            return vote
         if any(key[0] == name for key in self._active):
             return {"vote": "no", "reason": "already-active", "view": list(mine)}
         self._prepared[(name, iteration)] = proposed
@@ -460,10 +468,10 @@ class ColzaProvider(Provider):
         if "view" not in input:
             return status
         # The abort path names the frozen view it is tearing down; the
-        # acknowledgement says which of those members this server's
-        # SWIM view has dropped, so the client stops waiting for them.
-        mine = set(self.view())
-        return {"status": status, "gone": [m for m in input["view"] if m not in mine]}
+        # acknowledgement carries the terminal SWIM records this server
+        # holds for those members, so the client stops waiting for them
+        # and can relay the records to the next prepare.
+        return {"status": status, "gone": self.agent.tombstones(input["view"])}
 
     def _rpc_migrate(self, input: dict) -> Generator:
         """Receive a departing peer's pipeline state (future work (3))."""

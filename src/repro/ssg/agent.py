@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.argo.sync import Mutex
 from repro.margo import MargoInstance, Provider
@@ -389,6 +389,29 @@ class SSGAgent(Provider):
         elif was_member and not is_member:
             self._notify(LEFT if update.status is Status.LEFT else DIED, update.member)
         return True
+
+    def tombstones(self, members: Iterable[Address]) -> List[Update]:
+        """The terminal (DEAD/LEFT) records this agent holds for any of
+        ``members``, in their order: what a member tells the 2PC
+        coordinator about who is gone (docs/protocols.md §2)."""
+        view = self.view
+        records = []
+        for member in members:
+            status = view.status_of(member)
+            if status is not None and status.terminal:
+                records.append(Update(status, member, view.incarnation_of(member)))
+        return records
+
+    def apply_tombstones(self, records: Iterable[Update]) -> None:
+        """Take terminal records relayed by a peer (through the 2PC) as
+        if gossip had brought them: observers fire and each news record
+        is queued for dissemination. A death is final in SWIM, so a
+        record from any live member may ride any message; anything
+        non-terminal is ignored, and a record about this agent is
+        refuted as usual."""
+        for update in records:
+            if update.status.terminal:
+                self._apply_and_notify(update)
 
     def _handle_update_about_self(self, update: Update) -> bool:
         """Refute suspicion/death rumors about ourselves (SWIM §4.2)."""

@@ -190,17 +190,28 @@ def test_pruning_explores_steps_it_could_not_observe(toy_scenarios):
 
 # ---------------------------------------------------------------------------
 # the clean tree explores clean
-@pytest.mark.parametrize("scenario", ["quota_backpressure", "tenant_churn", "prepare_first_no"])
+#: (runs, pruned, distinct traces, dependent pairs, choice points) of the
+#: first 16 schedules at seed 0: the frontier, exact for the seed.
+FRONTIERS = {
+    "quota_backpressure": (5, 54, 2, 6, 32),
+    "prepare_first_no": (16, 458, 1, 18, 177),
+    "prepare_relay": (16, 430, 1, 18, 168),
+}
+
+
+@pytest.mark.parametrize(
+    "scenario", ["quota_backpressure", "tenant_churn", "prepare_first_no", "prepare_relay"]
+)
 def test_clean_tree_scenario_explores_clean(scenario):
     report = explore(scenario, 0, max_schedules=16)
     assert report.ok, report.render()
     assert report.runs >= 2  # exploration actually happened
     assert report.dependent_pairs  # and exercised real conflicts
     assert report.pruned > 0  # and the DPOR pruning did work
-    if scenario == "quota_backpressure":  # the frontier, exact for the seed
+    if scenario in FRONTIERS:
         counts = (report.runs, report.pruned, report.distinct_traces,
                   len(report.dependent_pairs), report.choice_points)
-        assert counts == (5, 54, 2, 6, 32), counts
+        assert counts == FRONTIERS[scenario], counts
 
 
 def test_unknown_scenario_rejected():
@@ -214,6 +225,7 @@ def test_all_scenarios_are_registered():
         "abort_during_recovery",
         "owner_crash_adoption",
         "prepare_first_no",
+        "prepare_relay",
         "quota_backpressure",
         "resilient_iterations",
         "swim_convergence",

@@ -92,8 +92,14 @@ def test_rng_registry_isolated_between_simulations():
 # re-capture via ``run_scenario(name, seed=seed).digest`` and say why
 # in the commit message.
 #
-# Re-captured for PR 22 (nobody waits on the departed), one reason each;
-# ``tenant_churn_storm`` — unanimous rounds only — did not move.
+# Re-captured when the excuse rule came in (nobody waits on the
+# departed), one reason each; ``tenant_churn_storm`` — unanimous rounds
+# only — did not move. Re-captured again when terminal SWIM records came
+# to ride the 2PC (R3): the four entries marked R3 moved only because an
+# abort ack's ``gone`` entry is now a DEAD record (the address + 94 B)
+# instead of a bare address and the retry's prepares relay it, its
+# ``colza.activate`` span tagged ``relayed=1``; bytes and microsecond
+# transits moved, no round count, view or outcome did.
 GOLDEN_DIGESTS = {
     # abort()'s deactivate now names the frozen view (134 -> 526 B on
     # the wire, its ack carries ``gone``); timings unchanged.
@@ -103,18 +109,19 @@ GOLDEN_DIGESTS = {
     # 4.05 s (two deadlines on the leaver) -> 0.05 s; the later
     # iterations run earlier against the churn (seed 3: views
     # [3, 3, 3, 4, 4] -> [3, 3, 3, 3, 3], the join lands after them).
-    ("churn_stress", 3): "859511f761bd7fd2c550d62fd9918f6e21f3ccfdf3b9c58d52a9c6e22a18fd3f",
-    ("churn_stress", 11): "7807c597aa91d5747f71d5d2c6f9648a6c3901f434540ba8845dc5a921e0a719",
+    # R3.
+    ("churn_stress", 3): "6a3963b919286533a45691ba18c6cca23131b90039a85dc667bf42ece1848d61",
+    ("churn_stress", 11): "e5215b213a62eb27605ac3af342943c685a647e6d1739a5810afa7c26160d38d",
     # Multi-tenant fabric (DESIGN §13): the tenancy layer shares the
     # same determinism contract — concurrent tenants, quota waits and
     # fair-share rotation must all replay bit-identically.
     ("tenant_churn_storm", 3): "4060e507a5f3420db781aeee34fee9c423705c51c218210b2f83a48f3bf80a7b",
     # beta's activate after alpha's block owner crashed: 4.04 s (the
-    # dead owner's prepare and abort deadlines) -> 0.04 s.
-    ("tenant_owner_crash_recovery_isolated", 3): "a3797b3ecc5e5f3313f2da6f7be8b2a7de9bda0834b3b85c04b53d34cd73f045",
+    # dead owner's prepare and abort deadlines) -> 0.04 s. R3.
+    ("tenant_owner_crash_recovery_isolated", 3): "622530d925583c664a243ab0d6326cfdef26b879e2def73ff140c404e7a6d1ac",
     # Both tenants' abort() names the frozen view (139 -> 531 B) and is
-    # not awaited from the crashed member a survivor reports ``gone``.
-    ("tenant_recovery_race", 3): "6aab8d5f69b89af5fbdeefbcf0f35cbc0a2c3519be1bc83813cca1a463e92432",
+    # not awaited from the crashed member a survivor reports ``gone``. R3.
+    ("tenant_recovery_race", 3): "4c781ded6ec1e1e341217336427e86258ae81cd667319e1e0446a8e24b11f732",
 }
 
 

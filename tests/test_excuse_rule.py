@@ -3,8 +3,10 @@
 A live member's word about who is gone is authoritative: the first NO
 that carries a view decides a 2PC prepare round, teardown broadcasts
 reach everyone but are awaited only from members nobody has reported
-gone, the bootstrap probe remembers who answered, and the VTK library
-load is paid once per process. Failure *detection* stays SWIM's job: a
+gone, the terminal SWIM records those reports carry ride the next
+prepares to voters gossip has not reached, the bootstrap probe
+remembers who answered, and the VTK library load is paid once per
+process. Failure *detection* stays SWIM's job: a
 silent member nobody has dropped still costs its deadline.
 """
 
@@ -17,7 +19,7 @@ from repro.core.pipelines import IsoSurfaceScript
 from repro.mercury import RpcError
 from repro.na import VirtualPayload
 from repro.sim import Simulation
-from repro.ssg import SwimConfig
+from repro.ssg import Status, SwimConfig, Update
 from repro.testing import drive, run_until
 
 FAST_SWIM = SwimConfig(period=0.2, suspect_timeout=1.0)
@@ -167,7 +169,8 @@ def test_abort_excuses_only_members_an_ack_names_gone(live_member_silent):
         replace_handler(b, "deactivate", never_answers(sim))
 
     results, elapsed = timed(sim, handle.abort(1, keep_data=True))
-    assert results[0] == {"status": "deactivated", "gone": [c.address]}
+    tombstone = Update(Status.DEAD, c.address, 0)
+    assert results[0] == {"status": "deactivated", "gone": [tombstone]}
     if live_member_silent:
         # b is alive in every view: nobody excuses it, it costs its deadline.
         assert elapsed == pytest.approx(DEADLINE)
@@ -200,7 +203,8 @@ def test_a_falsely_dropped_member_still_receives_the_teardown(excused_by):
             timeout=DEADLINE, tolerate_errors=True, excused={c.address},
         )
     else:
-        a.provider.view = lambda: [a.address, b.address]  # a wrongly believes c is gone
+        # a wrongly holds c's tombstone (planted: no observer fires)
+        a.provider.agent.view.apply(Update(Status.DEAD, c.address, 0))
         teardown = handle.abort(1)
     results, elapsed = timed(sim, teardown)
     assert elapsed < 0.010 and results[2] == EXCUSED
@@ -218,6 +222,24 @@ def test_ordinary_deactivate_reply_is_untouched():
     assert drive(sim, handle.deactivate(1)) == ["deactivated", "deactivated"]
 
 
+def crash_during_execute(sim, deployment, nblocks, iteration=2):
+    """Crash the last server the instant the client's last block of
+    ``iteration`` has landed, so ``execute`` is what the death hits:
+    ``(victim, [crash instant, once it has happened])``."""
+    victim = deployment.live_daemons()[-1]
+    crashed_at = []
+
+    def crash_after_last_stage(span):
+        if (span.name == "colza.stage" and span.tags.get("iteration") == iteration
+                and span.tags.get("block") == nblocks - 1):
+            sim.trace.on_end.remove(crash_after_last_stage)
+            crashed_at.append(sim.now)
+            victim.crash()
+
+    sim.trace.on_end.append(crash_after_last_stage)
+    return victim, crashed_at
+
+
 def test_crash_recovery_restages_nothing_and_skips_the_dead_members_deadline():
     sim = Simulation(seed=48)
     deployment, [(client, handle)] = make_stack(sim, 3, replication_factor=2)
@@ -226,17 +248,7 @@ def test_crash_recovery_restages_nothing_and_skips_the_dead_members_deadline():
     drive(sim, handle.run_resilient_iteration(1, blocks), max_time=3000)
     core = sim.metrics.scope("core")
     staged_before = core.counter("blocks_staged").value
-    victim = deployment.live_daemons()[-1]
-    crashed_at = []
-
-    def crash_after_last_stage(span):
-        if (span.name == "colza.stage" and span.tags.get("iteration") == 2
-                and span.tags.get("block") == len(blocks) - 1):
-            sim.trace.on_end.remove(crash_after_last_stage)
-            crashed_at.append(sim.now)
-            victim.crash()
-
-    sim.trace.on_end.append(crash_after_last_stage)
+    victim, crashed_at = crash_during_execute(sim, deployment, len(blocks))
     view, _ = timed(sim, handle.run_resilient_iteration(2, blocks, max_attempts=8),
                     max_time=3000)
     iteration = list(sim.trace.find("colza.iteration", iteration=2, outcome="ok"))[-1]
@@ -246,6 +258,106 @@ def test_crash_recovery_restages_nothing_and_skips_the_dead_members_deadline():
     # SWIM detection (~1.5 s) + one retry backoff + recovery; the abort
     # no longer adds CONTROL_TIMEOUT for the crashed member's ack.
     assert iteration.end - crashed_at[0] < DEADLINE
+
+
+# ---------------------------------------------------------------------------
+# R3: terminal SWIM records ride the 2PC
+def test_a_crash_retry_agrees_in_one_prepare_round():
+    """Seed 50, four servers: before the abort's acks relayed the
+    survivors' DEAD record, the retry's activate took four rounds
+    (0.26 s) while the proposal swung between the stale and the
+    shrunk view, each adopted from whichever NO came first."""
+    sim = Simulation(seed=50)
+    deployment, [(client, handle)] = make_stack(sim, 4, replication_factor=2)
+    handle.stage_timeout, handle.data_timeout = 2.0, 30.0
+    blocks = [(i, BLOCK) for i in range(4)]
+    drive(sim, handle.run_resilient_iteration(1, blocks), max_time=3000)
+    victim, _ = crash_during_execute(sim, deployment, len(blocks))
+    view = drive(sim, handle.run_resilient_iteration(2, blocks, max_attempts=8), max_time=3000)
+    assert victim.address not in view
+    first, retry = sim.trace.find("colza.activate", iteration=2)
+    assert "relayed" not in first.tags  # a steady activate carries nothing
+    assert retry.tags["attempts"] == 1 and retry.tags["relayed"] == 1
+    assert retry.duration < 0.001
+    assert sim.metrics.scope("core").counter("restage_fallbacks").value == 0
+
+
+def stale_voter_stack(seed, activate=False):
+    """Three converged servers (iteration 1 frozen on them if
+    ``activate``); ``c`` has just crashed and nobody has noticed:
+    ``(sim, deployment, client, handle, a, b, c)``."""
+    sim = Simulation(seed=seed)
+    deployment, [(client, handle)] = make_stack(sim, 3)
+    a, b, c = deployment.live_daemons()
+    if activate:
+        drive(sim, handle.activate(1))
+    c.crash()
+    return sim, deployment, client, handle, a, b, c
+
+
+def heard_by(daemon):
+    log = []
+    daemon.provider.agent.add_observer(lambda event, member: log.append((event, member)))
+    return log
+
+
+def test_a_relayed_death_makes_a_stale_voter_vote_yes():
+    sim, deployment, _client, handle, a, b, c = stale_voter_stack(52)
+    assert c.address in b.provider.view()  # stale: gossip has not come
+    log = heard_by(b)
+    dead = Update(Status.DEAD, c.address, 0)
+    (votes, dissent), elapsed = timed(sim, handle._prepare(1, (a.address, b.address), [dead]))
+    assert dissent is None and [v["vote"] for v in votes] == ["yes", "yes"]
+    assert elapsed < 0.001
+    assert log == [("died", c.address)]
+    assert b.provider.membership_events[-1][1:] == ("died", c.address)
+    assert dead in b.provider.agent._outbox  # queued for gossip like any rumour
+    # SWIM's own detection of the same death changes nothing more.
+    run_until(sim, deployment.converged, max_time=60)
+    sim.run(until=sim.now + 5.0)
+    assert log == [("died", c.address)]
+
+
+@pytest.mark.parametrize("status,event,aborts", [
+    (Status.LEFT, "left", 0),
+    (Status.DEAD, "died", 2),  # the contrast: a and b abort the frozen pipeline
+])
+def test_a_relayed_leave_notifies_left_and_aborts_nothing(status, event, aborts):
+    sim, _deployment, _client, handle, a, b, c = stale_voter_stack(53, activate=True)
+    log = heard_by(b)
+    # Iteration 1 is frozen on a, b and c; a prepare for iteration 2 relays the record.
+    drive(sim, handle._prepare(2, (a.address, b.address), [Update(status, c.address, 0)]))
+    assert log == [(event, c.address)]
+    assert sim.trace.counters.get("colza.abort_on_death", 0) == aborts
+
+
+@pytest.mark.parametrize("status", [Status.ALIVE, Status.SUSPECT])
+def test_non_terminal_entries_in_gone_are_ignored(status):
+    sim, _deployment, _client, handle, a, b, c = stale_voter_stack(54)
+    log = heard_by(b)
+    rumour = Update(status, c.address, 7)
+    (votes, dissent), elapsed = timed(sim, handle._prepare(1, (a.address, b.address), [rumour]))
+    # Nothing was applied: both voters still list c, so both dissent.
+    assert elapsed < 0.001 and dissent["reason"] == "view-mismatch"
+    assert c.address in dissent["view"] and "gone" not in dissent
+    assert b.provider.agent.view.incarnation_of(c.address) == 0
+    assert rumour not in b.provider.agent._outbox and log == []
+
+
+def test_a_record_about_the_voter_is_refuted_and_it_votes_no():
+    sim, _deployment, client, handle, a, b, c = stale_voter_stack(55)
+    agent = b.provider.agent
+    about_b = Update(Status.DEAD, b.address, agent.incarnation)
+    vote = drive(sim, client.margo.provider_call(
+        b.address, "colza", "activate_prepare",
+        {"pipeline": handle.name, "iteration": 1, "view": [a.address, c.address],
+         "gone": [about_b]},
+    ))
+    assert agent.incarnation == 1
+    assert agent.view.status_of(b.address) is Status.ALIVE
+    assert Update(Status.ALIVE, b.address, 1) in agent._outbox
+    assert vote["vote"] == "no" and vote["reason"] == "view-mismatch"
+    assert b.address in vote["view"] and "gone" not in vote  # b holds no record of a or c
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +380,7 @@ def test_refresh_pays_for_a_dead_candidate_once():
 
 
 # ---------------------------------------------------------------------------
-# R3: the library load is single-flight per process
+# the library load is single-flight per process
 def first_executes(sim, sessions, iteration=1):
     """Every tenant runs one iteration concurrently; seconds for all."""
     tasks = [

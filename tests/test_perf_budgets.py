@@ -322,6 +322,33 @@ def test_a_steady_stage_rpc_never_reaches_the_metrics_registry():
     drive(exp.sim, lead.deactivate(2))
 
 
+def test_a_steady_prepare_and_its_yes_votes_cost_a_pinned_call_count():
+    """Terminal SWIM records ride a prepare only when the coordinator
+    holds some (docs/protocols.md §2, R3): a round with nothing to relay
+    — the client's ``_prepare``, both handlers and both YES replies —
+    makes exactly the 658 Python + C calls it made before records rode
+    the 2PC. Stepped event by event, so no background SWIM work lands
+    inside the count. Summed per profiler entry: ``pstats`` keys entries
+    by label, and two that share one overwrite each other in an order
+    that varies from process to process."""
+    exp, _ = _steady_experiment()
+    sim, lead = exp.sim, exp.handles[0]
+    proposed = tuple(sorted(lead.client.view))
+    rounds = []
+
+    def one_round():
+        task = sim.spawn(lead._prepare(2, proposed), name="prepare")
+        while not task.finished:
+            sim.step()
+        rounds.append(task.done.value)
+
+    one_round()  # warms the per-size cost memo
+    names, _ = _profiled_entries(one_round)
+    votes, dissent = rounds[-1]
+    assert dissent is None and [v["vote"] for v in votes] == ["yes", "yes"]
+    assert sum(names.values()) == 658, sum(names.values())
+
+
 def test_an_uninstrumented_iteration_calls_no_interceptor_hook():
     """Every hook site (``na.send``, ``na.rdma``, ``hg.handler``,
     ``margo.compute``, ``ssg.gossip``) probes ``sim._interceptors``
