@@ -1,6 +1,6 @@
 # Convenience targets for the Colza reproduction.
 
-.PHONY: install test chaos autoscale lint check check-fast report sarif mcheck bench bench-e2e bench-e2e-smoke bench-e2e-ab profile-e2e examples results clean
+.PHONY: install test chaos autoscale lint check check-fast report sarif mcheck fidelity bench-e2e bench-e2e-smoke bench-e2e-ab profile-e2e examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -13,11 +13,12 @@ chaos:
 
 # The elasticity controller (DESIGN §16), both decide-step policies:
 # unit + acceptance + oracle tests, the band's pure cases and the
-# growing-workload run, the ablation smoke, and the chaos scenarios that
-# attack the controller's own actuation (predictive and band).
+# growing-workload run, the ablation's and the SLO controller's tier-1
+# fidelity rows, and the chaos scenarios that attack the controller's own
+# actuation (predictive and band).
 autoscale:
 	PYTHONPATH=src python -m pytest tests/test_autoscale.py -q
-	PYTHONPATH=src python -m pytest tests/test_extensions.py tests/test_bench_experiments_smoke.py -q -k "autoscal or policy"
+	PYTHONPATH=src python -m pytest tests/test_extensions.py tests/test_fidelity.py -q -k "autoscal or policy or slo"
 	PYTHONPATH=src python -m pytest tests/chaos/test_scenarios.py -q -k "autoscale or band_policy or controller"
 
 lint:
@@ -46,8 +47,10 @@ mcheck:
 	PYTHONPATH=src python -m repro.analysis mcheck --out .mcheck-repros
 	PYTHONPATH=src python -m repro.analysis mcheck --walk 5 --scenario resilient_iterations --scenario swim_convergence --out .mcheck-repros
 
-bench:
-	pytest benchmarks/ --benchmark-only
+# The paper-size rows of tests/test_fidelity.py (Figs 3-8, 10, the IceT and
+# autoscale ablations, ~4 min); tier-1 runs the rest and renders EXPERIMENTS.md.
+fidelity:
+	PYTHONPATH=src python -m pytest tests/test_fidelity.py -m paper_size
 
 # End-to-end benchmark (bench_e2e/README.md): all four full-stack
 # workloads, then the regression verdict against the committed
@@ -106,9 +109,6 @@ examples:
 	python examples/fault_tolerance.py
 	python examples/multi_tenant.py
 	python examples/autoscale_slo.py
-
-results: bench
-	@echo "tables written to results/, images to results/renders/"
 
 clean:
 	rm -rf results examples/output .pytest_cache

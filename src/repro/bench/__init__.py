@@ -1,12 +1,11 @@
 """Experiment drivers reproducing every table and figure of the paper.
 
 Each module under :mod:`repro.bench.experiments` exposes a ``run()``
-returning structured results; the ``benchmarks/`` tree wraps them in
-pytest-benchmark entry points that print paper-vs-measured rows and
-assert the reproduced *shape* (who wins, scaling trends, crossovers).
-See EXPERIMENTS.md for the experiment index and recorded outputs.
+returning structured results. ``tests/test_fidelity.py`` pins one row
+per paper output of those results (exact value, paper anchor and
+tolerance) and renders EXPERIMENTS.md's tables from the pinned values.
 """
 
-from repro.bench.reporting import Table, fmt_seconds, fmt_us
+from repro.bench.reporting import Table
 
-__all__ = ["Table", "fmt_seconds", "fmt_us"]
+__all__ = ["Table"]

@@ -12,9 +12,9 @@ Usage::
 telemetry report (span summary, per-iteration critical path, metrics);
 ``--chrome PATH`` additionally writes a Perfetto-loadable Chrome
 ``trace_event`` file. Each experiment prints its structured results;
-the pytest-benchmark entry points under ``benchmarks/`` remain the
-canonical paper-vs-measured harness (with assertions) — this CLI is
-for interactive use.
+the paper-vs-measured checks are the rows of ``tests/test_fidelity.py``
+(``make fidelity`` runs the paper-size ones) — this CLI is for
+interactive use.
 """
 
 from __future__ import annotations

@@ -5,41 +5,22 @@ binary-tree-based reduction" and expects that "implementing more
 optimized collectives in MoNA ... could further improve its
 performance". This ablation quantifies that claim with the binomial
 tree (MPICH's short-message reduce algorithm): one serialized receive
-per level instead of two.
+per level instead of two. The binary column is Table II's MoNA column:
+both come from :func:`~repro.bench.experiments.table2_reduce.measure_mona`.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
-from repro.mona import BXOR
-from repro.na import VirtualPayload
-from repro.sim import Simulation
-from repro.testing import build_mona_world, run_all
+from repro.bench.experiments.table2_reduce import SIZES, measure_mona
 
 __all__ = ["run"]
-
-SIZES = [8, 128, 2048, 16384, 32768]
-PROCS = 512
-PROCS_PER_NODE = 16
-
-
-def _measure(algorithm: str, nbytes: int) -> float:
-    sim = Simulation()
-    _, _, comms = build_mona_world(sim, PROCS, procs_per_node=PROCS_PER_NODE)
-    payload = VirtualPayload((max(nbytes // 8, 1),), "int64")
-
-    def body(c):
-        return (yield from c.reduce(payload, op=BXOR, root=0, algorithm=algorithm))
-
-    start = sim.now
-    run_all(sim, [body(c) for c in comms], max_time=1e9)
-    return sim.now - start
 
 
 def run() -> Dict[str, Dict[int, float]]:
     """Per-op reduce seconds for both algorithms at 512 processes."""
     return {
-        "binary": {s: _measure("binary", s) for s in SIZES},
-        "binomial": {s: _measure("binomial", s) for s in SIZES},
+        algorithm: {s: measure_mona(s, algorithm=algorithm) for s in SIZES}
+        for algorithm in ("binary", "binomial")
     }

@@ -15,7 +15,7 @@ from repro.na import Fabric, REDUCE_CALIBRATION_512, VirtualPayload
 from repro.sim import Simulation
 from repro.testing import build_mona_world, run_all
 
-__all__ = ["PAPER_TABLE2_US", "run"]
+__all__ = ["PAPER_TABLE2_US", "measure_mona", "run"]
 
 SIZES = [8, 128, 2048, 16384, 32768]
 PROCS = 512
@@ -48,14 +48,17 @@ def _measure_mpi(profile: str, nbytes: int, ops: int) -> float:
     return (sim.now - start) / ops
 
 
-def _measure_mona(nbytes: int, ops: int) -> float:
+def measure_mona(nbytes: int, ops: int = 1, algorithm: str = "binary",
+                 procs: int = PROCS) -> float:
+    """Per-op seconds of ``ops`` MoNA bxor reduces over ``procs`` ranks
+    (16 a node) with the given tree ``algorithm``."""
     sim = Simulation()
-    _, _, comms = build_mona_world(sim, PROCS, procs_per_node=PROCS_PER_NODE)
+    _, _, comms = build_mona_world(sim, procs, procs_per_node=PROCS_PER_NODE)
     payload = _payload(nbytes)
 
     def body(c):
         for _ in range(ops):
-            yield from c.reduce(payload, op=BXOR, root=0)
+            yield from c.reduce(payload, op=BXOR, root=0, algorithm=algorithm)
 
     start = sim.now
     run_all(sim, [body(c) for c in comms], max_time=1e9)
@@ -72,5 +75,5 @@ def run(ops: int = 1) -> Dict[str, Dict[int, float]]:
     for size in SIZES:
         results["craympich"][size] = _measure_mpi("craympich", size, ops)
         results["openmpi"][size] = _measure_mpi("openmpi", size, ops)
-        results["mona"][size] = _measure_mona(size, ops)
+        results["mona"][size] = measure_mona(size, ops)
     return results

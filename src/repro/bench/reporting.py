@@ -1,19 +1,10 @@
-"""Plain-text table reporting for the benchmark harness."""
+"""Plain-text tables with aligned columns (the telemetry report's layout)."""
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Sequence
 
-__all__ = ["Table", "fmt_seconds", "fmt_us"]
-
-
-def fmt_us(seconds: float) -> str:
-    """Seconds -> microseconds string."""
-    return f"{seconds * 1e6:.3f}"
-
-
-def fmt_seconds(seconds: float) -> str:
-    return f"{seconds:.3f}"
+__all__ = ["Table"]
 
 
 class Table:
@@ -41,16 +32,3 @@ class Table:
         for row in self.rows:
             lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
         return "\n".join(lines)
-
-    def show(self) -> None:
-        print("\n" + self.render() + "\n")
-
-    def save(self, name: str, directory: str = "results") -> str:
-        """Write the rendered table to ``<directory>/<name>.txt``."""
-        import os
-
-        os.makedirs(directory, exist_ok=True)
-        path = os.path.join(directory, f"{name}.txt")
-        with open(path, "w") as fh:
-            fh.write(self.render() + "\n")
-        return path

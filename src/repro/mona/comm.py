@@ -233,7 +233,7 @@ class MonaComm:
         receives its two children sequentially, paying hop overhead +
         combine compute per child. ``"binomial"`` is the MPICH-style
         optimized tree the paper expects would "further improve its
-        performance" — see ``benchmarks/bench_ablation_reduce.py``.
+        performance" — see :mod:`repro.bench.experiments.ablation_reduce`.
         """
         seq = next(self._coll_seq)
         tag = self._ctag(seq, "reduce")

@@ -150,7 +150,8 @@ class CostModel:
         Per-hop software overhead charged by *our* collective
         implementations on this transport (progress-loop dispatch,
         request setup). Calibrated so MoNA's emergent Table II values
-        land near the paper's (see tests/test_mona_calibration.py).
+        land near the paper's (the ``table2.mona`` row of
+        tests/test_fidelity.py).
     """
 
     name: str
@@ -216,7 +217,7 @@ def get_cost_model(name: str) -> CostModel:
             ) from None
         lat, bw = _SHMEM_PROFILES[name]
         # 12 µs/hop lands MoNA's emergent 512-process bxor reduce within
-        # ~25% of every Table II anchor (see tests/test_mona_calibration.py).
+        # ~25% of every Table II anchor (row ``table2.mona``, tests/test_fidelity.py).
         hop = 12.0 if name in ("mona", "na") else 10.0
         model = CostModel(
             name=name,

@@ -59,28 +59,19 @@ def test_policies_balance_modulo():
 
 # ---------------------------------------------------------------------------
 # reporting
-def test_table_render_and_save(tmp_path):
+def test_table_render():
     table = Table("My Title", ["a", "bb"])
     table.add(1, "x")
     table.add(22, "yyy")
     text = table.render()
-    assert "My Title" in text
+    assert text.startswith("My Title")
     assert text.splitlines()[2].startswith("a")
-    path = table.save("unit", directory=str(tmp_path))
-    assert open(path).read().startswith("My Title")
 
 
 def test_table_cell_count_validation():
     table = Table("t", ["a", "b"])
     with pytest.raises(ValueError):
         table.add(1)
-
-
-def test_fmt_helpers():
-    from repro.bench import fmt_seconds, fmt_us
-
-    assert fmt_us(1.5e-6) == "1.500"
-    assert fmt_seconds(2.0) == "2.000"
 
 
 # ---------------------------------------------------------------------------

@@ -1,65 +1,21 @@
-"""Calibration tests: MoNA's *emergent* collective timing vs Table II.
+"""Calibration: MoNA's *emergent* 512-process bxor reduce vs Table II.
 
-MoNA collectives have no lookup table — their cost arises from the
-implemented tree algorithms over the calibrated p2p model. These tests
-pin the emergent 512-process bxor-reduce times to the paper's Table II
-within a tolerance band, and check the qualitative claims (MoNA is a
-small constant factor off Cray-mpich; OpenMPI's collapse is orders of
-magnitude worse).
+MoNA collectives have no lookup table: their cost arises from the tree
+algorithm over the calibrated p2p model. Each size must land within
+±35 % of the paper's MoNA column. The exact values, the factor over
+Cray-mpich and the log-P scaling are rows of ``test_fidelity.FIDELITY``;
+this file reads the same once-per-session Table II run.
 """
 
 import pytest
 
-from repro.mona import BXOR
-from repro.na import REDUCE_CALIBRATION_512, VirtualPayload
-from repro.sim import Simulation
-from repro.testing import build_mona_world, run_all
-
-#: Paper Table II, MoNA column: per-op µs at 512 processes.
-PAPER_MONA_REDUCE_US = {8: 225.1, 128: 228.8, 2048: 250.9, 16384: 304.0, 32768: 527.9}
+from repro.bench.experiments.table2_reduce import PAPER_TABLE2_US
+from tests.test_fidelity import produce
 
 
-def emergent_reduce_us(nbytes: int, procs: int = 512, procs_per_node: int = 16) -> float:
-    sim = Simulation()
-    _, _, comms = build_mona_world(sim, procs, procs_per_node=procs_per_node)
-    payload = VirtualPayload((max(nbytes // 8, 1),), "int64")
-
-    def body(c):
-        return (yield from c.reduce(payload, op=BXOR, root=0))
-
-    start = sim.now
-    run_all(sim, [body(c) for c in comms])
-    return (sim.now - start) * 1e6
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("nbytes,paper_us", sorted(PAPER_MONA_REDUCE_US.items()))
+@pytest.mark.parametrize("nbytes,paper_us", sorted(PAPER_TABLE2_US["mona"].items()))
 def test_emergent_mona_reduce_matches_table2_band(nbytes, paper_us):
-    measured = emergent_reduce_us(nbytes)
+    measured = produce("table2")["mona"][nbytes] * 1e6
     assert measured == pytest.approx(paper_us, rel=0.35), (
         f"MoNA reduce({nbytes}B) = {measured:.1f}µs, paper {paper_us}µs"
     )
-
-
-@pytest.mark.slow
-def test_mona_vs_craympich_factor():
-    """Paper: MoNA is 'only' ~4.3x slower than Cray-mpich at 32 KiB,
-    while OpenMPI is ~1800x slower."""
-    measured = emergent_reduce_us(32768)
-    cray = dict(REDUCE_CALIBRATION_512["craympich"])[32768]
-    openmpi = dict(REDUCE_CALIBRATION_512["openmpi"])[32768]
-    factor = measured / cray
-    assert 2.0 < factor < 8.0
-    assert openmpi / cray > 1000.0  # the paper's 1800x collapse
-
-
-@pytest.mark.slow
-def test_reduce_scales_logarithmically():
-    """Tree reduction: doubling the process count adds roughly one
-    level, so time grows ~log P, not ~P."""
-    t64 = emergent_reduce_us(2048, procs=64, procs_per_node=16)
-    t128 = emergent_reduce_us(2048, procs=128, procs_per_node=16)
-    t256 = emergent_reduce_us(2048, procs=256, procs_per_node=16)
-    assert t128 / t64 < 1.6
-    assert t256 / t128 < 1.6
-    assert t64 < t128 < t256
