@@ -45,7 +45,7 @@ sarif:
 # `python -m repro.analysis replay <file>`) land in .mcheck-repros/.
 mcheck:
 	PYTHONPATH=src python -m repro.analysis mcheck --out .mcheck-repros
-	PYTHONPATH=src python -m repro.analysis mcheck --walk 5 --scenario resilient_iterations --scenario swim_convergence --out .mcheck-repros
+	PYTHONPATH=src python -m repro.analysis mcheck --walk 5 --scenario resilient_iterations --scenario swim_convergence --scenario prepare_first_no --out .mcheck-repros
 
 # The paper-size rows of tests/test_fidelity.py (Figs 3-8, 10, the IceT and
 # autoscale ablations, ~4 min); tier-1 runs the rest and renders EXPERIMENTS.md.

@@ -7,6 +7,9 @@ stream. The stream name carries the retrying endpoint's identity, so
 concurrent retriers de-synchronize instead of hammering the servers in
 lock-step — yet every pause is a pure function of ``(root_seed, stream
 name, draw index)`` and replays bit-identically under a pinned seed.
+A retry that acts on new information needs no pause: activate draws a
+delay only before re-proposing a view it has already tried, so a draw
+is taken per pause, not per attempt.
 
 :func:`guarded` exists because the kernel runs strict by default: an
 exception escaping a spawned task tears down the whole simulation. An

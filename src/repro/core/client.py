@@ -230,8 +230,8 @@ class DistributedPipelineHandle:
     #: Deadline for 2PC/control RPCs — a crashed member must not hang
     #: the protocol (fault tolerance, the paper's future work (1)).
     CONTROL_TIMEOUT = 5.0
-    #: (base, cap) seconds for the capped exponential backoff between
-    #: activate attempts (view churn settles within ~one SWIM period)…
+    #: (base, cap) seconds of capped exponential backoff before activate
+    #: re-proposes a view it already tried (a view not yet tried: none)…
     ACTIVATE_BACKOFF = (0.05, 0.8)
     #: …and between whole-iteration retries (SWIM must detect the dead
     #: member and views must reconverge, which takes longer).
@@ -430,11 +430,13 @@ class DistributedPipelineHandle:
         for update in gone:
             records[update.member] = update
         proposed = tuple(sorted(self.client.view))
+        tried, slept = set(), 0.0  # the views proposed; seconds spent in backoff
         for attempt in range(self.MAX_ACTIVATE_RETRIES):
             if records:
                 proposed = tuple(a for a in proposed if a not in records)
                 if not proposed:
                     raise RpcError("activate: no live staging servers")
+            tried.add(proposed)
             votes, dissent = yield from self._prepare(
                 iteration, proposed, records.values() if records else ()
             )
@@ -460,6 +462,8 @@ class DistributedPipelineHandle:
                 }
                 if records:
                     tags["relayed"] = len(records)
+                if slept:
+                    tags["slept"] = slept
                 if recover:
                     present: set = set()
                     missing: set = set()
@@ -497,7 +501,11 @@ class DistributedPipelineHandle:
                 proposed = tuple(a for a in proposed if a not in dead)
                 if not proposed:
                     raise RpcError("activate: no reachable staging servers")
-            yield sim.timeout(self._backoff(attempt, *self.ACTIVATE_BACKOFF))
+            # A view not yet proposed is news: propose it at once; a repeat waits.
+            if tuple(a for a in proposed if a not in records) in tried:
+                delay = self._backoff(attempt, *self.ACTIVATE_BACKOFF)
+                slept += delay
+                yield sim.timeout(delay)
             # Re-read a fresh view occasionally in case of churn.
             if attempt % 5 == 4:
                 yield from self.client.refresh_view()
@@ -505,6 +513,8 @@ class DistributedPipelineHandle:
         tags = {"failed": True}
         if records:
             tags["relayed"] = len(records)
+        if slept:
+            tags["slept"] = slept
         sim.trace.end(span, **tags)
         raise RpcError(f"activate({iteration}) failed to reach agreement")
 

@@ -4,16 +4,17 @@ A live member's word about who is gone is authoritative: the first NO
 that carries a view decides a 2PC prepare round, teardown broadcasts
 reach everyone but are awaited only from members nobody has reported
 gone, the terminal SWIM records those reports carry ride the next
-prepares to voters gossip has not reached, the bootstrap probe
-remembers who answered, and the VTK library load is paid once per
-process. Failure *detection* stays SWIM's job: a
-silent member nobody has dropped still costs its deadline.
+prepares to voters gossip has not reached, a retry backs off only
+before a view it has already proposed, the bootstrap probe remembers
+who answered, and the VTK library load is paid once per process.
+Failure *detection* stays SWIM's job: a silent member nobody has
+dropped still costs its deadline.
 """
 
 import pytest
 
 from repro.catalyst import VtkRuntime
-from repro.core import Deployment
+from repro.core import ColzaAdmin, Deployment
 from repro.core.client import EXCUSED, DistributedPipelineHandle
 from repro.core.pipelines import IsoSurfaceScript
 from repro.mercury import RpcError
@@ -27,14 +28,18 @@ BLOCK = VirtualPayload((16, 16, 16), "int32")
 DEADLINE = DistributedPipelineHandle.CONTROL_TIMEOUT
 
 
+def iso_config(**config):
+    return {"script": IsoSurfaceScript(field="iterations", isovalues=[4.0]),
+            "width": 16, "height": 16, **config}
+
+
 def make_stack(sim, nservers, tenants=("default",), **config):
     """Converged servers and, per tenant, a connected client with its
     own ``render`` pipeline: ``(deployment, [(client, handle), ...])``."""
     deployment = Deployment(sim, swim_config=FAST_SWIM)
     drive(sim, deployment.start_servers(nservers), max_time=300)
     run_until(sim, deployment.converged, max_time=300)
-    config = {"script": IsoSurfaceScript(field="iterations", isovalues=[4.0]),
-              "width": 16, "height": 16, **config}
+    config = iso_config(**config)
     sessions = []
     for i, tenant in enumerate(tenants):
         margo, client = deployment.make_client(node_index=40 + i, tenant=tenant)
@@ -93,7 +98,7 @@ def test_one_dissenter_decides_the_round_without_the_silent_member():
     assert votes == [dissent]  # the silent member's vote is still out
 
     # The whole activate: one decided round, its abort not awaited from
-    # the member the dissenter dropped, one backoff, a unanimous round.
+    # the member the dissenter dropped, a unanimous round on its view.
     view, elapsed = timed(sim, handle.activate(1))
     assert view == [survivor.address]
     assert elapsed < 0.1  # two deadlines (10 s) before the excuse rule
@@ -358,6 +363,109 @@ def test_a_record_about_the_voter_is_refuted_and_it_votes_no():
     assert Update(Status.ALIVE, b.address, 1) in agent._outbox
     assert vote["vote"] == "no" and vote["reason"] == "view-mismatch"
     assert b.address in vote["view"] and "gone" not in vote  # b holds no record of a or c
+
+
+# ---------------------------------------------------------------------------
+# informed retries: a NO that names a view not yet tried is re-proposed at once
+BACKOFF_BASE = DistributedPipelineHandle.ACTIVATE_BACKOFF[0]
+
+
+def logged_rounds(sim, handle):
+    """``[(start, proposed), ...]`` of every prepare round ``handle`` runs."""
+    rounds = []
+    prepare = handle._prepare
+
+    def logged(iteration, proposed, gone=()):
+        rounds.append((sim.now, proposed))
+        return (yield from prepare(iteration, proposed, gone))
+
+    handle._prepare = logged
+    return rounds
+
+
+@pytest.mark.parametrize("change", ["grow", "leave"])
+def test_a_settled_view_change_costs_two_rounds_and_no_backoff(change):
+    """The survivors' NO carries the view the client has not tried: it
+    is proposed at once (one jittered ACTIVATE_BACKOFF, 25-50 ms, before)."""
+    sim = Simulation(seed=56)
+    deployment, [(client, handle)] = make_stack(sim, 3)
+    drive(sim, handle.activate(1))
+    drive(sim, handle.deactivate(1))
+    admin = ColzaAdmin(client.margo)
+    if change == "grow":
+        joined = drive(sim, deployment.add_server(3), max_time=300)
+        drive(sim, admin.create_pipeline(joined.address, "render", "libcolza-iso.so",
+                                         iso_config()))
+    else:
+        leaver = deployment.live_daemons()[-1]
+        drive(sim, admin.request_leave(leaver.address))
+    run_until(sim, deployment.converged, max_time=300)
+    live = sorted(d.address for d in deployment.live_daemons())
+    assert sorted(client.view) != live  # stale: the client has not heard
+    rounds = logged_rounds(sim, handle)
+    view, elapsed = timed(sim, handle.activate(2))
+    assert sorted(view) == live and rounds[1][1] == tuple(live)
+    assert list(sim.trace.find("colza.activate"))[-1].tags["attempts"] == 2
+    assert elapsed < 0.001
+
+
+def contended_activate(seed):
+    """Iteration 2's activate while iteration 1 is still active on one
+    server, released 1 ms in: ``(rounds, activate span)``."""
+    sim = Simulation(seed=seed)
+    deployment, [(client, handle)] = make_stack(sim, 3)
+    busy, *others = deployment.live_daemons()
+    drive(sim, handle.activate(1))
+    for daemon in others:
+        drive(sim, client.pipeline_handle(daemon.address, "render").deactivate(1))
+
+    def release():
+        yield sim.timeout(0.001)
+        yield from client.pipeline_handle(busy.address, "render").deactivate(1)
+
+    sim.spawn(release(), name="release")
+    rounds = logged_rounds(sim, handle)
+    drive(sim, handle.activate(2))
+    return rounds, list(sim.trace.find("colza.activate"))[-1]
+
+
+def test_a_no_that_brings_nothing_new_still_backs_off():
+    """``already-active`` names the very view proposed: contention, not
+    news, so the client waits before asking again."""
+    rounds, span = contended_activate(57)
+    (first, proposed), (second, again) = rounds
+    assert again == proposed and span.tags["attempts"] == 2
+    assert second - first >= 0.5 * BACKOFF_BASE
+
+
+def test_the_activate_span_tags_the_backoff_it_slept():
+    [(first, _), (second, _)], span = contended_activate(57)
+    assert second - first - 0.001 < span.tags["slept"] <= second - first
+
+
+def test_two_voters_pinned_to_different_views_cannot_spin():
+    """Gossip that never settles: a's NO sends the client to (a, b), b's
+    back to (a, b, c), and so on. Only the first swing is news; every
+    repeated proposal is slept and the call gives up after
+    MAX_ACTIVATE_RETRIES rounds instead of spinning."""
+    sim = Simulation(seed=58)
+    deployment, [(_client, handle)] = make_stack(sim, 3)
+    a, b, c = deployment.live_daemons()
+    a.provider.view = lambda: [a.address, b.address]
+    b.provider.view = lambda: [a.address, b.address, c.address]
+    rounds = logged_rounds(sim, handle)
+    with pytest.raises(RpcError, match="failed to reach agreement"):
+        drive(sim, handle.activate(1), max_time=600)
+    assert len(rounds) == handle.MAX_ACTIVATE_RETRIES
+    slept = [later - earlier >= 0.5 * BACKOFF_BASE
+             for (earlier, _), (later, _) in zip(rounds, rounds[1:])]
+    seen = {rounds[0][1]}
+    for i, (_start, proposed) in enumerate(rounds[1:]):
+        if proposed in seen:
+            assert slept[i], i
+        seen.add(proposed)
+    assert all(x or y for x, y in zip(slept, slept[1:]))
+    assert list(sim.trace.find("colza.activate"))[-1].tags["failed"]
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ imports, then the ``cProfile`` top-K of ``make_inputs`` + ``setup``.
 ``--phase sim`` reads the *simulated* clock instead of the host's: one
 row per tenant-iteration attempt (``colza.iteration`` span) of the timed
 section — outcome, 2PC prepare rounds, terminal SWIM records the
-activate relayed to its voters (``relayed``), simulated seconds in
+activate relayed to its voters (``relayed``), simulated seconds the
+activate spent in backoff (``slept``), simulated seconds in
 activate / stage / execute / deactivate and the gap since the tenant's
 previous attempt — flagging every phase that lasted a control-plane
 deadline or more. It is how a stall that no host profile shows (a client sitting out
@@ -172,7 +173,7 @@ def sim_phases(args: argparse.Namespace) -> None:
     print(f"   '!' a phase of CONTROL_TIMEOUT ({deadline:g} s) or more; "
           f"'*' a span that never ended (a failed phase), read up to the attempt's end")
     print(f"{'at':>8s}  {'pipeline':<14s} {'iter':>4s} {'try':>3s} {'outcome':<9s} {'rounds':>6s} "
-          f"{'relayed':>7s} "
+          f"{'relayed':>7s} {'slept':>7s} "
           + " ".join(f"{name:>11s}" for name in _PHASES) + f" {'gap':>8s}")
     last_end: Dict[str, float] = {}
     flagged = 0
@@ -182,7 +183,7 @@ def sim_phases(args: argparse.Namespace) -> None:
         tags = span.tags
         end = span.end if span.end is not None else workload.sim.now
         cells = []
-        rounds = relayed = 0
+        rounds = relayed = slept = 0
         for phase in _PHASES:
             children = [c for c in span.children if c.name == f"colza.{phase}"]
             seconds = sum((c.end if c.end is not None else end) - c.start for c in children)
@@ -199,12 +200,13 @@ def sim_phases(args: argparse.Namespace) -> None:
                     )
                     rounds += max(prepares.values(), default=0)
                     relayed += activate.tags.get("relayed", 0)
+                    slept += activate.tags.get("slept", 0)
         pipeline = str(tags.get("pipeline"))
         gap = span.start - last_end[pipeline] if pipeline in last_end else None
         last_end[pipeline] = end
         print(f"{span.start - t0:>8.3f}  {pipeline:<14s} {tags.get('iteration', -1):>4d} "
               f"{tags.get('attempt', 0):>3d} {str(tags.get('outcome', 'open')):<9s} {rounds:>6d} "
-              f"{relayed:>7d} "
+              f"{relayed:>7d} {slept:>7.4f} "
               + " ".join(cells) + (f" {gap:>8.3f}" if gap is not None else f" {'-':>8s}"))
     print(f"phases at or past the deadline: {flagged}")
     _wire_by_sender(trace, before, workload.iterations)
