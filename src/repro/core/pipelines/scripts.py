@@ -146,10 +146,6 @@ class DWIVolumeScript(CatalystScript):
         self.field = field
         self.grid_dims = tuple(grid_dims)
         self.cmap = cmap
-        # The two vtk kernels import scipy on first use; a volume
-        # deployment pays for that here, in set-up, not in an iteration.
-        from repro.vtk.filters.resample import cKDTree  # noqa: F401
-        from repro.vtk.render.volume import map_coordinates  # noqa: F401
 
     def run(self, ctx: RenderContext) -> Generator:
         real_blocks: List[UnstructuredGrid] = []

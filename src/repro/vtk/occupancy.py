@@ -1,14 +1,15 @@
-"""Union of axis-aligned index boxes as a boolean mask.
+"""Axis-aligned index boxes on a lattice.
 
 The occupancy tests in front of the two exact volume kernels are the
 same question in two and in three dimensions: *which lattice indices lie
-in at least one of these boxes?* — pixels under the projection of a
-flagged cell (:func:`repro.vtk.render.volume_render`), voxels inside the
-bounding box of a mesh point's cutoff ball
-(:func:`repro.vtk.filters.resample_to_image`). Both callers want a
-superset computed cheaply and leave the decision to the exact kernel,
-so a box is described by real-valued closed intervals that the caller
-has already widened by its own rounding margin.
+in this box?* — the pixels under the projection of a flagged cell
+(:func:`repro.vtk.render.volume_render`, which wants the union of the
+boxes as a mask: :func:`box_union`), the voxels inside the bounding box
+of a mesh point's cutoff ball (:func:`repro.vtk.filters.resample_to_image`,
+which pairs each point with its own box: :func:`index_boxes`). Both
+callers want a superset computed cheaply and leave the decision to the
+exact kernel, so a box is described by real-valued closed intervals
+that the caller has already widened by its own rounding margin.
 """
 
 from __future__ import annotations
@@ -18,7 +19,18 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["box_union"]
+__all__ = ["box_union", "index_boxes"]
+
+
+def index_boxes(lo: np.ndarray, hi: np.ndarray, shape: Sequence[int]):
+    """The lattice indices in each box, as half-open ``[first, last)``
+    (``(boxes, len(shape))`` integer arrays), clamped so that a box
+    outside the lattice is empty (``first == last``). A NaN bound (inf -
+    inf upstream) counts as no bound on that side."""
+    # Integers within [lo, hi] are ceil(lo) .. floor(hi); fmax/fmin drop a NaN.
+    first = np.fmin(np.fmax(np.ceil(lo), 0), shape).astype(np.intp)
+    last = np.fmax(np.fmin(np.floor(hi) + 1, shape), first).astype(np.intp)
+    return first, last
 
 
 def box_union(lo: np.ndarray, hi: np.ndarray, shape: Sequence[int]) -> np.ndarray:
@@ -33,12 +45,7 @@ def box_union(lo: np.ndarray, hi: np.ndarray, shape: Sequence[int]) -> np.ndarra
     """
     shape = tuple(shape)
     grid = tuple(n + 1 for n in shape)  # a box's upper corner may be index n
-    # Integers within [lo, hi] are ceil(lo) .. floor(hi); half-open, and
-    # clamped so that a box outside the lattice is empty (first == last).
-    # fmax/fmin: a NaN bound (inf - inf) counts as no bound on that side.
-    first = np.fmin(np.fmax(np.ceil(lo), 0), shape).astype(np.intp)
-    last = np.fmax(np.fmin(np.floor(hi) + 1, shape), first).astype(np.intp)
-    edges = (first, last)
+    edges = index_boxes(lo, hi, shape)
     size = int(np.prod(grid))
     cover = np.zeros(size, dtype=np.intp)
     for corner in product((0, 1), repeat=len(shape)):

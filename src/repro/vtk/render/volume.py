@@ -1,9 +1,10 @@
 """Volume rendering by orthographic ray marching.
 
 Rays are cast through the camera's view window; the scalar field is
-sampled trilinearly (``scipy.ndimage.map_coordinates``) at ``steps``
-depths between the brick's nearest and farthest corner and composited
-front-to-back with a colormap + opacity transfer function. The output
+sampled trilinearly (:func:`sample_linear`: SciPy's order-1
+``map_coordinates``, in NumPy) at ``steps`` depths between the brick's
+nearest and farthest corner and composited front-to-back with a
+colormap + opacity transfer function. The output
 depth buffer records where each ray first accumulated significant
 opacity, and ``brick_depth`` records the volume's nearest extent — both
 of which IceT's ordered compositing uses across ranks.
@@ -11,7 +12,7 @@ of which IceT's ordered compositing uses across ranks.
 The kernel is data-parallel over the *samples that can matter*, not a
 loop over whole ``(H, W)`` slices, and it is **occupancy-first**: a
 cheap conservative test decides where the exact kernel runs, the exact
-kernel (``map_coordinates``, the transfer function, the product scan,
+kernel (the sampler, the transfer function, the product scan,
 ``bincount``) decides everything else. A resampled mesh is mostly
 exterior zeros, so most rays and most samples are rejected before any
 interpolation.
@@ -38,7 +39,7 @@ interpolation.
 - **Sample rejection.** A chunk's grid-index coordinates are computed
   for all its steps, floored and clamped into the lattice, and looked up
   in the cell flags; only the flagged coordinates go through
-  ``map_coordinates`` (one call per chunk) and the transfer function.
+  ``sample_linear`` (one call per chunk) and the transfer function.
 - **Transmittance by scan.** An opaque sample (finite, ``alpha > 1e-4``)
   multiplies its ray's transmittance by ``1 - alpha``, any other by
   exactly ``1.0``: the opaque ones are scattered into a dense ``(rays,
@@ -52,22 +53,22 @@ interpolation.
   position, so ascending step within a ray.
 
 **Why the skip is sound.** A rejected sample must be one the dense march
-would not have found opaque. (a) An order-1 ``map_coordinates`` sample is
-a convex combination of its cell's eight corners up to a dozen roundings,
-so it lies within ``m`` of the corners' range. (b) ``opacity_ramp`` is
+would not have found opaque. (a) An order-1 sample is a convex
+combination of its cell's eight corners up to a dozen roundings, so it
+lies within ``m`` of the corners' range. (b) ``opacity_ramp`` is
 monotone in the value — increasing for ``opacity_power > 0``, flat for
 ``0``, decreasing below — and so is everything applied after it; testing
 *both* ends ``v - m`` and ``v + m`` covers either direction. Hence a
 cell whose finite corners are all cold cannot produce ``alpha > 1e-4``.
 (c) A non-finite corner can only make the sample non-finite, which is
 dropped anyway. (d) A coordinate outside the lattice is clamped onto a
-boundary cell by the lookup but samples ``NaN`` (``cval``) whatever the
-flag says. (e) The camera is orthographic: a ray's view-space ``(x, y)``
+boundary cell by the lookup but samples ``NaN`` whatever the flag says.
+(e) The camera is orthographic: a ray's view-space ``(x, y)``
 is that of every point on it, so a ray holds a sample of a cell only if
 its pixel lies in the cell's projected rectangle. The tests in
 ``tests/test_vtk_oracles.py`` check the superset property directly
 (every opaque sample of the dense loop is among the coordinates handed
-to ``map_coordinates``) on top of byte equality.
+to ``sample_linear``) on top of byte equality.
 
 **What the bound assumes.** *Orthographic*: a perspective camera would
 need each cell's rectangle from its eight projected corners (the
@@ -81,11 +82,13 @@ per-interval bound), not the two end points of each corner.
 every pixel of the frame one step at a time gives
 (``volume_render_loop`` in ``tests/oracles/vtk_loops.py``, compared in
 ``tests/test_vtk_oracles.py``): every per-sample expression is that
-loop's in that loop's order, multiplying by ``1.0`` is exact, and the
-product scan and the weighted count are both *sequential*
-(``r[i] = r[i-1] * a[i]``, ``out[n] += w[i]``). That is why there is no
-``np.sum`` or ``np.prod`` over the step axis: NumPy reduces pairwise,
-which is a different float order and a different last bit.
+loop's in that loop's order, the sampler is SciPy's byte for byte (a
+seeded fuzz there holds it to ``map_coordinates``, which the loop
+samples with), multiplying by ``1.0`` is exact, and the product scan
+and the weighted count are both *sequential* (``r[i] = r[i-1] * a[i]``,
+``out[n] += w[i]``). That is why there is no ``np.sum`` or ``np.prod``
+over the step axis: NumPy reduces pairwise, which is a different float
+order and a different last bit.
 
 The chunk loop is also the ``py_calls_m`` of the volume workload:
 inside it ufuncs are called directly (``np.clip`` and ``np.flatnonzero``
@@ -120,24 +123,45 @@ _MARGIN_ULPS = 64
 _RAY_PAD = 1.0
 
 
-def _load_map_coordinates():
-    """Bind ``scipy.ndimage.map_coordinates`` as this module's global of
-    that name. On first use, not at import: ``scipy.ndimage`` costs more
-    to import than the rest of ``repro``, and only a volume pipeline
-    samples. From then on the global *is* scipy's function."""
-    global map_coordinates
-    from scipy.ndimage import map_coordinates
+def sample_linear(volume: np.ndarray, coordinates: np.ndarray) -> np.ndarray:
+    """Order-1 samples of ``volume`` at ``coordinates`` (``(3, N)`` grid
+    indices), as ``scipy.ndimage.map_coordinates(volume, coordinates,
+    order=1, mode="constant", cval=nan)`` computes them.
 
-    return map_coordinates
-
-
-def __getattr__(name: str):
-    # Reached while the global is unbound: ``from ... import
-    # map_coordinates`` (how DWIVolumeScript pays at deployment) or a
-    # test about to patch it.
-    if name == "map_coordinates":
-        return _load_map_coordinates()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    Per axis the lower neighbour is the floor, clamped into the lattice,
+    and the upper one the next plane — mirrored back to ``n - 2`` at the
+    last plane (``0`` on a one-plane axis): its weight is zero there, but
+    an inf in it still makes the sample NaN. The weights are SciPy's
+    ``(1 - t, 1 - (1 - t))``, each corner term is ``((v * w0) * w1) *
+    w2`` and the eight are added to ``0.0`` one by one, last axis
+    fastest. A coordinate outside ``[0, n - 1]`` (or NaN) samples NaN.
+    Every bit is SciPy's except a NaN's payload, which x86 takes from
+    whichever operand NumPy's loop puts first. Call under
+    ``np.errstate(invalid="ignore")``: ``inf * 0`` is NaN, as in SciPy.
+    """
+    _, ny, nz = volume.shape
+    coordinates = np.ascontiguousarray(coordinates)  # a contiguous row per axis; a gather is not
+    top = np.array(volume.shape)[:, None] - 1
+    low = np.fmin(np.fmax(np.floor(coordinates), 0.0), top).astype(np.intp)
+    high = np.where(low < top, low + 1, np.maximum(top - 1, 0))
+    lower = 1.0 - (coordinates - low)
+    weights = (lower, 1.0 - lower)
+    stride = np.array([ny * nz, nz, 1])[:, None]  # of the C-ordered copy below
+    ends = (low * stride, high * stride)
+    flat = np.ascontiguousarray(volume).ravel()
+    sample = np.zeros(coordinates.shape[1])
+    for a in (0, 1):  # N-long arrays, one corner at a time: no (8, N) temporaries
+        for b in (0, 1):
+            row = ends[a][0] + ends[b][1]
+            for c in (0, 1):
+                term = flat[row + ends[c][2]]
+                term *= weights[a][0]
+                term *= weights[b][1]
+                term *= weights[c][2]
+                sample += term
+    inside = (coordinates >= 0.0) & (coordinates <= top)
+    sample[~(inside[0] & inside[1] & inside[2])] = np.nan
+    return sample
 
 
 def volume_render(
@@ -246,59 +270,55 @@ def volume_render(
     depth = np.full(n_rays, np.inf, dtype=np.float64)
     top = [n - 1 for n in volume.shape]
 
-    try:
-        map_coordinates
-    except NameError:  # the process's first render, with no DWIVolumeScript deployed
-        _load_map_coordinates()
     per_chunk = max(_SAMPLE_BUDGET // max(steps, 1), 1)
-    for start in range(0, n_rays, per_chunk):
-        rays = slice(start, start + per_chunk)
-        x, y = gx[rays], gy[rays]
-        idx = np.empty((3, x.shape[0], steps))  # grid-index coordinates
-        cell = np.empty(idx.shape, dtype=np.intp)  # ... floored and clamped into the lattice
-        for c in range(3):
-            base = origin[c] + x * right[c] + y * up[c]
-            world = base + zs * forward[c]  # (R, S)
-            idx[c] = (world - grid_origin[c]) / spacing[c]
-            # fmax/fmin: a NaN index (zero spacing) clamps too; the cast truncates.
-            cell[c] = np.fmin(np.fmax(idx[c], 0.0), top[c])
+    # One errstate for the render: ``inf * 0`` in a sample is NaN, silently.
+    with np.errstate(invalid="ignore"):
+        for start in range(0, n_rays, per_chunk):
+            rays = slice(start, start + per_chunk)
+            x, y = gx[rays], gy[rays]
+            idx = np.empty((3, x.shape[0], steps))  # grid-index coordinates
+            cell = np.empty(idx.shape, dtype=np.intp)  # ... floored and clamped into the lattice
+            for c in range(3):
+                base = origin[c] + x * right[c] + y * up[c]
+                world = base + zs * forward[c]  # (R, S)
+                idx[c] = (world - grid_origin[c]) / spacing[c]
+                # fmax/fmin: a NaN index (zero spacing) clamps too; the cast truncates.
+                cell[c] = np.fmin(np.fmax(idx[c], 0.0), top[c])
 
-        # (3) Samples in a flagged cell, as flat (ray, step) positions.
-        flat = cells[cell[0], cell[1], cell[2]].reshape(-1).nonzero()[0]
-        if flat.size == 0:
-            continue
-        sample = map_coordinates(
-            volume, idx.reshape(3, -1)[:, flat], order=1, mode="constant", cval=np.nan
-        )
-        alpha = alpha_of(sample)
-        opaque = (np.isfinite(sample) & (alpha > _ALPHA_FLOOR)).nonzero()[0]
-        if opaque.size == 0:
-            continue
-        flat, sample, alpha = flat[opaque], sample[opaque], alpha[opaque]
-        ray = flat // steps
+            # (3) Samples in a flagged cell, as flat (ray, step) positions.
+            flat = cells[cell[0], cell[1], cell[2]].reshape(-1).nonzero()[0]
+            if flat.size == 0:
+                continue
+            sample = sample_linear(volume, idx.reshape(3, -1)[:, flat])
+            alpha = alpha_of(sample)
+            opaque = (np.isfinite(sample) & (alpha > _ALPHA_FLOOR)).nonzero()[0]
+            if opaque.size == 0:
+                continue
+            flat, sample, alpha = flat[opaque], sample[opaque], alpha[opaque]
+            ray = flat // steps
 
-        # Column s of the scan is the transmittance before step s; the
-        # scan itself stays dense so that its float order is the loop's.
-        through = np.ones((x.shape[0], steps + 1))
-        slot = flat + ray  # of (ray, step) in the (R, S + 1) scan
-        scan = through.reshape(-1)
-        scan[slot + 1] = 1.0 - alpha
-        np.multiply.accumulate(through, axis=1, out=through)
-        before = scan[slot]
-        active = (before > 1e-3).nonzero()[0]
+            # Column s of the scan is the transmittance before step s; the
+            # scan itself stays dense so that its float order is the loop's.
+            through = np.ones((x.shape[0], steps + 1))
+            slot = flat + ray  # of (ray, step) in the (R, S + 1) scan
+            scan = through.reshape(-1)
+            scan[slot + 1] = 1.0 - alpha
+            np.multiply.accumulate(through, axis=1, out=through)
+            before = scan[slot]
+            active = (before > 1e-3).nonzero()[0]
 
-        # Ascending flat position, so a ray's active samples are in
-        # ascending step order, which is the order ``bincount`` adds its
-        # weights in.
-        ray = ray[active]
-        contrib = before[active] * alpha[active]
-        color = colormap(sample[active], cmap, vmin, vmax) * contrib[:, None]
-        for c, weights in enumerate((*color.T, contrib)):
-            rgba[rays, c] = np.bincount(ray, weights=weights, minlength=x.shape[0])
-        first = np.ones(ray.shape, dtype=bool)  # a ray's first active sample
-        first[1:] = ray[1:] != ray[:-1]
-        hit = ray[first]
-        depth[start + hit] = zs[flat[active][first] - hit * steps]
+            # Ascending flat position, so a ray's active samples are in
+            # ascending step order, which is the order ``bincount`` adds its
+            # weights in.
+            ray = ray[active]
+            contrib = before[active] * alpha[active]
+            color = colormap(sample[active], cmap, vmin, vmax) * contrib[:, None]
+            for c, weights in enumerate((*color.T, contrib)):
+                rgba[rays, c] = np.bincount(ray, weights=weights, minlength=x.shape[0])
+            first = np.ones(ray.shape, dtype=bool)  # a ray's first active sample
+            first[1:] = ray[1:] != ray[:-1]
+            hit = ray[first]
+            depth[start + hit] = zs[flat[active][first] - hit * steps]
 
     image = CompositeImage.blank(width, height, brick_depth=z_near)
     image.rgba.reshape(-1, 4)[pixels] = rgba

@@ -6,18 +6,26 @@ depth-peeling rounds; ``contour_loop`` is the per-tet / per-case /
 per-slot / per-edge loop (with its own copy of the marching-tetrahedra
 tables) that :func:`repro.vtk.filters.contour` replaced by one table
 lookup and a stable sort; ``volume_render_loop`` is the per-step
-ray-marcher over whole ``(H, W)`` frames that
-:func:`repro.vtk.render.volume_render` replaced by footprint-clipped
-step chunks; ``resample_loop`` is the unbounded nearest-neighbour query
-that :func:`repro.vtk.filters.resample_to_image` now bounds by the
-cutoff. The production kernels promise *byte-identical* output
-(``tests/test_vtk_oracles.py``), so the bodies below are the commit's
-they were replaced in, moved not edited: only the public names changed
-and ``camera._forward`` / ``_pos`` / ``_right`` / ``_up`` became
+ray-marcher over whole ``(H, W)`` frames, sampling with SciPy's
+``map_coordinates``, that :func:`repro.vtk.render.volume_render`
+replaced by occupancy-first step chunks and a NumPy sampler. The
+production kernels promise *byte-identical* output
+(``tests/test_vtk_oracles.py``), so these bodies are the commit's they
+were replaced in, moved not edited: only the public names changed and
+``camera._forward`` / ``_pos`` / ``_right`` / ``_up`` became
 ``camera.forward`` / ``origin`` / ``right`` / ``up``. The two bugs the
 production pair fixed on the way (a NaN voxel poisoning the default
 ``value_range``, a zero spacing for a planar mesh) are *kept* here:
 inputs that reach them are outside the byte-equality contract.
+
+``resample_loop`` is the one exception: its search is brute force, not
+the ``cKDTree`` query it used to be. Every voxel gets the same squared
+distance ``(dx*dx + dy*dy) + dz*dz`` to every mesh point, the nearest is
+``np.argmin`` of those (the lowest index among exact ties) and the voxel
+is inside when ``sqrt(s) <= cutoff`` — the rule
+:func:`repro.vtk.filters.resample_to_image` promises, with nothing in
+between. Where no two points are exactly equidistant from a voxel it is
+SciPy's unbounded tree query, which ``tests/test_vtk_oracles.py`` checks.
 """
 
 from __future__ import annotations
@@ -26,7 +34,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.ndimage import map_coordinates
-from scipy.spatial import cKDTree
 
 from repro.vtk.dataset import ImageData, PolyData, UnstructuredGrid
 from repro.vtk.render.camera import Camera
@@ -415,10 +422,19 @@ def resample_loop(
         return image
 
     targets = image.point_coords()
-    tree = cKDTree(grid.points)
-    dist, nearest = tree.query(targets, k=1)
+    points = np.asarray(grid.points, dtype=np.float64)
     cutoff = cutoff_factor * float(np.mean(spacing))
-    inside = dist <= cutoff
+    inside = np.zeros(len(targets), dtype=bool)
+    nearest = np.zeros(len(targets), dtype=np.intp)
+    for start in range(0, len(targets), 64):  # blocks of voxels, every point each
+        block = slice(start, start + 64)
+        dx, dy, dz = (targets[block, a, None] - points[:, a] for a in range(3))
+        with np.errstate(over="ignore"):  # a point at 1e300 is at distance inf
+            s = dx * dx
+            s += dy * dy
+            s += dz * dz  # (dx*dx + dy*dy) + dz*dz
+        nearest[block] = np.argmin(s, axis=1)  # the first minimum: the lowest index
+        inside[block] = np.sqrt(s[np.arange(len(s)), nearest[block]]) <= cutoff
     for name in names:
         source = np.asarray(grid.point_data[name], dtype=np.float64)
         sampled = np.where(inside, source[nearest], 0.0)

@@ -494,6 +494,25 @@ def test_rasterize_calls_do_not_scale_with_triangles():
     assert large_calls <= 1.5 * small_calls, (small_calls, large_calls)
 
 
+def test_resample_calls_do_not_follow_mesh_points():
+    """No per-point Python: a mesh's point x stencil-voxel pairs go
+    through the stencil in one chunk (up to ``_PAIR_BUDGET``), so 3 000
+    mesh points cost the profiled calls 300 do."""
+    from repro.vtk import UnstructuredGrid
+    from repro.vtk.filters import resample_to_image
+
+    def run(n):
+        points = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 3))
+        mesh = UnstructuredGrid(points, np.zeros((0, 4), dtype=np.int64),
+                                point_data={"r": np.linalg.norm(points, axis=1)})
+        calls, image = _profiled_calls(resample_to_image, mesh, (24, 24, 24))
+        return calls, np.count_nonzero(image.field("r"))
+
+    (small_calls, small), (large_calls, large) = run(300), run(3000)
+    assert large > small > 0
+    assert large_calls == small_calls, (small_calls, large_calls)
+
+
 def test_volume_render_samples_the_footprint_only(monkeypatch):
     """Rays that cannot meet the brick are never marched: a brick over
     the middle quarter of the frame costs about a quarter of the
@@ -504,12 +523,12 @@ def test_volume_render_samples_the_footprint_only(monkeypatch):
 
     sampled = []
 
-    def counting(volume, coordinates, **kwargs):
+    def counting(volume, coordinates):
         sampled.append(np.shape(coordinates)[1])
-        return real(volume, coordinates, **kwargs)
+        return real(volume, coordinates)
 
-    real = volume_module.map_coordinates
-    monkeypatch.setattr(volume_module, "map_coordinates", counting)
+    real = volume_module.sample_linear
+    monkeypatch.setattr(volume_module, "sample_linear", counting)
     brick = _sphere_volume(16)  # bounds (-1, 1): half of the 4 x 4 window each way
     camera = Camera(position=(0.0, 0.0, -5.0), view_width=4.0, view_height=4.0)
     image = volume_render(brick, "r", camera=camera, width=64, height=64, steps=64)
@@ -554,26 +573,27 @@ def test_volume_path_samples_and_queries_where_the_mesh_is(monkeypatch):
     """A resampled DWI brick is ~90 % exterior zeros. Of the samples in
     the brick's footprint (the pixel rectangle round its projected
     corners, all steps — what the kernel marched before it looked at
-    occupancy) under a fifth reach ``map_coordinates``, hardly more than
-    turn out opaque; under 55 % of the footprint's rays are marched at
-    all; and under 30 % of the voxels reach the tree. (Measured: 11.5 %
-    of the footprint's samples, 1.16 x the opaque ones; 43 % of its
-    rays; 8.6 % of the voxels, 1.09 x those within the cutoff.)"""
+    occupancy) under a fifth reach the sampler, hardly more than turn
+    out opaque; under 55 % of the footprint's rays are marched at all;
+    and under 30 % of the voxels are candidates of the resample stencil
+    (in some mesh point's cutoff box). (Measured: 11.5 % of the
+    footprint's samples, 1.16 x the opaque ones; 43 % of its rays; 8.6 %
+    of the voxels, 1.09 x those within the cutoff.)"""
     import repro.vtk.filters.resample as resample_module
     import repro.vtk.render.volume as volume_module
     from repro.vtk.filters import resample_to_image
+    from repro.vtk.occupancy import box_union
     from repro.vtk.render import volume_render
-    from scipy.spatial import cKDTree
 
     size, steps, dims = 128, 64, (32, 32, 32)
-    counts = {"coordinates": 0, "opaque": 0, "rays": 0, "targets": 0}
+    counts = {"coordinates": 0, "opaque": 0, "rays": 0}
     real_sample, real_ramp, real_union = (
-        volume_module.map_coordinates, volume_module.opacity_ramp, volume_module.box_union
+        volume_module.sample_linear, volume_module.opacity_ramp, volume_module.box_union
     )
 
-    def counting_sample(volume, coordinates, **kwargs):
+    def counting_sample(volume, coordinates):
         counts["coordinates"] += np.shape(coordinates)[1]
-        return real_sample(volume, coordinates, **kwargs)
+        return real_sample(volume, coordinates)
 
     def counting_ramp(values, *args):
         ramp = real_ramp(values, *args)
@@ -586,18 +606,15 @@ def test_volume_path_samples_and_queries_where_the_mesh_is(monkeypatch):
         counts["rays"] += int(mask.sum())
         return mask
 
-    class CountingTree(cKDTree):
-        def query(self, x, *args, **kwargs):
-            counts["targets"] += len(x)
-            return super().query(x, *args, **kwargs)
-
-    monkeypatch.setattr(volume_module, "map_coordinates", counting_sample)
+    monkeypatch.setattr(volume_module, "sample_linear", counting_sample)
     monkeypatch.setattr(volume_module, "opacity_ramp", counting_ramp)
     monkeypatch.setattr(volume_module, "box_union", counting_union)
-    monkeypatch.setattr(resample_module, "cKDTree", CountingTree)
     mesh, camera = _dwi_brick_scene()
     brick = resample_to_image(mesh, dims, fields=["velocity"])
     image = volume_render(brick, "velocity", camera=camera, width=size, height=size, steps=steps)
+    cutoff = 2.0 * float(np.mean(brick.spacing))
+    first, last = resample_module.cutoff_boxes(mesh.points, brick.origin, brick.spacing, cutoff, dims)
+    candidates = int(box_union(first, last - 1, dims).sum())
 
     b = brick.bounds
     corners = np.array([(b[i], b[2 + j], b[4 + k]) for i in (0, 1) for j in (0, 1) for k in (0, 1)])
@@ -608,7 +625,7 @@ def test_volume_path_samples_and_queries_where_the_mesh_is(monkeypatch):
     assert counts["coordinates"] <= 0.20 * footprint_rays * steps, (counts, footprint_rays)
     assert 0 < counts["opaque"] <= counts["coordinates"] <= 1.25 * counts["opaque"], counts
     inside = np.count_nonzero(brick.field("velocity"))
-    assert 0 < inside <= counts["targets"] <= 0.30 * brick.num_points, (counts, inside)
+    assert 0 < inside <= candidates <= 0.30 * brick.num_points, (counts, candidates, inside)
 
 
 def test_volume_path_makes_no_more_calls_than_before_it_skipped():
@@ -618,7 +635,7 @@ def test_volume_path_makes_no_more_calls_than_before_it_skipped():
     (``np.clip``, ``np.flatnonzero`` and twelve camera property reads per
     chunk of rays) and must not make more with it — 893 measured: ufuncs
     called directly, the view basis read once, fewer rays in fewer
-    chunks."""
+    chunks; 860 with the NumPy sampler and the resample stencil."""
     from repro.vtk.filters import resample_to_image
     from repro.vtk.render import volume_render
 
@@ -838,55 +855,34 @@ def _in_a_fresh_interpreter(code):
 
 
 _ON_FIRST_USE = (
-    "scipy.ndimage", "scipy.spatial",
     "repro.analysis.detlint", "repro.analysis.flowcheck", "repro.analysis.report",
     "pytest",
 )
 
 
 def test_importing_the_stack_loads_neither_scipy_nor_the_static_analysers():
-    """``scipy.ndimage`` + ``scipy.spatial`` cost more to import than the
-    rest of ``repro`` and only the volume pipeline calls them; the
-    ``ast``-based analysers are ``make check``'s. Importing the stack, the
-    bench harness and the pipelines loads none of them — deploying a
-    ``DWIVolumeScript`` loads both scipy modules, in set-up."""
+    """SciPy is the tests' and the benchmark's, not the stack's: importing
+    the stack, the bench harness and the pipelines, deploying a
+    ``DWIVolumeScript`` and resampling and rendering one brick loads no
+    ``scipy*`` module. The ``ast``-based analysers are ``make check``'s
+    and load with the first attribute read off ``repro.analysis``."""
     loaded = _in_a_fresh_interpreter(f"""
         import json, sys
+        import numpy as np
         import repro.core, repro.bench.harness, repro.core.pipelines
         from repro.analysis.simtsan import Shared
+        from repro.vtk import UnstructuredGrid
+        from repro.vtk.filters import resample_to_image
+        from repro.vtk.render import volume_render
+
         names = {_ON_FIRST_USE!r}
         after_import = [name for name in names if name in sys.modules]
         repro.core.pipelines.DWIVolumeScript()
-        print(json.dumps([after_import, [name for name in names if name in sys.modules]]))
-    """)
-    assert loaded == [[], ["scipy.ndimage", "scipy.spatial"]]
-
-
-def test_the_volume_kernels_called_cold_bind_scipys_functions_as_their_globals():
-    """No ``DWIVolumeScript`` deployed: the first ``resample_to_image`` /
-    ``volume_render`` of the process import what they need, and from then
-    on the module global *is* scipy's function — nothing per call."""
-    out = _in_a_fresh_interpreter("""
-        import json, sys
-        import numpy as np
-        import repro.vtk.filters.resample as resample_module
-        import repro.vtk.render.volume as volume_module
-        from repro.vtk import UnstructuredGrid
-
-        before = [name in vars(module) for module, name in
-                  ((resample_module, "cKDTree"), (volume_module, "map_coordinates"))]
-        before += [name in sys.modules for name in ("scipy.spatial", "scipy.ndimage")]
         points = np.random.default_rng(3).uniform(-1.0, 1.0, (200, 3))
-        cells = np.arange(200).reshape(50, 4)
-        mesh = UnstructuredGrid(points, cells, point_data={"r": np.linalg.norm(points, axis=1)})
-        brick = resample_module.resample_to_image(mesh, (12, 12, 12), fields=["r"])
-        image = volume_module.volume_render(brick, "r", width=24, height=24, steps=12)
-        import scipy.ndimage, scipy.spatial
-        print(json.dumps({
-            "before": before,
-            "covered": image.coverage() > 0,
-            "bound": [vars(resample_module)["cKDTree"] is scipy.spatial.cKDTree,
-                      vars(volume_module)["map_coordinates"] is scipy.ndimage.map_coordinates],
-        }))
+        mesh = UnstructuredGrid(points, np.arange(200).reshape(50, 4),
+                                point_data={{"r": np.linalg.norm(points, axis=1)}})
+        image = volume_render(resample_to_image(mesh, (12, 12, 12)), "r", width=24, height=24, steps=12)
+        print(json.dumps([after_import, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"),
+                          image.coverage() > 0]))
     """)
-    assert out == {"before": [False] * 4, "covered": True, "bound": [True, True]}
+    assert loaded == [[], [], True]

@@ -3,15 +3,21 @@
 ``rasterize`` (fragment batches + depth-peeling rounds), ``contour``
 (flat case table + stable sort), ``volume_render`` (occupancy-first ray
 and sample rejection, ray chunks, transmittance scan) and
-``resample_to_image`` (lattice pre-filter, cutoff-bounded query) promise
-the exact bytes of the loops kept in ``tests/oracles/vtk_loops.py``. No
-tolerance anywhere in this file: a last-bit difference is a failure.
+``resample_to_image`` (a lattice stencil over each point's cutoff box)
+promise the exact bytes of the loops kept in
+``tests/oracles/vtk_loops.py``. No tolerance anywhere in this file: a
+last-bit difference is a failure (only a NaN's payload is not compared,
+in the sampler's fuzz). The two NumPy kernels that replaced
+SciPy are held to it as well: ``sample_linear`` to
+``scipy.ndimage.map_coordinates`` (fuzzed, and through every volume
+image, since ``volume_render_loop`` samples with SciPy), the stencil to
+SciPy's unbounded ``cKDTree`` query on inputs without exact ties.
 
 The two occupancy tests are also checked directly, as what they claim
 to be — supersets: every sample the dense loop finds opaque is among
-the coordinates ``volume_render`` hands to ``map_coordinates``, and
-every voxel within the cutoff is among the targets
-``resample_to_image`` hands to the tree.
+the coordinates ``volume_render`` hands to ``sample_linear``, and every
+voxel within the cutoff of a mesh point is in that point's box
+(``cutoff_boxes``), the only voxels the stencil looks at.
 """
 
 import warnings
@@ -638,12 +644,51 @@ def test_volume_render_default_range_ignores_non_finite_voxels():
 
 
 # ---------------------------------------------------------------------------
+# sample_linear: SciPy's order-1 sampler, without SciPy
+@pytest.mark.parametrize("seed", range(6))
+def test_sample_linear_is_scipys_order_one_map_coordinates(seed):
+    """Byte for byte ``map_coordinates(order=1, mode="constant",
+    cval=nan)`` on NaN and +-inf voxels, NaN coordinates, coordinates
+    exactly on ``0`` and ``n - 1`` and ``1e-12`` outside them, whole
+    coordinates, one-plane axes and Fortran order — NaN where SciPy has
+    NaN, whatever its payload (x86 takes it from whichever operand comes
+    first, and no render reads it). A sample on the last plane still
+    reads the plane before it (mirrored, weight 0): an inf there makes
+    it NaN."""
+    from scipy.ndimage import map_coordinates
+
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        shape = tuple(int(n) for n in rng.integers(1, 6, 3))
+        volume = rng.standard_normal(shape)
+        kind = rng.integers(0, 10, shape)
+        volume[kind == 0], volume[kind == 1], volume[kind == 2] = np.nan, np.inf, -np.inf
+        if rng.random() < 0.5:
+            volume = np.asfortranarray(volume)
+        top = np.array(shape, dtype=np.float64)[:, None] - 1
+        coordinates = rng.uniform(-0.2, 1.2, (3, 400)) * top + rng.uniform(-0.2, 0.2, (3, 400))
+        kind = rng.integers(0, 10, coordinates.shape)
+        edge = np.broadcast_to(top, coordinates.shape)
+        coordinates = np.select(
+            [kind == 0, kind == 1, kind == 2, kind == 3, kind == 4, kind == 5],
+            [0.0, edge, -1e-12, edge + 1e-12, np.nan, np.round(coordinates)],
+            coordinates,
+        )
+        want = map_coordinates(volume, coordinates, order=1, mode="constant", cval=np.nan)
+        with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+            warnings.simplefilter("error")
+            got = volume_module.sample_linear(volume, coordinates)
+        got, want = (np.where(np.isnan(x), np.nan, x) for x in (got, want))  # every NaN alike
+        assert got.tobytes() == want.tobytes(), (shape, coordinates[:, got.view(np.int64) != want.view(np.int64)])
+
+
+# ---------------------------------------------------------------------------
 # volume_render: the occupancy tests are supersets
-def sampled_coordinates(patch, module):
-    """Record every coordinate column ``module.map_coordinates`` is
+def sampled_coordinates(patch, module, name):
+    """Record every coordinate column the sampler ``module.<name>`` is
     handed from now on, as 24-byte keys, next to the value it returned."""
     seen = {}
-    real = module.map_coordinates
+    real = getattr(module, name)
 
     def recording(volume, coordinates, **kwargs):
         values = real(volume, coordinates, **kwargs)
@@ -651,7 +696,7 @@ def sampled_coordinates(patch, module):
         seen.update(zip((c.tobytes() for c in columns), values))
         return values
 
-    patch.setattr(module, "map_coordinates", recording)
+    patch.setattr(module, name, recording)
     return seen
 
 
@@ -661,8 +706,8 @@ def render_both_checking_the_skip(image, field="f", **kwargs):
     kernel. Opacity is the loop's own expression on the loop's own
     samples. Returns the image and (opaque, sampled) counts."""
     with pytest.MonkeyPatch.context() as patch:
-        dense = sampled_coordinates(patch, loops_module)
-        kept = sampled_coordinates(patch, volume_module)
+        dense = sampled_coordinates(patch, loops_module, "map_coordinates")
+        kept = sampled_coordinates(patch, volume_module, "sample_linear")
         want = render_both(image, field, **kwargs)
     camera = kwargs.get("camera") or Camera.fit(image.bounds)
     b = image.bounds
@@ -821,7 +866,7 @@ def test_volume_render_samples_exactly_on_the_last_lattice_planes():
     image.set_field("f", field)
     camera = Camera(position=(-3.0, 1.5, 1.5), focal_point=(0.0, 1.5, 1.5), view_up=(0, 0, 1), view_width=3.0, view_height=3.0)
     with pytest.MonkeyPatch.context() as patch:
-        kept = sampled_coordinates(patch, volume_module)
+        kept = sampled_coordinates(patch, volume_module, "sample_linear")
         want = render_both(image, camera=camera, width=4, height=4, steps=4)
     on_last_plane = [k for k in kept if 3.0 in np.frombuffer(k)]
     assert on_last_plane and np.isfinite([kept[k] for k in on_last_plane]).any()
@@ -830,10 +875,10 @@ def test_volume_render_samples_exactly_on_the_last_lattice_planes():
 
 def test_volume_render_all_cold_volume_is_never_sampled(monkeypatch):
     def never(*_args, **_kwargs):
-        raise AssertionError("a cold volume reached map_coordinates")
+        raise AssertionError("a cold volume reached the sampler")
 
     image = random_brick(2)
-    monkeypatch.setattr(volume_module, "map_coordinates", never)
+    monkeypatch.setattr(volume_module, "sample_linear", never)
     for kwargs in ({"value_range": (2.0, 3.0)}, {"value_range": (1.0, 1.0)}, {"max_opacity": 0.0}):
         got = volume_render(image, "f", width=16, height=16, **kwargs)
         assert_same_image(got, volume_render_loop(image, "f", width=16, height=16, **kwargs))
@@ -884,8 +929,8 @@ def test_resample_dwi_matches_loop(seed):
 def test_resample_lattice_meshes_with_exact_ties_match_loop(seed, n, dims, half_cell, cutoff_factor):
     """Mesh points on the integer lattice (some twice), voxels on whole
     and half coordinates: most voxels are equidistant from 2, 4 or 8
-    points carrying different values, and the bounded query must pick
-    the one the unbounded query picks."""
+    points carrying different values, and the stencil must pick the one
+    the loop picks, the lowest index."""
     rng = np.random.default_rng(seed)
     lattice = np.argwhere(rng.random((n, n, n)) < 0.6).astype(np.float64)
     if len(lattice) == 0:
@@ -900,7 +945,7 @@ def test_resample_lattice_meshes_with_exact_ties_match_loop(seed, n, dims, half_
 
 
 def test_resample_voxel_at_exactly_the_cutoff_is_inside():
-    """``dist <= cutoff`` is inclusive; the query's bound is exclusive."""
+    """``sqrt(s) <= cutoff`` is inclusive."""
     mesh = point_cloud([(0.0, 0.0, 0.0), (4.0, 4.0, 4.0)], f=[3.0, 5.0])
     want = resample_loop(mesh, (5, 5, 5))  # unit spacing, cutoff 2.0
     assert want.spacing == (1.0, 1.0, 1.0)
@@ -921,43 +966,55 @@ def test_resample_all_outside_and_all_inside():
 
 
 # ---------------------------------------------------------------------------
-# resample_to_image: the lattice pre-filter is a superset
-def queried_targets(patch):
-    """Record the targets ``resample_to_image`` hands to its tree."""
+# resample_to_image: every pair within the cutoff is in its point's box
+def tree_fields(mesh, got, cutoff):
+    """The fields SciPy's unbounded ``cKDTree`` query gives on ``got``'s
+    lattice: the kernel's result wherever no voxel has two equidistant
+    nearest points (the tree then picks by its layout)."""
     from scipy.spatial import cKDTree
 
-    targets = []
-
-    class Recording(cKDTree):
-        def query(self, x, *args, **kwargs):
-            targets.append(np.array(x))
-            return super().query(x, *args, **kwargs)
-
-    patch.setattr(resample_module, "cKDTree", Recording)
-    return targets
-
-
-def resample_checking_the_filter(mesh, dims, **kwargs):
-    """Resample, and check against an unbounded query of *every* voxel of
-    the lattice that came back: the fields are that query's, and no voxel
-    within the cutoff was kept from the tree. Returns the image and the
-    number of targets queried."""
-    from scipy.spatial import cKDTree
-
-    with pytest.MonkeyPatch.context() as patch:
-        targets = queried_targets(patch)
-        got = resample_to_image(mesh, dims, **kwargs)
-    (queried,) = targets
-    cutoff = kwargs.get("cutoff_factor", 2.0) * float(np.mean(got.spacing))
     dist, nearest = cKDTree(mesh.points).query(got.point_coords(), k=1)
     nearest = np.minimum(nearest, mesh.num_points - 1)  # a distance that overflows is a miss
-    asked = {row.tobytes() for row in queried}
-    missed = [row for row in got.point_coords()[dist <= cutoff] if row.tobytes() not in asked]
-    assert not missed, f"{len(missed)} voxels within the cutoff never reached the tree"
-    for name, values in mesh.point_data.items():
-        want = np.where(dist <= cutoff, np.asarray(values, dtype=np.float64)[nearest], 0.0)
-        assert got.field(name).tobytes() == want.reshape(dims).tobytes(), name
-    return got, len(queried)
+    return {
+        name: np.where(dist <= cutoff, np.asarray(values, dtype=np.float64)[nearest], 0.0).reshape(got.dims)
+        for name, values in mesh.point_data.items()
+    }
+
+
+def resample_checking_the_filter(mesh, dims, ties=False, **kwargs):
+    """Resample, and check every (point, voxel) pair of the lattice that
+    came back: none within the cutoff lies outside the point's box
+    (``cutoff_boxes``, the only voxels the stencil pairs it with); and,
+    unless the mesh has exact ties, the fields are the unbounded tree
+    query's. Returns the image and the number of candidate voxels (those
+    in some point's box)."""
+    got = resample_to_image(mesh, dims, **kwargs)
+    cutoff = kwargs.get("cutoff_factor", 2.0) * float(np.mean(got.spacing))
+    points = np.asarray(mesh.points, dtype=np.float64)
+    first, last = resample_module.cutoff_boxes(points, got.origin, got.spacing, cutoff, dims)
+    voxel = np.indices(dims).reshape(3, -1).T  # ravel order, as point_coords()
+    boxed = ((first[:, None] <= voxel) & (voxel < last[:, None])).all(axis=2)  # (points, voxels)
+    d = got.point_coords() - points[:, None]
+    with np.errstate(over="ignore"):  # a point at 1e300 is at distance inf
+        s = (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) + d[..., 2] * d[..., 2]
+    missed = (np.sqrt(s) <= cutoff) & ~boxed
+    assert not missed.any(), f"{missed.sum()} pairs within the cutoff lie outside their point's box"
+    if not ties:
+        for name, want in tree_fields(mesh, got, cutoff).items():
+            assert got.field(name).tobytes() == want.tobytes(), name
+    return got, int(boxed.any(axis=0).sum())
+
+
+@pytest.mark.parametrize("server", range(4))
+def test_resample_dwi_bricks_match_scipys_unbounded_tree(server):
+    """The sixteen bricks ``dwi_volume_real`` resamples at seed 1 (four
+    snapshots, four servers) have no exact ties: the stencil returns the
+    bytes SciPy's tree did."""
+    for snapshot in (1, 11, 20, 30):
+        mesh = dwi_server_mesh(1, snapshot, server)
+        got = resample_to_image(mesh, (32, 32, 32))
+        for name, want in tree_fields(mesh, got, 2.0 * float(np.mean(got.spacing))).items():
+            assert got.field(name).tobytes() == want.tobytes(), (snapshot, name)
 
 
 @pytest.mark.parametrize("origin, spacing", [(0.373, 1.1), (-2.253, 1 / 3), (1000.1, 0.7), (0.0, 1.0)])
@@ -966,16 +1023,16 @@ def test_resample_point_exactly_the_cutoff_from_a_voxel_along_an_axis(origin, sp
     """A mesh point *on* a voxel is two pitches — the cutoff — from the
     voxels two further along each axis, up to the rounding of
     ``origin + spacing * i``: the index box has to take whichever side
-    the tree's own arithmetic lands on."""
+    the distance's own arithmetic lands on."""
     n = 6
     bounds = (origin, origin + spacing * (n - 1)) * 3
     xs = origin + spacing * np.arange(n)
     mesh = point_cloud([(xs[at], xs[1], xs[2])], f=[3.0])
     want = resample_loop(mesh, (n, n, n), bounds=bounds)
     assert_same_grid(resample_to_image(mesh, (n, n, n), bounds=bounds), want)
-    got, queried = resample_checking_the_filter(mesh, (n, n, n), bounds=bounds)
+    got, candidates = resample_checking_the_filter(mesh, (n, n, n), bounds=bounds)
     assert got.field("f")[at, 1, 2] == 3.0 and got.field("f")[at + 1, 1, 3] == 3.0
-    assert queried <= 5**3  # the ball's box, not the lattice
+    assert candidates <= 5**3  # the ball's box, not the lattice
 
 
 def test_resample_point_exactly_the_cutoff_from_a_voxel_along_a_diagonal():
@@ -1007,8 +1064,8 @@ def test_resample_points_outside_explicit_bounds():
         assert_same_grid(resample_to_image(mesh, (9, 8, 7), **kwargs), resample_loop(mesh, (9, 8, 7), **kwargs))
         resample_checking_the_filter(mesh, (9, 8, 7), **kwargs)
     lonely = point_cloud(points[-3:-1], f=[1.0, 2.0])
-    got, queried = resample_checking_the_filter(lonely, (9, 8, 7), bounds=bounds)
-    assert queried == 0 and not got.field("f").any()
+    got, candidates = resample_checking_the_filter(lonely, (9, 8, 7), bounds=bounds)
+    assert candidates == 0 and not got.field("f").any()
 
 
 @pytest.mark.parametrize("flat_axes", [(2,), (0,), (0, 1), (0, 1, 2)])
@@ -1021,15 +1078,14 @@ def test_resample_planar_linear_and_single_point_meshes(flat_axes):
     points = rng.uniform(-1.0, 2.0, (1 if len(flat_axes) == 3 else 40, 3))
     points[:, flat_axes] = 0.25
     mesh = point_cloud(points, f=rng.random(len(points)) + 1.0)
-    got, queried = resample_checking_the_filter(mesh, (6, 7, 5))
+    got, candidates = resample_checking_the_filter(mesh, (6, 7, 5))
     assert all(s > 0.0 for s in got.spacing)
-    assert 0 < np.count_nonzero(got.field("f")) <= queried <= 6 * 7 * 5
+    assert 0 < np.count_nonzero(got.field("f")) <= candidates <= 6 * 7 * 5
 
 
 def test_resample_duplicated_points_resolve_like_the_loop():
     """Coincident mesh points carrying different values are an exact tie
-    at every voxel; whichever the tree reports, it reports for a subset
-    of the targets too."""
+    at every voxel: the lowest index wins, as in the loop."""
     rng = np.random.default_rng(5)
     base = rng.uniform(0.0, 4.0, (25, 3))
     points = np.vstack([base, base[::2], base[::3], base[:1]])
@@ -1037,7 +1093,21 @@ def test_resample_duplicated_points_resolve_like_the_loop():
     want = resample_loop(mesh, (12, 12, 12), cutoff_factor=1.0)
     assert 0 < np.count_nonzero(want.field("f")) < 12**3
     assert_same_grid(resample_to_image(mesh, (12, 12, 12), cutoff_factor=1.0), want)
-    resample_checking_the_filter(mesh, (12, 12, 12), cutoff_factor=1.0)
+    resample_checking_the_filter(mesh, (12, 12, 12), ties=True, cutoff_factor=1.0)
+
+
+@pytest.mark.parametrize("budget", [1, 50, 1000])
+def test_resample_chunk_boundaries_keep_the_lowest_index_among_ties(monkeypatch, budget):
+    """Chunks of one point, of a few and of many: a chunk that improves on
+    a voxel replaces the earlier chunks' winner, one that ties with it
+    does not."""
+    monkeypatch.setattr(resample_module, "_PAIR_BUDGET", budget)
+    rng = np.random.default_rng(9)
+    lattice = np.argwhere(rng.random((4, 4, 4)) < 0.5).astype(np.float64)
+    points = np.vstack([lattice[::-1], lattice[:5], lattice + 0.25])
+    mesh = point_cloud(points, f=np.arange(len(points), dtype=np.float64) + 1.0)
+    for dims, kwargs in (((7, 7, 7), {"bounds": (0.0, 3.0) * 3}), ((5, 6, 7), {"cutoff_factor": 1.0})):
+        assert_same_grid(resample_to_image(mesh, dims, **kwargs), resample_loop(mesh, dims, **kwargs))
 
 
 @settings(max_examples=40, deadline=None)
