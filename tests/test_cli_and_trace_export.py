@@ -170,3 +170,57 @@ def test_cli_report_json(capsys):
     report = json.loads(out[out.index("{"):])
     assert report["iterations"][0]["iteration"] == 1
     assert report["metrics"]["core.executes"]["value"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# byte-identity of the exports on real runs
+def _harness_trace():
+    from repro.bench.harness import ColzaExperiment
+    from repro.core.pipelines import IsoSurfaceScript
+    from repro.na import VirtualPayload
+
+    exp = ColzaExperiment(
+        4, 8, IsoSurfaceScript(field="dist", isovalues=[1.0]),
+        seed=42, width=64, height=64, library="libcolza-iso.so",
+    ).setup()
+    blocks = [[(c, VirtualPayload((8192,), "float64"))] for c in range(8)]
+    for iteration in (1, 2):
+        exp.run_iteration(iteration, blocks)
+    return exp.sim.trace
+
+
+def _chaos_trace():
+    from repro.chaos import run_scenario
+
+    result = run_scenario("tenant_owner_crash_recovery_isolated", seed=3)
+    assert result.ok, result.violations
+    return result.sim.trace
+
+
+#: SHA-256 of the bytes ``write_chrome_trace`` and ``Tracer.to_json``
+#: write. ``digest()`` sorts keys; these do not, so a change to the order
+#: of a span's tags (begin's keys, then end's new keys) shows only here.
+EXPORT_SHAS = {
+    "harness": (
+        "be04f80cbbc02f588ed586f3bf39e94331f9a985168dcb226c81f3ddb5d9b263",
+        "e8aaf26080dc556b7e5418a197146e53b27c4ecf8668104e1b763e9f62e89899",
+    ),
+    "chaos": (
+        "e4b30d60e2f38954669f1f1d2e291afd8c4fd1149261656d175b007f903427d3",
+        "282407d507e7e21d4637203eee22484dad03d5a09535df6d8b89395825ad9803",
+    ),
+}
+
+
+@pytest.mark.parametrize("scene,build", [("harness", _harness_trace), ("chaos", _chaos_trace)])
+def test_exports_of_a_run_are_pinned_byte_for_byte(scene, build, tmp_path):
+    import hashlib
+
+    from repro.telemetry import write_chrome_trace
+
+    trace = build()
+    shas = tuple(
+        hashlib.sha256(open(write(trace, str(tmp_path / name)), "rb").read()).hexdigest()
+        for name, write in (("chrome.json", write_chrome_trace), ("trace.json", type(trace).to_json))
+    )
+    assert shas == EXPORT_SHAS[scene], shas
