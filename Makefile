@@ -3,7 +3,7 @@
 .PHONY: install test chaos autoscale lint check check-fast report sarif mcheck fidelity bench-e2e bench-e2e-smoke bench-e2e-ab profile-e2e examples clean
 
 install:
-	pip install -e . --no-build-isolation
+	pip install -e .[test] --no-build-isolation
 
 test:
 	pytest tests/

@@ -50,27 +50,32 @@ class IterationTiming:
     @classmethod
     def from_span(cls, span: Span) -> "IterationTiming":
         """Derive the phase breakdown from one ``colza.iteration``
-        :class:`~repro.sim.trace.Span`.
+        :class:`~repro.sim.trace.Span`: its children's names and times,
+        read off the tracer's columns through the child index.
 
         Children arrive in span-begin order, so the stage sum
         accumulates in the same order the flat-list scraping used to —
         bit-identical totals on the same seed.
         """
-
-        def durations(name: str) -> List[float]:
-            return [c.duration for c in span.children if c.name == name and c.end is not None]
-
-        stages = durations("colza.stage")
-        activate = durations("colza.activate")
-        execute = durations("colza.execute")
-        deactivate = durations("colza.deactivate")
+        store = span.store
+        last = {"colza.activate": 0.0, "colza.execute": 0.0, "colza.deactivate": 0.0}
+        stage_total, stages = 0, 0
+        for row in store.child_rows(span.id - store.first_id):
+            end, name = store.end[row], store.kind_list[store.kind[row]].name
+            if end != end:  # NaN: unfinished
+                continue
+            if name == "colza.stage":
+                stage_total += end - store.start[row]
+                stages += 1
+            elif name in last:
+                last[name] = end - store.start[row]
         return cls(
             iteration=span.tags.get("iteration", -1),
-            activate=activate[-1] if activate else 0.0,
-            stage_total=sum(stages),
-            stage_mean=sum(stages) / len(stages) if stages else 0.0,
-            execute=execute[-1] if execute else 0.0,
-            deactivate=deactivate[-1] if deactivate else 0.0,
+            activate=last["colza.activate"],
+            stage_total=stage_total,
+            stage_mean=stage_total / stages if stages else 0.0,
+            execute=last["colza.execute"],
+            deactivate=last["colza.deactivate"],
             n_servers=span.tags.get("n_servers", 0),
         )
 

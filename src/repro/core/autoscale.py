@@ -301,20 +301,12 @@ class SloAutoscaler:
         stepped between iterations, so a matching span still in flight
         at step time is not expected (and would only cost one sample).
         """
-        spans = self.sim.trace.spans
+        trace = self.sim.trace
         fresh = 0
         for tenant in sorted(self.tenants):
             st = self._states[tenant]
-            wire = self._wire(tenant)
             deadline = self._deadline(tenant)
-            for i in range(st.span_cursor, len(spans)):
-                s = spans[i]
-                if (
-                    s.name != "colza.execute"
-                    or s.end is None
-                    or s.tags.get("pipeline") != wire
-                ):
-                    continue
+            for s in trace.find("colza.execute", st.span_cursor, pipeline=self._wire(tenant)):
                 n = max(1, len(self.deployment.live_daemons()))
                 work = s.duration * n
                 st.works.append(work)
@@ -327,7 +319,7 @@ class SloAutoscaler:
                 if s.duration > deadline:
                     st.misses += 1
                     self._scope.counter("slo_miss").inc()
-            st.span_cursor = len(spans)
+            st.span_cursor = len(trace.spans)
         return fresh
 
     # ------------------------------------------------------------------

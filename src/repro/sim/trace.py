@@ -16,13 +16,14 @@ Async operations whose begin and end live in different execution
 contexts (message transits, RDMA) use :meth:`Tracer.begin_async`: the
 span records its parent but never becomes anyone's "current" span.
 
-:class:`Span` *is* the tree node and the :class:`Tracer` is the tree's
-only owner: a span is appended to its parent's ``children`` when it
-begins, and nothing else ever builds or mutates that list. Readers —
-:class:`repro.bench.harness.IterationTiming`, the critical-path
-analyzer, ``tree_shape`` — take a ``Span`` and walk ``span.children``;
-asking about one iteration costs its own subtree, not the whole
-history.
+The :class:`Tracer` keeps spans in a :class:`SpanStore`: typed columns,
+one flat list of tag values and a child index. ``begin`` hands out a
+:class:`Span` as the open span's handle (for the stack, ``end`` and the
+RPC trace context); ``end`` writes it into the columns and forgets it,
+so a finished span is its column cells and nothing else.
+``tracer.spans`` reads ``Span`` rows back out, and ``span.children``
+walks the index: asking about one iteration costs its own subtree, not
+the whole history.
 
 Disabled tracing (``tracer.enabled = False``) is a true no-op: spans
 begun while disabled are never recorded, and ending them neither
@@ -32,10 +33,12 @@ mutates them nor fires ``on_end`` callbacks.
 from __future__ import annotations
 
 import sys
+from array import array
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
-__all__ = ["Span", "Tracer", "canonical_tags"]
+__all__ = ["Span", "SpanKind", "SpanStore", "Tracer", "canonical_tags"]
 
 
 @dataclass(slots=True)
@@ -57,18 +60,20 @@ class Span:
     #: False when begun while tracing was disabled: the span was dropped
     #: at begin time and end() must treat it as a no-op.
     recorded: bool = True
-    #: Spans begun under this one, in id order. Linked by the Tracer at
-    #: begin time and derived from ``parent``, so never serialized or
-    #: compared — ``to_records()``/``digest()`` carry ``parent`` only.
-    #: The shared ``()`` until the first child: most spans are leaves,
-    #: and a list each is one more GC-tracked container per message.
-    children: Sequence["Span"] = field(default=(), repr=False, compare=False)
+    #: The store holding its row (None if unrecorded); never compared.
+    store: Optional["SpanStore"] = field(default=None, repr=False, compare=False)
 
     @property
     def duration(self) -> float:
         if self.end is None:
             raise ValueError(f"span {self.name!r} not finished")
         return self.end - self.start
+
+    @property
+    def children(self) -> List["Span"]:
+        """Spans begun under this one, in id order, off the child index."""
+        store = self.store
+        return [] if store is None else list(map(store.row, store.child_rows(self.id - store.first_id)))
 
     def walk(self) -> Iterator["Span"]:
         """Pre-order traversal of this subtree (self included)."""
@@ -84,6 +89,89 @@ class Span:
 #: hot layers (fabric, mercury, margo) open spans on every message.
 _DISABLED_SPAN = Span(name="<disabled>", start=0.0, recorded=False)
 _DISABLED_ASYNC_SPAN = Span(name="<disabled>", start=0.0, detached=True, recorded=False)
+
+
+class SpanKind(NamedTuple):
+    """What a row's ``kind`` code stands for (~1k kinds per ~40k spans);
+    ``keys`` in insertion order: begin's tags, then end's new ones."""
+
+    name: str
+    task: str
+    detached: bool
+    keys: Tuple[str, ...]
+
+
+_CHUNK = 4096  # rows added at a time: a span's cells are stores, not appends
+
+
+class SpanStore(SequenceABC):
+    """Spans ``first_id`` to ``next_id - 1``, row ``i`` being span
+    ``first_id + i``: as a sequence, :class:`Span` rows built on each
+    read (compare them by ``id``, not identity). Columns: ``start``,
+    ``end`` (NaN while open), ``parent`` (-1: a root), ``kind`` (into
+    ``kind_list``), ``tag_at`` (into ``values``) and the child index
+    ``last_child`` / ``prev_sibling`` (rows; -1: none) — 40 bytes a row,
+    8 a tag value, under 2**31 of each. An open span's handle, which
+    holds its tags, is in ``open`` until it ends.
+    """
+
+    __slots__ = (
+        "first_id", "next_id", "start", "end", "parent", "kind", "tag_at", "last_child",
+        "prev_sibling", "values", "nvalues", "kinds", "kind_list", "open",
+    )
+
+    def __init__(self, first_id: int = 0):
+        self.first_id = self.next_id = first_id
+        self.start, self.end, self.parent = array("d"), array("d"), array("q")
+        self.kind, self.tag_at = array("i"), array("i")
+        self.last_child, self.prev_sibling = array("i"), array("i")
+        self.values: List[Any] = []
+        self.nvalues = 0
+        self.kinds: Dict[tuple, Tuple[int, int]] = {}
+        self.kind_list: List[SpanKind] = []
+        self.open: Dict[int, Span] = {}
+
+    def __len__(self) -> int:
+        return self.next_id - self.first_id
+
+    def __getitem__(self, index):
+        rows = range(len(self))[index]
+        return [self.row(i) for i in rows] if isinstance(rows, range) else self.row(rows)
+
+    def grow(self) -> None:
+        """Add a chunk of rows, pre-filled as "open, a root, childless"."""
+        nan = float("nan")
+        for column, fill in (
+            (self.start, nan), (self.end, nan), (self.parent, -1), (self.kind, 0),
+            (self.tag_at, 0), (self.last_child, -1), (self.prev_sibling, -1),
+        ):
+            column.extend(array(column.typecode, [fill]) * _CHUNK)
+
+    def child_rows(self, i: int) -> List[int]:
+        """Rows of row ``i``'s children, in id order: O(children), and no
+        call per child (``+=``, not ``append``: cProfile counts those)."""
+        rows: List[int] = []
+        child = self.last_child[i]
+        while child >= 0:
+            rows += (child,)
+            child = self.prev_sibling[child]
+        rows.reverse()
+        return rows
+
+    def tag_items(self, kind: SpanKind, at: int) -> Iterable[Tuple[str, Any]]:
+        """A finished row's tags as ``(key, value)`` pairs."""
+        return zip(kind.keys, self.values[at:at + len(kind.keys)])
+
+    def row(self, i: int) -> Span:
+        """Row ``i``: the handle while the span is open, else a new Span."""
+        span_id = self.first_id + i
+        live = self.open.get(span_id)
+        if live is not None:
+            return live
+        kind, parent = self.kind_list[self.kind[i]], self.parent[i]
+        tags = dict(self.tag_items(kind, self.tag_at[i]))
+        return Span(kind.name, self.start[i], self.end[i], tags, span_id,
+                    None if parent < 0 else parent, kind.task, kind.detached, True, self)
 
 
 class _SpanContext:
@@ -110,8 +198,9 @@ class _SpanContext:
         return None
 
 
-def canonical_tags(tags: Dict[str, Any]) -> Dict[str, Any]:
-    """Deterministically JSON-serializable copy of ``tags`` (or raise).
+def canonical_tags(tags: Union[Dict[str, Any], Iterable[Tuple[str, Any]]]) -> Dict[str, Any]:
+    """Deterministically JSON-serializable copy of ``tags`` — a dict or
+    ``(key, value)`` pairs — (or raise).
 
     Accepted: JSON primitives, lists/tuples/dicts thereof, numpy
     scalars (converted), and objects with a ``uri`` attribute
@@ -119,7 +208,12 @@ def canonical_tags(tags: Dict[str, Any]) -> Dict[str, Any]:
     ``TypeError``: default ``repr`` carries memory addresses, which
     would silently break digest stability.
     """
-    return {str(k): _canonical(v) for k, v in tags.items()}
+    pairs = tags.items() if isinstance(tags, dict) else tags
+    return {str(k): v if type(v) in _PLAIN else _canonical(v) for k, v in pairs}
+
+
+#: Tag value types that :func:`_canonical` returns as they are.
+_PLAIN = frozenset((str, int, float, bool, type(None)))
 
 
 def _canonical(value: Any) -> Any:
@@ -146,10 +240,10 @@ def _canonical(value: Any) -> Any:
 def _span_opener(method: str, detached: bool, doc: str):
     """The body of :meth:`Tracer.begin` and :meth:`Tracer.begin_async`,
     bound to ``detached``: resolve the span's context (task, parent,
-    stack), link it under its parent and — unless ``detached`` — push
-    it on the context's stack, in the one call the layers make per
-    message. ``tags`` is the caller's fresh ``**tags`` dict and becomes
-    the span's own."""
+    stack), write its row, link it under its parent and — unless
+    ``detached`` — push its handle on the context's stack, in the one
+    call the layers make per message. ``tags`` is the caller's fresh
+    ``**tags`` dict and holds the span's tags until it ends."""
     unrecorded = _DISABLED_ASYNC_SPAN if detached else _DISABLED_SPAN
 
     def open_span(
@@ -175,18 +269,26 @@ def _span_opener(method: str, detached: bool, doc: str):
             parent_id = parent.id if parent.recorded else None
         else:
             parent_id = int(parent)
-        span_id = self._ids
-        self._ids = span_id + 1
-        span = Span(name, sim._now, None, tags, span_id, parent_id, task_name, detached)
-        # A parent dropped by clear() keeps its id on the child but no
-        # longer indexes ``spans``: recorded, not linked.
-        if parent_id is not None and self._first_id <= parent_id < span_id:
-            above = self.spans[parent_id - self._first_id]
-            if above.children:
-                above.children.append(span)
-            else:
-                above.children = [span]
-        self.spans.append(span)
+        store = self.spans
+        span_id = store.next_id
+        store.next_id = span_id + 1
+        i = span_id - store.first_id
+        now = sim._now
+        span = Span(name, now, None, tags, span_id, parent_id, task_name, detached, True, store)
+        store.open[span_id] = span
+        try:
+            store.start[i] = now
+        except IndexError:  # the first row of a chunk
+            store.grow()
+            store.start[i] = now
+        if parent_id is not None:
+            store.parent[i] = parent_id
+            # A parent dropped by clear() keeps its id on the child but
+            # is not in this store: recorded, not linked.
+            above = parent_id - store.first_id
+            if 0 <= above < i:
+                store.prev_sibling[i] = store.last_child[above]
+                store.last_child[above] = i
         if not detached:
             if stack is None:
                 task.trace_stack = [span]
@@ -209,17 +311,14 @@ class Tracer:
 
     def __init__(self, sim: "Any"):
         self._sim = sim
-        self.spans: List[Span] = []
+        #: The spans since the last clear(), which starts a new store.
+        self.spans = SpanStore()
         self.counters: Dict[str, float] = {}
         self.enabled = True
         #: Callbacks invoked with each span as it finishes (invariant
         #: monitors, live dashboards). Exceptions propagate — a checker
         #: failing is a test failure, not something to swallow.
         self.on_end: List[Any] = []
-        self._ids = 0
-        #: Id of ``spans[0]``: ids are dense, so span ``i`` sits at
-        #: ``spans[i - _first_id]`` (clear() drops spans, never ids).
-        self._first_id = 0
         #: Span stack for code running outside any task.
         self._root_stack: List[Span] = []
 
@@ -257,7 +356,8 @@ class Tracer:
     )
 
     def end(self, span: Span, **tags: Any) -> Span:
-        """Close a span at the current simulated time.
+        """Close a span at the current simulated time: its end and tags
+        go to the store's columns, which keep no reference to ``span``.
 
         No-op for unrecorded spans (begun while disabled) and for spans
         already ended — disabled tracing and double-ends must not
@@ -266,9 +366,27 @@ class Tracer:
         if not span.recorded or span.end is not None:
             return span
         sim = self._sim
-        span.end = sim._now
+        now = span.end = sim._now
+        own = span.tags
         if tags:
-            span.tags.update(tags)
+            own |= tags
+        store = span.store
+        i = span.id - store.first_id
+        store.end[i] = now
+        key = span.name, span.task, span.detached, tuple(own)
+        try:
+            store.kind[i], width = store.kinds[key]
+        except KeyError:  # a new kind
+            store.kind[i], width = store.kinds[key] = (len(store.kind_list), len(own))
+            store.kind_list.append(SpanKind(*key))
+        # Values in the dict's order (begin's keys, then end's new ones):
+        # the order the exports write.
+        if width:
+            store.tag_at[i] = at = store.nvalues
+            values = store.values
+            values += own.values()
+            store.nvalues = at + width
+        del store.open[span.id]
         if not span.detached:
             # Nearly always the span closes where it opened and is the
             # top of that context's stack; anything else unwinds.
@@ -307,45 +425,52 @@ class Tracer:
             self.counters[counter] = self.counters.get(counter, 0.0) + amount
 
     # ------------------------------------------------------------------
-    def find(self, name: str, **tags: Any) -> Iterator[Span]:
-        """Finished spans matching name and all given tag values."""
-        for span in self.spans:
-            if span.name != name or span.end is None:
-                continue
-            if all(span.tags.get(k) == v for k, v in tags.items()):
-                yield span
+    def find(self, name: str, first: int = 0, /, **tags: Any) -> Iterator[Span]:
+        """Finished spans named ``name`` with all the given tag values, in
+        id order, from row ``first`` on (a reader's cursor)."""
+        store = self.spans
+        codes = {code for code, kind in enumerate(store.kind_list) if kind.name == name}
+        cells = zip(store.kind[first:], store.end[first:])
+        for i, (code, end) in enumerate(cells, first):
+            if code in codes and end == end:  # named ``name``, and ended
+                span = store.row(i)
+                if all(span.tags.get(k) == v for k, v in tags.items()):
+                    yield span
 
     def durations(self, name: str, **tags: Any) -> List[float]:
         """Durations of all matching finished spans."""
         return [s.duration for s in self.find(name, **tags)]
 
     def clear(self) -> None:
-        """Drop every recorded span and counter. Ids keep counting, and
-        spans still open on a task's stack stay valid parents *by id*
-        only: what begins under them afterwards is a root of the new
-        forest."""
-        self.spans.clear()
+        """Drop every recorded span and counter: a new store, ids keep
+        counting. Rows and handles read before keep the old store (their
+        ``children`` stay as they were); a span still open on a task's
+        stack ends into it and stays a valid parent *by id* only: what
+        begins under it afterwards is a root of the new forest."""
+        self.spans = SpanStore(self.spans.next_id)
         self.counters.clear()
         self._root_stack.clear()
-        self._first_id = self._ids
 
     # ------------------------------------------------------------------
     # export / summaries
     def to_records(self) -> List[Dict[str, Any]]:
         """Finished spans as deterministic plain dicts (see
         :func:`canonical_tags` for the tag contract)."""
+        store = self.spans
+        kinds = store.kind_list
+        cells = zip(store.kind, store.start, store.end, store.parent, store.tag_at)
         return [
             {
-                "id": s.id,
-                "parent": s.parent,
-                "name": s.name,
-                "task": s.task,
-                "start": s.start,
-                "end": s.end,
-                "tags": canonical_tags(s.tags),
+                "id": store.first_id + i,
+                "parent": None if parent < 0 else parent,
+                "name": kinds[code].name,
+                "task": kinds[code].task,
+                "start": start,
+                "end": end,
+                "tags": canonical_tags(store.tag_items(kinds[code], at)),
             }
-            for s in self.spans
-            if s.end is not None
+            for i, (code, start, end, parent, at) in enumerate(cells)
+            if end == end  # not NaN: finished (rows not begun read as open)
         ]
 
     def to_json(self, path: str) -> str:
@@ -386,14 +511,16 @@ class Tracer:
         p50 and p99 (quantiles via the deterministic sketch)."""
         from repro.telemetry.sketch import QuantileSketch
 
-        sketches: Dict[str, QuantileSketch] = {}
-        for span in self.spans:
-            if span.end is None:
-                continue
-            sketch = sketches.get(span.name)
-            if sketch is None:
-                sketch = sketches[span.name] = QuantileSketch()
-            sketch.add(span.duration)
+        store = self.spans
+        sketches: Dict[str, QuantileSketch] = {}  # by name, in order of first finish
+        of_kind: List[Optional[QuantileSketch]] = [None] * len(store.kind_list)
+        for code, start, end in zip(store.kind, store.start, store.end):
+            if end == end:  # not NaN: finished
+                sketch = of_kind[code]
+                if sketch is None:
+                    name = store.kind_list[code].name
+                    sketch = of_kind[code] = sketches.setdefault(name, QuantileSketch())
+                sketch.add(end - start)
         agg: Dict[str, Dict[str, float]] = {}
         for name, sketch in sketches.items():
             agg[name] = {

@@ -8,8 +8,8 @@ The measurement layer the evaluation stands on (ISSUE 2). Three parts:
   :class:`~repro.sim.kernel.Simulation` as ``sim.metrics``;
 - :mod:`repro.telemetry.tree` / :mod:`repro.telemetry.critical_path` —
   analyses over the span tree the :class:`~repro.sim.trace.Tracer` owns
-  (a :class:`~repro.sim.trace.Span` is the node; nothing here builds
-  span-shaped objects): the golden-fixture shape summary and the
+  (a column store read through :class:`~repro.sim.trace.Span` rows and
+  its child index): the golden-fixture shape summary and the
   critical-path analyzer that attributes a timestep's wall clock to
   fabric/compute/gossip/protocol without double counting;
 - :mod:`repro.telemetry.export` — Chrome ``trace_event`` JSON (opens in

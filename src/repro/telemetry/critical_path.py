@@ -25,7 +25,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.sim.trace import Span
+from repro.sim.trace import Span, SpanStore
 
 __all__ = ["Attribution", "CriticalPathAnalyzer", "LAYER_OF", "layer_of"]
 
@@ -120,8 +120,8 @@ class CriticalPathAnalyzer:
         # Finished descendants clipped to the parent window, as heap
         # entries (start, -depth, -span.start, -id, end, name).
         intervals: List[Tuple[float, int, float, int, float, str]] = []
-        for child in span.children:
-            self._collect(child, depth=1, lo=lo, hi=hi, out=intervals)
+        if span.store is not None:
+            self._collect(span.store, span.id - span.store.first_id, lo, hi, intervals)
         if not intervals:
             out.idle = out.duration
             return out
@@ -147,21 +147,22 @@ class CriticalPathAnalyzer:
                 out.by_name[name] = out.by_name.get(name, 0.0) + width
         return out
 
-    def _collect(
-        self,
-        span: Span,
-        depth: int,
-        lo: float,
-        hi: float,
-        out: List[Tuple[float, int, float, int, float, str]],
-    ) -> None:
-        if span.end is not None:
-            start = max(span.start, lo)
-            end = min(span.end, hi)
-            if end > start:
-                out.append((start, -depth, -span.start, -span.id, end, span.name))
-        for child in span.children:
-            self._collect(child, depth + 1, lo, hi, out)
+    @staticmethod
+    def _collect(store: SpanStore, row: int, lo: float, hi: float, out: List[tuple]) -> None:
+        """Append ``row``'s finished descendants, in any order (sorted later)."""
+        starts, ends, codes, kinds = store.start, store.end, store.kind, store.kind_list
+        todo = [(row, 1)]
+        while todo:
+            row, depth = todo.pop()
+            for child in store.child_rows(row):
+                span_start, span_end = starts[child], ends[child]
+                if span_end == span_end:  # not NaN: finished
+                    start = lo if lo > span_start else span_start
+                    end = hi if hi < span_end else span_end
+                    if end > start:
+                        name = kinds[codes[child]].name
+                        out.append((start, -depth, -span_start, -(store.first_id + child), end, name))
+                todo.append((child, depth + 1))
 
     # ------------------------------------------------------------------
     def iteration_breakdown(self, span: Span) -> Dict[str, object]:
@@ -169,10 +170,12 @@ class CriticalPathAnalyzer:
         attribution = self.attribute(span)
         attribution.check_conservation()
         phases: Dict[str, float] = {}
-        for child in span.children:
-            if child.end is not None and child.name.startswith("colza."):
-                phase = child.name.split(".", 1)[1]
-                phases[phase] = phases.get(phase, 0.0) + child.duration
+        store = span.store
+        for row in store.child_rows(span.id - store.first_id):
+            end, name = store.end[row], store.kind_list[store.kind[row]].name
+            if end == end and name.startswith("colza."):  # finished (not NaN)
+                phase = name.split(".", 1)[1]
+                phases[phase] = phases.get(phase, 0.0) + (end - store.start[row])
         return {
             "iteration": span.tags.get("iteration"),
             "duration": attribution.duration,

@@ -30,7 +30,7 @@ __all__ = [
 
 
 def chrome_trace_events(tracer) -> List[Dict[str, Any]]:
-    """All finished spans as Chrome trace events (+ counter totals)."""
+    """All finished spans as Chrome trace events, off the tracer's columns."""
     events: List[Dict[str, Any]] = []
     tids: Dict[str, int] = {}
 
@@ -50,37 +50,29 @@ def chrome_trace_events(tracer) -> List[Dict[str, Any]]:
             )
         return tid
 
-    for span in tracer.spans:
-        if span.end is None:
+    store = tracer.spans
+    kinds, values = store.kind_list, store.values
+    cats = [layer_of(kind.name) for kind in kinds]  # per kind code
+    widths = [len(kind.keys) for kind in kinds]
+    cells = zip(store.kind, store.start, store.end, store.parent, store.tag_at)
+    for i, (code, start, end, parent, at) in enumerate(cells):
+        if end != end:  # NaN: open, or a row not begun
             continue
-        args = canonical_tags(span.tags)
-        args["span_id"] = span.id
-        if span.parent is not None:
-            args["parent_span_id"] = span.parent
-        common = {
-            "name": span.name,
-            "cat": layer_of(span.name),
-            "pid": 0,
-            "tid": tid_for(span.task),
-            "args": args,
-        }
-        if span.detached:
+        kind = kinds[code]
+        span_id = store.first_id + i
+        args = canonical_tags(zip(kind.keys, values[at:at + widths[code]]))
+        args["span_id"] = span_id
+        if parent >= 0:
+            args["parent_span_id"] = parent
+        common = {"name": kind.name, "cat": cats[code], "pid": 0, "tid": tid_for(kind.task), "args": args}
+        if kind.detached:
             # Async pair: renders as its own nestable track slice, so
             # overlapping message transits don't corrupt task tracks.
-            events.append(
-                {**common, "ph": "b", "id": span.id, "ts": span.start * 1e6}
-            )
-            events.append(
-                {**common, "ph": "e", "id": span.id, "ts": span.end * 1e6}
-            )
+            events.append({**common, "ph": "b", "id": span_id, "ts": start * 1e6})
+            events.append({**common, "ph": "e", "id": span_id, "ts": end * 1e6})
         else:
             events.append(
-                {
-                    **common,
-                    "ph": "X",
-                    "ts": span.start * 1e6,
-                    "dur": (span.end - span.start) * 1e6,
-                }
+                {**common, "ph": "X", "ts": start * 1e6, "dur": (end - start) * 1e6}
             )
     return events
 

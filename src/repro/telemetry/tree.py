@@ -1,7 +1,7 @@
 """The timestamp-free *shape* of a span subtree.
 
-:class:`~repro.sim.trace.Span` is the tree node (the tracer links
-``children`` at begin time); this module only summarizes a subtree into
+:class:`~repro.sim.trace.Span` rows list their ``children`` off the
+tracer's child index; this module only summarizes a subtree into
 the shape the golden-trace regression tests pin: names, nesting and
 counts, never timestamps.
 """

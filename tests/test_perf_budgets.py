@@ -205,6 +205,51 @@ def test_run_iteration_cost_is_independent_of_trace_history():
     assert abs(aged - fresh) <= 0.01 * fresh, (fresh, aged)
 
 
+def _span_scene(trace, addresses, n_async=20_000, n_nested=2_000):
+    """``n_async`` message transits shaped like ``na.send`` (two
+    addresses and a size as it begins, ``dropped`` as it ends), then
+    ``n_nested`` spans two deep: an RPC and the compute it charges."""
+    sizes = (112, 4096, 65_536)
+    for k in range(n_async):
+        span = trace.begin_async(
+            "na.send", src=addresses[k % 8], dest=addresses[(k + 1) % 8], nbytes=sizes[k % 3]
+        )
+        trace.end(span, dropped=False)
+    for k in range(n_nested // 2):
+        outer = trace.begin("hg.forward", rpc="echo", dest=addresses[k % 8])
+        trace.end(trace.begin("margo.compute", instance="a", seconds=0.5))
+        trace.end(outer, status="ok")
+
+
+def test_a_finished_span_keeps_no_python_object():
+    """A finished span is its cells in the tracer's columns: 22 000 of
+    them (20 000 ``na.send``-shaped, 2 000 nested) add at most 0.01
+    GC-tracked objects and 96 traced bytes each, whatever their tags
+    hold (-0.001 and 82.5 measured). While the tracer kept a ``Span``
+    object, a tags dict and a children list per span, the same scene
+    added 2.0 objects and 340 bytes a span."""
+    import tracemalloc
+
+    from repro.na import Address
+
+    sim = Simulation(seed=1)
+    addresses = [Address(f"na+sim://nid{n:05d}/colza-{n}") for n in range(8)]
+    _span_scene(sim.trace, addresses, 100, 100)  # every kind of span seen once
+    gc.collect()
+    objects = len(gc.get_objects())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _span_scene(sim.trace, addresses)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    tracked, finished = len(gc.get_objects()) - objects, 22_000
+    assert tracked / finished <= 0.01, tracked
+    assert grown / finished <= 96, grown / finished
+
+
 # ---------------------------------------------------------------------------
 # the message path: one flat hop per message (counts, exact for a seed)
 def _echo_pair():
@@ -326,8 +371,11 @@ def test_a_steady_prepare_and_its_yes_votes_cost_a_pinned_call_count():
     """Terminal SWIM records ride a prepare only when the coordinator
     holds some (docs/protocols.md §2, R3): a round with nothing to relay
     — the client's ``_prepare``, both handlers and both YES replies —
-    makes exactly the 658 Python + C calls it made before records rode
-    the 2PC. Stepped event by event, so no background SWIM work lands
+    makes exactly 648 Python + C calls: the 658 it made before records
+    rode the 2PC, less ten, since its 8 spans became column rows (no
+    ``list.append`` into the tracer or a parent's children, end tags
+    merged by ``|=``, not ``dict.update``; one ``dict.values`` as each
+    span ends). Stepped event by event, so no background SWIM work lands
     inside the count. Summed per profiler entry: ``pstats`` keys entries
     by label, and two that share one overwrite each other in an order
     that varies from process to process."""
@@ -346,7 +394,7 @@ def test_a_steady_prepare_and_its_yes_votes_cost_a_pinned_call_count():
     names, _ = _profiled_entries(one_round)
     votes, dissent = rounds[-1]
     assert dissent is None and [v["vote"] for v in votes] == ["yes", "yes"]
-    assert sum(names.values()) == 658, sum(names.values())
+    assert sum(names.values()) == 648, sum(names.values())
 
 
 def test_an_uninstrumented_iteration_calls_no_interceptor_hook():

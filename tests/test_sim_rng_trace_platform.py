@@ -88,7 +88,7 @@ def test_tracer_clear():
     sim.trace.end(span)
     sim.trace.add("c")
     sim.trace.clear()
-    assert sim.trace.spans == []
+    assert list(sim.trace.spans) == []
     assert sim.trace.counters == {}
 
 

@@ -1,12 +1,13 @@
 """Structural oracle for the single span model.
 
-``Span`` is the tree node and the ``Tracer`` links ``children`` when a
-span begins (stack parent, spawn-inherited parent, or an RPC
-trace-context id). The reference implementation lives *here*: rebuild
-the forest from scratch out of the ``parent`` ids the tracer serializes
-and require that the live ``children`` lists are exactly that — on a
-harness run, on chaos runs (drops, churn, a crash under two tenants),
-and on a run that calls ``Tracer.clear()`` with spans still open.
+The ``Tracer`` links a span into its store's child index when the span
+begins (stack parent, spawn-inherited parent, or an RPC trace-context
+id), and ``Span.children`` reads it back. The reference implementation
+lives *here*: rebuild the forest from scratch out of the ``parent`` ids
+the tracer serializes and require that ``children`` is exactly that —
+on a harness run, on chaos runs (drops, churn, a crash under two
+tenants), and on a run that calls ``Tracer.clear()`` with spans still
+open.
 """
 
 import pytest
@@ -45,7 +46,7 @@ def _assert_children_match_parent_ids(trace, min_spans, min_depth=2):
         assert linked == children[s.id], f"span #{s.id} {s.name!r}"
         assert linked == sorted(linked)
         for c in s.children:
-            assert by_id[c.id] is c and c.parent == s.id
+            assert by_id[c.id] == c and c.parent == s.id
             listed[c.id] = listed.get(c.id, 0) + 1
     # Exactly once under its parent; roots under nobody.
     assert listed == {s.id: 1 for s in spans if s.id not in roots}
@@ -130,12 +131,13 @@ def test_children_never_reach_records_or_digest():
         with sim.trace.span("outer"):
             sim.trace.end(sim.trace.begin("inner", n=1))
         if tamper:
-            sim.trace.spans[0].children.clear()
+            sim.trace.spans.last_child[0] = -1  # unlink "inner" from the index
         return sim.trace
 
     plain, tampered = program(False), program(True)
+    assert plain.spans[0].children and not tampered.spans[0].children
     assert plain.digest() == tampered.digest()
     assert plain.to_records() == tampered.to_records()
     assert all("children" not in record for record in plain.to_records())
-    assert plain.spans[0] == tampered.spans[0]  # compare=False
+    assert plain.spans[0] == tampered.spans[0]  # children is not a field
     assert "children" not in repr(plain.spans[0])

@@ -119,7 +119,7 @@ def test_disabled_begin_end_is_noop():
     assert span.id == -1
     assert span.end is None  # end() must not mutate unrecorded spans
     assert "outcome" not in span.tags
-    assert sim.trace.spans == []
+    assert list(sim.trace.spans) == []
     assert fired == []
 
     async_span = sim.trace.begin_async("ghost.async")

@@ -16,7 +16,9 @@ seed — and prints, for the timed section alone:
   the table to size a change to ``py_calls_m`` with, layer by layer;
 - a census of the cyclic collector: collections and seconds per
   generation, read through ``gc.callbacks`` on a second, unprofiled run
-  (a callback under the profiler would add its own calls to the count);
+  (a callback under the profiler would add its own calls to the count),
+  then, at the end of that run, the GC-tracked objects by type (top 5)
+  and the bytes per span the tracer's span store holds;
 - with ``--garbage``, a third run with the collector *off*: what one
   ``gc.collect()`` afterwards finds unreachable, by type — the objects
   only the cyclic collector can free, i.e. what the collections of the
@@ -82,12 +84,13 @@ def _set_up(workload) -> None:
     workload.setup()
 
 
-def _timed_section(args: argparse.Namespace) -> Callable[[], None]:
-    """The workload with inputs made and set-up done; returns its ``run``."""
+def _ready(args: argparse.Namespace):
+    """The workload with inputs made and set-up done: ``run`` is its
+    timed section."""
     workload = _workload(args)
     _set_up(workload)
     gc.collect()
-    return workload.run
+    return workload
 
 
 def _profiled(args: argparse.Namespace, what: str, call: Callable[..., None], *call_args) -> int:
@@ -145,7 +148,7 @@ def _print_by_module(entries, top: int) -> None:
 
 
 def profile(args: argparse.Namespace) -> None:
-    calls = _profiled(args, "the timed section", _timed_section(args))
+    calls = _profiled(args, "the timed section", _ready(args).run)
     print(f"total calls: {calls}  (py_calls_m {calls / 1e6:.6f})")
 
 
@@ -216,9 +219,10 @@ def _sender(trace, span) -> str:
     """What a message or bulk transfer was sent for: its nearest ancestor
     span outside ``na`` — for an RPC's request or reply (``hg.*``), the
     RPC it carries."""
+    store = trace.spans
     parent = span.parent
-    while parent is not None and parent >= trace._first_id:
-        above = trace.spans[parent - trace._first_id]
+    while parent is not None and parent >= store.first_id:
+        above = store.row(parent - store.first_id)
         if above.name.startswith("hg."):
             return str(above.tags.get("rpc"))
         if not above.name.startswith("na."):
@@ -274,7 +278,8 @@ def import_census(args: argparse.Namespace) -> int:
 
 
 def gc_census(args: argparse.Namespace) -> None:
-    run = _timed_section(args)
+    workload = _ready(args)
+    run = workload.run
     collections: Dict[int, int] = Counter()
     seconds: Dict[int, float] = Counter()
     started: List[float] = []
@@ -298,10 +303,19 @@ def gc_census(args: argparse.Namespace) -> None:
     for generation in range(3):
         print(f"{generation:>10d} {collections[generation]:>12d} {seconds[generation]:>9.4f}")
     print(f"{'all':>10s} {sum(collections.values()):>12d} {sum(seconds.values()):>9.4f}")
+    tracked = Counter(type(obj).__name__ for obj in gc.get_objects())
+    store = workload.sim.trace.spans
+    # The store's own containers (columns, tag-value list, kind tables),
+    # not the tag values it shares with the program.
+    retained = sum(sys.getsizeof(part) for part in gc.get_referents(store)
+                   if not isinstance(part, (int, type)))
+    print(f"at the end: {sum(tracked.values())} GC-tracked objects, most: "
+          + ", ".join(f"{name} {count}" for name, count in tracked.most_common(5))
+          + f"; the tracer holds {retained / max(len(store), 1):.1f} B per span ({len(store)} spans)")
 
 
 def garbage_census(args: argparse.Namespace) -> None:
-    run = _timed_section(args)
+    run = _ready(args).run
     gc.disable()
     run()
     gc.set_debug(gc.DEBUG_SAVEALL)  # keep what the collection finds, in gc.garbage
