@@ -1,6 +1,6 @@
 # Convenience targets for the Colza reproduction.
 
-.PHONY: install test chaos autoscale lint check check-fast report sarif mcheck fidelity bench-e2e bench-e2e-smoke bench-e2e-ab profile-e2e examples clean
+.PHONY: install test chaos autoscale lint check check-fast report sarif mcheck reach fidelity bench-e2e bench-e2e-smoke bench-e2e-ab profile-e2e examples clean
 
 install:
 	pip install -e .[test] --no-build-isolation
@@ -46,6 +46,13 @@ sarif:
 mcheck:
 	PYTHONPATH=src python -m repro.analysis mcheck --out .mcheck-repros
 	PYTHONPATH=src python -m repro.analysis mcheck --walk 5 --scenario resilient_iterations --scenario swim_convergence --scenario prepare_first_no --out .mcheck-repros
+
+# Reachability ledger (tools/reach.py, ~10 min): run the benchmark workloads,
+# the chaos fleet, every fidelity run and the examples (the results), plus the
+# declared tool entries, under a profiler; fail on a src/ function no result
+# reaches that tools/reach_ledger.tsv does not list, and on a stale entry.
+reach:
+	python tools/reach.py --check
 
 # The paper-size rows of tests/test_fidelity.py (Figs 3-8, 10, the IceT and
 # autoscale ablations, ~4 min); tier-1 runs the rest and renders EXPERIMENTS.md.

@@ -108,7 +108,3 @@ class MandelbulbBlock:
         img = ImageData(dims=self.dims, origin=self.origin, spacing=self.spacing)
         img.set_field("iterations", field)
         return img
-
-    @property
-    def num_points(self) -> int:
-        return int(np.prod(self.resolution))

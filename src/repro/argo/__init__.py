@@ -11,12 +11,11 @@ on, mapped onto the DES kernel:
   communication yields its core to other tasks, whereas a blocking MPI
   call spins (modeled by :meth:`Xstream.spin_wait`).
 - :class:`Ult` — a user-level thread spawned on an xstream.
-- :class:`Eventual`, :class:`Mutex`, :class:`Condition`,
-  :class:`Barrier` — the ABT synchronization objects used by Margo,
-  MoNA and the Colza provider.
+- :class:`Mutex`, :class:`Barrier` — the ABT synchronization objects
+  used by SSG, the Colza admin and the framework baselines.
 """
 
-from repro.argo.sync import Barrier, Condition, Eventual, Mutex
+from repro.argo.sync import Barrier, Mutex
 from repro.argo.xstream import Ult, Xstream
 
-__all__ = ["Barrier", "Condition", "Eventual", "Mutex", "Ult", "Xstream"]
+__all__ = ["Barrier", "Mutex", "Ult", "Xstream"]

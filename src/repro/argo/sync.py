@@ -1,4 +1,4 @@
-"""ABT-style synchronization objects: Eventual, Mutex, Condition, Barrier.
+"""ABT-style synchronization objects: Mutex, Barrier.
 
 These mirror the Argobots primitives Margo/MoNA code uses. They are all
 cooperative (DES events underneath); none of them consumes core time.
@@ -6,50 +6,10 @@ cooperative (DES events underneath); none of them consumes core time.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Generator, Optional
-
 from repro.sim.kernel import Event, Simulation
 from repro.sim.resources import HeldGuard, Resource
 
-__all__ = ["Barrier", "Condition", "Eventual", "Mutex"]
-
-
-class Eventual:
-    """ABT_eventual: a resettable one-shot value cell.
-
-    ``wait()`` blocks until ``set(value)``; once set, waits complete
-    immediately until ``reset()``.
-    """
-
-    def __init__(self, sim: Simulation, name: str = "eventual"):
-        self.sim = sim
-        self.name = name
-        self._event = Event(sim, name=name)
-
-    def set(self, value: Any = None) -> None:
-        """Publish the value, waking all waiters. Error if already set."""
-        self._event.succeed(value)
-
-    def fail(self, exc: BaseException) -> None:
-        """Publish a failure, thrown into all waiters."""
-        self._event.fail(exc)
-
-    def wait(self) -> Event:
-        """Event to ``yield`` on; fires with the published value."""
-        return self._event
-
-    @property
-    def is_set(self) -> bool:
-        return self._event.fired
-
-    def value(self) -> Any:
-        """The published value (raises if unset or failed)."""
-        return self._event.value
-
-    def reset(self) -> None:
-        """Return to the unset state (fresh underlying event)."""
-        self._event = Event(self.sim, name=self.name)
+__all__ = ["Barrier", "Mutex"]
 
 
 class Mutex:
@@ -60,9 +20,6 @@ class Mutex:
         yield mutex.acquire()
         with mutex.held():
             ...          # released on exit, exception, or task kill
-
-    bare acquire/release, or the generator helper
-    ``yield from mutex.locked(body_gen)``.
     """
 
     def __init__(self, sim: Simulation, name: str = "mutex"):
@@ -71,13 +28,6 @@ class Mutex:
 
     def acquire(self) -> Event:
         return self._res.acquire()
-
-    def release(self) -> None:
-        self._res.release()
-
-    @property
-    def is_held(self) -> bool:
-        return self._res.in_use > 0
 
     def held(self) -> "HeldGuard":
         """Guard releasing this (already acquired) mutex on scope exit.
@@ -88,50 +38,6 @@ class Mutex:
         block — the structural guarantee flowcheck's FC003 checks for.
         """
         return HeldGuard(self._res)
-
-    def locked(self, body: Generator[Event, Any, Any]) -> Generator[Event, Any, Any]:
-        """Run a sub-generator while holding the mutex."""
-        yield self.acquire()
-        with self.held():
-            result = yield from body
-        return result
-
-
-class Condition:
-    """A condition variable paired with an external :class:`Mutex`.
-
-    ``wait(mutex)`` atomically releases the mutex, blocks until
-    signal/broadcast, then re-acquires the mutex before returning.
-    """
-
-    def __init__(self, sim: Simulation, name: str = "cond"):
-        self.sim = sim
-        self.name = name
-        self._waiters: Deque[Event] = deque()
-
-    def wait(self, mutex: Mutex) -> Generator[Event, Any, None]:
-        if not mutex.is_held:
-            raise RuntimeError("Condition.wait requires the mutex held")
-        ev = Event(self.sim, name=f"{self.name}.wait")
-        self._waiters.append(ev)
-        mutex.release()
-        yield ev
-        yield mutex.acquire()
-
-    def signal(self) -> None:
-        """Wake one waiter (no-op when none)."""
-        while self._waiters:
-            ev = self._waiters.popleft()
-            if not ev.fired:
-                ev.succeed()
-                return
-
-    def broadcast(self) -> None:
-        """Wake all current waiters."""
-        waiters, self._waiters = self._waiters, deque()
-        for ev in waiters:
-            if not ev.fired:
-                ev.succeed()
 
 
 class Barrier:
@@ -162,7 +68,3 @@ class Barrier:
             self._event = Event(self.sim, name=f"{self.name}.gen{self._generation}")
             current.succeed(generation)
         return current
-
-    @property
-    def waiting(self) -> int:
-        return self._count

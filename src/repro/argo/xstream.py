@@ -51,11 +51,6 @@ class Xstream:
         self.ults = [u for u in self.ults if not u.finished]
         self._ult_prune_at = max(1024, 2 * len(self.ults))
 
-    @property
-    def fair_share(self) -> bool:
-        """Whether compute grants round-robin across tenants."""
-        return self.core.fair_share
-
     def enable_fair_share(self) -> None:
         """Round-robin runnable compute requests by tenant (DESIGN §13).
 
@@ -108,9 +103,6 @@ class Xstream:
             return 0.0
         return self.core.busy_time() / self.sim.now
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Xstream {self.name!r} ults={len(self.ults)}>"
-
 
 class Ult:
     """A user-level thread bound to an xstream.
@@ -129,17 +121,7 @@ class Ult:
     def finished(self) -> bool:
         return self.task.finished
 
-    def join(self) -> Event:
-        """Event firing with the ULT's return value."""
-        return self.task.join()
-
-    def cancel(self, cause: Any = None) -> None:
-        """Interrupt the ULT (it may catch :class:`~repro.sim.Interrupt`)."""
-        self.task.interrupt(cause)
-
     def kill(self) -> None:
         """Forcibly terminate the ULT."""
         self.task.kill()
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Ult {self.name!r} on {self.xstream.name!r}>"

@@ -43,10 +43,6 @@ class IterationTiming:
     deactivate: float
     n_servers: int
 
-    @property
-    def total(self) -> float:
-        return self.activate + self.stage_total + self.execute + self.deactivate
-
     @classmethod
     def from_span(cls, span: Span) -> "IterationTiming":
         """Derive the phase breakdown from one ``colza.iteration``

@@ -91,10 +91,6 @@ class CoProcessor:
         """
         self.process_module.set_global_controller(controller)
 
-    @property
-    def controller_generation(self) -> int:
-        return self.process_module.controller_generation
-
     # ------------------------------------------------------------------
     def coprocess(
         self,

@@ -45,10 +45,6 @@ class RenderContext:
     def rank(self) -> int:
         return self.controller.rank
 
-    @property
-    def size(self) -> int:
-        return self.controller.size
-
     def composite(self, image: CompositeImage, op: str = "zbuffer") -> Generator:
         """IceT-composite this rank's image; full image at rank 0."""
         ctx = context_from_controller(self.controller)

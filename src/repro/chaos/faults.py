@@ -159,9 +159,6 @@ class FaultPlan:
     faults: Tuple[object, ...] = ()
     note: str = ""
 
-    def __iter__(self):
-        return iter(self.faults)
-
     def of_type(self, kind) -> Tuple[object, ...]:
         return tuple(f for f in self.faults if isinstance(f, kind))
 

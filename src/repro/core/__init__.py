@@ -26,7 +26,7 @@ The moving parts, mirroring §II:
 from repro.core.autoscale import SloAutoscaler, SloConfig, TenantSlo, ThresholdBand
 from repro.core.backend import Backend, create_backend, register_backend
 from repro.core.backoff import backoff_delay
-from repro.core.client import ColzaClient, DistributedPipelineHandle, PipelineHandle
+from repro.core.client import ColzaClient, DistributedPipelineHandle
 from repro.core.admin import ColzaAdmin
 from repro.core.daemon import ColzaDaemon, Deployment
 from repro.core.provider import ColzaProvider
@@ -49,7 +49,6 @@ __all__ = [
     "DEFAULT_TENANT",
     "Deployment",
     "DistributedPipelineHandle",
-    "PipelineHandle",
     "ReplicaStore",
     "SloAutoscaler",
     "SloConfig",

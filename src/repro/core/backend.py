@@ -14,7 +14,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.na.address import Address
 
-__all__ = ["Backend", "StagedBlock", "create_backend", "register_backend", "registered_backends"]
+__all__ = ["Backend", "StagedBlock", "create_backend", "register_backend"]
 
 
 @dataclass
@@ -123,16 +123,12 @@ def register_backend(library: str, factory: Callable[..., Backend]) -> None:
     _REGISTRY[library] = factory
 
 
-def registered_backends() -> List[str]:
-    return sorted(_REGISTRY)
-
-
 def create_backend(library: str, margo, name: str, config: Optional[Dict[str, Any]] = None) -> Backend:
     """Instantiate a pipeline from its library name (dlopen-equivalent)."""
     try:
         factory = _REGISTRY[library]
     except KeyError:
         raise KeyError(
-            f"pipeline library {library!r} not found (registered: {registered_backends()})"
+            f"pipeline library {library!r} not found (registered: {sorted(_REGISTRY)})"
         ) from None
     return factory(margo, name, config)

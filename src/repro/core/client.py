@@ -1,7 +1,6 @@
 """The Colza client library: pipeline handles.
 
-Simulation processes interact with pipelines through either a
-:class:`PipelineHandle` (one specific server) or — the normal path — a
+Simulation processes interact with pipelines through a
 :class:`DistributedPipelineHandle` referencing the pipeline instances
 on every staging server (§II-B):
 
@@ -10,9 +9,6 @@ on every staging server (§II-B):
 - ``stage``      sends a memory handle + metadata to *one* server,
   selected by the block-distribution policy, which then RDMA-pulls;
 - ``execute`` / ``deactivate`` broadcast to all frozen-view servers.
-
-Non-blocking variants return background tasks (``i*`` methods), like
-the C++ API's request objects.
 """
 
 from __future__ import annotations
@@ -26,10 +22,9 @@ from repro.margo import MargoInstance
 from repro.mercury import RpcError
 from repro.na.address import Address
 from repro.na.payload import payload_nbytes
-from repro.sim.kernel import Task
 from repro.ssg import GroupFile, Update
 
-__all__ = ["ColzaClient", "DistributedPipelineHandle", "EXCUSED", "PipelineHandle"]
+__all__ = ["ColzaClient", "DistributedPipelineHandle", "EXCUSED"]
 
 #: What a teardown broadcast reports for a member it did not wait for.
 EXCUSED = "excused"
@@ -152,75 +147,10 @@ class ColzaClient:
             detached.append(server)
         return detached
 
-    def pipeline_handle(self, server: Address, name: str) -> "PipelineHandle":
-        return PipelineHandle(self, server, self.qualified(name))
-
     def distributed_pipeline_handle(
         self, name: str, policy: str = "block_id_mod"
     ) -> "DistributedPipelineHandle":
         return DistributedPipelineHandle(self, self.qualified(name), policy=policy)
-
-
-class PipelineHandle:
-    """Handle on one pipeline instance in one specific server."""
-
-    def __init__(self, client: ColzaClient, server: Address, name: str):
-        self.client = client
-        self.server = server
-        self.name = name
-
-    def _call(self, method: str, input: dict, nbytes: Optional[int] = None) -> Generator:
-        return (
-            yield from self.client.margo.provider_call(
-                self.server, "colza", method, input, nbytes=nbytes
-            )
-        )
-
-    def activate(self, iteration: int) -> Generator:
-        """Single-participant activate (prepare + commit on one server).
-
-        The server still enforces its 2PC view check, so this only
-        succeeds when it believes it is the entire group — the
-        single-server deployments the paper's API also supports.
-        """
-        vote = yield from self._call(
-            "activate_prepare",
-            {"pipeline": self.name, "iteration": iteration, "view": [self.server]},
-        )
-        if vote["vote"] != "yes":
-            raise RuntimeError(
-                f"single-server activate refused: {vote.get('reason')} "
-                f"(server view: {vote.get('view')})"
-            )
-        return (
-            yield from self._call(
-                "activate_commit", {"pipeline": self.name, "iteration": iteration}
-            )
-        )
-
-    def stage(
-        self, iteration: int, block_id: int, payload: Any, metadata: Optional[dict] = None
-    ) -> Generator:
-        handle = self.client.margo.expose(payload)
-        return (
-            yield from self._call(
-                "stage",
-                {
-                    "pipeline": self.name,
-                    "iteration": iteration,
-                    "block_id": block_id,
-                    "metadata": metadata or {},
-                    "handle": handle,
-                },
-                nbytes=256,  # the RPC ships a handle, not the data
-            )
-        )
-
-    def execute(self, iteration: int) -> Generator:
-        return (yield from self._call("execute", {"pipeline": self.name, "iteration": iteration}))
-
-    def deactivate(self, iteration: int) -> Generator:
-        return (yield from self._call("deactivate", {"pipeline": self.name, "iteration": iteration}))
 
 
 class DistributedPipelineHandle:
@@ -735,19 +665,3 @@ class DistributedPipelineHandle:
         raise RpcError(
             f"deactivate({iteration}) unacknowledged after {max_attempts} attempts"
         ) from last_error
-
-    # ------------------------------------------------------------------
-    # non-blocking variants
-    def iactivate(self, iteration: int) -> Task:
-        return self.margo.sim.spawn(self.activate(iteration), name="colza-iactivate")
-
-    def istage(self, iteration: int, block_id: int, payload: Any, metadata=None) -> Task:
-        return self.margo.sim.spawn(
-            self.stage(iteration, block_id, payload, metadata), name="colza-istage"
-        )
-
-    def iexecute(self, iteration: int) -> Task:
-        return self.margo.sim.spawn(self.execute(iteration), name="colza-iexecute")
-
-    def ideactivate(self, iteration: int) -> Task:
-        return self.margo.sim.spawn(self.deactivate(iteration), name="colza-ideactivate")

@@ -178,11 +178,6 @@ class Deployment:
         yield from daemon.start(init_delay=self.cluster.launcher.service_init_delay())
         return daemon
 
-    def remove_server(self, admin_margo: MargoInstance, address) -> Generator:
-        """Elastic scale-down via the admin library's leave RPC."""
-        admin = ColzaAdmin(admin_margo)
-        return (yield from admin.request_leave(address))
-
     def static_restart(
         self,
         count: int,

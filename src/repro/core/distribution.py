@@ -7,12 +7,11 @@ By default the target server is selected from the block id
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Callable, Dict, List
 
 from repro.na.address import Address
 
-__all__ = ["get_policy", "register_policy", "registered_policies"]
+__all__ = ["get_policy", "register_policy"]
 
 #: A policy maps (block_id, metadata, servers) -> chosen server.
 Policy = Callable[[int, Dict[str, Any], List[Address]], Address]
@@ -24,16 +23,12 @@ def register_policy(name: str, policy: Policy) -> None:
     _POLICIES[name] = policy
 
 
-def registered_policies() -> List[str]:
-    return sorted(_POLICIES)
-
-
 def get_policy(name: str) -> Policy:
     try:
         return _POLICIES[name]
     except KeyError:
         raise KeyError(
-            f"unknown distribution policy {name!r} (known: {registered_policies()})"
+            f"unknown distribution policy {name!r} (known: {sorted(_POLICIES)})"
         ) from None
 
 
@@ -41,28 +36,4 @@ def _block_id_mod(block_id: int, _metadata: Dict[str, Any], servers: List[Addres
     return servers[block_id % len(servers)]
 
 
-def _hash_block(block_id: int, _metadata: Dict[str, Any], servers: List[Address]) -> Address:
-    digest = hashlib.sha256(str(block_id).encode()).digest()
-    return servers[int.from_bytes(digest[:4], "little") % len(servers)]
-
-
-def _rendezvous(block_id: int, metadata: Dict[str, Any], servers: List[Address]) -> Address:
-    """Highest-random-weight placement (minimal disruption policy).
-
-    Unlike ``block_id_mod``, a member joining or leaving only moves the
-    blocks that member wins/loses — every other block keeps its server.
-    Uses the same weight function as replica placement (DESIGN §11), so
-    ``stage`` targets and recovery's orphan re-ownership agree. The
-    pipeline name (when present in metadata) joins the key so two
-    pipelines spread their blocks differently.
-    """
-    from repro.core.replication import placement_rank
-
-    pipeline = str(metadata.get("pipeline", ""))
-    key = f"{pipeline}#{block_id}"
-    return max(servers, key=lambda s: (placement_rank(key, s), str(s)))
-
-
 register_policy("block_id_mod", _block_id_mod)
-register_policy("hash", _hash_block)
-register_policy("rendezvous", _rendezvous)

@@ -14,7 +14,6 @@ Importing this module registers the pipeline "libraries":
 """
 
 from repro.core.pipelines.catalyst_backend import MPI_COMM_REGISTRY, CatalystBackend
-from repro.core.pipelines.histogram import HistogramScript
 from repro.core.pipelines.scripts import DWIVolumeScript, IsoSurfaceScript
 from repro.core.pipelines.stats import FieldStats, StatisticsBackend
 
@@ -22,7 +21,6 @@ __all__ = [
     "CatalystBackend",
     "DWIVolumeScript",
     "FieldStats",
-    "HistogramScript",
     "IsoSurfaceScript",
     "MPI_COMM_REGISTRY",
     "StatisticsBackend",

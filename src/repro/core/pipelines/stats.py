@@ -116,9 +116,5 @@ class StatisticsBackend(Backend):
             if it not in self.iterations_seen:
                 self.iterations_seen.append(it)
 
-    @property
-    def state_nbytes(self) -> int:
-        return 64 * max(len(self.stats), 1)
-
 
 register_backend("libcolza-stats.so", StatisticsBackend)

@@ -162,9 +162,6 @@ class ReplicaStore:
         for key in sorted(k for k in self._blocks if k[0] == pipeline):
             self._blocks.pop(key, None)
 
-    def total_blocks(self) -> int:
-        return sum(len(held) for _key, held in sorted(self._blocks.items()))
-
 
 # ---------------------------------------------------------------------------
 # wire protocol helpers (run inside provider RPC handlers)

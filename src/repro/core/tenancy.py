@@ -34,7 +34,6 @@ __all__ = [
     "TenancyConfig",
     "TenantQuota",
     "TenantRegistry",
-    "base_name",
     "qualify",
     "tenant_of",
 ]
@@ -68,13 +67,6 @@ def tenant_of(qualified: str) -> str:
     if TENANT_SEP in qualified:
         return qualified.split(TENANT_SEP, 1)[0]
     return DEFAULT_TENANT
-
-
-def base_name(qualified: str) -> str:
-    """The tenant-local pipeline name behind a wire-level name."""
-    if TENANT_SEP in qualified:
-        return qualified.split(TENANT_SEP, 1)[1]
-    return qualified
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from repro.icet.context import (
     IceTContext,
     context_from_controller,
     register_communicator_factory,
-    registered_kinds,
 )
 
 __all__ = [
@@ -33,5 +32,4 @@ __all__ = [
     "context_from_controller",
     "reduce_to_root",
     "register_communicator_factory",
-    "registered_kinds",
 ]

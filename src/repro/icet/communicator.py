@@ -53,13 +53,6 @@ class IceTCommunicator:
     def gather(self, payload: Any, root: int = 0) -> Generator:
         return (yield from self.comm.gather(payload, root=root))
 
-    def barrier(self) -> Generator:
-        return (yield from self.comm.barrier())
-
-    @property
-    def kind(self) -> str:  # pragma: no cover - overridden
-        raise NotImplementedError
-
 
 class MPIIceTCommunicator(IceTCommunicator):
     """The classic MPI-backed struct (upstream IceT)."""

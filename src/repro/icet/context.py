@@ -11,7 +11,7 @@ Colza-side patch).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List
+from typing import Callable, Dict, Generator
 
 from repro.icet.communicator import IceTCommunicator, MPIIceTCommunicator
 from repro.icet.compositor import binary_swap, reduce_to_root
@@ -22,7 +22,6 @@ __all__ = [
     "IceTContext",
     "context_from_controller",
     "register_communicator_factory",
-    "registered_kinds",
 ]
 
 _FACTORIES: Dict[str, Callable[[MultiProcessController], IceTCommunicator]] = {}
@@ -35,17 +34,13 @@ def register_communicator_factory(
     _FACTORIES[kind] = factory
 
 
-def registered_kinds() -> List[str]:
-    return sorted(_FACTORIES)
-
-
 def context_from_controller(controller: MultiProcessController) -> "IceTContext":
     """Build an IceT context for whatever controller is installed."""
     factory = _FACTORIES.get(controller.kind)
     if factory is None:
         raise TypeError(
             f"no IceT communicator factory registered for controller kind "
-            f"{controller.kind!r} (registered: {registered_kinds()}) — this is "
+            f"{controller.kind!r} (registered: {sorted(_FACTORIES)}) — this is "
             "the downcast failure the paper's factory mechanism fixes"
         )
     return IceTContext(factory(controller))

@@ -94,16 +94,6 @@ class MargoInstance:
         self._finalized = False
 
     # RPC ---------------------------------------------------------------
-    def forward(
-        self,
-        dest: Address,
-        rpc_name: str,
-        input: Any = None,
-        nbytes: Optional[int] = None,
-        timeout: Optional[float] = None,
-    ) -> Generator[Event, Any, Any]:
-        """Client-side RPC (``yield from``)."""
-        return (yield from self.hg.forward(dest, rpc_name, input, nbytes=nbytes, timeout=timeout))
 
     def provider_call(
         self,
@@ -127,9 +117,6 @@ class MargoInstance:
 
     def bulk_pull(self, handle: MemoryHandle) -> Event:
         return self.hg.bulk_pull(handle)
-
-    def bulk_push(self, handle: MemoryHandle, payload: Any) -> Event:
-        return self.hg.bulk_push(handle, payload)
 
     # tasking --------------------------------------------------------------
     def spawn(self, gen: Generator, name: str = "") -> "Any":
@@ -177,9 +164,3 @@ class MargoInstance:
             provider.shutdown()
         self.hg.finalize(quiesce=quiesce)
 
-    @property
-    def finalized(self) -> bool:
-        return self._finalized
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<MargoInstance {self.name!r} at {self.address}>"

@@ -96,9 +96,6 @@ class MercuryInstance:
         self._dispatch_task: Task = sim.spawn(self._dispatch_loop(), name=f"{name}.hg-dispatch")
 
     # ------------------------------------------------------------------
-    @property
-    def node_index(self) -> int:
-        return self.endpoint.node_index
 
     def register_rpc(self, rpc_name: str, handler: Handler) -> None:
         """Install (or replace) the handler for ``rpc_name``."""
@@ -106,9 +103,6 @@ class MercuryInstance:
 
     def deregister_rpc(self, rpc_name: str) -> None:
         self._handlers.pop(rpc_name, None)
-
-    def registered(self, rpc_name: str) -> bool:
-        return rpc_name in self._handlers
 
     # ------------------------------------------------------------------
     # client side
@@ -176,10 +170,6 @@ class MercuryInstance:
         """RDMA-get the remote region (fires with the payload)."""
         return self.fabric.rdma_pull(self.endpoint, handle)
 
-    def bulk_push(self, handle: MemoryHandle, payload: Any) -> Event:
-        """RDMA-put ``payload`` into the remote region."""
-        return self.fabric.rdma_push(self.endpoint, handle, payload)
-
     # ------------------------------------------------------------------
     # lifecycle
     def finalize(self, quiesce: bool = False) -> None:
@@ -196,10 +186,6 @@ class MercuryInstance:
             self.fabric.quiesce(self.endpoint)
         else:
             self.fabric.deregister(self.endpoint)
-
-    @property
-    def finalized(self) -> bool:
-        return self._finalized
 
     # ------------------------------------------------------------------
     # server side

@@ -510,5 +510,3 @@ class MonaComm:
             result[src] = msg.payload
         return result
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<MonaComm id={self.comm_id} rank={self.rank}/{self.size}>"

@@ -44,10 +44,6 @@ class MonaInstance:
     def address(self) -> Address:
         return self.endpoint.address
 
-    @property
-    def node_index(self) -> int:
-        return self.endpoint.node_index
-
     def comm_create(self, addresses: Sequence[Address], comm_id: Optional[str] = None):
         """Build a communicator over ``addresses`` (must include self).
 
@@ -78,5 +74,3 @@ class MonaInstance:
         else:
             self.fabric.deregister(self.endpoint)
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<MonaInstance {self.name!r} at {self.address}>"

@@ -282,5 +282,3 @@ class MpiComm:
             return None
         return MpiComm(self.world, group, ranks.index(self.rank))
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<MpiComm {self.comm_id} rank={self.rank}/{self.size}>"

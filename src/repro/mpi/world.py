@@ -71,7 +71,6 @@ class MpiWorld:
         self.comms: List[MpiComm] = [
             MpiComm(self, self._world_group, rank) for rank in range(nprocs)
         ]
-        self._finalized = False
 
     # ------------------------------------------------------------------
     def comm_world(self, rank: int) -> "MpiComm":
@@ -97,16 +96,3 @@ class MpiWorld:
         """Also unavailable without ULFM-style extensions — raises."""
         raise WorldFrozenError("cannot remove ranks from a running MPI world")
 
-    def finalize(self) -> None:
-        if self._finalized:
-            return
-        self._finalized = True
-        for ep in self.endpoints:
-            self.fabric.deregister(ep)
-
-    @property
-    def finalized(self) -> bool:
-        return self._finalized
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<MpiWorld {self.name!r} nprocs={self.nprocs} profile={self.profile}>"

@@ -10,7 +10,7 @@ Highlights:
 
 - :class:`Address` — opaque, hashable endpoint names (sortable, so
   deterministic collectives can order members).
-- :class:`Fabric` — delivery, tag/source matching, RDMA pull/push on
+- :class:`Fabric` — delivery, tag/source matching, RDMA pull on
   registered memory, endpoint registration/deregistration (messages to
   dead endpoints are dropped; failure detection is the job of SWIM).
 - :class:`CostModel` + :func:`get_cost_model` — piecewise-log-linear

@@ -164,12 +164,6 @@ class Endpoint:
         """RDMA-expose a local buffer."""
         return MemoryHandle.expose(self.address, payload)
 
-    def pending_messages(self) -> int:
-        return len(self._mailbox.messages)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Endpoint {self.address} model={self.model.name}>"
-
 
 class Fabric:
     """The machine-wide interconnect."""
@@ -219,12 +213,6 @@ class Fabric:
         process's zombie tasks still issue hang forever silently."""
         self.deregister(endpoint)
         endpoint.quiesced = True
-
-    def lookup(self, address: Address) -> Optional[Endpoint]:
-        return self._endpoints.get(address.uri)
-
-    def is_alive(self, address: Address) -> bool:
-        return address.uri in self._endpoints
 
     # ------------------------------------------------------------------
     # messaging
@@ -334,25 +322,6 @@ class Fabric:
                 cost *= float(factor)
         self.bytes_sent += handle.nbytes
         return self._bulk_transfer(puller, cost, lambda: handle.payload, "rdma_pull", handle.nbytes)
-
-    def rdma_push(self, pusher: Endpoint, handle: MemoryHandle, payload: Any) -> Event:
-        """Write ``payload`` into the remote buffer behind ``handle``."""
-        sim = self.sim
-        owner_ep = self._endpoints.get(handle.owner.uri)
-        same_node = owner_ep is not None and owner_ep.node_index == pusher.node_index
-        size = payload_nbytes(payload)
-        cost = pusher.model.rdma_time(size, same_node=same_node)
-        if "na.rdma" in sim._interceptors:
-            factor = sim.intercept("na.rdma", pusher.address, handle.owner, size)
-            if factor is not None:
-                cost *= float(factor)
-        self.bytes_sent += size
-
-        def apply() -> Any:
-            handle.payload = payload
-            return payload
-
-        return self._bulk_transfer(pusher, cost, apply, "rdma_push", size)
 
     def _bulk_transfer(self, initiator: Endpoint, cost: float, finish, name: str, nbytes: int) -> Event:
         done = Event(self.sim, name=name)

@@ -89,9 +89,6 @@ class VirtualPayload:
     def size(self) -> int:
         return int(math.prod(self.shape))
 
-    def like(self) -> "VirtualPayload":
-        return self
-
 
 def payload_nbytes(payload: Any) -> int:
     """Wire size of a payload in bytes (the module docstring has the rules).
@@ -162,31 +159,3 @@ class MemoryHandle:
     @classmethod
     def expose(cls, owner: Address, payload: Any) -> "MemoryHandle":
         return cls(owner=owner, payload=payload, nbytes=payload_nbytes(payload))
-
-    @property
-    def is_virtual(self) -> bool:
-        return isinstance(self.payload, VirtualPayload)
-
-    def slice(self, offset_bytes: int, nbytes: int) -> "MemoryHandle":
-        """A sub-handle onto [offset, offset+nbytes) of this region.
-
-        RDMA can address any part of a registered region; consumers use
-        this to pull exactly the byte range they need (e.g. the SST
-        engine's slab redistribution). NumPy payloads are sliced as
-        views (zero-copy); virtual payloads shrink their declared size.
-        """
-        if offset_bytes < 0 or nbytes < 0 or offset_bytes + nbytes > self.nbytes:
-            raise ValueError(
-                f"slice [{offset_bytes}, {offset_bytes + nbytes}) outside "
-                f"region of {self.nbytes} bytes"
-            )
-        if isinstance(self.payload, VirtualPayload):
-            return MemoryHandle(self.owner, VirtualPayload((nbytes,), "uint8"), nbytes)
-        if isinstance(self.payload, np.ndarray):
-            flat = self.payload.reshape(-1).view(np.uint8)
-            view = flat[offset_bytes : offset_bytes + nbytes]
-            itemsize = self.payload.dtype.itemsize
-            if offset_bytes % itemsize == 0 and nbytes % itemsize == 0:
-                view = view.view(self.payload.dtype)
-            return MemoryHandle(self.owner, view, nbytes)
-        raise TypeError(f"cannot slice payload of type {type(self.payload)}")

@@ -265,8 +265,3 @@ class EventQueue:
         self.pops += 1
         return (entry[_WHEN], entry[_KEY], call, arg)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<EventQueue live={self._live} tombstones={self._tombstones} "
-            f"peak={self.peak_depth}>"
-        )

@@ -301,10 +301,6 @@ class Event:
         except ValueError:
             pass
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "fired" if self._fired else "pending"
-        return f"<Event {self.name!r} {state}>"
-
 
 class AllOf(Event):
     """Fires once every child event has fired successfully.
@@ -509,10 +505,6 @@ class Task:
             raise err
         self._waiting_on = target
         target.add_callback(self._resume)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "finished" if self.finished else "running"
-        return f"<Task {self.name!r} {state}>"
 
 
 class Simulation:

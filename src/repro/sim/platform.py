@@ -10,7 +10,7 @@ what the static-vs-elastic resizing experiment (Fig. 4) measures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.sim.kernel import Simulation
 from repro.sim.resources import Resource
@@ -57,10 +57,6 @@ class Node:
     index: int
     cores: Resource = field(repr=False, default=None)  # type: ignore[assignment]
 
-    @property
-    def name(self) -> str:
-        return f"nid{self.index:05d}"
-
 
 class Cluster:
     """Node registry + process placement + the launch model."""
@@ -79,26 +75,15 @@ class Cluster:
             Node(i, Resource(sim, self.params.cores_per_node, name=f"nid{i:05d}.cores"))
             for i in range(nodes)
         ]
-        self._placement: Dict[str, int] = {}
         self.launcher = LaunchModel(sim, self.params)
 
     # ------------------------------------------------------------------
-    def node(self, index: int) -> Node:
-        return self.nodes[index]
 
     def place(self, proc_name: str, node_index: int) -> Node:
-        """Record that a named process lives on a node."""
+        """The node a named process is launched on (range-checked)."""
         if not 0 <= node_index < len(self.nodes):
-            raise ValueError(f"node {node_index} out of range")
-        self._placement[proc_name] = node_index
+            raise ValueError(f"node {node_index} out of range for {proc_name!r}")
         return self.nodes[node_index]
-
-    def node_of(self, proc_name: str) -> Optional[int]:
-        return self._placement.get(proc_name)
-
-    def same_node(self, proc_a: str, proc_b: str) -> bool:
-        na, nb = self._placement.get(proc_a), self._placement.get(proc_b)
-        return na is not None and na == nb
 
     def __len__(self) -> int:
         return len(self.nodes)

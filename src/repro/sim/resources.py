@@ -93,16 +93,6 @@ class Resource:
         """Whether grants round-robin across groups instead of FIFO."""
         return self._fair
 
-    @property
-    def queue_length(self) -> int:
-        """Number of tasks waiting for a grant."""
-        if self._fair:
-            return sum(
-                sum(1 for ev in q if not ev.fired)
-                for q in self._group_queues.values()
-            )
-        return len(self._waiters)
-
     def enable_fair_share(self) -> None:
         """Switch waiter service from FIFO to round-robin by group.
 
@@ -115,14 +105,6 @@ class Resource:
                 f"enable_fair_share() on {self.name!r} with pending FIFO waiters"
             )
         self._fair = True
-
-    def pending_groups(self) -> List[str]:
-        """Groups with at least one pending waiter (fair-share mode)."""
-        return sorted(
-            g
-            for g, q in self._group_queues.items()
-            if any(not ev.fired for ev in q)
-        )
 
     def busy_time(self) -> float:
         """Total simulated time during which at least one grant was held."""

@@ -48,10 +48,3 @@ class RngRegistry:
             gen = np.random.default_rng(child_seed)
             self._streams[name] = gen
         return gen
-
-    def __call__(self, name: str) -> np.random.Generator:
-        return self.stream(name)
-
-    def reset(self) -> None:
-        """Drop all streams; next use re-creates them from scratch."""
-        self._streams.clear()

@@ -51,9 +51,6 @@ class GroupFile:
     def candidates(self) -> List[Address]:
         return list(self.addresses)
 
-    def __len__(self) -> int:
-        return len(self.addresses)
-
 
 class SSGAgent(Provider):
     """SWIM group membership for one process.
@@ -115,12 +112,6 @@ class SSGAgent(Provider):
         """Subscribe an extra membership listener (does not displace the
         primary ``observer`` slot the Colza provider owns)."""
         self._extra_observers.append(observer)
-
-    def remove_observer(self, observer: Callable[[str, Address], None]) -> None:
-        try:
-            self._extra_observers.remove(observer)
-        except ValueError:
-            pass
 
     @cached_property
     def _m_probes(self) -> Counter:

@@ -110,28 +110,20 @@ class MembershipView:
         # Incrementally maintained sorted list of non-terminal members —
         # the membership *delta* structure. Every churn event adjusts it
         # in O(log n) compares + one memmove instead of the old full
-        # sort-per-read; alive()/size() become copy/O(1). Perf-budget
-        # tests assert rebuilds stays at 0 outside construction.
+        # sort-per-read; alive()/size() become copy/O(1).
         self._alive_sorted: List[Address] = [self_address]
-        #: Full re-sorts of the cache (diagnostics; should stay 0).
+        #: Full re-sorts of the cache. Nothing re-sorts it; the count
+        #: stays 0 and the trajectory pins hold it there.
         self.rebuilds = 0
 
     # ------------------------------------------------------------------
-    def _rebuild_alive(self) -> None:
-        """Recompute the sorted-alive cache from scratch (cold path)."""
-        self._alive_sorted = sorted(
-            addr
-            for addr, st in self._members.items()
-            if not st.status.terminal
-        )
-        self.rebuilds += 1
 
     def alive(self) -> List[Address]:
         """Sorted addresses currently believed alive (incl. suspects,
         which SWIM still treats as members until declared dead)."""
         # Touch the member table so an installed SimTSan detector still
         # observes this as a whole-view read (the cache itself is only
-        # ever mutated by apply/forget_terminal, under the same tasks).
+        # ever mutated by apply, under the same tasks).
         len(self._members)
         return list(self._alive_sorted)
 
@@ -182,8 +174,3 @@ class MembershipView:
             for addr, state in sorted(self._members.items())
         ]
 
-    def forget_terminal(self, member: Address) -> None:
-        """Drop a tombstone (used by tests / long-running groups)."""
-        state = self._members.get(member)
-        if state is not None and state.status.terminal:
-            del self._members[member]

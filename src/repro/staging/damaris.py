@@ -166,6 +166,3 @@ class DamarisDeployment:
         results = yield from self.coprocs[server_index].coprocess(iteration, blocks, charge)
         self.sim.trace.end(span)
         return results
-
-    def finalize(self) -> None:
-        self.world.finalize()

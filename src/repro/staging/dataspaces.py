@@ -128,8 +128,3 @@ class DataSpacesDeployment:
         ]
         yield self.sim.all_of([t.join() for t in tasks])
         return "done"
-
-    def finalize(self) -> None:
-        for server in self.servers:
-            server.margo.finalize()
-        self.pipeline_world.finalize()

@@ -90,16 +90,6 @@ class Attribution:
             )
         return residual
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "span_id": self.span_id,
-            "name": self.name,
-            "duration": self.duration,
-            "layers": {k: self.layers[k] for k in sorted(self.layers)},
-            "by_name": {k: self.by_name[k] for k in sorted(self.by_name)},
-            "idle": self.idle,
-        }
-
 
 class CriticalPathAnalyzer:
     """Attributes a span's wall clock across its descendant spans."""

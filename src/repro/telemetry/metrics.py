@@ -79,12 +79,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
     def snapshot(self) -> Dict[str, Any]:
         return {"kind": self.kind, "value": self.value}
 
@@ -290,15 +284,6 @@ class MetricsRegistry:
 
     def names(self) -> List[str]:
         return sorted(self._metrics)
-
-    def components(self) -> List[str]:
-        return sorted({name.split(".", 1)[0] for name in self._metrics})
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """All metrics as a name-sorted plain dict (JSON-ready)."""

@@ -205,8 +205,3 @@ class QuantileSketch:
     def __len__(self) -> int:
         return self.count
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<QuantileSketch n={self.count} alpha={self.alpha} "
-            f"min={self._min} max={self._max}>"
-        )

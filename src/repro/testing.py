@@ -19,7 +19,6 @@ __all__ = [
     "build_margo_ring",
     "build_mona_world",
     "build_ssg_group",
-    "chaos_sim",
     "drive",
     "run_all",
     "run_until",
@@ -148,47 +147,3 @@ def build_ssg_group(
         drive(sim, agent.start())
         agents.append(agent)
     return fabric, group_file, agents
-
-
-# ---------------------------------------------------------------------------
-# pytest integration, built on first access (PEP 562): ``drive`` and
-# ``run_until`` serve examples and benchmarks too, and those processes
-# should not pay for importing pytest (and its plugins) to decorate a
-# fixture they never use. Without pytest installed ``chaos_sim`` is None.
-def _chaos_sim():
-    """Factory fixture for chaos-ready Colza stacks.
-
-    Yields a callable with the signature of
-    :func:`repro.chaos.build_stack` — each call returns a booted
-    :class:`~repro.chaos.ChaosContext` (simulation, deployment,
-    client handle, invariant monitor). Teardown uninstalls any
-    armed chaos engine and detaches the monitors, so scenarios
-    cannot leak interceptors between tests.
-    """
-    from repro.chaos import build_stack
-
-    contexts = []
-
-    def factory(seed: int = 0, **kwargs):
-        ctx = build_stack(seed, **kwargs)
-        contexts.append(ctx)
-        return ctx
-
-    yield factory
-    for ctx in contexts:
-        if ctx.engine is not None and ctx.engine.installed:
-            ctx.engine.uninstall()
-        ctx.monitor.detach()
-
-
-def __getattr__(name: str):
-    if name != "chaos_sim":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    try:
-        import pytest
-    except ImportError:  # pragma: no cover
-        fixture = None
-    else:
-        fixture = pytest.fixture(name="chaos_sim")(_chaos_sim)
-    globals()["chaos_sim"] = fixture
-    return fixture

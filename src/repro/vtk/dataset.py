@@ -128,14 +128,6 @@ class PolyData:
     def num_triangles(self) -> int:
         return len(self.triangles)
 
-    @property
-    def nbytes(self) -> int:
-        return (
-            self.points.nbytes
-            + self.triangles.nbytes
-            + sum(v.nbytes for v in self.point_data.values())
-        )
-
     def triangle_areas(self) -> np.ndarray:
         a = self.points[self.triangles[:, 0]]
         b = self.points[self.triangles[:, 1]]
@@ -144,14 +136,6 @@ class PolyData:
 
     def surface_area(self) -> float:
         return float(self.triangle_areas().sum())
-
-    @property
-    def bounds(self) -> Tuple[float, float, float, float, float, float]:
-        if not len(self.points):
-            return (0.0,) * 6
-        mins = self.points.min(axis=0)
-        maxs = self.points.max(axis=0)
-        return (mins[0], maxs[0], mins[1], maxs[1], mins[2], maxs[2])
 
     @staticmethod
     def concatenate(pieces: Sequence["PolyData"]) -> "PolyData":
@@ -221,9 +205,6 @@ class UnstructuredGrid:
         maxs = self.points.max(axis=0)
         return (mins[0], maxs[0], mins[1], maxs[1], mins[2], maxs[2])
 
-    def cell_centers(self) -> np.ndarray:
-        return self.points[self.cells].mean(axis=1)
-
     def cell_volumes(self) -> np.ndarray:
         p = self.points[self.cells]
         a, b, c, d = p[:, 0], p[:, 1], p[:, 2], p[:, 3]
@@ -239,22 +220,6 @@ class MultiBlockDataSet:
 
     blocks: List[Optional[object]] = field(default_factory=list)
 
-    def append(self, block) -> None:
-        self.blocks.append(block)
-
     def non_empty(self) -> List[object]:
         return [b for b in self.blocks if b is not None]
 
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(getattr(b, "nbytes", 0) for b in self.non_empty())
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __getitem__(self, idx: int):
-        return self.blocks[idx]

@@ -16,7 +16,7 @@ paper needed Kitware's help for.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional, Sequence
+from typing import Any, Generator, Optional
 
 from repro.mona.ops import ReduceOp, SUM
 
@@ -30,11 +30,12 @@ __all__ = [
 
 
 class Communicator:
-    """Abstract vtkCommunicator: rank/size + collective generators.
+    """Abstract vtkCommunicator: rank + the collectives VTK filters use.
 
     Concrete subclasses adapt an underlying transport communicator
     (MoNA or simulated MPI — both expose the same generator protocol,
-    which is itself the point of the abstraction).
+    which is itself the point of the abstraction) and name their
+    ``kind``.
     """
 
     #: The wrapped transport communicator (MonaComm or MpiComm).
@@ -44,49 +45,8 @@ class Communicator:
     def rank(self) -> int:
         return self.comm.rank
 
-    @property
-    def size(self) -> int:
-        return self.comm.size
-
-    # p2p ---------------------------------------------------------------
-    def send(self, dest: int, payload: Any, tag: Any = 0) -> Generator:
-        return (yield from self.comm.send(dest, payload, tag))
-
-    def recv(self, source: Optional[int] = None, tag: Any = 0) -> Generator:
-        return (yield from self.comm.recv(source, tag))
-
-    def sendrecv(self, dest: int, payload: Any, source: int, tag: Any = 0) -> Generator:
-        return (yield from self.comm.sendrecv(dest, payload, source, tag))
-
-    # collectives ---------------------------------------------------------
-    def barrier(self) -> Generator:
-        return (yield from self.comm.barrier())
-
-    def bcast(self, payload: Any, root: int = 0) -> Generator:
-        return (yield from self.comm.bcast(payload, root=root))
-
-    def reduce(self, payload: Any, op: ReduceOp = SUM, root: int = 0) -> Generator:
-        return (yield from self.comm.reduce(payload, op=op, root=root))
-
     def allreduce(self, payload: Any, op: ReduceOp = SUM) -> Generator:
         return (yield from self.comm.allreduce(payload, op=op))
-
-    def gather(self, payload: Any, root: int = 0) -> Generator:
-        return (yield from self.comm.gather(payload, root=root))
-
-    def scatter(self, payloads: Optional[Sequence[Any]], root: int = 0) -> Generator:
-        return (yield from self.comm.scatter(payloads, root=root))
-
-    def allgather(self, payload: Any) -> Generator:
-        return (yield from self.comm.allgather(payload))
-
-    def alltoall(self, payloads: Sequence[Any]) -> Generator:
-        return (yield from self.comm.alltoall(payloads))
-
-    # identity -------------------------------------------------------------
-    @property
-    def kind(self) -> str:  # pragma: no cover - overridden
-        raise NotImplementedError
 
 
 class MonaCommunicator(Communicator):
@@ -121,10 +81,6 @@ class MultiProcessController:
     @property
     def rank(self) -> int:
         return self.communicator.rank
-
-    @property
-    def size(self) -> int:
-        return self.communicator.size
 
     @property
     def kind(self) -> str:
@@ -174,6 +130,3 @@ class VtkProcessModule:
             )
         return self._controller
 
-    @property
-    def has_controller(self) -> bool:
-        return self._controller is not None

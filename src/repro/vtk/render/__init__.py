@@ -10,16 +10,13 @@ from repro.vtk.render.camera import Camera
 from repro.vtk.render.color import colormap, opacity_ramp
 from repro.vtk.render.image import CompositeImage
 from repro.vtk.render.rasterizer import rasterize
-from repro.vtk.render.scene import combine_pixelwise_over, render_scene
 from repro.vtk.render.volume import volume_render
 
 __all__ = [
     "Camera",
     "CompositeImage",
     "colormap",
-    "combine_pixelwise_over",
     "opacity_ramp",
     "rasterize",
-    "render_scene",
     "volume_render",
 ]

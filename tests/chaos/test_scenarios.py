@@ -97,8 +97,8 @@ def test_shifted_plan_moves_every_time_and_keeps_the_rest():
     ), note="every kind")
     moved = plan.shifted(17.25)
     assert moved.note == plan.note
-    assert [type(f) for f in moved] == [type(f) for f in plan]
-    for before, after in zip(plan, moved):
+    assert [type(f) for f in moved.faults] == [type(f) for f in plan.faults]
+    for before, after in zip(plan.faults, moved.faults):
         for fld in fields(before):
             value = getattr(before, fld.name)
             if fld.name in ("start", "end", "at"):

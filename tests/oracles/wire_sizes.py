@@ -144,7 +144,8 @@ def groups() -> Dict[str, List[Any]]:
     ]
     handle = MemoryHandle.expose(a, grid)
     out["memory_handle"] = [
-        handle, handle.slice(8, 64), handle.slice(3, 5),
+        handle, MemoryHandle.expose(a, grid.reshape(-1)[1:9]),
+        MemoryHandle.expose(a, grid.reshape(-1).view(np.uint8)[3:8]),
         MemoryHandle.expose(b, VirtualPayload((1 << 20,), "uint8")),
         MemoryHandle.expose(c, [grid, grid]), MemoryHandle.expose(a, None),
         {"block": 9, "handle": handle},

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import ColzaAdmin, Deployment
 from repro.core.backend import create_backend
-from repro.core.pipelines import HistogramScript, IsoSurfaceScript
+from repro.core.pipelines import IsoSurfaceScript
 from repro.mercury import RpcError
 from repro.sim import Simulation
 from repro.ssg import SwimConfig
@@ -28,7 +28,7 @@ def test_create_destroy_pipeline_via_admin():
     deployment, client_margo, _ = make_stack(sim)
     admin = ColzaAdmin(client_margo)
     server = deployment.live_daemons()[0]
-    script = HistogramScript(field="u", bins=4)
+    script = IsoSurfaceScript(field="u", isovalues=[1.0])
     drive(
         sim,
         admin.create_pipeline(server.address, "p1", "libcolza-catalyst.so", {"script": script}),
@@ -45,7 +45,7 @@ def test_duplicate_pipeline_creation_fails_over_rpc():
     deployment, client_margo, _ = make_stack(sim)
     admin = ColzaAdmin(client_margo)
     server = deployment.live_daemons()[0]
-    script = HistogramScript(field="u")
+    script = IsoSurfaceScript(field="u", isovalues=[1.0])
     drive(
         sim,
         admin.create_pipeline(server.address, "dup", "libcolza-catalyst.so", {"script": script}),
@@ -87,7 +87,8 @@ def test_deployment_remove_server_helper():
     sim = Simulation(seed=94)
     deployment, client_margo, _ = make_stack(sim, nservers=3)
     victim = deployment.live_daemons()[-1]
-    result = drive(sim, deployment.remove_server(client_margo, victim.address), max_time=300)
+    # Elastic scale-down is the admin library's leave RPC.
+    result = drive(sim, ColzaAdmin(client_margo).request_leave(victim.address), max_time=300)
     assert result == "leaving"
     run_until(sim, lambda: not victim.running, max_time=300)
     assert len(deployment.live_daemons()) == 2

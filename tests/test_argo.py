@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.argo import Barrier, Condition, Eventual, Mutex, Xstream
+from repro.argo import Barrier, Mutex, Xstream
 from repro.sim import Simulation
 
 
@@ -116,7 +116,7 @@ def test_ult_join_and_cancel(sim):
     got = []
 
     def joiner(sim, ult, out):
-        out.append((yield ult.join()))
+        out.append((yield ult.task.join()))
 
     sim.spawn(joiner(sim, ult, got))
     sim.run()
@@ -152,81 +152,16 @@ def test_utilization(sim):
 
 
 # ---------------------------------------------------------------------------
-# Eventual
-def test_eventual_set_then_wait(sim):
-    ev = Eventual(sim)
-    ev.set(7)
-    got = []
-
-    def waiter(sim, ev, out):
-        out.append((yield ev.wait()))
-
-    sim.spawn(waiter(sim, ev, got))
-    sim.run()
-    assert got == [7]
-    assert ev.is_set
-    assert ev.value() == 7
-
-
-def test_eventual_wait_then_set(sim):
-    ev = Eventual(sim)
-    got = []
-
-    def waiter(sim, ev, out):
-        out.append(((yield ev.wait()), sim.now))
-
-    def setter(sim, ev):
-        yield sim.timeout(3.0)
-        ev.set("x")
-
-    sim.spawn(waiter(sim, ev, got))
-    sim.spawn(setter(sim, ev))
-    sim.run()
-    assert got == [("x", 3.0)]
-
-
-def test_eventual_reset(sim):
-    ev = Eventual(sim)
-    ev.set(1)
-    ev.reset()
-    assert not ev.is_set
-    ev.set(2)
-    assert ev.value() == 2
-
-
-def test_eventual_fail(sim):
-    sim.strict = False
-    ev = Eventual(sim)
-    got = []
-
-    def waiter(sim, ev, out):
-        try:
-            yield ev.wait()
-        except ValueError as err:
-            out.append(str(err))
-
-    sim.spawn(waiter(sim, ev, got))
-
-    def failer(sim, ev):
-        yield sim.timeout(1.0)
-        ev.fail(ValueError("nope"))
-
-    sim.spawn(failer(sim, ev))
-    sim.run()
-    assert got == ["nope"]
-
-
-# ---------------------------------------------------------------------------
-# Mutex / Condition
+# Mutex
 def test_mutex_mutual_exclusion(sim):
     mtx = Mutex(sim)
     order = []
 
     def worker(sim, mtx, tag, out):
         yield mtx.acquire()
-        out.append((tag, "in", sim.now))
-        yield sim.timeout(1.0)
-        mtx.release()
+        with mtx.held():
+            out.append((tag, "in", sim.now))
+            yield sim.timeout(1.0)
 
     sim.spawn(worker(sim, mtx, "a", order))
     sim.spawn(worker(sim, mtx, "b", order))
@@ -243,76 +178,22 @@ def test_mutex_locked_helper_releases_on_error(sim):
         raise RuntimeError("inner")
 
     def holder(sim, mtx):
-        yield from mtx.locked(failing_body(sim))
+        yield mtx.acquire()
+        with mtx.held():
+            yield from failing_body(sim)
 
     def prober(sim, mtx, out):
         yield sim.timeout(1.0)
         yield mtx.acquire()
-        out.append(sim.now)
-        mtx.release()
+        with mtx.held():
+            out.append(sim.now)
 
     got = []
     sim.spawn(holder(sim, mtx))
     sim.spawn(prober(sim, mtx, got))
     sim.run()
     assert got == [1.0]
-    assert not mtx.is_held
-
-
-def test_condition_signal_wakes_one(sim):
-    mtx = Mutex(sim)
-    cond = Condition(sim)
-    woke = []
-
-    def waiter(sim, tag):
-        yield mtx.acquire()
-        yield from cond.wait(mtx)
-        woke.append((tag, sim.now))
-        mtx.release()
-
-    def signaler(sim):
-        yield sim.timeout(2.0)
-        cond.signal()
-
-    sim.spawn(waiter(sim, "a"))
-    sim.spawn(waiter(sim, "b"))
-    sim.spawn(signaler(sim))
-    sim.run()
-    assert woke == [("a", 2.0)]
-
-
-def test_condition_broadcast_wakes_all(sim):
-    mtx = Mutex(sim)
-    cond = Condition(sim)
-    woke = []
-
-    def waiter(sim, tag):
-        yield mtx.acquire()
-        yield from cond.wait(mtx)
-        woke.append(tag)
-        mtx.release()
-
-    def caster(sim):
-        yield sim.timeout(1.0)
-        cond.broadcast()
-
-    for tag in range(3):
-        sim.spawn(waiter(sim, tag))
-    sim.spawn(caster(sim))
-    sim.run()
-    assert sorted(woke) == [0, 1, 2]
-
-
-def test_condition_wait_requires_mutex(sim):
-    mtx = Mutex(sim)
-    cond = Condition(sim)
-
-    def bad(sim):
-        yield from cond.wait(mtx)
-
-    sim.spawn(bad(sim))
-    with pytest.raises(RuntimeError):
-        sim.run()
+    assert mtx._res.in_use == 0
 
 
 # ---------------------------------------------------------------------------

@@ -118,17 +118,16 @@ def test_init_cost_charged_once():
 def test_update_controller_bumps_generation():
     script = CountingScript()
     sim, coproc, charge = make_coproc_env(script)
-    gen0 = coproc.controller_generation
+    gen0 = coproc.process_module.controller_generation
     _, _, comms = build_mona_world(sim, 1, name_prefix="other")
     coproc.update_controller(MonaController(comms[0]))
-    assert coproc.controller_generation == gen0 + 1
+    assert coproc.process_module.controller_generation == gen0 + 1
 
 
 def test_process_module_guards():
     from repro.vtk.parallel import VtkProcessModule
 
     pm = VtkProcessModule("x")
-    assert not pm.has_controller
     with pytest.raises(RuntimeError):
         pm.get_global_controller()
     with pytest.raises(TypeError):
@@ -141,4 +140,4 @@ def test_render_context_rank_size():
     ctx = RenderContext(
         controller=MonaController(comms[1]), blocks=[], charge=None
     )
-    assert ctx.rank == 1 and ctx.size == 2
+    assert ctx.rank == 1 and ctx.controller.communicator.comm.size == 2

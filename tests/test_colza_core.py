@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import ColzaAdmin, Deployment
-from repro.core.backend import registered_backends
+from repro.core.backend import create_backend
 from repro.core.pipelines import MPI_COMM_REGISTRY, CatalystBackend, IsoSurfaceScript
 from repro.core.provider import mona_address_of
 from repro.na import Address
@@ -62,8 +62,10 @@ def rank0_backend(deployment):
 
 # ---------------------------------------------------------------------------
 def test_backend_registry():
-    libs = registered_backends()
-    assert "libcolza-iso.so" in libs and "libcolza-dwi.so" in libs
+    # An unknown library's error names every registered one.
+    with pytest.raises(KeyError, match="libcolza-dwi.so") as err:
+        create_backend("libnope.so", None, "p")
+    assert "libcolza-iso.so" in str(err.value)
 
 
 def test_full_iteration_produces_image():
@@ -144,7 +146,7 @@ def test_elastic_grow_changes_comm_size_and_preserves_image():
     backend0 = rank0_backend(deployment)
     image_before = backend0.last_results["image"].copy()
     assert backend0.comm.size == 2
-    gen_before = backend0.coproc.controller_generation
+    gen_before = backend0.coproc.process_module.controller_generation
 
     # Scale up by two servers; deploy the pipeline on them too.
     for node in (10, 11):
@@ -166,7 +168,7 @@ def test_elastic_grow_changes_comm_size_and_preserves_image():
     assert len(view) == 4
     backend0b = rank0_backend(deployment)
     assert backend0b.comm.size == 4
-    assert backend0b.coproc.controller_generation > gen_before or backend0b is not backend0
+    assert backend0b.coproc.process_module.controller_generation > gen_before or backend0b is not backend0
     image_after = backend0b.last_results["image"]
     assert np.allclose(image_before.rgba, image_after.rgba, atol=1e-6)
     assert np.allclose(

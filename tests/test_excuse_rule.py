@@ -216,7 +216,8 @@ def test_a_falsely_dropped_member_still_receives_the_teardown(excused_by):
     assert c.provider.frozen  # not there yet: the client did not wait
     sim.run(until=sim.now + 1.5)
     assert not c.provider.frozen  # the teardown was sent all the same
-    again = drive(sim, client.pipeline_handle(c.address, "render").deactivate(1))
+    again = drive(sim, client.margo.provider_call(
+        c.address, "colza", "deactivate", {"pipeline": client.qualified("render"), "iteration": 1}))
     assert again == "not-active"
 
 
@@ -416,12 +417,13 @@ def contended_activate(seed):
     deployment, [(client, handle)] = make_stack(sim, 3)
     busy, *others = deployment.live_daemons()
     drive(sim, handle.activate(1))
+    deactivate_1 = {"pipeline": client.qualified("render"), "iteration": 1}
     for daemon in others:
-        drive(sim, client.pipeline_handle(daemon.address, "render").deactivate(1))
+        drive(sim, client.margo.provider_call(daemon.address, "colza", "deactivate", deactivate_1))
 
     def release():
         yield sim.timeout(0.001)
-        yield from client.pipeline_handle(busy.address, "render").deactivate(1)
+        yield from client.margo.provider_call(busy.address, "colza", "deactivate", deactivate_1)
 
     sim.spawn(release(), name="release")
     rounds = logged_rounds(sim, handle)

@@ -14,7 +14,6 @@ from repro.icet import (
     context_from_controller,
     reduce_to_root,
     register_communicator_factory,
-    registered_kinds,
 )
 from repro.mpi import MpiWorld
 from repro.na import Fabric
@@ -210,7 +209,9 @@ def test_invalid_op_and_strategy():
 # ---------------------------------------------------------------------------
 # factory registry (the paper's ParaView fix)
 def test_mpi_factory_registered_by_default():
-    assert "mpi" in registered_kinds()
+    sim = Simulation()
+    world = MpiWorld(sim, Fabric(sim), 1)
+    assert context_from_controller(MPIController(world.comm_world(0))).icomm.kind == "mpi"
 
 
 def test_unregistered_kind_raises_downcast_error():

@@ -80,7 +80,7 @@ def _two_fabrics():
         for ring in rings:
             for i, margo in enumerate(ring):
                 peer = ring[(i + 1) % len(ring)]
-                yield from margo.forward(peer.address, "echo", list(range(i + 3)))
+                yield from margo.hg.forward(peer.address, "echo", list(range(i + 3)))
                 yield from margo.compute(1e-4 * (i + 1))
             payload = yield ring[0].bulk_pull(ring[1].expose(VirtualPayload((1000,), "float64")))
             assert payload.nbytes == 8000

@@ -38,13 +38,6 @@ def test_world_cannot_grow_or_shrink():
         world.shrink([3])
 
 
-def test_world_finalize():
-    sim, world = make_world(2)
-    world.finalize()
-    assert world.finalized
-    world.finalize()  # idempotent
-
-
 # ---------------------------------------------------------------------------
 # p2p
 def test_mpi_send_recv():

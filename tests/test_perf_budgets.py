@@ -283,7 +283,7 @@ def test_echo_rpc_round_trip_stays_under_its_call_budget():
     got = []
 
     def caller():
-        got.append((yield from a.forward(b.address, "echo", 7, timeout=1.0)))
+        got.append((yield from a.hg.forward(b.address, "echo", 7, timeout=1.0)))
 
     def round_trip():
         sim.spawn(caller())

@@ -9,7 +9,7 @@ deactivate idempotency, and the retry-backoff satellites.
 import numpy as np
 import pytest
 
-from repro.core import Deployment
+from repro.core import ColzaAdmin, Deployment
 from repro.core.backend import Backend, StagedBlock
 from repro.core.client import ColzaClient
 from repro.core.pipelines import IsoSurfaceScript
@@ -132,7 +132,7 @@ def test_replica_store_roundtrip():
     store.put("pipe", 3, _blk(1))
     store.put("other", 3, _blk(1))
     store.drop_pipeline("pipe")
-    assert store.total_blocks() == 1
+    assert store.block_ids("pipe", 3) == [] and store.block_ids("other", 3) == [1]
 
 
 def test_backend_stage_is_idempotent_per_block_id():
@@ -194,9 +194,8 @@ def test_recovery_without_restaging_matches_healthy_image():
 
     # Satellite: deactivate after crash recovery is an explicit no-op.
     server = rank0.address
-    again = drive(
-        sim, client.pipeline_handle(server, "render").deactivate(2), max_time=300
-    )
+    again = drive(sim, client.margo.provider_call(
+        server, "colza", "deactivate", {"pipeline": "render", "iteration": 2}), max_time=300)
     assert again == "not-active"
 
 
@@ -253,7 +252,7 @@ def test_replicate_counters_and_cleanup():
     assert core.counter("replica_bytes").value > 0
     assert core.counter("blocks_recovered").value == 0
     for daemon in deployment.live_daemons():
-        assert daemon.provider.replicas.total_blocks() == 0
+        assert daemon.provider.replicas.block_ids("render", 1) == []
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +271,16 @@ def test_deactivate_is_explicitly_idempotent():
     first = drive(sim, body(), max_time=3000)
     assert first == ["deactivated"] * 2
     server = deployment.live_daemons()[0].address
-    ph = client.pipeline_handle(server, "render")
+
+    def deactivate(pipeline, iteration):
+        return drive(sim, client.margo.provider_call(
+            server, "colza", "deactivate", {"pipeline": pipeline, "iteration": iteration}), max_time=300)
+
     # Double deactivate: distinct result, no error.
-    assert drive(sim, ph.deactivate(1), max_time=300) == "not-active"
+    assert deactivate("render", 1) == "not-active"
     # Never-activated iteration and unknown pipeline: same story.
-    assert drive(sim, ph.deactivate(9), max_time=300) == "not-active"
-    ph_gone = client.pipeline_handle(server, "no-such-pipeline")
-    assert drive(sim, ph_gone.deactivate(1), max_time=300) == "not-active"
+    assert deactivate("render", 9) == "not-active"
+    assert deactivate("no-such-pipeline", 1) == "not-active"
 
 
 # ---------------------------------------------------------------------------
@@ -404,3 +406,44 @@ def test_tenant_placement_stable_under_view_changes():
     buddies = replica_buddies("alpha#pipe", 1, 0, view[0], view, 3)
     replica_buddies("beta#pipe", 1, 0, view[0], view, 3)
     assert replica_buddies("alpha#pipe", 1, 0, view[0], view, 3) == buddies
+
+
+# ---------------------------------------------------------------------------
+# elasticity hazard 2 (bench_e2e/README.md, "Known hazards")
+def test_a_crash_during_a_joined_servers_first_execute_recovers():
+    """A base member crashes the instant the last block of an iteration is
+    staged, so a server that joined elastically is inside its first execute
+    (8 s of simulated library init) when the group loses the member. The
+    README's recipe: every later execute used to time out on the survivors,
+    through all retries. The retry must instead recover from the replicas.
+    Bounded in simulated time, so a wedge fails fast instead of spinning
+    SWIM rounds."""
+    sim = Simulation(seed=1)
+    deployment = Deployment(sim)
+    drive(sim, deployment.start_servers(4), max_time=300)
+    run_until(sim, deployment.converged, max_time=300)
+    client_margo, client = deployment.make_client(node_index=40)
+    drive(sim, client.connect())
+    config = {"script": IsoSurfaceScript(field="dist", isovalues=[1.0]), "width": 32, "height": 32,
+              "replication_factor": 2}
+    drive(sim, deployment.deploy_pipeline(client_margo, "render", "libcolza-iso.so", config))
+    handle = client.distributed_pipeline_handle("render")
+    handle.data_timeout = 30.0
+    blocks = [(i, sphere_block()) for i in range(8)]
+    drive(sim, handle.run_resilient_iteration(1, blocks), max_time=600)
+
+    joined = drive(sim, deployment.add_server(8), max_time=300)
+    drive(sim, ColzaAdmin(client_margo).create_pipeline(joined.address, "render", "libcolza-iso.so", config))
+    run_until(sim, deployment.converged, max_time=300)
+    victim = min(deployment.live_daemons(), key=lambda d: d.address)
+
+    def crash_after_last_stage(span):
+        tags = span.tags
+        if span.name == "colza.stage" and tags.get("iteration") == 2 and tags.get("block") == len(blocks) - 1:
+            sim.trace.on_end.remove(crash_after_last_stage)
+            victim.crash()
+
+    sim.trace.on_end.append(crash_after_last_stage)
+    view = drive(sim, handle.run_resilient_iteration(2, blocks, max_attempts=8), max_time=120)
+    assert victim.address not in view and joined.address in view
+    assert sim.metrics.scope("core").counter("restage_fallbacks").value == 0

@@ -88,7 +88,7 @@ def test_queue_length_and_in_use(sim):
     sim.spawn(waiter(sim, res))
     sim.run(until=1.0)
     assert res.in_use == 1
-    assert res.queue_length == 1
+    assert len(res._waiters) == 1
 
 
 def test_cancel_pending_acquire(sim):
@@ -102,7 +102,7 @@ def test_cancel_pending_acquire(sim):
     sim.run(until=0.5)
     pending = res.acquire()
     res.cancel(pending)
-    assert res.queue_length == 0
+    assert len(res._waiters) == 0
 
     def late(sim, res):
         yield from res.use(1.0)

@@ -33,14 +33,6 @@ def test_rng_stream_is_cached():
     assert reg.stream("x") is reg.stream("x")
 
 
-def test_rng_reset():
-    reg = RngRegistry(seed=0)
-    first = reg.stream("x").random(3)
-    reg.reset()
-    again = reg.stream("x").random(3)
-    assert np.allclose(first, again)
-
-
 def test_rng_adding_stream_does_not_perturb_existing():
     reg1 = RngRegistry(seed=9)
     _ = reg1.stream("existing").random(2)
@@ -101,17 +93,6 @@ def test_span_duration_requires_end():
 
 # ---------------------------------------------------------------------------
 # Cluster / LaunchModel
-def test_cluster_placement_and_same_node():
-    sim = Simulation()
-    cluster = Cluster(sim, nodes=4)
-    cluster.place("client-0", 0)
-    cluster.place("client-1", 0)
-    cluster.place("server-0", 3)
-    assert cluster.same_node("client-0", "client-1")
-    assert not cluster.same_node("client-0", "server-0")
-    assert not cluster.same_node("client-0", "unknown")
-    assert cluster.node_of("server-0") == 3
-    assert len(cluster) == 4
 
 
 def test_cluster_validation():
@@ -121,12 +102,6 @@ def test_cluster_validation():
     cluster = Cluster(sim, nodes=2)
     with pytest.raises(ValueError):
         cluster.place("p", 5)
-
-
-def test_node_naming():
-    sim = Simulation()
-    cluster = Cluster(sim, nodes=2)
-    assert cluster.node(1).name == "nid00001"
 
 
 def test_srun_delay_single_vs_gang():

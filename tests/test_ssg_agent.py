@@ -108,9 +108,9 @@ def test_observer_sees_join_and_leave(sim):
 
 def test_group_file_tracks_membership(sim):
     _, group_file, agents = build_ssg_group(sim, 3, config=FAST)
-    assert len(group_file) == 3
+    assert len(group_file.addresses) == 3
     drive(sim, agents[0].leave())
-    assert len(group_file) == 2
+    assert len(group_file.addresses) == 2
     assert agents[0].address not in group_file.candidates()
 
 

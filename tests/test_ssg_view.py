@@ -107,16 +107,6 @@ def test_snapshot_roundtrip_reproduces_view():
     assert other.status_of(addr(2)) is Status.SUSPECT
 
 
-def test_forget_terminal():
-    view = MembershipView(ME)
-    view.apply(Update(Status.ALIVE, OTHER, 0))
-    view.forget_terminal(OTHER)  # not terminal: no-op
-    assert view.contains(OTHER)
-    view.apply(Update(Status.DEAD, OTHER, 0))
-    view.forget_terminal(OTHER)
-    assert view.status_of(OTHER) is None
-
-
 # ---------------------------------------------------------------------------
 # properties
 statuses = st.sampled_from([Status.ALIVE, Status.SUSPECT, Status.DEAD, Status.LEFT])

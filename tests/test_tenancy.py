@@ -16,7 +16,6 @@ from repro.core import Deployment, TenancyConfig, TenantQuota
 from repro.core.tenancy import (
     DEFAULT_TENANT,
     TenantRegistry,
-    base_name,
     qualify,
     tenant_of,
 )
@@ -36,11 +35,9 @@ BLOCK = VirtualPayload((1024,), "float64")  # 8 KiB
 def test_qualify_roundtrip():
     assert qualify("alpha", "pipe") == "alpha#pipe"
     assert tenant_of("alpha#pipe") == "alpha"
-    assert base_name("alpha#pipe") == "pipe"
     # The default tenant is the unqualified legacy namespace.
     assert qualify(DEFAULT_TENANT, "pipe") == "pipe"
     assert tenant_of("pipe") == DEFAULT_TENANT
-    assert base_name("pipe") == "pipe"
 
 
 def test_qualify_rejects_separator_in_names():
@@ -60,7 +57,6 @@ def test_tenant_names_never_collide_across_tenants():
             assert wire not in seen
             seen.add(wire)
             assert tenant_of(wire) == tenant
-            assert base_name(wire) == name
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +422,7 @@ def test_fair_share_grants_tracked_per_tenant_under_noisy_neighbor():
         sim, nservers=1, config={"bytes_per_second": 4e4}
     )
     daemon = deployment.live_daemons()[0]
-    assert daemon.margo.xstream.fair_share
+    assert daemon.margo.xstream.core.fair_share
 
     results = {}
 
@@ -563,6 +559,6 @@ def test_default_tenant_is_fully_backward_compatible():
         # the legacy deployment is byte-for-byte the old one.
         assert set(daemon.provider.pipelines) == {"pipe"}
         assert not daemon.provider.tenants.configured
-        assert not daemon.margo.xstream.fair_share
+        assert not daemon.margo.xstream.core.fair_share
         assert daemon.provider.tenants.tenants() == [DEFAULT_TENANT]
         assert daemon.provider.tenants.usage(DEFAULT_TENANT) == (0, 0)

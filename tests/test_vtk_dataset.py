@@ -75,12 +75,6 @@ def test_polydata_concatenate_empty():
     assert PolyData.concatenate([PolyData.empty()]).num_triangles == 0
 
 
-def test_polydata_bounds():
-    poly = PolyData([[0, 0, 0], [2, 3, -1]], np.zeros((0, 3), dtype=np.int64))
-    assert poly.bounds == (0, 2, 0, 3, -1, 0)
-    assert PolyData.empty().bounds == (0,) * 6
-
-
 # ---------------------------------------------------------------------------
 # UnstructuredGrid
 def unit_tet():
@@ -90,11 +84,6 @@ def unit_tet():
 
 def test_tet_volume():
     assert unit_tet().total_volume() == pytest.approx(1 / 6)
-
-
-def test_ugrid_cell_centers():
-    centers = unit_tet().cell_centers()
-    assert np.allclose(centers[0], [0.25, 0.25, 0.25])
 
 
 def test_ugrid_validation():
@@ -115,12 +104,7 @@ def test_ugrid_nbytes_positive():
 # ---------------------------------------------------------------------------
 # MultiBlock
 def test_multiblock():
-    mb = MultiBlockDataSet()
-    mb.append(unit_tet())
-    mb.append(None)
-    mb.append(unit_tet())
-    assert mb.num_blocks == 3
+    mb = MultiBlockDataSet([unit_tet(), None, unit_tet()])
+    assert len(mb.blocks) == 3
     assert len(mb.non_empty()) == 2
-    assert mb[1] is None
-    assert mb.nbytes == 2 * unit_tet().nbytes
-    assert len(list(iter(mb))) == 3
+    assert mb.blocks[1] is None

@@ -225,7 +225,6 @@ def test_threshold_unknown_field_and_mode():
 # ---------------------------------------------------------------------------
 # merge_blocks
 def test_merge_blocks_offsets_and_volume():
-    mb = MultiBlockDataSet()
     g1 = tet_grid()
     g2 = UnstructuredGrid(
         g1.points + np.array([10.0, 0, 0]),
@@ -233,10 +232,7 @@ def test_merge_blocks_offsets_and_volume():
         point_data={"p": g1.point_data["p"] * 2},
         cell_data={"c": g1.cell_data["c"] * 2},
     )
-    mb.append(g1)
-    mb.append(None)
-    mb.append(g2)
-    merged = merge_blocks(mb)
+    merged = merge_blocks(MultiBlockDataSet([g1, None, g2]))
     assert merged.num_points == 10
     assert merged.num_cells == 4
     assert merged.total_volume() == pytest.approx(g1.total_volume() + g2.total_volume())
