@@ -92,9 +92,6 @@ class EventQueue:
         """Number of *live* (non-canceled) entries."""
         return self._live
 
-    def __bool__(self) -> bool:
-        return self._live > 0
-
     @property
     def tombstones(self) -> int:
         """Canceled entries still physically present in the heap."""
