@@ -11,10 +11,8 @@ with the taint engine (:mod:`repro.analysis.flowcheck.taint`):
 **Sources.**  ``name``/``pipeline``/``pipeline_name`` parameters of
 methods on *tenant-bound* classes (classes whose ``__init__`` assigns
 ``self.tenant`` — the client/admin handles) carry ``raw-name``;
-``base_name()`` results carry ``raw-name``; ``tenant`` parameters,
-``.tenant`` attribute reads and ``tenant_of()`` results carry
-``tenant-id``; ``t, n = split_qualified(x)`` carries
-``tenant-id``/``raw-name`` per element.
+``tenant`` parameters, ``.tenant`` attribute reads and ``tenant_of()``
+results carry ``tenant-id``.
 
 **Sanitizer.**  ``qualify()`` (and the client's ``qualified()``
 wrapper, transitively — its body ends in ``qualify``).
@@ -24,15 +22,10 @@ keys ``pipeline``/``name`` — the keys the provider routes by) and the
 key argument of ``placement_rank``/``block_owner``/``replica_buddies``
 (the HRW rendezvous hash).
 
-Two purely local rules catch *re-joins* that would launder a name
-across tenants without any sink involved:
-
-- ``qualify(t, base_name(x))`` (or via locals) where ``t`` does not
-  come from ``tenant_of(x)``/``split_qualified(x)`` of the *same*
-  expression re-attaches a stripped name to a different tenant;
-- an f-string gluing a tainted part to a ``#``-bearing literal
-  hand-builds a qualified name, bypassing ``qualify()``'s separator
-  validation.
+A purely local rule catches a *join* that would launder a name across
+tenants without any sink involved: an f-string gluing a tainted part to
+a ``#``-bearing literal hand-builds a qualified name, bypassing
+``qualify()``'s separator validation.
 
 The module that defines ``qualify`` is exempt (it *is* the
 sanitizer).  Server-side code is naturally out of scope: its
@@ -43,7 +36,7 @@ handle classes that hold them never assign ``self.tenant``.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Iterator, Optional, Set
 
 from repro.analysis.flowcheck.callgraph import CallGraph
 from repro.analysis.flowcheck.model import FlowModule, FunctionInfo, Program
@@ -121,8 +114,7 @@ def _build_spec(program: Program) -> TaintSpec:
 
     return TaintSpec(
         param_label=param_label,
-        source_calls={"base_name": RAW, "tenant_of": TENANT},
-        source_tuple_calls={"split_qualified": (TENANT, RAW)},
+        source_calls={"tenant_of": TENANT},
         source_attrs={"tenant": TENANT},
         sanitizers=frozenset({"qualify"}),
         sinks=SINKS,
@@ -132,79 +124,7 @@ def _build_spec(program: Program) -> TaintSpec:
 
 
 # ---------------------------------------------------------------------------
-# local re-join rules
-def _origin_key(node: ast.expr) -> str:
-    return ast.dump(node)
-
-
-def _rejoin_findings(fn: FunctionInfo, exempt: Set[str]) -> Iterator[Raw]:
-    if fn.module.rel in exempt:
-        return
-    #: local var -> origin expr of the *name* half it holds.
-    name_origin: Dict[str, str] = {}
-    #: local var -> origin expr of the *tenant* half it holds.
-    tenant_origin: Dict[str, str] = {}
-
-    def origin_of(node: ast.expr, table: Dict[str, str]) -> Optional[str]:
-        if isinstance(node, ast.Name):
-            return table.get(node.id)
-        if isinstance(node, ast.Call):
-            cn = node.func.id if isinstance(node.func, ast.Name) else (
-                node.func.attr if isinstance(node.func, ast.Attribute) else None
-            )
-            if cn in ("base_name", "tenant_of") and node.args:
-                return _origin_key(node.args[0])
-        return None
-
-    for node in ast.walk(fn.node):
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            call = node.value
-            cn = call.func.id if isinstance(call.func, ast.Name) else None
-            if cn == "base_name" and call.args and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name):
-                    name_origin[target.id] = _origin_key(call.args[0])
-            elif cn == "tenant_of" and call.args and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name):
-                    tenant_origin[target.id] = _origin_key(call.args[0])
-            elif cn == "split_qualified" and call.args and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Tuple) and len(target.elts) == 2:
-                    okey = _origin_key(call.args[0])
-                    if isinstance(target.elts[0], ast.Name):
-                        tenant_origin[target.elts[0].id] = okey
-                    if isinstance(target.elts[1], ast.Name):
-                        name_origin[target.elts[1].id] = okey
-
-    for node in ast.walk(fn.node):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "qualify"
-            and len(node.args) >= 2
-        ):
-            continue
-        n_org = origin_of(node.args[1], name_origin)
-        if n_org is None:
-            continue
-        t_org = origin_of(node.args[0], tenant_origin)
-        if t_org != n_org:
-            yield Raw(
-                module=fn.module,
-                line=node.lineno,
-                col=node.col_offset,
-                message=(
-                    "re-joins a split-qualified name with a tenant that is "
-                    "not its own: the base name came from one qualified "
-                    "name, the tenant from "
-                    + ("another" if t_org else "an unrelated value")
-                    + " — cross-tenant laundering"
-                ),
-                severity="error",
-            )
-
-
+# local join rule
 def _manual_join_findings(
     fn: FunctionInfo, engine: TaintEngine, exempt: Set[str]
 ) -> Iterator[Raw]:
@@ -277,5 +197,4 @@ def check_tenant_taint(program: Program, graph: CallGraph) -> Iterator[Raw]:
         )
     exempt = _qualify_modules(program)
     for _, fn in sorted(program.functions.items()):
-        yield from _rejoin_findings(fn, exempt)
         yield from _manual_join_findings(fn, engine, exempt)

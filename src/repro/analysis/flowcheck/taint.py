@@ -19,8 +19,8 @@ them with a classic forward taint analysis over flowcheck's
 Propagation is field-sensitive per class (``self.name = name`` in
 ``__init__`` taints every later ``self.name`` read *of that class*),
 key-sensitive for dict literals and ``d["k"] = v`` stores, and flows
-through f-strings, concatenation, tuple unpacking of *splitting*
-source calls, and — interprocedurally — through call arguments,
+through f-strings, concatenation, tuple unpacking, and —
+interprocedurally — through call arguments,
 constructor arguments and return values.  The whole program iterates
 to a fixpoint (labels only ever grow, so it terminates); each label
 carries a provenance chain that becomes the finding's witness path::
@@ -75,9 +75,6 @@ class TaintSpec:
     param_label: Callable[[FunctionInfo, str], Optional[str]]
     #: callee last-name -> label of its result.
     source_calls: Dict[str, str]
-    #: callee last-name -> labels of each tuple element when the
-    #: result is unpacked (``t, n = split_qualified(x)``).
-    source_tuple_calls: Dict[str, Tuple[str, ...]]
     #: attribute name -> label of any ``obj.<attr>`` read.
     source_attrs: Dict[str, str]
     #: callee last-names whose result is always clean.
@@ -360,9 +357,9 @@ class _FnFlow:
         if isinstance(stmt, ast.Assign):
             val = self.eval(stmt.value)
             for target in stmt.targets:
-                self._assign(target, val, stmt.value)
+                self._assign(target, val)
         elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            self._assign(stmt.target, self.eval(stmt.value), stmt.value)
+            self._assign(stmt.target, self.eval(stmt.value))
         elif isinstance(stmt, ast.AugAssign):
             val = self.eval(stmt.value)
             name = dotted_name(stmt.target)
@@ -385,7 +382,7 @@ class _FnFlow:
                 self.env[name] = self.env.get(name, Val()).merge(val)
         elif isinstance(stmt, (ast.For, ast.While)):
             if isinstance(stmt, ast.For):
-                self._assign(stmt.target, self.eval(stmt.iter), stmt.iter)
+                self._assign(stmt.target, self.eval(stmt.iter))
             else:
                 self.eval(stmt.test)
             # Two passes approximate the loop fixpoint (labels are
@@ -403,7 +400,7 @@ class _FnFlow:
             for item in stmt.items:
                 val = self.eval(item.context_expr)
                 if item.optional_vars is not None:
-                    self._assign(item.optional_vars, val, item.context_expr)
+                    self._assign(item.optional_vars, val)
             self._block(stmt.body)
         elif isinstance(stmt, (ast.Raise, ast.Assert)):
             for child in ast.iter_child_nodes(stmt):
@@ -411,31 +408,14 @@ class _FnFlow:
                     self.eval(child)
 
     # ------------------------------------------------------------------
-    def _assign(self, target: ast.expr, val: Val, value: ast.expr) -> None:
-        spec = self.engine.spec
+    def _assign(self, target: ast.expr, val: Val) -> None:
         if isinstance(target, ast.Name):
             self.env[target.id] = val.copy()
             return
         if isinstance(target, ast.Tuple):
-            # Tuple unpack of a splitting source call assigns each
-            # element its own label; anything else gets the union.
-            split = None
-            if isinstance(value, ast.Call):
-                cn = _callee_name(value)
-                split = spec.source_tuple_calls.get(cn or "")
-            for idx, element in enumerate(target.elts):
-                if split is not None and idx < len(split):
-                    label = split[idx]
-                    part = Val(labels={label})
-                    part.prov[label] = self.engine.add_prov(
-                        ("src", self.fn.qualname, value.lineno, label, idx),
-                        f"{self.fn.module.rel}:{value.lineno} element {idx} "
-                        f"of {_callee_name(value)}() carries {label}",
-                        None,
-                    )
-                    self._assign(element, part, value)
-                else:
-                    self._assign(element, val, value)
+            # Each element of a tuple unpack gets the union.
+            for element in target.elts:
+                self._assign(element, val)
             return
         if isinstance(target, ast.Attribute):
             dotted = dotted_name(target)
@@ -623,17 +603,6 @@ class _FnFlow:
                 None,
             )
             return Val(labels={label}, prov={label: prov})
-        if cn is not None and cn in spec.source_tuple_calls:
-            labels = set(spec.source_tuple_calls[cn])
-            val = Val(labels=labels)
-            for label in labels:
-                val.prov[label] = self.engine.add_prov(
-                    ("src", self.fn.qualname, call.lineno, cn, label),
-                    f"{self.fn.module.rel}:{call.lineno} result of {cn}() "
-                    f"carries {label}",
-                    None,
-                )
-            return val
 
         callees = self.engine.resolve_callees(call, self.fn)
         result = Val()

@@ -462,14 +462,8 @@ class DistributedPipelineHandle:
         span = sim.trace.begin(
             "colza.stage", pipeline=self.name, iteration=iteration, block=block_id
         )
-        # The policy sees the wire-level (tenant-qualified) pipeline
-        # name, so rendezvous placement keys become
-        # ``tenant#pipeline#block`` and never collide across tenants.
-        # Only the policy's copy is augmented — the wire metadata stays
-        # exactly what the caller staged.
-        policy_meta = dict(metadata or {})
-        policy_meta.setdefault("pipeline", self.name)
-        server = self.policy(block_id, policy_meta, list(self.frozen_view))
+        metadata = metadata or {}
+        server = self.policy(block_id, metadata, list(self.frozen_view))
         handle = self.margo.expose(payload)
         result = yield from self.margo.provider_call(
             server,
@@ -479,7 +473,7 @@ class DistributedPipelineHandle:
                 "pipeline": self.name,
                 "iteration": iteration,
                 "block_id": block_id,
-                "metadata": metadata or {},
+                "metadata": metadata,
                 "handle": handle,
             },
             nbytes=256,

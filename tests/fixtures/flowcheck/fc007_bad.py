@@ -37,9 +37,3 @@ class LeakyHandle:
             self.server, "colza", "stage",
             {"pipeline": self.name, "iteration": iteration},
         )
-
-
-def rejoin(wire_name, other_tenant):
-    stripped = base_name(wire_name)
-    # line 45: FC007 (re-join with a different tenant's id)
-    return qualify(other_tenant, stripped)

@@ -1,4 +1,4 @@
-"""FC007 negatives: qualified names, matching re-joins, server-side keys."""
+"""FC007 negatives: qualified names, server-side keys."""
 
 
 class CleanClient:
@@ -33,12 +33,6 @@ class CleanHandle:
             self.server, "colza", "stage",
             {"pipeline": self.name, "iteration": iteration},
         )
-
-
-def same_tenant_rejoin(wire_name):
-    # splitting and re-joining the SAME name is the identity round-trip
-    tenant, stripped = split_qualified(wire_name)
-    return qualify(tenant, stripped)
 
 
 def server_side_key(pipeline, iteration, block_id, view):

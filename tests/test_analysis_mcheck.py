@@ -44,6 +44,7 @@ from repro.analysis.mcheck import (
 from repro.analysis.mcheck.sched import SCHED_FORMAT, invariant_digest
 from repro.analysis.simtsan import SimTSan, tracked
 from repro.sim import Simulation, controlled_ties
+from tests.test_pins import produce
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -189,29 +190,16 @@ def test_pruning_explores_steps_it_could_not_observe(toy_scenarios):
 
 
 # ---------------------------------------------------------------------------
-# the clean tree explores clean
-#: (runs, pruned, distinct traces, dependent pairs, choice points) of the
-#: first 16 schedules at seed 0: the frontier, exact for the seed.
-FRONTIERS = {
-    "quota_backpressure": (5, 54, 2, 6, 32),
-    "prepare_first_no": (16, 458, 1, 18, 177),
-    "prepare_relay": (16, 430, 1, 18, 168),
-}
-
-
+# the clean tree explores clean (the pinned frontiers are rows of test_pins.PINS)
 @pytest.mark.parametrize(
     "scenario", ["quota_backpressure", "tenant_churn", "prepare_first_no", "prepare_relay"]
 )
 def test_clean_tree_scenario_explores_clean(scenario):
-    report = explore(scenario, 0, max_schedules=16)
+    report = produce(f"mcheck.{scenario}")
     assert report.ok, report.render()
     assert report.runs >= 2  # exploration actually happened
     assert report.dependent_pairs  # and exercised real conflicts
     assert report.pruned > 0  # and the DPOR pruning did work
-    if scenario in FRONTIERS:
-        counts = (report.runs, report.pruned, report.distinct_traces,
-                  len(report.dependent_pairs), report.choice_points)
-        assert counts == FRONTIERS[scenario], counts
 
 
 def test_unknown_scenario_rejected():

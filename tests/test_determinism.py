@@ -2,11 +2,12 @@
 
 The DES kernel promises bit-identical traces for a given program and
 seed — the property that makes every benchmark in this repository
-reproducible. These tests exercise it end to end across the layers.
+reproducible. These tests exercise it end to end across the layers;
+the chaos scenarios' pinned-seed trace digests are rows of
+``test_pins.PINS``.
 """
 
 import numpy as np
-import pytest
 
 from repro.core import Deployment
 from repro.core.pipelines import IsoSurfaceScript
@@ -78,62 +79,3 @@ def test_rng_registry_isolated_between_simulations():
     a = Simulation(seed=5).rng.stream("x").random(4)
     b = Simulation(seed=5).rng.stream("x").random(4)
     assert np.array_equal(a, b)
-
-
-# ---------------------------------------------------------------------------
-# Pinned-seed golden digests.
-#
-# These SHA-256 trace digests were captured from the chaos scenarios
-# before the kernel fast-path work (indexed event queue, incremental
-# membership views, in-place reduce folds) and must survive it — the
-# optimizations are only admissible if they are bit-identical on pinned
-# seeds. If a digest moves, either an optimization reordered events (a
-# bug) or a deliberate semantic change landed; in the latter case
-# re-capture via ``run_scenario(name, seed=seed).digest`` and say why
-# in the commit message.
-#
-# Re-captured when the excuse rule came in (nobody waits on the
-# departed), one reason each; ``tenant_churn_storm`` — unanimous rounds
-# only — did not move. Re-captured again when terminal SWIM records came
-# to ride the 2PC (R3): the four entries marked R3 moved only because an
-# abort ack's ``gone`` entry is now a DEAD record (the address + 94 B)
-# instead of a bare address and the retry's prepares relay it, its
-# ``colza.activate`` span tagged ``relayed=1``; bytes and microsecond
-# transits moved, no round count, view or outcome did. Re-captured
-# again when an activate stopped sleeping before a view it had not yet
-# proposed (docs/protocols.md §2): the four entries marked "news" moved
-# by that backoff alone, no round count, view or outcome did.
-GOLDEN_DIGESTS = {
-    # abort()'s deactivate now names the frozen view (134 -> 526 B on
-    # the wire, its ack carries ``gone``); timings unchanged.
-    ("drop_during_2pc", 3): "b181f3f94e71ea9988e55374f2629d157819f80ce3f86f458e6b3ee4f8726ec1",
-    # News: the three unreachable votes leave a one-server view not yet
-    # proposed; the retry ends 2.107 -> 2.068 s after its start.
-    ("drop_during_2pc", 11): "d91527a69d68e1b9bdd34c9367fdac378f7bdc3661c9f9f07aa018dda9cd2dc1",
-    # The first activate after a leave is decided by the survivors' NO:
-    # 4.05 s (two deadlines on the leaver) -> 0.05 s; the later
-    # iterations run earlier against the churn (seed 3: views
-    # [3, 3, 3, 4, 4] -> [3, 3, 3, 3, 3], the join lands after them).
-    # R3. News: the one two-round activate takes 46.8 ms -> 0.017 ms
-    # (seed 3) and 33.8 ms -> 0.017 ms (seed 11).
-    ("churn_stress", 3): "d367c6c98689e6b4d2e994388cadfb0ef422c4a072e7d7b6ebfc18815cf54771",
-    ("churn_stress", 11): "63778fa4dd8c747272a09a71c059bfea292f10ff7467b970675b5e84379eaec8",
-    # Multi-tenant fabric (DESIGN §13): the tenancy layer shares the
-    # same determinism contract — concurrent tenants, quota waits and
-    # fair-share rotation must all replay bit-identically.
-    ("tenant_churn_storm", 3): "4060e507a5f3420db781aeee34fee9c423705c51c218210b2f83a48f3bf80a7b",
-    # beta's activate after alpha's block owner crashed: 4.04 s (the
-    # dead owner's prepare and abort deadlines) -> 0.04 s. R3. News:
-    # 36.4 ms -> 0.017 ms, still two rounds.
-    ("tenant_owner_crash_recovery_isolated", 3): "62076a8270020d4bfd20adeef93415a53c46e3b71fc2f13e4f4a1f863d1c6dcf",
-    # Both tenants' abort() names the frozen view (139 -> 531 B) and is
-    # not awaited from the crashed member a survivor reports ``gone``. R3.
-    ("tenant_recovery_race", 3): "4c781ded6ec1e1e341217336427e86258ae81cd667319e1e0446a8e24b11f732",
-}
-
-
-@pytest.mark.parametrize("name,seed", sorted(GOLDEN_DIGESTS))
-def test_pinned_seed_golden_digest(name, seed):
-    from repro.chaos.scenarios import run_scenario
-
-    assert run_scenario(name, seed=seed).digest == GOLDEN_DIGESTS[(name, seed)]

@@ -4,18 +4,18 @@ A row is one output of Tables I/II, Figs 1a and 3-10, §II-E or an ablation: the
 of :data:`RUNS`, each run once per session), an extractor, the exact value (a number, a tuple, a
 bool for a shape claim anchored at ``True``, or a series' sha256) and, where the paper gives a
 number, an anchor with a relative tolerance and the EXPERIMENTS.md known deviation for the gap.
-:func:`test_row` checks the exact value (a moved one fails printing the literal to paste back with
-the reason), then the anchor. Rows on :data:`PAPER_SIZE` runs are marked ``paper_size``:
-``addopts`` deselects them, ``make fidelity`` runs them. EXPERIMENTS.md's tables render from the pins.
+:func:`test_row` checks the exact value with ``tests/pinning.py``'s check, which ``test_pins.PINS``
+shares (a moved one fails printing the literal to paste back with the reason), then the anchor.
+Rows on :data:`PAPER_SIZE` runs are marked ``paper_size``: ``addopts`` deselects them, ``make
+fidelity`` runs them. EXPERIMENTS.md's tables render from the pins.
 """
 
-import gc
 import hashlib
 import json
 import pathlib
 import re
 import tempfile
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable
 
 import numpy as np
 import pytest
@@ -27,6 +27,7 @@ from repro.bench.experiments import (
 )
 from repro.bench.experiments.table1_p2p import NA_SIZES, PAPER_TABLE1_US, SIZES as T1
 from repro.bench.experiments.table2_reduce import PAPER_TABLE2_US, SIZES, measure_mona
+from tests.pinning import Row, check, producer, runs_of
 
 EXPERIMENTS_MD = pathlib.Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
 
@@ -64,15 +65,6 @@ RUNS: "dict[str, Callable[[], Any]]" = {
     "slo": lambda: autoscale_slo.run(apps=("grayscott",), traces=("diurnal", "adversarial"), iterations=12),
 }
 PAPER_SIZE = {"fig3", "compositing", "fig4", "fig5", "fig6", "fig7", "fig8", "fig10", "autoscale", "slo"}
-
-
-class Row(NamedTuple):
-    run: Any  # a RUNS name, or a tuple of them (the extractor gets each result)
-    extract: Callable[..., Any]
-    value: Any = True
-    anchor: Any = None
-    tol: float = 0.0
-    deviation: Optional[int] = None
 
 
 def claim(run, predicate) -> Row:
@@ -342,25 +334,8 @@ FIDELITY = {
 }
 
 
-_RESULTS: "dict[str, Any]" = {}
-
-
-def produce(name):
-    """The result of ``RUNS[name]()``, run once per session (other test files share it)."""
-    if name not in _RESULTS:
-        # Simulated values only: collector passes would add wall time and
-        # change nothing. The run's garbage stays young: collected below.
-        gc.disable()
-        try:
-            _RESULTS[name] = RUNS[name]()
-        finally:
-            gc.enable()
-            gc.collect(0)
-    return _RESULTS[name]
-
-
-def _runs(row):
-    return (row.run,) if isinstance(row.run, str) else row.run
+#: The result of ``RUNS[name]()``, run once per session (other test files share it).
+produce = producer(RUNS)
 
 
 def _within(value, anchor, tol):
@@ -372,13 +347,12 @@ def _within(value, anchor, tol):
 
 
 @pytest.mark.parametrize("name", [
-    pytest.param(name, marks=[pytest.mark.paper_size] if PAPER_SIZE.intersection(_runs(row)) else [])
+    pytest.param(name, marks=[pytest.mark.paper_size] if PAPER_SIZE.intersection(runs_of(row)) else [])
     for name, row in FIDELITY.items()
 ])
 def test_row(name):
     row = FIDELITY[name]
-    observed = row.extract(*map(produce, _runs(row)))
-    assert observed == row.value, f"observed {name}, to re-pin with the reason:\n    value={observed!r},"
+    observed = check(name, row, produce)
     if row.anchor is not None:
         deviation = f" (known deviation {row.deviation})" if row.deviation else ""
         assert _within(observed, row.anchor, row.tol), (

@@ -2,13 +2,12 @@
 
 Wall-clock is too noisy for tier-1 CI, but op counts are pinned-seed
 deterministic: events scheduled, timer cancellations, tombstone
-compactions, membership-view rebuilds, Python calls. :data:`TRAJECTORY`
-pins the whole row of every :mod:`repro.bench.trajectory` scene
-exactly, as ``tests/test_determinism.py`` pins trace digests. The
-budgets after it pin the structural properties the optimizations
-bought — if a refactor quietly reintroduces per-probe view re-sorts or
-stops canceling lost-race deadline timers, a test here trips long
-before anyone reads a benchmark report.
+compactions, membership-view rebuilds, Python calls. The whole row of
+every :mod:`repro.bench.trajectory` scene is a row of
+``test_pins.PINS``. The budgets here pin the structural properties the
+optimizations bought — if a refactor quietly reintroduces per-probe
+view re-sorts or stops canceling lost-race deadline timers, a test here
+trips long before anyone reads a benchmark report.
 """
 
 import gc
@@ -16,51 +15,9 @@ import gc
 import numpy as np
 import pytest
 
-from repro.bench.trajectory import SCENES
 from repro.sim import Simulation
 from repro.ssg import SwimConfig, converged
 from repro.testing import build_ssg_group, run_until
-
-#: Every trajectory scene's row, exact for ``trajectory.SEED``. A row
-#: that moves is re-pinned by hand, with the reason next to it.
-TRAJECTORY = {
-    "kernel_events": {
-        "events_scheduled": 40100, "events_processed": 40100,
-        "peak_queue_depth": 20100, "bulk_fired": 20000,
-    },
-    "kernel_cancel": {
-        "events_scheduled": 30002, "events_processed": 6002, "cancels": 24000,
-        "compactions": 2, "tombstones_left": 0, "peak_queue_depth": 30000,
-    },
-    "swim_churn_256": {
-        "events_scheduled": 21959, "events_processed": 19778, "cancels": 2148,
-        "peak_queue_depth": 35, "probes": 2117, "view_rebuilds": 0, "view_total_size": 8337,
-    },
-    "swim_churn_4096": {
-        "events_scheduled": 25749, "events_processed": 23573, "cancels": 2143,
-        "peak_queue_depth": 35, "probes": 2112, "view_rebuilds": 0, "view_total_size": 131086,
-    },
-    "mona_reduce": {
-        "events_scheduled": 2034, "events_processed": 2034,
-        "reduce_checksum": 270607899.98625064,
-        # binary and binomial trees add floats in a different order, so the two need not be bit-identical
-        "trees_bit_identical": False,
-    },
-    "autoscale_bursty": {"slo_misses": 0, "resizes": 1, "resize_failures": 0, "final_servers": 4},
-    "autoscale_adversarial": {"slo_misses": 2, "resizes": 3, "resize_failures": 0, "final_servers": 8},
-}
-
-
-@pytest.mark.parametrize("name", sorted(SCENES))
-def test_trajectory_scene_repeats_its_pinned_row(name):
-    # The row is counts: collector passes over the whole suite's heap
-    # would only add wall time (a third of it, late in tier-1).
-    gc.disable()
-    try:
-        row = SCENES[name]()
-    finally:
-        gc.enable()
-    assert row == TRAJECTORY.get(name), f"observed row, to re-pin with a reason:\n    {name!r}: {row!r},"
 
 
 def _run_small_group(n_agents=6, seed=21, extra_seconds=30.0):

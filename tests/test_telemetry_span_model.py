@@ -13,10 +13,10 @@ open.
 import pytest
 
 from repro.bench.harness import ColzaExperiment
-from repro.chaos import run_scenario
 from repro.core.pipelines import IsoSurfaceScript
 from repro.na import VirtualPayload
 from repro.sim import Simulation
+from tests.test_pins import produce
 
 
 def _reference_forest(spans):
@@ -75,10 +75,8 @@ BLOCKS = [[(c, VirtualPayload((8192,), "float64"))] for c in range(8)]
 
 
 def test_harness_run():
-    exp = _experiment()
-    for iteration in (1, 2):
-        exp.run_iteration(iteration, BLOCKS)
-    _assert_children_match_parent_ids(exp.sim.trace, min_spans=1000, min_depth=5)
+    trace = produce("colza_two_iterations").sim.trace
+    _assert_children_match_parent_ids(trace, min_spans=1000, min_depth=5)
 
 
 @pytest.mark.parametrize("name,seed", [
@@ -87,9 +85,8 @@ def test_harness_run():
     ("tenant_owner_crash_recovery_isolated", 3),  # two tenants, a crash, recovery
 ])
 def test_chaos_scenarios(name, seed):
-    result = run_scenario(name, seed=seed)
-    assert result.ok, result.violations
-    _assert_children_match_parent_ids(result.sim.trace, min_spans=1000, min_depth=4)
+    trace = produce(f"{name}@{seed}").sim.trace  # the run asserts the scenario held
+    _assert_children_match_parent_ids(trace, min_spans=1000, min_depth=4)
 
 
 def test_clear_with_spans_still_open():
