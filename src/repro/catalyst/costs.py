@@ -57,8 +57,6 @@ class PipelineCostModel:
     clip_per_triangle: float = 2.0e-8
     #: Block merging, per cell moved.
     merge_per_cell: float = 1.0e-8
-    #: Resample-to-image, per target voxel.
-    resample_per_voxel: float = 1.5e-7
     #: Volume rendering (resample+raymarch combined path), per cell.
     volume_per_cell: float = 1.2e-6
     #: Rasterization, per output pixel.
@@ -77,9 +75,6 @@ class PipelineCostModel:
 
     def merge(self, ncells: int) -> float:
         return ncells * self.merge_per_cell
-
-    def resample(self, nvoxels: int) -> float:
-        return nvoxels * self.resample_per_voxel
 
     def volume(self, ncells: int) -> float:
         return ncells * self.volume_per_cell

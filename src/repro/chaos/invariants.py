@@ -35,6 +35,11 @@ properties:
    watched SLO autoscaler never steers the group outside
    ``[min_servers, max_servers]``, never overlaps resizes, respects
    its cooldown, and degrades instead of raising.
+8. **Execute quiescence** — once the scenario settles, no execution
+   outlives the activation that started it: no ``*.coprocess`` task is
+   unfinished, no ``mona.*`` or ``pipeline.execute`` span is open, and
+   no running daemon is still inside a ``colza/execute`` handler (a
+   crashed daemon's handler hangs on its quiesced endpoint by design).
 
 Violations accumulate as human-readable strings in
 :attr:`InvariantMonitor.violations`.
@@ -468,15 +473,35 @@ class InvariantMonitor:
                     f"(replicas should have covered it)"
                 )
 
+    def _check_execute_quiescence(self) -> None:
+        """Invariant 8: every execution ended with its activation."""
+        running = {d.name for d in self.deployment.live_daemons()}
+        for task in self.sim.tasks:
+            if task.done.fired:
+                continue
+            daemon, _, rpc = task.name.partition(".rpc.")
+            if task.name.endswith(".coprocess") or (
+                rpc == "colza/execute" and daemon in running
+            ):
+                self.violations.append(
+                    f"t={self.sim.now:.2f}: task {task.name} outlived its activation"
+                )
+        for span in self.sim.trace.spans.open.values():
+            if span.name.startswith("mona.") or span.name == "pipeline.execute":
+                self.violations.append(
+                    f"t={self.sim.now:.2f}: span {span.name} {span.tags} still open"
+                )
+
     # ------------------------------------------------------------------
     def final_check(self) -> List[str]:
-        """Invariants 4 and 6, run once the scenario has settled: all
-        running daemons' membership views must agree, and tenant
-        isolation must hold at quiescence."""
+        """Invariants 4, 6 and 8, run once the scenario has settled: all
+        running daemons' membership views must agree, tenant isolation
+        must hold and no execution may be left running."""
         with untracked(self.sim):
             self.tenancy.check_all()
             for safety in self.controllers:
                 safety.check()
+        self._check_execute_quiescence()
         if not self.deployment.converged():
             views = {
                 d.name: [str(a) for a in d.agent.members()]

@@ -81,7 +81,7 @@ class Backend:
         self.staged.clear()
 
     def abort_execution(self, reason: str) -> None:
-        """A frozen-view member died; cancel any in-flight execution.
+        """The activation ended or a frozen-view member died: fail its executes.
 
         The base implementation is a no-op (nothing to cancel for
         pipelines without collective execution)."""

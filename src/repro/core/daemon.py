@@ -85,6 +85,8 @@ class ColzaDaemon:
         self.agent.stop(clean_group_file=False)
         self.margo.finalize(quiesce=True)
         self.mona.finalize(quiesce=True)
+        for key in list(self.provider._active):
+            self.provider.end_activation(key, f"{self.name} crashed")
 
 
 class Deployment:

@@ -72,14 +72,13 @@ class CatalystBackend(Backend):
         self.last_results: Optional[dict] = None
         self.executions = 0
         self.provider = None  # set by ColzaProvider.create_pipeline
-        self._abort = None  # Event armed while an execution is in flight
-        self._abort_reason: Optional[str] = None
+        self._abort = None  # the current activation's abort event
 
     # ------------------------------------------------------------------
     def activate(self, iteration: int, view: List[Address]) -> Generator:
         yield from super().activate(iteration, view)
-        # A fresh 2PC-agreed view supersedes any earlier failure.
-        self._abort_reason = None
+        # Each activation owns one abort event (see abort_execution).
+        self._abort = self.margo.sim.event(f"{self.name}.abort")
         if self.mode == "mpi":
             if self.comm is None:
                 try:
@@ -115,23 +114,21 @@ class CatalystBackend(Backend):
             "pipeline.execute", pipeline=self.name, server=self.margo.name,
             iteration=iteration,
         )
-        if self._abort_reason is not None:
+        if (abort := self._abort).fired:
             sim.trace.end(span, aborted=True)
-            raise RuntimeError(f"execution aborted: {self._abort_reason}")
+            raise RuntimeError(f"execution aborted: {abort.value}")
         payloads = [b.payload for b in self.blocks(iteration)]
-        # Run the co-processor as a child task raced against the abort
-        # event: if a frozen-view member dies, its collectives can never
-        # complete, so the provider fires the abort and we fail the RPC
-        # instead of hanging (fault tolerance, paper future work (1)).
-        self._abort = sim.event(f"{self.name}.abort")
+        # Run the co-processor as a child task raced against the abort:
+        # once the activation ends or a frozen-view member dies, its
+        # collectives may never complete, so the child is killed and the
+        # RPC fails instead of hanging (fault tolerance, future work (1)).
         child = sim.spawn(
             self.coproc.coprocess(
                 iteration, payloads, charge=self.margo.compute, camera=self.camera
             ),
             name=f"{self.name}.coprocess",
         )
-        idx, value = yield sim.any_of([child.join(), self._abort])
-        self._abort = None
+        idx, value = yield sim.any_of([child.join(), abort])
         if idx == 1:
             child.kill()
             sim.trace.end(span, aborted=True)
@@ -143,7 +140,6 @@ class CatalystBackend(Backend):
         return None
 
     def abort_execution(self, reason: str) -> None:
-        self._abort_reason = reason
         if self._abort is not None and not self._abort.fired:
             self._abort.succeed(reason)
 

@@ -180,13 +180,23 @@ class ColzaProvider(Provider):
             return
         # Fault tolerance: a member crashed. Any pipeline whose frozen
         # view contains it can never finish its collectives — abort the
-        # execution so the client gets an error instead of a hang.
+        # execution so the client gets an error instead of a hang. The
+        # activation lives on (a stage racing the death keeps its epoch).
         for key in list(self._active):
             name, _iteration = key
             pipeline = self.pipelines.get(name)
             if pipeline is not None and member in pipeline.current_view:
                 self.margo.sim.trace.add("colza.abort_on_death")
                 pipeline.abort_execution(f"member {member} died")
+
+    def end_activation(self, key: Tuple[str, int], reason: str) -> bool:
+        """End one activation and any execution of it: the only way out of
+        ``_active`` (deactivate, tenant detach, crash). True if it was."""
+        if self._active.pop(key, None) is None:
+            return False
+        if key[0] in self.pipelines:
+            self.pipelines[key[0]].abort_execution(reason)
+        return True
 
     # ------------------------------------------------------------------
     # pipeline management (called by the admin provider)
@@ -256,7 +266,7 @@ class ColzaProvider(Provider):
         )
         for pname in owned:
             for key in sorted(k for k in self._active if k[0] == pname):
-                self._active.pop(key, None)
+                self.end_activation(key, f"tenant {tenant} detached")
             for key in sorted(k for k in self._prepared if k[0] == pname):
                 self._prepared.pop(key, None)
             self.destroy_pipeline(pname)
@@ -439,12 +449,12 @@ class ColzaProvider(Provider):
         iteration = input["iteration"]
         key = (name, iteration)
         pipeline = self.pipelines.get(name)
-        was_active = self._active.pop(key, None) is not None
+        was_active = self.end_activation(key, "deactivated")
         if pipeline is not None and not input.get("keep_data"):
-            # keep_data is the abort-for-retry path: the activation
-            # epoch dies (stage/execute handlers in flight will see it
-            # and bail) but staged blocks and their replicas survive so
-            # the next activate can recover instead of re-staging.
+            # keep_data is the abort-for-retry path: the activation ends
+            # (its execute is aborted, a stage in flight finds its epoch
+            # gone) but staged blocks and their replicas survive so the
+            # next activate can recover instead of re-staging.
             yield from pipeline.deactivate(iteration)
             if key not in self._active:
                 self.replicas.drop_iteration(name, iteration)

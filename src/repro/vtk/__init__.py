@@ -7,8 +7,8 @@ VTK/ParaView that Colza's pipelines exercise:
   grids), ``PolyData`` (triangle surfaces), ``UnstructuredGrid``
   (tetrahedral meshes), ``MultiBlockDataSet``;
 - **filters** (:mod:`repro.vtk.filters`): iso-surface extraction
-  (marching tetrahedra), plane clipping, thresholding, block merging,
-  resampling to image — all real, vectorized computations;
+  (marching tetrahedra), plane clipping, block merging, resampling to
+  image — all real, vectorized computations;
 - **parallelism** (:mod:`repro.vtk.parallel`): the
   ``Communicator`` / ``MultiProcessController`` abstraction pair with
   ``MonaController`` and ``MPIController`` implementations, plus the

@@ -9,16 +9,10 @@ from repro.vtk.filters.clip import clip_polydata
 from repro.vtk.filters.contour import contour
 from repro.vtk.filters.merge import merge_blocks
 from repro.vtk.filters.resample import resample_to_image
-from repro.vtk.filters.slice_plane import slice_plane
-from repro.vtk.filters.tetrahedralize import tetrahedralize
-from repro.vtk.filters.threshold import threshold
 
 __all__ = [
     "clip_polydata",
     "contour",
     "merge_blocks",
     "resample_to_image",
-    "slice_plane",
-    "tetrahedralize",
-    "threshold",
 ]

@@ -229,3 +229,19 @@ def test_broken_abort_on_death_is_caught(monkeypatch):
     )
     with pytest.raises(TimeoutError):
         run_scenario("crash_mid_execute", seed=1)
+
+
+def test_broken_teardown_abort_is_caught(monkeypatch):
+    """End activations without aborting their executions: a survivor
+    whose keep-data teardown lands before it sees the death keeps its
+    co-processor waiting on the dead peer, and the execute-quiescence
+    invariant must flag it."""
+    from repro.core.provider import ColzaProvider
+
+    monkeypatch.setattr(
+        ColzaProvider, "end_activation",
+        lambda self, key, reason: self._active.pop(key, None) is not None,
+    )
+    result = run_scenario("crash_mid_execute", seed=1)
+    assert not result.ok, "a leaked execute went unnoticed by the fleet"
+    assert any("outlived its activation" in v for v in result.violations)

@@ -31,7 +31,7 @@ def test_cost_model_linear():
     assert costs.contour(2_000_000) == pytest.approx(2_000_000 * costs.contour_per_cell)
     assert costs.volume(10) == pytest.approx(10 * costs.volume_per_cell)
     assert costs.raster(256 * 256) == pytest.approx(256 * 256 * costs.raster_per_pixel)
-    assert costs.merge(5) + costs.clip(5) + costs.resample(5) > 0
+    assert costs.merge(5) + costs.clip(5) > 0
 
 
 def test_cost_model_calibration_anchors():

@@ -455,11 +455,6 @@ def test_a_crash_during_a_joined_servers_first_execute_recovers(crash_during_fir
     assert sim.metrics.scope("core").counter("restage_fallbacks").value == 0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the execute abort leaks survivors' collectives (ROADMAP 3(b): fail a wait fast "
-    "when the view drops its target)",
-)
 def test_a_recovered_iteration_leaves_no_execute_behind(crash_during_first_execute):
     """After the retry succeeds, no survivor is still inside the aborted
     attempt: no ``render.coprocess`` task is live and no ``mona.*`` span

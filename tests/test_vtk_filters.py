@@ -1,4 +1,4 @@
-"""Tests for the VTK filters: contour, clip, threshold, merge, resample."""
+"""Tests for the VTK filters: contour, clip, merge, resample."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.vtk import ImageData, MultiBlockDataSet, PolyData, UnstructuredGrid
-from repro.vtk.filters import clip_polydata, contour, merge_blocks, resample_to_image, threshold
+from repro.vtk.filters import clip_polydata, contour, merge_blocks, resample_to_image
 
 
 def sphere_field(n=33, radius=1.0, extent=1.5):
@@ -179,7 +179,7 @@ def test_property_clip_partition(nx, ny, nz, off):
 
 
 # ---------------------------------------------------------------------------
-# threshold
+# merge_blocks
 def tet_grid():
     """Two tets sharing a face, with point and cell fields."""
     points = np.array(
@@ -194,36 +194,6 @@ def tet_grid():
     )
 
 
-def test_threshold_cell_field():
-    out = threshold(tet_grid(), "c", 15, 25)
-    assert out.num_cells == 1
-    assert np.allclose(out.cell_data["c"], [20.0])
-    assert out.num_points == 4  # compacted
-
-
-def test_threshold_point_field_all_vs_any():
-    grid = tet_grid()
-    strict = threshold(grid, "p", 0.5, 4.5, mode="all")
-    assert strict.num_cells == 1  # only cell 1 has all points in [0.5, 4.5]
-    loose = threshold(grid, "p", 0.5, 4.5, mode="any")
-    assert loose.num_cells == 2
-
-
-def test_threshold_empty_result():
-    out = threshold(tet_grid(), "c", 99, 100)
-    assert out.num_cells == 0
-    assert out.num_points == 0
-
-
-def test_threshold_unknown_field_and_mode():
-    with pytest.raises(KeyError):
-        threshold(tet_grid(), "zzz", 0, 1)
-    with pytest.raises(ValueError):
-        threshold(tet_grid(), "c", 0, 1, mode="most")
-
-
-# ---------------------------------------------------------------------------
-# merge_blocks
 def test_merge_blocks_offsets_and_volume():
     g1 = tet_grid()
     g2 = UnstructuredGrid(
