@@ -225,7 +225,7 @@ class SimTSan:
         self.races.append(report)
         if self.trace:
             trace = self.sim.trace
-            span = trace.begin_async(
+            span = trace.begin(
                 "simtsan.race",
                 label=report.label,
                 key=report.key,

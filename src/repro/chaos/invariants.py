@@ -37,9 +37,10 @@ properties:
    its cooldown, and degrades instead of raising.
 8. **Execute quiescence** — once the scenario settles, no execution
    outlives the activation that started it: no ``*.coprocess`` task is
-   unfinished, no ``mona.*`` or ``pipeline.execute`` span is open, and
-   no running daemon is still inside a ``colza/execute`` handler (a
-   crashed daemon's handler hangs on its quiesced endpoint by design).
+   unfinished, no ``mona.*``, ``pipeline.execute`` or ``margo.compute``
+   span is open, and no running daemon is still inside a
+   ``colza/execute`` handler (a crashed daemon's handler hangs on its
+   quiesced endpoint by design).
 
 Violations accumulate as human-readable strings in
 :attr:`InvariantMonitor.violations`.
@@ -487,7 +488,7 @@ class InvariantMonitor:
                     f"t={self.sim.now:.2f}: task {task.name} outlived its activation"
                 )
         for span in self.sim.trace.spans.open.values():
-            if span.name.startswith("mona.") or span.name == "pipeline.execute":
+            if span.name.startswith("mona.") or span.name in ("pipeline.execute", "margo.compute"):
                 self.violations.append(
                     f"t={self.sim.now:.2f}: span {span.name} {span.tags} still open"
                 )

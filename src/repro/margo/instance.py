@@ -136,7 +136,11 @@ class MargoInstance:
             if factor is not None:
                 seconds *= float(factor)
         span = sim.trace.begin("margo.compute", instance=self.name, seconds=seconds)
-        result = yield from self.xstream.compute(seconds)
+        try:
+            result = yield from self.xstream.compute(seconds)
+        except GeneratorExit:  # the task was killed: end the span, observe nothing
+            sim.trace.end(span, cancelled=True)
+            raise
         sim.trace.end(span)
         self._m_compute.observe(span.duration if span.recorded else seconds)
         return result

@@ -20,15 +20,21 @@ Semantics:
   :class:`~repro.na.payload.MemoryHandle` at bulk bandwidth — the
   Colza ``stage`` data path.
 
-``send`` is the hop every RPC, SWIM probe and MoNA message takes, so it
-does each thing once: one clock read, one count of the message (in
-``messages_sent`` / ``bytes_sent``, which ``sim.metrics`` pulls rather
-than being pushed a second copy), no interceptor call unless one is
-installed, constant event names (an event per message is cheap;
-formatting an address into its name is not — source and destination are
-on the ``na.send`` span). Endpoints and FIFO horizons are keyed by
-``address.uri``, whose hash the str caches, so a message costs no
-``Address.__hash__`` call.
+``Endpoint.send`` is the hop every RPC, SWIM probe and MoNA message
+takes, so it does each thing once, with no forwarding hop below it: one
+clock read; one call to the fabric's books (``Fabric._count``: the
+``messages_sent`` / ``bytes_sent`` totals ``sim.metrics`` pulls rather
+than being pushed a second copy, and a buffered transit-time
+observation); no interceptor call unless one is installed; constant
+event names (an event per message is cheap; formatting an address into
+its name is not); one transit row in the trace — ``Tracer.depart`` as it
+leaves, ``Tracer.arrive`` as it lands, no span handle or tag dict —
+which reads back as the ``na.send`` span holding source, destination,
+size and ``dropped``; and the arrival scheduled as ``Fabric._land`` with
+one argument, no closure. ``Endpoint.recv`` matches the mailbox itself.
+Endpoints and FIFO horizons are keyed by ``address.uri``, whose hash the
+str caches, and probed with ``in``, so a message costs no
+``Address.__hash__`` or ``dict.get`` call.
 """
 
 from __future__ import annotations
@@ -91,9 +97,9 @@ class _Mailbox:
         # Each receiver: (tag_filter, source_filter, event)
         self.receivers: Deque[Tuple[Hashable, Optional[Address], Event]] = deque()
 
-    # A filter of ANY matches everything; the tests are spelled
-    # out in both loops — one method call per queued candidate adds up
-    # when every RPC reply is a tagged receive.
+    # A filter of ANY matches everything; the tests are spelled out
+    # here and in Endpoint.recv — one method call per queued candidate
+    # adds up when every RPC reply is a tagged receive.
     def deliver(self, msg: Message) -> None:
         msg_tag, msg_source = msg.tag, msg.source
         for i, (tag, source, ev) in enumerate(self.receivers):
@@ -104,14 +110,6 @@ class _Mailbox:
                 ev.succeed(msg)
                 return
         self.messages.append(msg)
-
-    def receive(self, tag: Hashable, source: Optional[Address], ev: Event) -> None:
-        for i, msg in enumerate(self.messages):
-            if (tag is ANY or msg.tag == tag) and (source is ANY or msg.source == source):
-                del self.messages[i]
-                ev.succeed(msg)
-                return
-        self.receivers.append((tag, source, ev))
 
     def cancel(self, ev: Event) -> None:
         self.receivers = deque(r for r in self.receivers if r[2] is not ev)
@@ -150,12 +148,85 @@ class Endpoint:
 
         self._nic = Resource(fabric.sim, capacity=1, name=f"{address}.nic")
 
-    # Convenience pass-throughs -----------------------------------------
+    # messaging ---------------------------------------------------------
     def send(self, dest: Address, payload: Any, tag: Hashable = 0, nbytes: Optional[int] = None) -> Event:
-        return self.fabric.send(self, dest, payload, tag=tag, nbytes=nbytes)
+        """Send; the returned event fires at delivery time.
+
+        ``nbytes`` overrides the computed payload size (used when a
+        small Python object stands in for a larger wire format).
+        """
+        fabric = self.fabric
+        sim = fabric.sim
+        if not self.alive:
+            if self.quiesced:
+                return Event(sim, "na.send-from-dead")  # never fires
+            raise NAError(f"send from deregistered endpoint {self.address}")
+        size = payload_nbytes(payload) if nbytes is None else int(nbytes)
+        source = self.address
+        # Fault injection point: consulted before transit-cost charging
+        # so injected delays shift the arrival (and the FIFO horizon)
+        # exactly as slow links would. Un-instrumented runs pay the one
+        # dict probe and no call.
+        action: Optional[LinkAction] = None
+        if "na.send" in sim._interceptors:
+            action = sim.intercept("na.send", source, dest, size, tag)
+        # Table probes are ``in`` and a subscript, not ``dict.get``: no
+        # call for the lookups every message makes.
+        dest_uri = dest.uri
+        endpoints = fabric._endpoints
+        dest_ep = endpoints[dest_uri] if dest_uri in endpoints else None
+        same_node = dest_ep is not None and dest_ep.node_index == self.node_index
+        transit = self.model.p2p_time(size, same_node=same_node)
+        if action is not None and action.delay > 0:
+            transit += action.delay
+
+        now = sim._now
+        arrive = now + transit
+        horizon = self._horizon
+        if dest_uri in horizon and horizon[dest_uri] > arrive:
+            arrive = horizon[dest_uri]
+        horizon[dest_uri] = arrive
+        fabric._count(size, arrive - now)
+
+        # Event names are constants: formatting an address into a
+        # per-message name would cost more than the event it labels,
+        # and the transit row below already records source and
+        # destination.
+        done = Event(sim, "na.send")
+        msg = Message(source, dest, tag, payload, size, now, arrive)
+
+        dropped = action is not None and action.drop
+        # A transit row: departs here in the sender's context (so it
+        # nests under the collective/RPC driving it), arrives at
+        # delivery time into the store it departed into.
+        trace = sim.trace
+        row = trace.depart("na.send", source, dest, size)
+        sim._schedule_at(arrive, fabric._land, (dest_uri, dropped, msg, trace.spans, row, done))
+        if action is not None and action.duplicate and not dropped:
+
+            def duplicate_cb() -> None:
+                target = endpoints.get(dest_uri)
+                if target is not None and target.alive:
+                    target._mailbox.deliver(msg)
+
+            sim._schedule_at(arrive, duplicate_cb)
+        return done
 
     def recv(self, tag: Hashable = ANY, source: Optional[Address] = ANY) -> Event:
-        return self.fabric.recv(self, tag=tag, source=source)
+        """Receive the next matching message (fires with a Message)."""
+        if not self.alive:
+            if self.quiesced:
+                return Event(self.fabric.sim, "na.recv-on-dead")  # never fires
+            raise NAError(f"recv on deregistered endpoint {self.address}")
+        ev = Event(self.fabric.sim, "na.recv")
+        mailbox = self._mailbox
+        for i, msg in enumerate(mailbox.messages):
+            if (tag is ANY or msg.tag == tag) and (source is ANY or msg.source == source):
+                del mailbox.messages[i]
+                ev.succeed(msg)
+                return ev
+        mailbox.receivers.append((tag, source, ev))
+        return ev
 
     def cancel_recv(self, ev: Event) -> None:
         self._mailbox.cancel(ev)
@@ -215,95 +286,28 @@ class Fabric:
         endpoint.quiesced = True
 
     # ------------------------------------------------------------------
-    # messaging
-    def send(
-        self,
-        src: Endpoint,
-        dest: Address,
-        payload: Any,
-        tag: Hashable = 0,
-        nbytes: Optional[int] = None,
-    ) -> Event:
-        """Send; the returned event fires at delivery time.
-
-        ``nbytes`` overrides the computed payload size (used when a
-        small Python object stands in for a larger wire format).
-        """
-        sim = self.sim
-        if not src.alive:
-            if src.quiesced:
-                return Event(sim, "na.send-from-dead")  # never fires
-            raise NAError(f"send from deregistered endpoint {src.address}")
-        size = payload_nbytes(payload) if nbytes is None else int(nbytes)
-        source = src.address
-        # Fault injection point: consulted before transit-cost charging
-        # so injected delays shift the arrival (and the FIFO horizon)
-        # exactly as slow links would. Un-instrumented runs pay the one
-        # dict probe and no call.
-        action: Optional[LinkAction] = None
-        if "na.send" in sim._interceptors:
-            action = sim.intercept("na.send", source, dest, size, tag)
-        dest_uri = dest.uri
-        dest_ep = self._endpoints.get(dest_uri)
-        same_node = dest_ep is not None and dest_ep.node_index == src.node_index
-        transit = src.model.p2p_time(size, same_node=same_node)
-        if action is not None and action.delay > 0:
-            transit += action.delay
-
-        now = sim._now
-        arrive = now + transit
-        horizon = src._horizon
-        earliest = horizon.get(dest_uri)
-        if earliest is not None and earliest > arrive:
-            arrive = earliest
-        horizon[dest_uri] = arrive
-
+    # the books of what endpoints send: only the fabric advances its totals
+    def _count(self, nbytes: int, transit: float) -> None:
+        """One message sent: the totals ``sim.metrics`` pulls, and its
+        transit time."""
         self.messages_sent += 1
-        self.bytes_sent += size
-        self._m_transit.observe(arrive - now)
+        self.bytes_sent += nbytes
+        self._m_transit.observe(transit)
 
-        # Event names are constants: formatting an address into a
-        # per-message name would cost more than the event it labels,
-        # and the span below already records source and destination.
-        done = Event(sim, "na.send")
-        msg = Message(source, dest, tag, payload, size, now, arrive)
-
-        dropped = action is not None and action.drop
-        # Async span: begin here in the sender's context (so it nests
-        # under the collective/RPC driving it), end at delivery time.
-        span = sim.trace.begin_async("na.send", src=source, dest=dest, nbytes=size)
-
-        def arrive_cb() -> None:
-            target = self._endpoints.get(dest_uri)
-            delivered = not dropped and target is not None and target.alive
-            if delivered:
-                target._mailbox.deliver(msg)
-            else:
-                self._m_dropped.inc()
-            # Dropped silently if the endpoint died in flight.
-            sim.trace.end(span, dropped=not delivered)
-            done.succeed(msg)
-
-        sim._schedule_at(arrive, arrive_cb)
-        if action is not None and action.duplicate and not dropped:
-
-            def duplicate_cb() -> None:
-                target = self._endpoints.get(dest_uri)
-                if target is not None and target.alive:
-                    target._mailbox.deliver(msg)
-
-            sim._schedule_at(arrive, duplicate_cb)
-        return done
-
-    def recv(self, ep: Endpoint, tag: Hashable = ANY, source: Optional[Address] = ANY) -> Event:
-        """Receive the next matching message (fires with a Message)."""
-        if not ep.alive:
-            if ep.quiesced:
-                return Event(self.sim, "na.recv-on-dead")  # never fires
-            raise NAError(f"recv on deregistered endpoint {ep.address}")
-        ev = Event(self.sim, "na.recv")
-        ep._mailbox.receive(tag, source, ev)
-        return ev
+    def _land(self, arrival: tuple) -> None:
+        """A message's arrival time (``arrival`` is what ``Endpoint.send``
+        scheduled): into its destination's mailbox, unless it was dropped
+        or the endpoint died in flight, and its transit row closes."""
+        dest_uri, dropped, msg, store, row, done = arrival
+        endpoints = self._endpoints
+        target = endpoints[dest_uri] if dest_uri in endpoints else None
+        delivered = not dropped and target is not None and target.alive
+        if delivered:
+            target._mailbox.deliver(msg)
+        else:
+            self._m_dropped.inc()
+        self.sim.trace.arrive(store, row, not delivered)
+        done.succeed(msg)
 
     # ------------------------------------------------------------------
     # bulk (RDMA)

@@ -12,10 +12,6 @@ Spans form a *tree*: parentage is recorded at begin time —
   caller's current span id on the wire and the handler's spans nest
   under it — distributed tracing, one simulated machine at a time.
 
-Async operations whose begin and end live in different execution
-contexts (message transits, RDMA) use :meth:`Tracer.begin_async`: the
-span records its parent but never becomes anyone's "current" span.
-
 The :class:`Tracer` keeps spans in a :class:`SpanStore`: typed columns,
 one flat list of tag values and a child index. ``begin`` hands out a
 :class:`Span` as the open span's handle (for the stack, ``end`` and the
@@ -25,14 +21,23 @@ so a finished span is its column cells and nothing else.
 walks the index: asking about one iteration costs its own subtree, not
 the whole history.
 
+A message in flight is a *transit row*, not a handle: the fabric's
+``na.send`` begins in the sender's context and ends at delivery, in
+none. :meth:`Tracer.depart` writes the row's cells — start, parent
+(resolved as ``begin`` resolves one), a kind looked up once per
+(name, task) and the ``src`` / ``dest`` / ``nbytes`` tags, with the
+``dropped`` cell reserved — and :meth:`Tracer.arrive` writes its end
+and ``dropped``. A transit never becomes anyone's "current" span, and
+reads back like any span: open (``end is None``, its three departure
+tags) while in flight, a finished ``detached`` span after.
+
 Disabled tracing (``tracer.enabled = False``) is a true no-op: spans
-begun while disabled are never recorded, and ending them neither
-mutates them nor fires ``on_end`` callbacks.
+begun and transits departed while disabled are never recorded, and
+ending them neither mutates them nor fires ``on_end`` callbacks.
 """
 
 from __future__ import annotations
 
-import sys
 from array import array
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
@@ -55,7 +60,7 @@ class Span:
     parent: Optional[int] = None
     #: Name of the task that opened the span ("" outside task context).
     task: str = ""
-    #: Async spans never sit on a span stack (see Tracer.begin_async).
+    #: Transit rows (Tracer.depart) never sit on a span stack.
     detached: bool = False
     #: False when begun while tracing was disabled: the span was dropped
     #: at begin time and end() must treat it as a no-op.
@@ -82,13 +87,16 @@ class Span:
             yield from child.walk()
 
 
-#: Shared no-op spans handed out while tracing is disabled. ``end`` and
+#: The shared no-op span handed out while tracing is disabled. ``end`` and
 #: parent resolution both check ``recorded`` before touching anything,
 #: so one frozen instance (id -1, empty tags, never mutated) serves
 #: every disabled begin without a per-call Span/dict allocation — the
-#: hot layers (fabric, mercury, margo) open spans on every message.
+#: hot layers (mercury, margo) open spans on every RPC.
 _DISABLED_SPAN = Span(name="<disabled>", start=0.0, recorded=False)
-_DISABLED_ASYNC_SPAN = Span(name="<disabled>", start=0.0, detached=True, recorded=False)
+
+#: A transit row's tag keys: three written as it departs, ``dropped``
+#: as it arrives.
+TRANSIT_KEYS = ("src", "dest", "nbytes", "dropped")
 
 
 class SpanKind(NamedTuple):
@@ -112,12 +120,14 @@ class SpanStore(SequenceABC):
     ``kind_list``), ``tag_at`` (into ``values``) and the child index
     ``last_child`` / ``prev_sibling`` (rows; -1: none) — 40 bytes a row,
     8 a tag value, under 2**31 of each. An open span's handle, which
-    holds its tags, is in ``open`` until it ends.
+    holds its tags, is in ``open`` until it ends; a transit row has no
+    handle, its kind and tag cells being written as it departs
+    (``transits``: its kind code by (name, task)).
     """
 
     __slots__ = (
         "first_id", "next_id", "start", "end", "parent", "kind", "tag_at", "last_child",
-        "prev_sibling", "values", "nvalues", "kinds", "kind_list", "open",
+        "prev_sibling", "values", "nvalues", "kinds", "kind_list", "open", "transits",
     )
 
     def __init__(self, first_id: int = 0):
@@ -130,6 +140,7 @@ class SpanStore(SequenceABC):
         self.kinds: Dict[tuple, Tuple[int, int]] = {}
         self.kind_list: List[SpanKind] = []
         self.open: Dict[int, Span] = {}
+        self.transits: Dict[Tuple[str, str], int] = {}
 
     def __len__(self) -> int:
         return self.next_id - self.first_id
@@ -158,19 +169,32 @@ class SpanStore(SequenceABC):
         rows.reverse()
         return rows
 
+    def intern(self, key: tuple) -> Tuple[int, int]:
+        """The code and tag count of kind ``key`` — ``(name, task,
+        detached, keys)`` — added to ``kind_list`` if new."""
+        try:
+            return self.kinds[key]
+        except KeyError:
+            code = self.kinds[key] = (len(self.kind_list), len(key[3]))
+            self.kind_list.append(SpanKind(*key))
+            return code
+
     def tag_items(self, kind: SpanKind, at: int) -> Iterable[Tuple[str, Any]]:
         """A finished row's tags as ``(key, value)`` pairs."""
         return zip(kind.keys, self.values[at:at + len(kind.keys)])
 
     def row(self, i: int) -> Span:
-        """Row ``i``: the handle while the span is open, else a new Span."""
+        """Row ``i``: the handle while a begun span is open, else a new Span."""
         span_id = self.first_id + i
         live = self.open.get(span_id)
         if live is not None:
             return live
-        kind, parent = self.kind_list[self.kind[i]], self.parent[i]
+        kind, parent, end = self.kind_list[self.kind[i]], self.parent[i], self.end[i]
         tags = dict(self.tag_items(kind, self.tag_at[i]))
-        return Span(kind.name, self.start[i], self.end[i], tags, span_id,
+        if end != end:  # NaN: a transit in flight, whose last tag is its arrival's
+            end = None
+            tags.popitem()
+        return Span(kind.name, self.start[i], end, tags, span_id,
                     None if parent < 0 else parent, kind.task, kind.detached, True, self)
 
 
@@ -237,75 +261,6 @@ def _canonical(value: Any) -> Any:
     )
 
 
-def _span_opener(method: str, detached: bool, doc: str):
-    """The body of :meth:`Tracer.begin` and :meth:`Tracer.begin_async`,
-    bound to ``detached``: resolve the span's context (task, parent,
-    stack), write its row, link it under its parent and — unless
-    ``detached`` — push its handle on the context's stack, in the one
-    call the layers make per message. ``tags`` is the caller's fresh
-    ``**tags`` dict and holds the span's tags until it ends."""
-    unrecorded = _DISABLED_ASYNC_SPAN if detached else _DISABLED_SPAN
-
-    def open_span(
-        self: "Tracer", name: str, parent: Union[Span, int, None] = None, **tags: Any
-    ) -> Span:
-        if not self.enabled:
-            return unrecorded
-        sim = self._sim
-        task = sim._current_task
-        if task is None:
-            stack, ambient, task_name = self._root_stack, None, ""
-        else:
-            stack, ambient, task_name = task.trace_stack, task.trace_parent, task.name
-        parent_id: Optional[int]
-        if parent is None:
-            if stack:
-                parent_id = stack[-1].id
-            elif ambient is not None:
-                parent_id = ambient.id
-            else:
-                parent_id = None
-        elif isinstance(parent, Span):
-            parent_id = parent.id if parent.recorded else None
-        else:
-            parent_id = int(parent)
-        store = self.spans
-        span_id = store.next_id
-        store.next_id = span_id + 1
-        i = span_id - store.first_id
-        now = sim._now
-        span = Span(name, now, None, tags, span_id, parent_id, task_name, detached, True, store)
-        store.open[span_id] = span
-        try:
-            store.start[i] = now
-        except IndexError:  # the first row of a chunk
-            store.grow()
-            store.start[i] = now
-        if parent_id is not None:
-            store.parent[i] = parent_id
-            # A parent dropped by clear() keeps its id on the child but
-            # is not in this store: recorded, not linked.
-            above = parent_id - store.first_id
-            if 0 <= above < i:
-                store.prev_sibling[i] = store.last_child[above]
-                store.last_child[above] = i
-        if not detached:
-            if stack is None:
-                task.trace_stack = [span]
-            else:
-                stack.append(span)
-        return span
-
-    open_span.__name__, open_span.__qualname__, open_span.__doc__ = method, f"Tracer.{method}", doc
-    # Its own code object, named for the method, keeps the two apart in
-    # a profile (one code object would merge them under one entry).
-    names = {"co_name": method}
-    if sys.version_info >= (3, 11):
-        names["co_qualname"] = open_span.__qualname__
-    open_span.__code__ = open_span.__code__.replace(**names)
-    return open_span
-
-
 class Tracer:
     """Collects a span tree and counters against the simulated clock."""
 
@@ -333,27 +288,127 @@ class Tracer:
             return task.trace_stack[-1]
         return task.trace_parent
 
-    begin = _span_opener(
-        "begin",
-        detached=False,
-        doc="""Open a span at the current simulated time.
+    def begin(self, name: str, parent: Union[Span, int, None] = None, **tags: Any) -> Span:
+        """Open a span at the current simulated time and push its handle
+        on the context's span stack.
 
         Parentage defaults to the current context (span stack, then the
         task's spawn-inherited parent); pass ``parent`` (a span or span
-        id, e.g. an RPC trace context) to override.
-        """,
-    )
+        id, e.g. an RPC trace context) to override. ``tags`` is the
+        caller's fresh ``**tags`` dict and holds the span's tags until
+        it ends.
+        """
+        if not self.enabled:
+            return _DISABLED_SPAN
+        sim = self._sim
+        task = sim._current_task
+        if task is None:
+            stack, ambient, task_name = self._root_stack, None, ""
+        else:
+            stack, ambient, task_name = task.trace_stack, task.trace_parent, task.name
+        parent_id: Optional[int]
+        if parent is None:
+            if stack:
+                parent_id = stack[-1].id
+            elif ambient is not None:
+                parent_id = ambient.id
+            else:
+                parent_id = None
+        elif isinstance(parent, Span):
+            parent_id = parent.id if parent.recorded else None
+        else:
+            parent_id = int(parent)
+        store = self.spans
+        span_id = store.next_id
+        store.next_id = span_id + 1
+        i = span_id - store.first_id
+        now = sim._now
+        span = Span(name, now, None, tags, span_id, parent_id, task_name, False, True, store)
+        store.open[span_id] = span
+        try:
+            store.start[i] = now
+        except IndexError:  # the first row of a chunk
+            store.grow()
+            store.start[i] = now
+        if parent_id is not None:
+            store.parent[i] = parent_id
+            # A parent dropped by clear() keeps its id on the child but
+            # is not in this store: recorded, not linked.
+            above = parent_id - store.first_id
+            if 0 <= above < i:
+                store.prev_sibling[i] = store.last_child[above]
+                store.last_child[above] = i
+        if stack is None:
+            task.trace_stack = [span]
+        else:
+            stack.append(span)
+        return span
 
-    begin_async = _span_opener(
-        "begin_async",
-        detached=True,
-        doc="""Open a span that never becomes the current span.
+    def depart(self, name: str, src: Any, dest: Any, nbytes: int) -> int:
+        """Open a transit row — ``nbytes`` on their way from ``src`` to
+        ``dest`` — at the current simulated time, and return the row in
+        :attr:`spans` that :meth:`arrive` closes (-1 while tracing is
+        disabled: nothing is written).
 
-        For operations whose end lives in another execution context
-        (message transit, RDMA completion): the span records its parent
-        for the tree but later ``begin`` calls will not nest under it.
-        """,
-    )
+        Its parent is the current context's, as for :meth:`begin`, but
+        it never becomes the current span: later ``begin`` calls do not
+        nest under it. Its kind (``name``, the task, detached,
+        :data:`TRANSIT_KEYS`) is interned once per (name, task), and the
+        ``dropped`` cell is reserved: no handle, tag dict, ``open`` entry
+        or ``tuple(keys)`` is made per message.
+        """
+        if not self.enabled:
+            return -1
+        sim = self._sim
+        task = sim._current_task
+        if task is None:
+            stack, ambient, task_name = self._root_stack, None, ""
+        else:
+            stack, ambient, task_name = task.trace_stack, task.trace_parent, task.name
+        store = self.spans
+        span_id = store.next_id
+        store.next_id = span_id + 1
+        i = span_id - store.first_id
+        try:
+            store.start[i] = sim._now
+        except IndexError:  # the first row of a chunk
+            store.grow()
+            store.start[i] = sim._now
+        try:
+            store.kind[i] = store.transits[name, task_name]
+        except KeyError:  # this task's first transit of this name
+            code, _ = store.intern((name, task_name, True, TRANSIT_KEYS))
+            store.kind[i] = store.transits[name, task_name] = code
+        store.tag_at[i] = at = store.nvalues
+        values = store.values
+        values += (src, dest, nbytes, None)
+        store.nvalues = at + 4
+        if stack:
+            parent_id = stack[-1].id
+        elif ambient is not None:
+            parent_id = ambient.id
+        else:
+            return i
+        store.parent[i] = parent_id
+        above = parent_id - store.first_id
+        if 0 <= above < i:  # see begin
+            store.prev_sibling[i] = store.last_child[above]
+            store.last_child[above] = i
+        return i
+
+    def arrive(self, store: SpanStore, row: int, dropped: bool) -> None:
+        """Close the transit :meth:`depart` opened at ``row`` of ``store``
+        (the store it went into, whatever :meth:`clear` did since): its
+        end and ``dropped`` cells, then each ``on_end`` callback, if any,
+        with a :class:`Span` of the row. No-op for ``row`` -1."""
+        if row < 0:
+            return
+        store.end[row] = self._sim._now
+        store.values[store.tag_at[row] + 3] = dropped
+        if self.on_end:
+            span = store.row(row)
+            for cb in self.on_end:
+                cb(span)
 
     def end(self, span: Span, **tags: Any) -> Span:
         """Close a span at the current simulated time: its end and tags
@@ -373,12 +428,11 @@ class Tracer:
         store = span.store
         i = span.id - store.first_id
         store.end[i] = now
-        key = span.name, span.task, span.detached, tuple(own)
+        key = span.name, span.task, False, tuple(own)
         try:
             store.kind[i], width = store.kinds[key]
         except KeyError:  # a new kind
-            store.kind[i], width = store.kinds[key] = (len(store.kind_list), len(own))
-            store.kind_list.append(SpanKind(*key))
+            store.kind[i], width = store.intern(key)
         # Values in the dict's order (begin's keys, then end's new ones):
         # the order the exports write.
         if width:
@@ -387,15 +441,14 @@ class Tracer:
             values += own.values()
             store.nvalues = at + width
         del store.open[span.id]
-        if not span.detached:
-            # Nearly always the span closes where it opened and is the
-            # top of that context's stack; anything else unwinds.
-            task = sim._current_task
-            stack = self._root_stack if task is None else task.trace_stack
-            if stack and stack[-1] is span:
-                del stack[-1]
-            else:
-                self._unwind(span)
+        # Nearly always the span closes where it opened and is the top
+        # of that context's stack; anything else unwinds.
+        task = sim._current_task
+        stack = self._root_stack if task is None else task.trace_stack
+        if stack and stack[-1] is span:
+            del stack[-1]
+        else:
+            self._unwind(span)
         for cb in self.on_end:
             cb(span)
         return span

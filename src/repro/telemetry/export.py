@@ -2,8 +2,8 @@
 
 The Chrome export follows the Trace Event Format (the JSON flavor
 Perfetto and ``chrome://tracing`` load): stacked spans become complete
-(``"ph": "X"``) events on one track per simulation task, async spans
-(message transits) become async begin/end (``"b"``/``"e"``) pairs, and
+(``"ph": "X"``) events on one track per simulation task, detached
+transit rows (messages) become async begin/end (``"b"``/``"e"``) pairs, and
 every event carries its span id and parent span id in ``args`` so the
 hierarchy survives even across tracks. Timestamps are microseconds of
 *simulated* time.

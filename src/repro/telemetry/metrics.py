@@ -16,6 +16,17 @@ distribution reports) with a :class:`~repro.telemetry.sketch
 deterministically — they feed the bench reports and the trace digest's
 sibling artifacts, so two same-seed runs must produce identical bytes.
 
+``Histogram.observe`` is on the per-message path (every transit, RDMA
+pull, compute charge and collective), so the common case makes no call:
+a value at or above the sketch's ``min_value`` appends to a buffer of
+:data:`OBSERVE_BATCH`, which folds into the sketch and the buckets when
+full and before any read — the same ``log`` / ``ceil`` / ``bisect_left``
+per value, mapped in one pass, and ``total`` summed in observation
+order, so every read and snapshot is bit-identical to folding each value
+as it came. The first value, zeros, negatives and smaller magnitudes
+take ``QuantileSketch.add`` once what is buffered has folded. NaN and
+the infinities are refused inside ``observe``, before any state changes.
+
 Nothing on a per-event path goes through the registry (DESIGN §12):
 
 - a total a layer already keeps is *pulled*, not pushed:
@@ -34,7 +45,9 @@ no way to drop one while a layer still holds its handle.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import repeat
 from math import ceil, log
+from operator import truediv
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.telemetry.sketch import QuantileSketch
@@ -45,6 +58,9 @@ __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "MetricScope", "P
 DEFAULT_BUCKETS: Tuple[float, ...] = tuple(
     10.0 ** e for e in range(-6, 4)
 )
+
+#: Values :meth:`Histogram.observe` buffers before folding them in.
+OBSERVE_BATCH = 256
 
 
 class Counter:
@@ -89,10 +105,13 @@ class Histogram:
     ``buckets`` are upper bounds (a final +inf bucket is implicit);
     ``observe`` feeds both the bucket counts and the sketch, so reports
     can show the coarse shape and accurate p50/p90/p99 side by side.
+    ``observe`` buffers up to :data:`OBSERVE_BATCH` values and folds
+    them in one pass when the buffer fills and before every read, so a
+    read sees exactly what folding each value on arrival would build.
     """
 
     kind = "histogram"
-    __slots__ = ("name", "bounds", "bucket_counts", "sketch")
+    __slots__ = ("name", "bounds", "_bucket_counts", "_sketch", "_pending", "_room", "_floor")
 
     def __init__(
         self,
@@ -105,32 +124,76 @@ class Histogram:
             raise ValueError(f"histogram {name!r} buckets must be strictly increasing")
         self.name = name
         self.bounds = bounds
-        self.bucket_counts = [0] * (len(bounds) + 1)
-        self.sketch = QuantileSketch(alpha=alpha)
+        self._bucket_counts = [0] * (len(bounds) + 1)
+        self._sketch = QuantileSketch(alpha=alpha)
+        #: Observed values not folded in yet, in observation order, and
+        #: how many more fit before the buffer folds.
+        self._pending: List[float] = []
+        self._room = OBSERVE_BATCH
+        #: Values at or above it are buffered; anything else takes
+        #: ``QuantileSketch.add``. ``inf`` until the sketch holds a value.
+        self._floor = float("inf")
 
     # ------------------------------------------------------------------
     def observe(self, value: float) -> None:
         value = float(value)
-        sketch = self.sketch
-        # Sketch first: it rejects what it cannot hold (NaN, infinities)
-        # before mutating itself, so a refused value bumps no bucket.
-        if sketch.count and value >= sketch.min_value:
-            # One observation per message lands here: QuantileSketch.add
-            # for a positive value into a non-empty sketch, spelled out
-            # (tests/test_telemetry_sketch.py holds the two together).
-            key = ceil(log(value) / sketch._log_gamma)
-            pos = sketch._pos
-            pos[key] = pos[key] + 1 if key in pos else 1
-            sketch.count += 1
-            sketch.total += value
-            if value < sketch._min:
-                sketch._min = value
-            elif value > sketch._max:
-                sketch._max = value
+        # NaN and the infinities fail here, with no call, before any
+        # state changes: the sketch cannot hold them.
+        if value - value != 0.0:
+            raise ValueError(f"histogram {self.name!r} cannot observe {value!r}")
+        if value >= self._floor:
+            # One observation per message lands here: no call at all.
+            self._pending += (value,)
+            self._room -= 1
+            if not self._room:
+                self._fold()
         else:
+            # The first value, zeros, negatives and magnitudes under the
+            # sketch's ``min_value``, each after everything observed before.
+            self._fold()
+            sketch = self._sketch
             sketch.add(value)
-        # First bound >= value; past the last one is the +inf bucket.
-        self.bucket_counts[bisect_left(self.bounds, value)] += 1
+            self._floor = sketch.min_value
+            # First bound >= value; past the last one is the +inf bucket.
+            self._bucket_counts[bisect_left(self.bounds, value)] += 1
+
+    def _fold(self) -> None:
+        """Fold the buffered values into the sketch and the buckets as
+        ``QuantileSketch.add`` and a bisect per value would: the same
+        ``log`` / ``ceil`` / ``bisect_left`` (mapped, so no call per
+        value) and ``total`` summed in observation order
+        (``tests/oracles/histogram_per_value.py`` holds the two together)."""
+        pending = self._pending
+        if not pending:
+            return
+        sketch, counts = self._sketch, self._bucket_counts
+        pos = sketch._pos
+        for key in map(ceil, map(truediv, map(log, pending), repeat(sketch._log_gamma))):
+            pos[key] = pos[key] + 1 if key in pos else 1
+        for i in map(bisect_left, repeat(self.bounds), pending):
+            counts[i] += 1
+        total = sketch.total
+        for value in pending:
+            total += value
+        sketch.total = total
+        sketch.count += len(pending)
+        low, high = min(pending), max(pending)
+        if low < sketch._min:
+            sketch._min = low
+        if high > sketch._max:
+            sketch._max = high
+        self._pending = []
+        self._room = OBSERVE_BATCH
+
+    @property
+    def sketch(self) -> QuantileSketch:
+        self._fold()
+        return self._sketch
+
+    @property
+    def bucket_counts(self) -> List[int]:
+        self._fold()
+        return self._bucket_counts
 
     @property
     def count(self) -> int:

@@ -123,6 +123,17 @@ def test_crash_mid_execute_exercises_abort_path():
     assert result.info["view_sizes"] == [2]
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_killed_compute_ends_its_span_cancelled(seed):
+    """The crashed server's co-processor is killed mid-charge: its
+    ``margo.compute`` span ends there, tagged ``cancelled``, instead of
+    staying open for the rest of the run."""
+    result = run_scenario("crash_mid_execute", seed=seed)
+    trace = result.sim.trace
+    assert not [s for s in trace.spans.open.values() if s.name == "margo.compute"]
+    assert list(trace.find("margo.compute", cancelled=True))
+
+
 def test_gossip_suppression_forces_a_refutation():
     result = run_scenario("gossip_false_suspicion", seed=1)
     assert result.info["victim_incarnation"] >= 1

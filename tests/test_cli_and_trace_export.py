@@ -118,9 +118,9 @@ def test_export_files_are_byte_identical_to_json_dump(tmp_path):
 
     def body(sim):
         with sim.trace.span("outer", n=1, ratio=0.1, who=None):
-            transit = sim.trace.begin_async("na.send", nbytes=2**40, label="é")
+            store, transit = sim.trace.spans, sim.trace.depart("na.send", "é", None, 2**40)
             yield sim.timeout(1e-7)
-            sim.trace.end(transit, dropped=False)
+            sim.trace.arrive(store, transit, False)
 
     sim.spawn(body(sim), name="t")
     sim.run()

@@ -168,10 +168,9 @@ def _span_scene(trace, addresses, n_async=20_000, n_nested=2_000):
     ``n_nested`` spans two deep: an RPC and the compute it charges."""
     sizes = (112, 4096, 65_536)
     for k in range(n_async):
-        span = trace.begin_async(
-            "na.send", src=addresses[k % 8], dest=addresses[(k + 1) % 8], nbytes=sizes[k % 3]
-        )
-        trace.end(span, dropped=False)
+        store = trace.spans
+        row = trace.depart("na.send", addresses[k % 8], addresses[(k + 1) % 8], sizes[k % 3])
+        trace.arrive(store, row, False)
     for k in range(n_nested // 2):
         outer = trace.begin("hg.forward", rpc="echo", dest=addresses[k % 8])
         trace.end(trace.begin("margo.compute", instance="a", seconds=0.5))
@@ -231,11 +230,13 @@ def _echo_pair():
 def test_echo_rpc_round_trip_stays_under_its_call_budget():
     """One RPC with a deadline — caller task, forward span, request send,
     dispatch, handler task and span, reply send, deadline timer canceled —
-    is 9 scheduled kernel events and 4 spans, and costs at most 178
-    Python + C calls (169 measured; 193 while the fabric pushed every
-    message into registry counters, spans opened through a second call
-    and the endpoint tables hashed addresses in Python; 371 before the
-    per-message path was flattened). None of them hashes an address."""
+    is 9 scheduled kernel events and 4 spans, and costs at most 153
+    Python + C calls (145 measured; 169 while its two messages were span
+    handles with eagerly folded histograms and a ``Fabric.send`` hop; 193
+    while the fabric pushed every message into registry counters, spans
+    opened through a second call and the endpoint tables hashed
+    addresses in Python; 371 before the per-message path was
+    flattened). None of them hashes an address."""
     sim, a, b = _echo_pair()
     got = []
 
@@ -256,19 +257,56 @@ def test_echo_rpc_round_trip_stays_under_its_call_budget():
     assert [s.name for s in sim.trace.spans[spans:]] == [
         "hg.forward", "na.send", "hg.handler", "na.send",
     ]
-    assert calls <= 178, calls
+    assert calls <= 153, calls
     names, _ = _profiled_entries(round_trip)
     assert "__hash__" not in names  # endpoints, horizons, dedup: keyed by uri
+
+
+def test_one_message_costs_a_pinned_call_count():
+    """One message with tracing on — ``Endpoint.send`` (cost, FIFO
+    horizon, the fabric's counts and a buffered transit-time
+    observation, its transit row departing), the arrival (mailbox
+    delivery, the row's end and ``dropped`` cells) and the waiting
+    receiver's wake-up and next ``recv`` — makes exactly 37 Python + C
+    calls, scaffolding included. It made 47 while the message opened an
+    ``na.send`` span handle (``begin_async``, ``Span.__init__``, ``end``
+    and the ``dict.values`` of its tags), the histogram called ``log`` /
+    ``ceil`` / ``bisect_left`` per value, the endpoint forwarded to
+    ``Fabric.send`` / ``Fabric.recv`` / ``_Mailbox.receive`` and the
+    endpoint and horizon tables were probed with ``dict.get``."""
+    from repro.na import Fabric, get_cost_model
+
+    sim = Simulation(seed=1)
+    fabric = Fabric(sim)
+    a = fabric.register("a", 0, get_cost_model("mona"))
+    b = fabric.register("b", 1, get_cost_model("mona"))
+    got = []
+
+    def receiver():
+        while True:
+            got.append((yield b.recv(tag=7)))
+
+    def one_message():
+        a.send(b.address, 0, tag=7, nbytes=64)
+        sim.run()
+
+    sim.spawn(receiver(), name="rx")
+    one_message()  # warms the per-size cost memo; the first observation takes QuantileSketch.add
+    names, _ = _profiled_entries(one_message)
+    assert len(got) == 2 and [s.name for s in sim.trace.spans] == ["na.send", "na.send"]
+    assert sum(names.values()) == 37, sum(names.values())
 
 
 def test_steady_swim_ping_stays_under_its_call_and_heap_budgets():
     """A ping round trip in a converged 16-member group whose rumours are
     spent — period timer, probe span, ping RPC with its deadline, handler,
-    reply — costs at most 237 Python + C calls (225 measured; 261 while
-    the membership view's reads went through SimTSan's wrappers and
-    probes looked their counter up in the registry, 302 while every
-    wake-up went through the heap and ``address`` was a chain of three
-    properties) and puts at most 5 entries on the heap: the period
+    reply — costs at most 210 Python + C calls (199.5 measured; 225
+    while its messages were span handles with eagerly folded histograms
+    and a ``Fabric.send`` hop, 261 while the membership view's reads
+    went through SimTSan's wrappers and probes looked their counter up
+    in the registry, 302 while every wake-up went through the heap and
+    ``address`` was a chain of three properties) and puts at most 5
+    entries on the heap: the period
     timer, the deadline, two message arrivals and the handler's compute
     charge. The other 5 scheduled calls are same-instant wake-ups, which
     take the run lane (12 ``heappush`` calls before it)."""
@@ -282,7 +320,7 @@ def test_steady_swim_ping_stays_under_its_call_and_heap_budgets():
     pings = probes.value - probes_before
     queue_after = sim.queue_stats()
     assert pings >= 600
-    assert sum(names.values()) <= 237 * pings, sum(names.values()) / pings
+    assert sum(names.values()) <= 210 * pings, sum(names.values()) / pings
     heap_pushes = sum(n for name, n in names.items() if "heappush" in name)
     assert heap_pushes <= 5 * pings, heap_pushes / pings
     # ... and the lane's entries are still counted as calls scheduled.
@@ -328,14 +366,14 @@ def test_a_steady_prepare_and_its_yes_votes_cost_a_pinned_call_count():
     """Terminal SWIM records ride a prepare only when the coordinator
     holds some (docs/protocols.md §2, R3): a round with nothing to relay
     — the client's ``_prepare``, both handlers and both YES replies —
-    makes exactly 648 Python + C calls: the 658 it made before records
-    rode the 2PC, less ten, since its 8 spans became column rows (no
-    ``list.append`` into the tracer or a parent's children, end tags
-    merged by ``|=``, not ``dict.update``; one ``dict.values`` as each
-    span ends). Stepped event by event, so no background SWIM work lands
-    inside the count. Summed per profiler entry: ``pstats`` keys entries
-    by label, and two that share one overwrite each other in an order
-    that varies from process to process."""
+    makes exactly 608 Python + C calls: 648 less ten for each of its
+    four messages, as ``test_one_message_costs_a_pinned_call_count``
+    itemises. The 648 were the 658
+    it made before records rode the 2PC, less ten, since its 8 spans
+    became column rows. Stepped event by event, so no background SWIM
+    work lands inside the count. Summed per profiler entry: ``pstats``
+    keys entries by label, and two that share one overwrite each other
+    in an order that varies from process to process."""
     exp, _ = _steady_experiment()
     sim, lead = exp.sim, exp.handles[0]
     proposed = tuple(sorted(lead.client.view))
@@ -351,7 +389,7 @@ def test_a_steady_prepare_and_its_yes_votes_cost_a_pinned_call_count():
     names, _ = _profiled_entries(one_round)
     votes, dissent = rounds[-1]
     assert dissent is None and [v["vote"] for v in votes] == ["yes", "yes"]
-    assert sum(names.values()) == 648, sum(names.values())
+    assert sum(names.values()) == 608, sum(names.values())
 
 
 def test_an_uninstrumented_iteration_calls_no_interceptor_hook():

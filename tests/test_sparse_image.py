@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.icet import MonaIceTCommunicator, binary_swap
-from repro.na import Fabric, payload_nbytes
+from repro.na import payload_nbytes
 from repro.sim import Simulation
 from repro.testing import build_mona_world, run_all
 from repro.vtk.render.image import CompositeImage
@@ -104,35 +104,60 @@ def test_a_frame_with_colour_where_nothing_is_drawn_does_not_survive_the_encodin
     assert decode(encode(image)).rgba.tobytes() != image.rgba.tobytes()
 
 
-def _swap_capturing_fragments(images, op):
-    """Run a binary swap of ``images`` on a MoNA world; every frame or
-    fragment that went on the wire, in the order sent, and the result."""
+def _swap_on_the_wire(images, op):
+    """Run a binary swap of ``images`` on a MoNA world. Returns the
+    result, what each rank handed the transport as ``(call, rank, peer,
+    payload)`` — ``call`` being ``"send"``, ``"sendrecv"`` (a swap
+    round's exchange) or ``"gather"`` (to the root) — and every message
+    that went on the wire as ``(source rank, destination rank, nbytes)``,
+    read off the trace's ``na.send`` rows."""
     sim = Simulation(seed=1)
-    fabric, _, comms = build_mona_world(sim, len(images))
-    sent = []
+    _, instances, comms = build_mona_world(sim, len(images))
+    handed = []
 
-    def recording(src, dest, payload, tag=0, nbytes=None):
-        sent.append(payload)
-        return Fabric.send(fabric, src, dest, payload, tag=tag, nbytes=nbytes)
+    class Recording(MonaIceTCommunicator):
+        def send(self, dest, payload, tag=0):
+            handed.append(("send", self.rank, dest, payload))
+            return (yield from super().send(dest, payload, tag))
 
-    fabric.send = recording
+        def sendrecv(self, dest, payload, source, tag=0):
+            handed.append(("sendrecv", self.rank, dest, payload))
+            return (yield from super().sendrecv(dest, payload, source, tag))
+
+        def gather(self, payload, root=0):
+            handed.append(("gather", self.rank, root, payload))
+            return (yield from super().gather(payload, root=root))
 
     def body(comm, image):
-        return (yield from binary_swap(MonaIceTCommunicator(comm), image, op=op))
+        return (yield from binary_swap(Recording(comm), image, op=op))
 
+    first = len(sim.trace.spans)
     final, *_ = run_all(sim, [body(c, im) for c, im in zip(comms, images)])
-    return final, [im for payload in sent for im in _images_in(payload)]
+    rank = {instance.address: r for r, instance in enumerate(instances)}
+    wire = [
+        (rank[s.tags["src"]], rank[s.tags["dest"]], s.tags["nbytes"])
+        for s in sim.trace.find("na.send", first)
+    ]
+    return final, handed, wire
 
 
-def _images_in(payload):
-    if isinstance(payload, CompositeImage):
-        yield payload
-    elif isinstance(payload, (list, tuple)):
-        for item in payload:
-            yield from _images_in(item)
-    elif isinstance(payload, dict):
-        for item in payload.values():
-            yield from _images_in(item)
+def _expected_wire(handed):
+    """The messages ``handed`` puts on a 4-rank wire: one per send or
+    swap round, priced as its payload (a fragment as its encoding), and
+    for each gather the ``{rank: payload}`` bucket of each sender's
+    subtree — the binomial tree carries rank 3's entry twice (3 -> 2 -> 0)."""
+    wire, gathers = [], [[] for _ in range(4)]
+    for call, r, peer, payload in handed:
+        if call == "gather":
+            gathers[r].append(payload)
+        elif isinstance(payload, CompositeImage):
+            wire.append((r, peer, len(encode(payload))))
+        else:
+            wire.append((r, peer, payload_nbytes(payload)))
+    for parts in zip(*gathers):  # the i-th gather of every rank
+        entry = [payload_nbytes({r: p}) for r, p in enumerate(parts)]
+        wire += [(1, 0, entry[1]), (3, 2, entry[3]), (2, 0, entry[2] + entry[3])]
+    return wire
 
 
 def _iso_frames():
@@ -167,11 +192,15 @@ def _volume_frames():
 def test_every_fragment_of_a_binary_swap_of_rendered_frames(op, frames):
     images = frames()
     assert all(0.0 < im.coverage() < 1.0 for im in images)
-    final, fragments = _swap_capturing_fragments(images, op)
-    # A fragment from each rank in each of the two swap rounds; the root
-    # gather's binomial tree carries rank 3's fragment twice (3 -> 2 -> 0).
+    final, handed, wire = _swap_on_the_wire(images, op)
+    # A fragment from each rank in each of the two swap rounds, and each
+    # rank's ``(lo, hi, fragment)`` for the gather to the root.
+    fragments = [p for call, _, _, p in handed if call == "sendrecv"]
+    fragments += [p[2] for call, _, _, p in handed if call == "gather" and isinstance(p, tuple)]
     assert len(fragments) == 4 * 2 + 4
     assert any(0.0 < part.coverage() < 1.0 for part in fragments)
     for part in fragments:
         assert_priced_as_its_encoding(part)
     assert_priced_as_its_encoding(final)
+    # ... and the wire carried exactly those encodings, message by message.
+    assert sorted(wire) == sorted(_expected_wire(handed))

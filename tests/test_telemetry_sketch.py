@@ -187,3 +187,48 @@ def test_histogram_observe_is_the_sketch_add_it_spells_out(case):
         assert hist.sketch.total == sketch.total
     assert hist.sketch == sketch
     assert (hist.count, hist.min, hist.max) == (sketch.count, sketch.min, sketch.max)
+
+
+#: Every way to read a histogram, floats as their exact repr.
+_HISTOGRAM_READS = {
+    "snapshot": lambda h: repr(sorted(h.snapshot().items())),
+    "count": lambda h: h.count,
+    "total": lambda h: repr(h.total),
+    "min": lambda h: repr(h.min),
+    "max": lambda h: repr(h.max),
+    "mean": lambda h: repr(h.mean),
+    "quantile": lambda h: repr(h.quantile(0.5)),
+    "sketch": lambda h: h.sketch.state(),
+    "bucket_counts": lambda h: list(h.bucket_counts),
+}
+
+
+@pytest.mark.parametrize("read", sorted(_HISTOGRAM_READS))
+@pytest.mark.parametrize("first", [3e-6, 0.0, -2.5, 1e-13])
+def test_batched_observe_reads_as_observing_one_value_at_a_time(read, first):
+    """``observe`` buffers and folds ``OBSERVE_BATCH`` values at a time;
+    each read — snapshot, count, total, extremes, mean, quantile,
+    sketch, buckets — must be bit for bit what the per-value ``observe``
+    of ``tests/oracles/histogram_per_value.py`` builds. The stream
+    crosses two batch boundaries in positives alone, then mixes in
+    zeros, negatives and values under the sketch's ``min_value`` (which
+    take ``QuantileSketch.add`` and fold what is buffered first);
+    ``first`` picks the path of the very first value. Only the one read
+    is made, at a few points: every read folds, so reading after each
+    value, or reading something else first, would hide a read that
+    forgets to."""
+    from repro.telemetry.metrics import OBSERVE_BATCH, Histogram
+    from tests.oracles.histogram_per_value import Histogram as PerValue
+
+    rng = np.random.default_rng(7)
+    values = [first] + [float(v) for v in rng.lognormal(-9.0, 4.0, 3 * OBSERVE_BATCH)]
+    odd = [0.0, 5e-13, -3e-14] + [-float(v) for v in rng.lognormal(-2.0, 2.0, 37)]
+    for at, value in zip(rng.integers(2 * OBSERVE_BATCH, len(values), len(odd)), odd):
+        values.insert(int(at), value)
+    points = {1, OBSERVE_BATCH - 1, OBSERVE_BATCH + 7, 2 * OBSERVE_BATCH + 40, len(values)}
+    batched, per_value = Histogram("h"), PerValue("h")
+    for n, value in enumerate(values, 1):
+        batched.observe(value)
+        per_value.observe(value)
+        if n in points:
+            assert _HISTOGRAM_READS[read](batched) == _HISTOGRAM_READS[read](per_value), n

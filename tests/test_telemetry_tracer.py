@@ -53,15 +53,17 @@ def test_spawn_inherits_ambient_parent():
 
 
 def test_async_span_never_becomes_current():
+    """A transit row nests under the context it departs from, and
+    nothing begun after it nests under it."""
     sim = Simulation()
 
     def body(sim):
         outer = sim.trace.begin("outer")
-        transit = sim.trace.begin_async("na.send")
+        store, transit = sim.trace.spans, sim.trace.depart("na.send", "a", "b", 8)
         nested = sim.trace.begin("nested")
         yield sim.timeout(1.0)
         sim.trace.end(nested)
-        sim.trace.end(transit)
+        sim.trace.arrive(store, transit, False)
         sim.trace.end(outer)
 
     sim.spawn(body(sim))
@@ -122,9 +124,9 @@ def test_disabled_begin_end_is_noop():
     assert list(sim.trace.spans) == []
     assert fired == []
 
-    async_span = sim.trace.begin_async("ghost.async")
-    sim.trace.end(async_span)
-    assert not async_span.recorded and async_span.end is None
+    row = sim.trace.depart("ghost.transit", "a", "b", 8)
+    sim.trace.arrive(sim.trace.spans, row, False)
+    assert row == -1 and list(sim.trace.spans) == [] and fired == []
 
     sim.trace.add("counter")
     assert sim.trace.counters == {}
