@@ -4,7 +4,7 @@ Each scenario builds a real stack (the same builders the chaos fleet
 uses), runs bring-up under plain FIFO scheduling with the exploration
 driver *disarmed*, then arms it around a deliberately concurrent window
 — the part whose same-timestamp interleavings the explorer enumerates —
-and finally quiesces, audits, and reduces the run to a
+and finally settles, audits, and reduces the run to a
 :class:`McheckOutcome`. The two whole-run scenarios at the end
 (``resilient_iterations``, ``swim_convergence``) arm before bring-up
 instead: they are what ``mcheck --walk`` samples.
@@ -138,7 +138,7 @@ def _guarded(errors: List[str], tag: str, gen) -> Generator:
 
 
 def _residual_charges(ctx) -> List[str]:
-    """Quota charges surviving quiesce = leaked accounting."""
+    """Quota charges surviving the settle = leaked accounting."""
     out: List[str] = []
     with untracked(ctx.sim):
         for daemon in ctx.deployment.live_daemons():
@@ -148,14 +148,14 @@ def _residual_charges(ctx) -> List[str]:
                 if blocks:
                     out.append(
                         f"{daemon.name}: tenant {tenant!r} still charged "
-                        f"{blocks} block(s) / {nbytes} B after quiesce"
+                        f"{blocks} block(s) / {nbytes} B after the settle"
                     )
     return out
 
 
 def _charge_accounting(ctx) -> List[str]:
     """Charged blocks must equal primary staged blocks, per provider
-    (replicas are deliberately uncharged). Run only at quiescent points
+    (replicas are deliberately uncharged). Run only at settled points
     — no stage/deactivate in flight."""
     out: List[str] = []
     with untracked(ctx.sim):
@@ -547,7 +547,7 @@ def _mc_tenant_churn(seed: int, controller) -> McheckOutcome:
     beta's detach, gamma's attach (which needs beta's slot), and an
     alpha iteration all concurrently. Delivery order decides whether
     gamma is admitted — both outcomes are legal — but every schedule
-    must keep admission all-or-nothing (after quiesce, every server
+    must keep admission all-or-nothing (once settled, every server
     agrees whether gamma exists), leave alpha's iteration untouched,
     and strand no charges for the departed tenant.
     """

@@ -118,6 +118,8 @@ class ChaosEngine:
             self.monitor.note_failure(server)
         self.sim.trace.add("chaos.crash")
         daemon.crash()
+        if self.monitor is not None:
+            self.monitor.check_crash(daemon)
 
     def _daemon(self, server: str):
         if self.deployment is None:

@@ -38,9 +38,9 @@ properties:
 8. **Execute quiescence** — once the scenario settles, no execution
    outlives the activation that started it: no ``*.coprocess`` task is
    unfinished, no ``mona.*``, ``pipeline.execute`` or ``margo.compute``
-   span is open, and no running daemon is still inside a
-   ``colza/execute`` handler (a crashed daemon's handler hangs on its
-   quiesced endpoint by design).
+   span is open, and no daemon, crashed or not, is still inside a
+   ``colza/execute`` handler; and a crash leaves no task of its process
+   unfinished (:meth:`InvariantMonitor.check_crash`).
 
 Violations accumulate as human-readable strings in
 :attr:`InvariantMonitor.violations`.
@@ -474,16 +474,18 @@ class InvariantMonitor:
                     f"(replicas should have covered it)"
                 )
 
+    def check_crash(self, daemon) -> None:
+        """Invariant 8 at a crash: no task of the process outlives it."""
+        for task in self.sim.tasks:
+            if task.scope == daemon.name and not task.done._fired:
+                self.violations.append(
+                    f"t={self.sim.now:.2f}: task {task.name} outlived the crash of {daemon.name}"
+                )
+
     def _check_execute_quiescence(self) -> None:
         """Invariant 8: every execution ended with its activation."""
-        running = {d.name for d in self.deployment.live_daemons()}
         for task in self.sim.tasks:
-            if task.done.fired:
-                continue
-            daemon, _, rpc = task.name.partition(".rpc.")
-            if task.name.endswith(".coprocess") or (
-                rpc == "colza/execute" and daemon in running
-            ):
+            if not task.done._fired and task.name.endswith((".coprocess", ".rpc.colza/execute")):
                 self.violations.append(
                     f"t={self.sim.now:.2f}: task {task.name} outlived its activation"
                 )

@@ -83,8 +83,8 @@ class ColzaDaemon:
         group-file entry stays behind, as it would on a real crash)."""
         self.running = False
         self.agent.stop(clean_group_file=False)
-        self.margo.finalize(quiesce=True)
-        self.mona.finalize(quiesce=True)
+        self.margo.crash()
+        self.mona.finalize()
         for key in list(self.provider._active):
             self.provider.end_activation(key, f"{self.name} crashed")
 

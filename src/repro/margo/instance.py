@@ -120,8 +120,10 @@ class MargoInstance:
 
     # tasking --------------------------------------------------------------
     def spawn(self, gen: Generator, name: str = "") -> "Any":
-        """Run a ULT on this instance's xstream."""
-        return self.xstream.spawn(gen, name=name or f"{self.name}.ult")
+        """Run a ULT on this instance's xstream, in the process's scope."""
+        ult = self.xstream.spawn(gen, name=name or f"{self.name}.ult")
+        ult.task.scope = self.name
+        return ult
 
     def compute(self, seconds: float) -> Generator[Event, Any, None]:
         """Charge serialized compute on this process's core.
@@ -136,11 +138,7 @@ class MargoInstance:
             if factor is not None:
                 seconds *= float(factor)
         span = sim.trace.begin("margo.compute", instance=self.name, seconds=seconds)
-        try:
-            result = yield from self.xstream.compute(seconds)
-        except GeneratorExit:  # the task was killed: end the span, observe nothing
-            sim.trace.end(span, cancelled=True)
-            raise
+        result = yield from self.xstream.compute(seconds)
         sim.trace.end(span)
         self._m_compute.observe(span.duration if span.recorded else seconds)
         return result
@@ -158,13 +156,18 @@ class MargoInstance:
     def _detach_provider(self, provider: Provider) -> None:
         self.providers.pop(provider.name, None)
 
-    def finalize(self, quiesce: bool = False) -> None:
-        """Shut the runtime down (endpoint deregistered, ULTs survive
-        only until their next network operation)."""
+    def finalize(self) -> None:
+        """Shut the runtime down (providers withdrawn, endpoint
+        deregistered; a running handler's reply is dropped)."""
         if self._finalized:
             return
         self._finalized = True
         for provider in list(self.providers.values()):
             provider.shutdown()
-        self.hg.finalize(quiesce=quiesce)
+        self.hg.finalize()
+
+    def crash(self) -> None:
+        """Die: :meth:`finalize`, then kill every task of the process."""
+        self.finalize()
+        self.sim.kill_scope(self.name)
 

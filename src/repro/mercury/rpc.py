@@ -94,6 +94,7 @@ class MercuryInstance:
         self._seen_order: Deque[Tuple[str, str]] = deque()
         self._finalized = False
         self._dispatch_task: Task = sim.spawn(self._dispatch_loop(), name=f"{name}.hg-dispatch")
+        self._dispatch_task.scope = name  # a process root: handlers inherit it
 
     # ------------------------------------------------------------------
 
@@ -172,20 +173,14 @@ class MercuryInstance:
 
     # ------------------------------------------------------------------
     # lifecycle
-    def finalize(self, quiesce: bool = False) -> None:
+    def finalize(self) -> None:
         """Tear the instance down; pending dispatches are dropped (a
-        handler still running finishes, but its reply is not sent).
-
-        ``quiesce=True`` models a crash: zombie handler tasks that try
-        to keep communicating hang silently instead of erroring."""
+        handler still running finishes, but its reply is not sent)."""
         if self._finalized:
             return
         self._finalized = True
         self._dispatch_task.kill()
-        if quiesce:
-            self.fabric.quiesce(self.endpoint)
-        else:
-            self.fabric.deregister(self.endpoint)
+        self.fabric.deregister(self.endpoint)
 
     # ------------------------------------------------------------------
     # server side
@@ -234,10 +229,9 @@ class MercuryInstance:
             except Exception as err:  # noqa: BLE001 - errors cross the wire
                 status, payload = "err", repr(err)
                 tags["error"] = type(err).__name__
-        if not self.endpoint.alive and not self.endpoint.quiesced:
-            # Gracefully finalized while the handler ran (a departing
-            # server proxying a SWIM ping_req): finalize() drops pending
-            # dispatches, so there is no endpoint left to reply from.
+        if not self.endpoint.alive:
+            # Finalized while the handler ran (a departing server
+            # proxying a SWIM ping_req): no endpoint to reply from.
             self.sim.trace.end(span, status="dropped")
             return
         ev = self._respond(request, (status, payload))

@@ -67,10 +67,7 @@ class MonaInstance:
             comm_id = f"mona:{digest}:{next(counter)}"
         return MonaComm(self, list(members), comm_id)
 
-    def finalize(self, quiesce: bool = False) -> None:
+    def finalize(self) -> None:
         """Tear down the endpoint (in-flight traffic to it is dropped)."""
-        if quiesce:
-            self.fabric.quiesce(self.endpoint)
-        else:
-            self.fabric.deregister(self.endpoint)
+        self.fabric.deregister(self.endpoint)
 

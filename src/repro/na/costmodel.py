@@ -179,11 +179,11 @@ class CostModel:
                 + nbytes / (self.shmem_bandwidth_gbps * 1e9)
             )
         memo = self._p2p_memo
-        seconds = memo.get(nbytes)
-        if seconds is None:
-            seconds = interp_log_size(self.p2p_anchors, max(nbytes, 1)) * _US
-            if len(memo) < _P2P_MEMO_LIMIT:
-                memo[nbytes] = seconds
+        if nbytes in memo:
+            return memo[nbytes]
+        seconds = interp_log_size(self.p2p_anchors, max(nbytes, 1)) * _US
+        if len(memo) < _P2P_MEMO_LIMIT:
+            memo[nbytes] = seconds
         return seconds
 
     def rdma_time(self, nbytes: int, same_node: bool = False) -> float:

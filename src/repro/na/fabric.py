@@ -16,6 +16,8 @@ Semantics:
 - Sends to unknown/deregistered endpoints are silently dropped after
   the transit time (datagram semantics); detecting peer death is the
   SWIM layer's job, via timeouts.
+- Using a deregistered endpoint raises :class:`NAError`; a crash kills
+  its process's tasks (``Simulation.kill_scope``), so none can.
 - ``rdma_pull`` fetches the payload behind a
   :class:`~repro.na.payload.MemoryHandle` at bulk bandwidth — the
   Colza ``stage`` data path.
@@ -135,10 +137,6 @@ class Endpoint:
         #: outlives the endpoint, see Fabric.register).
         self._horizon = horizon
         self.alive = True
-        #: True after a *crash* teardown: the owner process is gone, so
-        #: any still-scheduled operation silently never completes
-        #: (instead of erroring, which is reserved for API misuse).
-        self.quiesced = False
         self._mailbox = _Mailbox()
         # Bulk transfers serialize on the initiator's NIC: N concurrent
         # RDMA pulls by one process queue behind each other (this is
@@ -158,8 +156,6 @@ class Endpoint:
         fabric = self.fabric
         sim = fabric.sim
         if not self.alive:
-            if self.quiesced:
-                return Event(sim, "na.send-from-dead")  # never fires
             raise NAError(f"send from deregistered endpoint {self.address}")
         size = payload_nbytes(payload) if nbytes is None else int(nbytes)
         source = self.address
@@ -215,8 +211,6 @@ class Endpoint:
     def recv(self, tag: Hashable = ANY, source: Optional[Address] = ANY) -> Event:
         """Receive the next matching message (fires with a Message)."""
         if not self.alive:
-            if self.quiesced:
-                return Event(self.fabric.sim, "na.recv-on-dead")  # never fires
             raise NAError(f"recv on deregistered endpoint {self.address}")
         ev = Event(self.fabric.sim, "na.recv")
         mailbox = self._mailbox
@@ -279,12 +273,6 @@ class Fabric:
         endpoint.alive = False
         self._endpoints.pop(endpoint.address.uri, None)
 
-    def quiesce(self, endpoint: Endpoint) -> None:
-        """Crash teardown: deregister, and let any operation the dead
-        process's zombie tasks still issue hang forever silently."""
-        self.deregister(endpoint)
-        endpoint.quiesced = True
-
     # ------------------------------------------------------------------
     # the books of what endpoints send: only the fabric advances its totals
     def _count(self, nbytes: int, transit: float) -> None:
@@ -329,8 +317,6 @@ class Fabric:
 
     def _bulk_transfer(self, initiator: Endpoint, cost: float, finish, name: str, nbytes: int) -> Event:
         done = Event(self.sim, name=name)
-        if initiator.quiesced:
-            return done  # dead initiator: transfer never completes
 
         def body():
             # Span covers NIC queueing + the transfer itself; the body

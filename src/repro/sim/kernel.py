@@ -373,7 +373,7 @@ class Task:
 
     __slots__ = (
         "sim", "name", "gen", "done", "_waiting_on",
-        "trace_parent", "trace_stack", "clock", "tenant",
+        "trace_parent", "trace_stack", "clock", "tenant", "scope",
     )
 
     def __init__(self, sim: "Simulation", gen: Coroutine, name: str = ""):
@@ -410,6 +410,8 @@ class Task:
         #: inherits its spawner's. None means unattributed (legacy FIFO
         #: behaviour).
         self.tenant: Optional[str] = None if spawner is None else spawner.tenant
+        #: The owning process, inherited like ``tenant``: what a crash kills.
+        self.scope: Optional[str] = None if spawner is None else spawner.scope
 
     # ------------------------------------------------------------------
     @property
@@ -441,12 +443,15 @@ class Task:
     def kill(self) -> None:
         """Forcibly terminate the task; ``done`` fails with :class:`Killed`.
 
-        Used by the platform model for process/"node" teardown (e.g. the
-        static-restart experiment of Fig. 4).
+        Its open spans end first, innermost first, tagged ``cancelled=True``
+        (``gen.close()`` runs outside its context, so they could not).
         """
         if self.finished:
             return
         self._detach()
+        stack = self.trace_stack
+        while stack:
+            self.sim.trace.end(stack.pop(), cancelled=True)
         self.gen.close()
         self.done.fail(Killed(f"task {self.name} killed"))
 
@@ -668,6 +673,15 @@ class Simulation:
         (triggered purely by the spawn count, never by memory/GC state)."""
         self.tasks = [t for t in self.tasks if not t.done._fired]
         self._task_prune_at = max(1024, 2 * len(self.tasks))
+
+    def kill_scope(self, scope: str) -> None:
+        """End a process: detach every unfinished task of ``scope`` (so
+        none resumes from what killing another fires), then kill each."""
+        doomed = [t for t in self.tasks if t.scope == scope and not t.done._fired]
+        for task in doomed:
+            task._detach()
+        for task in doomed:
+            task.kill()
 
     def spawn_at(self, when: float, gen: Coroutine, name: str = "") -> Task:
         """Spawn a task whose first step runs at absolute time ``when``."""

@@ -256,3 +256,15 @@ def test_broken_teardown_abort_is_caught(monkeypatch):
     result = run_scenario("crash_mid_execute", seed=1)
     assert not result.ok, "a leaked execute went unnoticed by the fleet"
     assert any("outlived its activation" in v for v in result.violations)
+
+
+def test_crash_that_spares_its_process_is_caught(monkeypatch):
+    """Crash without killing the crashed process's tasks: the victim's
+    execute handler and co-processor outlive the crash, and the
+    execute-quiescence invariant must flag them."""
+    from repro.sim import Simulation
+
+    monkeypatch.setattr(Simulation, "kill_scope", lambda self, scope: None)
+    result = run_scenario("crash_mid_execute", seed=1)
+    assert not result.ok, "a crash that left its process running went unnoticed"
+    assert any("outlived the crash of" in v for v in result.violations)

@@ -422,6 +422,9 @@ class Task:
         if self.finished:
             return
         self._detach()
+        stack = self.trace_stack
+        while stack:
+            self.sim.trace.end(stack.pop(), cancelled=True)
         self.gen.close()
         self.done.fail(Killed(f"task {self.name} killed"))
 

@@ -154,8 +154,6 @@ def send(
     """
     sim = self.sim
     if not src.alive:
-        if src.quiesced:
-            return Event(sim, "na.send-from-dead")  # never fires
         raise NAError(f"send from deregistered endpoint {src.address}")
     size = payload_nbytes(payload) if nbytes is None else int(nbytes)
     source = src.address

@@ -267,8 +267,9 @@ def test_one_message_costs_a_pinned_call_count():
     horizon, the fabric's counts and a buffered transit-time
     observation, its transit row departing), the arrival (mailbox
     delivery, the row's end and ``dropped`` cells) and the waiting
-    receiver's wake-up and next ``recv`` — makes exactly 37 Python + C
-    calls, scaffolding included. It made 47 while the message opened an
+    receiver's wake-up and next ``recv`` — makes exactly 36 Python + C
+    calls, scaffolding included. It made 37 while ``CostModel.p2p_time``
+    probed its memo with ``dict.get``, and 47 while the message opened an
     ``na.send`` span handle (``begin_async``, ``Span.__init__``, ``end``
     and the ``dict.values`` of its tags), the histogram called ``log`` /
     ``ceil`` / ``bisect_left`` per value, the endpoint forwarded to
@@ -294,7 +295,7 @@ def test_one_message_costs_a_pinned_call_count():
     one_message()  # warms the per-size cost memo; the first observation takes QuantileSketch.add
     names, _ = _profiled_entries(one_message)
     assert len(got) == 2 and [s.name for s in sim.trace.spans] == ["na.send", "na.send"]
-    assert sum(names.values()) == 37, sum(names.values())
+    assert sum(names.values()) == 36, sum(names.values())
 
 
 def test_steady_swim_ping_stays_under_its_call_and_heap_budgets():
@@ -366,7 +367,7 @@ def test_a_steady_prepare_and_its_yes_votes_cost_a_pinned_call_count():
     """Terminal SWIM records ride a prepare only when the coordinator
     holds some (docs/protocols.md §2, R3): a round with nothing to relay
     — the client's ``_prepare``, both handlers and both YES replies —
-    makes exactly 608 Python + C calls: 648 less ten for each of its
+    makes exactly 604 Python + C calls: 648 less eleven for each of its
     four messages, as ``test_one_message_costs_a_pinned_call_count``
     itemises. The 648 were the 658
     it made before records rode the 2PC, less ten, since its 8 spans
@@ -389,7 +390,7 @@ def test_a_steady_prepare_and_its_yes_votes_cost_a_pinned_call_count():
     names, _ = _profiled_entries(one_round)
     votes, dissent = rounds[-1]
     assert dissent is None and [v["vote"] for v in votes] == ["yes", "yes"]
-    assert sum(names.values()) == 608, sum(names.values())
+    assert sum(names.values()) == 604, sum(names.values())
 
 
 def test_an_uninstrumented_iteration_calls_no_interceptor_hook():

@@ -463,3 +463,11 @@ def test_a_recovered_iteration_leaves_no_execute_behind(crash_during_first_execu
     live = [t.name for t in sim.tasks if not t.done._fired and t.name.endswith(".coprocess")]
     open_spans = [span.name for span in sim.trace.spans.open.values()]
     assert (live, [name for name in open_spans if name.startswith("mona.")]) == ([], [])
+
+
+def test_a_crashed_server_leaves_no_task_behind(crash_during_first_execute):
+    """The crash ends the victim's process: no task of its scope is
+    unfinished after the recovered iteration. (The client's wait on the
+    victim, ``colza-execute@<victim>``, is the client's task.)"""
+    sim, _, victim, _ = crash_during_first_execute
+    assert [t.name for t in sim.tasks if t.scope == victim.name and not t.finished] == []

@@ -325,6 +325,57 @@ def test_killed_task_does_not_resume(sim):
     assert log == []
 
 
+def test_kill_ends_the_tasks_open_spans_innermost_first_as_cancelled(sim):
+    ended = []
+    sim.trace.on_end.append(lambda span: ended.append((span.name, sim.now)))
+    handles = []
+
+    def body(sim):
+        with sim.trace.span("outer"):
+            with sim.trace.span("middle"):
+                handles.append(sim.trace.begin("inner"))
+                yield sim.timeout(100.0)
+
+    task = sim.spawn(body(sim), name="worker")
+    sim.run(until=1.0)
+    # Ended out of the task's context: the span stays on its stack, ended.
+    sim.trace.end(handles[0], status="ended elsewhere")
+    sim.run(until=2.0)
+    task.kill()
+    assert ended == [("inner", 1.0), ("middle", 2.0), ("outer", 2.0)]
+    rows = {span.name: span for span in sim.trace.spans}
+    assert rows["inner"].tags == {"status": "ended elsewhere"}
+    assert rows["middle"].tags == rows["outer"].tags == {"cancelled": True}
+    assert not sim.trace.spans.open and not task.trace_stack
+
+
+def test_kill_scope_kills_its_tasks_and_their_descendants_only(sim):
+    ended = []
+    sim.trace.on_end.append(lambda span: ended.append(span.name))
+
+    def sleeper(sim, name):
+        with sim.trace.span(name):
+            yield sim.timeout(100.0)
+
+    def parent(sim, name):
+        sim.spawn(sleeper(sim, f"{name}-child"), name=f"{name}-child")
+        yield from sleeper(sim, name)
+
+    roots = {}
+    for scope in ("p0", "p1"):
+        roots[scope] = sim.spawn(parent(sim, scope), name=scope)
+        roots[scope].scope = scope
+    sim.spawn(sleeper(sim, "unscoped"), name="unscoped")
+    sim.run(until=1.0)
+    sim.kill_scope("p0")
+    assert ended == ["p0", "p0-child"]  # spawn order
+    by_name = {t.name: t for t in sim.tasks}
+    assert by_name["p0-child"].scope == "p0" and by_name["p1-child"].scope == "p1"
+    assert [name for name, t in by_name.items() if t.finished] == ["p0", "p0-child"]
+    sim.run()
+    assert sorted(ended) == ["p0", "p0-child", "p1", "p1-child", "unscoped"]
+
+
 def test_spawn_at_future(sim):
     log = []
 

@@ -54,8 +54,7 @@ def test_simultaneous_crashes_detected():
     victims = agents[4:]
     for v in victims:
         v.running = False
-        v._loop_ult.kill()
-        v.margo.finalize(quiesce=True)
+        v.margo.crash()
     survivors = agents[:4]
     run_until(sim, lambda: converged(survivors), max_time=200)
     truth = sorted(a.address for a in survivors)
@@ -69,8 +68,7 @@ def test_majority_crash_still_converges():
     run_until(sim, lambda: converged(agents), max_time=60)
     for v in agents[1:4]:
         v.running = False
-        v._loop_ult.kill()
-        v.margo.finalize(quiesce=True)
+        v.margo.crash()
     survivors = [agents[0], agents[4]]
     run_until(sim, lambda: converged(survivors), max_time=300)
     assert survivors[0].members() == survivors[1].members()
@@ -97,8 +95,7 @@ def test_property_churn_sequences_converge(seed, initial, joins, crashes):
     rng_victims = agents[:crashes] if len(agents) > crashes else []
     for v in rng_victims:
         v.running = False
-        v._loop_ult.kill()
-        v.margo.finalize(quiesce=True)
+        v.margo.crash()
     live = [a for a in agents if a.running]
     run_until(sim, lambda: converged(live), max_time=400)
     truth = sorted(a.address for a in live)

@@ -65,13 +65,14 @@ def _scene():
             msg = yield eps[k].recv()
             delivered.append((k, msg.tag, msg.nbytes, msg.arrived_at))
 
-    for k in range(4):
-        sim.spawn(receiver(k), name=f"rx{k}")
-    for k in range(4):
-        sim.spawn(sender(k), name=f"tx{k}")
+    rx = [sim.spawn(receiver(k), name=f"rx{k}") for k in range(4)]
+    tx = [sim.spawn(sender(k), name=f"tx{k}") for k in range(4)]
     sim.run(until=1e-7)
     seen["in flight"] = _trace(sim.trace)
-    fabric.quiesce(eps[3])  # p3 crashes: what is on its way there is dropped
+    # p3 crashes: what is on its way there is dropped, and its tasks die
+    fabric.deregister(eps[3])
+    rx[3].kill()
+    tx[3].kill()
     eps[0].send(eps[1].address, b"root", tag="root")  # outside any task
     sim.trace.enabled = False
     eps[1].send(eps[2].address, b"unseen", tag="unseen")  # never recorded...
