@@ -39,8 +39,10 @@ properties:
    outlives the activation that started it: no ``*.coprocess`` task is
    unfinished, no ``mona.*``, ``pipeline.execute`` or ``margo.compute``
    span is open, and no daemon, crashed or not, is still inside a
-   ``colza/execute`` handler; and a crash leaves no task of its process
-   unfinished (:meth:`InvariantMonitor.check_crash`).
+   ``colza/execute`` handler; no client fan-out call
+   (``colza-<method>@<server>``, ``colza-prepare``) outlives the
+   broadcast or prepare round that spawned it; and a crash leaves no
+   task of its process unfinished (:meth:`InvariantMonitor.check_crash`).
 
 Violations accumulate as human-readable strings in
 :attr:`InvariantMonitor.violations`.
@@ -483,11 +485,20 @@ class InvariantMonitor:
                 )
 
     def _check_execute_quiescence(self) -> None:
-        """Invariant 8: every execution ended with its activation."""
+        """Invariant 8: every execution ended with its activation, and
+        every client fan-out call with its round."""
         for task in self.sim.tasks:
-            if not task.done._fired and task.name.endswith((".coprocess", ".rpc.colza/execute")):
+            if task.done._fired:
+                continue
+            if task.name.endswith((".coprocess", ".rpc.colza/execute")):
                 self.violations.append(
                     f"t={self.sim.now:.2f}: task {task.name} outlived its activation"
+                )
+            elif task.name == "colza-prepare" or (
+                task.name.startswith("colza-") and "@" in task.name
+            ):
+                self.violations.append(
+                    f"t={self.sim.now:.2f}: client call {task.name} outlived its round"
                 )
         for span in self.sim.trace.spans.open.values():
             if span.name.startswith("mona.") or span.name in ("pipeline.execute", "margo.compute"):

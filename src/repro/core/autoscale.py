@@ -65,9 +65,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Generator, List, Optional, Set
 
 from repro.core.admin import ColzaAdmin
-from repro.core.backoff import backoff_delay, guarded
+from repro.core.backoff import backoff_delay
 from repro.core.tenancy import DEFAULT_TENANT, qualify
-from repro.sim.kernel import Interrupt
+from repro.sim.kernel import Deadline, Interrupt
 
 __all__ = [
     "ControllerEvent",
@@ -564,29 +564,26 @@ class SloAutoscaler:
     def _grow_one(self) -> Generator:
         """Add one daemon + its pipelines, surviving crash/hang of the
         target: deadline on the whole join, quarantine + different node
-        + capped jittered backoff on every failure."""
+        + capped jittered backoff on every failure. The join and each
+        deploy are raced against their deadline, so a target's death is
+        a routine failed attempt, and a lost race leaves no task behind."""
         sim = self.sim
         slo = self.slo
         for attempt in range(slo.max_resize_attempts):
             node = self._pick_node()
             before = len(self.deployment.daemons)
-            task = sim.spawn(
-                guarded(self.deployment.add_server(node)), name="autoscale-join"
-            )
-            idx, value = yield sim.any_of(
-                [task.join(), sim.timeout(slo.join_deadline)]
-            )
-            failure: Optional[str] = None
-            if idx == 1:
+            join = sim.spawn(self.deployment.add_server(node), name="autoscale-join")
+            try:
+                _, daemon = yield sim.any_of([join], deadline=slo.join_deadline)
+            except Deadline:
                 failure = f"join exceeded {slo.join_deadline}s deadline"
-            elif value[0] == "err":
-                failure = f"join failed: {type(value[1]).__name__}"
-            if failure is None:
-                daemon = value[1]
+            except Exception as err:  # noqa: BLE001 — the target died mid-join
+                failure = f"join failed: {type(err).__name__}"
+            else:
                 if (yield from self._deploy_pipelines(daemon)):
                     return daemon
                 failure = f"pipeline deploy failed on {daemon.name}"
-            self._abandon(task, before, node, failure)
+            self._abandon(before, node, failure)
             yield sim.timeout(
                 backoff_delay(
                     sim, "colza.backoff.autoscale", attempt,
@@ -601,29 +598,23 @@ class SloAutoscaler:
         sim = self.sim
         for tenant in sorted(self.tenants):
             admin = ColzaAdmin(self.admin_margo, tenant=tenant)
-            task = sim.spawn(
-                guarded(admin.create_pipeline(
+            deploy = sim.spawn(
+                admin.create_pipeline(
                     daemon.address, self.tenants[tenant].pipeline,
                     self.library, self.config,
-                )),
+                ),
                 name="autoscale-deploy",
             )
-            idx, value = yield sim.any_of(
-                [task.join(), sim.timeout(self.slo.join_deadline)]
-            )
-            if idx != 0 or value[0] == "err":
-                if not task.finished:
-                    task.kill()
+            try:
+                yield sim.any_of([deploy], deadline=self.slo.join_deadline)
+            except Exception:  # noqa: BLE001 — a deadline or a failed deploy
                 return False
         return True
 
-    def _abandon(self, task, before: int, node: int, why: Optional[str]) -> None:
-        """Give up on one join attempt: kill the in-flight add, crash
-        any half-started daemon it created (its stale group-file entry
-        then behaves exactly like a real crash, which SWIM handles),
-        and quarantine the node."""
-        if not task.finished:
-            task.kill()
+    def _abandon(self, before: int, node: int, why: Optional[str]) -> None:
+        """Give up on one join attempt: crash any half-started daemon it
+        created (its stale group-file entry then behaves exactly like a
+        real crash, which SWIM handles), and quarantine the node."""
         for daemon in self.deployment.daemons[before:]:
             try:
                 daemon.crash()
@@ -653,14 +644,15 @@ class SloAutoscaler:
             if len(live) <= target:
                 return True  # a concurrent death already did the work
             victim = live[-1]
-            task = sim.spawn(
-                guarded(ColzaAdmin(self.admin_margo).request_leave(victim.address)),
+            leave = sim.spawn(
+                ColzaAdmin(self.admin_margo).request_leave(victim.address),
                 name="autoscale-leave",
             )
-            idx, value = yield sim.any_of(
-                [task.join(), sim.timeout(slo.leave_deadline)]
-            )
-            ok = idx == 0 and value[0] == "ok"
+            try:
+                yield sim.any_of([leave], deadline=slo.leave_deadline)
+                ok = True
+            except Exception:  # noqa: BLE001 — a deadline or a failed leave
+                ok = False
             if ok:
                 # The RPC acked; departure (state migration + LEFT) is
                 # asynchronous. Wait it out under the same deadline.
@@ -669,8 +661,6 @@ class SloAutoscaler:
                     yield sim.timeout(0.25)
                 ok = not victim.running
             if not ok:
-                if not task.finished:
-                    task.kill()
                 failures += 1
                 self.resize_failures += 1
                 self._scope.counter("resize_failures").inc()

@@ -215,8 +215,9 @@ class DistributedPipelineHandle:
         With ``tolerate_errors`` each result may be an exception object
         instead of propagating. Without it, the first failure raises
         immediately (fail-fast): a member that crashed mid-execute must
-        not stall the client behind its never-answered RPC. Failures in
-        the remaining in-flight calls are absorbed, never orphaned.
+        not stall the client behind its never-answered RPC. The calls
+        still in flight when the broadcast ends end with it (the race
+        kills them), so nothing of it outlives the caller.
 
         ``excused`` members are sent the RPC like everyone else but not
         waited for, and a tolerated reply whose ``gone`` list holds a
@@ -224,8 +225,8 @@ class DistributedPipelineHandle:
         (DESIGN §11, the excuse rule): a live member's word that the
         group dropped someone is enough not to sit out a deadline on
         them. An excused member's slot in the result list
-        holds :data:`EXCUSED` unless its answer came in anyway; whatever
-        it answers later is absorbed.
+        holds :data:`EXCUSED` unless its answer came in anyway; an answer
+        later than the broadcast's end is dropped with its call.
         """
         sim = self.margo.sim
         servers = list(self.frozen_view)
@@ -236,8 +237,7 @@ class DistributedPipelineHandle:
         results: list = [EXCUSED] * len(servers)
         awaited = [s not in excused for s in servers]
         remaining = [awaited.count(True)]
-        complete = sim.event(f"{method}.complete")
-        failure = sim.event(f"{method}.failure")
+        decided = sim.event(f"{method}.decided")  # every awaited answer, or the first failure
 
         def one(i, server):
             try:
@@ -246,8 +246,8 @@ class DistributedPipelineHandle:
                 )
             except RpcError as err:
                 if not tolerate_errors:
-                    if not failure.fired:
-                        failure.succeed((server, err))
+                    if not decided.fired:
+                        decided.fail(RpcError(f"{method} failed at {server}: {err}"))
                     return
                 result = err
             results[i] = result
@@ -259,18 +259,17 @@ class DistributedPipelineHandle:
                 if awaited[j]:
                     awaited[j] = False
                     remaining[0] -= 1
-            if remaining[0] == 0 and not complete.fired:
-                complete.succeed()
+            if remaining[0] == 0 and not decided.fired:
+                decided.succeed()
 
-        for i, server in enumerate(servers):
+        calls = [
             sim.spawn(one(i, server), name=f"colza-{method}@{server}")
+            for i, server in enumerate(servers)
+        ]
         if remaining[0] == 0:
-            complete.succeed()
-        idx, value = yield sim.any_of([complete, failure])
-        if idx == 1:
-            server, err = value
-            raise RpcError(f"{method} failed at {server}: {err}")
-        return list(results)  # a late answer still lands in ``results``
+            decided.succeed()
+        yield sim.any_of([decided], cancel=calls)
+        return results
 
     # ------------------------------------------------------------------
     def _prepare(
@@ -279,13 +278,13 @@ class DistributedPipelineHandle:
         """One 2PC prepare round: ``(votes received, deciding NO or None)``.
 
         Unanimity needs every vote, but the first NO that carries the
-        voter's view decides the round on the spot (it ends the AllOf
-        early): the coordinator stops collecting and the votes still
-        out are absorbed when they arrive. A member that stays silent
-        while nobody dissents still costs its deadline — telling slow
-        from dead is SWIM's job, not this round's. ``gone`` (terminal
-        SWIM records) rides the prepare to every voter, which applies
-        it before comparing views; the key is absent when empty.
+        voter's view decides the round on the spot: the coordinator stops
+        collecting, and the prepares still out end with the round. A
+        member that stays silent while nobody dissents still costs its
+        deadline — telling slow from dead is SWIM's job, not this
+        round's. ``gone`` (terminal SWIM records) rides the prepare to
+        every voter, which applies it before comparing views; the key is
+        absent when empty.
         """
         sim = self.margo.sim
         payload = {
@@ -296,7 +295,7 @@ class DistributedPipelineHandle:
         if gone:
             payload["gone"] = list(gone)
         votes: List[dict] = []
-        dissent: List[dict] = []
+        decided = sim.event("prepare.decided")  # fired with the deciding NO, or None
 
         def prepare_one(server):
             try:
@@ -309,18 +308,19 @@ class DistributedPipelineHandle:
                 # eventually remove it from everyone's views.
                 vote = {"vote": "no", "reason": "unreachable", "dead": server}
             votes.append(vote)
-            if vote["vote"] == "no" and "view" in vote and not round_over.fired:
-                dissent.append(vote)
-                round_over.succeed()
-            return vote
+            if decided.fired:
+                return
+            if vote["vote"] == "no" and "view" in vote:
+                decided.succeed(vote)
+            elif len(votes) == len(proposed):
+                decided.succeed(None)
 
-        tasks = [
+        prepares = [
             sim.spawn(prepare_one(server), name="colza-prepare")
             for server in proposed
         ]
-        round_over = sim.all_of([t.join() for t in tasks])
-        yield round_over
-        return votes, dissent[0] if dissent else None
+        _, dissent = yield sim.any_of([decided], cancel=prepares)
+        return votes, dissent
 
     def activate(
         self,

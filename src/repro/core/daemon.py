@@ -22,7 +22,7 @@ from repro.core.tenancy import DEFAULT_TENANT, TenancyConfig
 from repro.margo import MargoInstance
 from repro.mona import MonaInstance
 from repro.na import Fabric, get_cost_model
-from repro.sim import Simulation
+from repro.sim import Simulation, Task
 from repro.sim.platform import Cluster
 from repro.ssg import GroupFile, SSGAgent, SwimConfig, converged
 
@@ -158,14 +158,8 @@ class Deployment:
         ]
         self.daemons.extend(new)
         # Founder brings the group up; the rest join it concurrently.
-        yield from new[0].start(init_delay=self.cluster.launcher.service_init_delay())
-        tasks = [
-            self.sim.spawn(
-                d.start(init_delay=self.cluster.launcher.service_init_delay()),
-                name=f"start-{d.name}",
-            )
-            for d in new[1:]
-        ]
+        yield self.sim.any_of([self._start(new[0])])
+        tasks = [self._start(d) for d in new[1:]]
         if tasks:
             yield self.sim.all_of([t.join() for t in tasks])
         return new
@@ -177,8 +171,18 @@ class Deployment:
             yield self.sim.timeout(self.cluster.launcher.srun_delay(1))
         daemon = self._new_daemon(node_index)
         self.daemons.append(daemon)
-        yield from daemon.start(init_delay=self.cluster.launcher.service_init_delay())
+        yield self.sim.any_of([self._start(daemon)])
         return daemon
+
+    def _start(self, daemon: ColzaDaemon) -> Task:
+        """``daemon.start()`` as a task of the daemon's own process, so a
+        crash mid-start ends the start (and the launch waiting on it)."""
+        task = self.sim.spawn(
+            daemon.start(init_delay=self.cluster.launcher.service_init_delay()),
+            name=f"start-{daemon.name}",
+        )
+        task.scope = daemon.name
+        return task
 
     def static_restart(
         self,

@@ -120,17 +120,16 @@ class CatalystBackend(Backend):
         payloads = [b.payload for b in self.blocks(iteration)]
         # Run the co-processor as a child task raced against the abort:
         # once the activation ends or a frozen-view member dies, its
-        # collectives may never complete, so the child is killed and the
-        # RPC fails instead of hanging (fault tolerance, future work (1)).
+        # collectives may never complete, so the race kills the child and
+        # the RPC fails instead of hanging (fault tolerance, future work (1)).
         child = sim.spawn(
             self.coproc.coprocess(
                 iteration, payloads, charge=self.margo.compute, camera=self.camera
             ),
             name=f"{self.name}.coprocess",
         )
-        idx, value = yield sim.any_of([child.join(), abort])
+        idx, value = yield sim.any_of([child, abort])
         if idx == 1:
-            child.kill()
             sim.trace.end(span, aborted=True)
             raise RuntimeError(f"execution aborted: {value}")
         sim.trace.end(span)

@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
+from repro.sim.kernel import Deadline
+
 __all__ = [
     "DEFAULT_TENANT",
     "TENANT_SEP",
@@ -321,7 +323,10 @@ class TenantRegistry:
                 )
             if state.release_ev is None or state.release_ev.fired:
                 state.release_ev = self.sim.event(f"tenant.{tenant}.quota-release")
-            yield self.sim.any_of([state.release_ev, self.sim.timeout(remaining)])
+            try:
+                yield self.sim.any_of([state.release_ev], deadline=remaining)
+            except Deadline:
+                pass  # the next pass finds no room and reports the overrun
         self.charge(tenant, name, iteration, block_id, nbytes)
         scope.counter("quota_stall_seconds").inc(self.sim.now - started)
         return None

@@ -22,9 +22,9 @@ from typing import Any, Callable, Deque, Dict, Generator, Optional, Tuple
 
 from repro.na.address import Address
 from repro.na.costmodel import CostModel, get_cost_model
-from repro.na.fabric import Endpoint, Fabric, Message
+from repro.na.fabric import Endpoint, ExpectedTag, Fabric, Message
 from repro.na.payload import MemoryHandle, payload_nbytes
-from repro.sim.kernel import AnyOf, Event, Simulation, Task
+from repro.sim.kernel import Event, Simulation, Task
 
 __all__ = ["MercuryInstance", "RpcError", "RpcRequest", "RpcTimeout", "RpcUnknown", "RPC_HEADER_BYTES"]
 
@@ -125,7 +125,7 @@ class MercuryInstance:
             raise RpcError(f"forward on finalized instance {self.name}")
         span = self.sim.trace.begin("hg.forward", rpc=rpc_name, dest=dest)
         try:
-            reply_tag = f"reply-{self.name}-{next(self._reply_seq)}"
+            reply_tag = ExpectedTag(f"reply-{self.name}-{next(self._reply_seq)}")
             request = RpcRequest(
                 rpc_name,
                 input,
@@ -134,22 +134,19 @@ class MercuryInstance:
                 trace_parent=span.id if span.recorded else None,
             )
             body = RPC_HEADER_BYTES + (payload_nbytes(input) if nbytes is None else int(nbytes))
-            self.endpoint.send(dest, request, tag=_RPC_TAG, nbytes=body)
-
+            # The reply's receive is posted before the request leaves, and
+            # with a deadline it is the one event waited on: the reply
+            # cancels the deadline, the deadline withdraws the receive.
             rx = self.endpoint.recv(tag=reply_tag)
-            if timeout is None:
+            self.endpoint.send(dest, request, tag=_RPC_TAG, nbytes=body)
+            if timeout is not None:
+                self.sim.deadline(rx, timeout, self._reply_overdue, (rx, rpc_name, dest, timeout))
+            try:
                 msg: Message = yield rx
-            else:
-                timer = self.sim.timeout(timeout)
-                idx, value = yield AnyOf(self.sim, [rx, timer])
-                if idx == 1:
+            except BaseException:
+                if not rx.fired:  # killed or interrupted: nobody takes the reply
                     self.endpoint.cancel_recv(rx)
-                    raise RpcTimeout(f"rpc {rpc_name!r} to {dest} timed out after {timeout}s")
-                # Reply won the race: withdraw the deadline timer so it
-                # never pops (at SWIM scale, one stale timer per ping
-                # doubles the kernel's event budget for nothing).
-                timer.cancel()
-                msg = value
+                raise
             status, payload = msg.payload
             if status == "ok":
                 self.sim.trace.end(span, status="ok")
@@ -160,6 +157,13 @@ class MercuryInstance:
         except BaseException as err:
             self.sim.trace.end(span, error=type(err).__name__)
             raise
+
+    def _reply_overdue(self, overdue: tuple) -> None:
+        """A forward's deadline passed before its reply: withdraw the
+        receive (a reply landing later is dropped) and fail the wait."""
+        rx, rpc_name, dest, timeout = overdue
+        self.endpoint.cancel_recv(rx)
+        rx.fail(RpcTimeout(f"rpc {rpc_name!r} to {dest} timed out after {timeout}s"))
 
     # ------------------------------------------------------------------
     # bulk

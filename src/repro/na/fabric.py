@@ -50,7 +50,7 @@ from repro.na.costmodel import CostModel
 from repro.na.payload import MemoryHandle, payload_nbytes
 from repro.sim.kernel import Event, Simulation
 
-__all__ = ["Endpoint", "Fabric", "LinkAction", "Message", "NAError", "ANY"]
+__all__ = ["Endpoint", "ExpectedTag", "Fabric", "LinkAction", "Message", "NAError", "ANY"]
 
 #: Wildcard for tag/source matching in ``recv``.
 ANY = None
@@ -58,6 +58,13 @@ ANY = None
 
 class NAError(RuntimeError):
     """Network-abstraction protocol violation (bad registration etc.)."""
+
+
+class ExpectedTag(str):
+    """The tag of an *expected* message (NA's term; a Mercury response):
+    one that finds no posted receive is late or duplicated, and dropped."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -105,13 +112,12 @@ class _Mailbox:
     def deliver(self, msg: Message) -> None:
         msg_tag, msg_source = msg.tag, msg.source
         for i, (tag, source, ev) in enumerate(self.receivers):
-            if ev._fired:
-                continue
             if (tag is ANY or msg_tag == tag) and (source is ANY or msg_source == source):
                 del self.receivers[i]
                 ev.succeed(msg)
                 return
-        self.messages.append(msg)
+        if type(msg_tag) is not ExpectedTag:
+            self.messages.append(msg)
 
     def cancel(self, ev: Event) -> None:
         self.receivers = deque(r for r in self.receivers if r[2] is not ev)

@@ -11,9 +11,11 @@ The public surface:
 
 - :class:`Simulation` — the event loop and clock.
 - :class:`Event`, :class:`Task` — synchronization and control flow.
-- :class:`AllOf`, :class:`AnyOf` — event combinators.
+- :class:`AllOf` — every event; :class:`AnyOf` — a race, the first
+  outcome wins and the losers are withdrawn.
 - :class:`Resource` — FIFO server with capacity (models cores/NICs).
-- :class:`Interrupt`, :class:`Killed` — cancellation machinery.
+- :class:`Interrupt`, :class:`Killed`, :class:`Deadline` — cancellation
+  machinery.
 - :class:`RngRegistry` — named deterministic random streams.
 - :func:`controlled_ties` — hand same-time choices to an exploration
   driver (the model checker's hook).
@@ -24,6 +26,7 @@ The public surface:
 from repro.sim.kernel import (
     AllOf,
     AnyOf,
+    Deadline,
     Event,
     Interrupt,
     Killed,
@@ -39,6 +42,7 @@ from repro.sim.trace import Span, Tracer
 __all__ = [
     "AllOf",
     "AnyOf",
+    "Deadline",
     "Event",
     "Interrupt",
     "Killed",

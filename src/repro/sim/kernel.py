@@ -43,8 +43,10 @@ Hot-path contracts (``tests/test_perf_budgets.py`` pins them as counts):
   dispatched next. Once the heap holds a tie at ``now``, and for the
   whole of a controlled run, every call takes the heap.
 - **A waiting task costs no allocation.** A task leaves its one bound
-  ``Task._resume`` on the event it yields, and :class:`AnyOf` its one
-  bound ``_child_fired`` on every child: no closure per yield or child.
+  ``Task._resume`` on the event it yields, and a race (:class:`AnyOf`)
+  its one bound ``_child_fired`` on every child: no closure per yield or
+  child. A deadline is the queue handle of one expiry, not a timer
+  event raced against: firing first cancels it.
 - **Event names are labels, not data.** A name is read only by error
   messages, ``repr`` and the model checker's fingerprints; layers that
   create an event per message pass a constant (``"na.send"``), never
@@ -79,6 +81,7 @@ from repro.sim.equeue import FOREVER, NO_ARG, EventQueue
 __all__ = [
     "AllOf",
     "AnyOf",
+    "Deadline",
     "Event",
     "Interrupt",
     "Killed",
@@ -139,6 +142,10 @@ class Killed(Exception):
     """Recorded as the outcome of a task removed with :meth:`Task.kill`."""
 
 
+class Deadline(Exception):
+    """The outcome of a race (:class:`AnyOf`) whose deadline passed first."""
+
+
 class Event:
     """A one-shot occurrence tasks can wait on.
 
@@ -159,8 +166,8 @@ class Event:
         self._exc: Optional[BaseException] = None
         self._fired = False
         self._callbacks: list[Callable[["Event"], None]] = []
-        #: Queue handle of the scheduled firing, for timer events only
-        #: (set by Simulation.timeout; enables cancel()).
+        #: Queue handle of the call that settles the event unless it
+        #: fires first (a timer's firing, a deadline's expiry).
         self._shandle: Optional[list] = None
 
     # ------------------------------------------------------------------
@@ -199,6 +206,8 @@ class Event:
             raise SimulationError(f"event {self.name!r} fired twice")
         self._fired = True
         self._value = value
+        if self._shandle is not None:
+            self._withdraw_settle()
         callbacks = self._callbacks
         if callbacks:
             self._callbacks = []
@@ -224,6 +233,8 @@ class Event:
             )
         self._fired = True
         self._exc = exc
+        if self._shandle is not None:
+            self._withdraw_settle()
         callbacks = self._callbacks
         if callbacks:
             self._callbacks = []
@@ -241,6 +252,7 @@ class Event:
         the heap holds nothing due now (see the module docstring), so it
         is resumed from here instead; any other case is ``succeed``.
         """
+        self._shandle = None  # popping now
         callbacks = self._callbacks
         if len(callbacks) == 1 and not self._fired:
             sim = self.sim
@@ -254,23 +266,14 @@ class Event:
         self.succeed(value)
 
     def cancel(self) -> bool:
-        """Cancel a pending *timer* event (one made by ``timeout``).
+        """Withdraw a pending event's scheduled settle: a timer never
+        fires, a deadline never expires. Only safe once no waiter depends
+        on it; the kernel calls it when the last waiter leaves. Returns
+        False when nothing was scheduled, fired or cancelled before.
 
-        The scheduled firing is tombstoned in the event queue: the event
-        will never fire and its waiters will never resume, so this is
-        only safe once no live waiter depends on it (the kernel uses it
-        when a race resolved the other way, e.g. an RPC reply beat its
-        timeout). Returns False for non-timer events, already-fired
-        events, and double cancels.
-
-        A successful cancel also drops the registered callbacks: nothing
-        will ever call them, and a lost-race timer that kept them would
-        close a reference cycle (``AnyOf -> _children -> timer ->
-        _callbacks -> AnyOf._child_fired -> AnyOf``) that holds the
-        winning event and its payload until the cyclic collector runs —
-        one such cycle per RPC that beats its deadline. A waiter that
-        detaches afterwards (``discard_callback``) finds nothing to
-        remove, which is not an error.
+        It also drops the callbacks: nothing will call them, and keeping
+        them could close a reference cycle through a race that holds the
+        winning event and its payload until the cyclic collector runs.
         """
         if self._fired:
             return False
@@ -282,6 +285,10 @@ class Event:
             return False
         self._callbacks = []
         return True
+
+    def _withdraw_settle(self) -> None:
+        handle, self._shandle = self._shandle, None
+        self.sim._queue.cancel(handle)
 
     # ------------------------------------------------------------------
     # waiting
@@ -295,11 +302,19 @@ class Event:
             self._callbacks.append(cb)
 
     def discard_callback(self, cb: Callable[["Event"], None]) -> None:
-        """Remove a previously registered callback if still pending."""
+        """Remove a previously registered callback if still pending. A
+        pending event left with no waiter is abandoned: its timer or
+        deadline is cancelled, a race withdraws its children."""
+        callbacks = self._callbacks
         try:
-            self._callbacks.remove(cb)
+            callbacks.remove(cb)
         except ValueError:
-            pass
+            return
+        if not callbacks and not self._fired:
+            self._abandon()
+
+    def _abandon(self) -> None:
+        self.cancel()
 
 
 class AllOf(Event):
@@ -334,33 +349,92 @@ class AllOf(Event):
 
 
 class AnyOf(Event):
-    """Fires as soon as any child event fires.
+    """A race: the first outcome among ``children`` (events, or tasks'
+    ``done``) wins with ``(index, value)`` or its exception (a child
+    task's too, never a strict-mode abort); ``deadline`` seconds with
+    none fail it with :class:`Deadline`. ``cancel`` tasks are owned, not
+    raced.
 
-    Value is ``(index, value)`` of the first child to fire; a failing
-    first child fails this event.
+    A lost race leaves nothing behind. As the waiter resumes, the race's
+    own callback comes off every loser (a shared event keeps its other
+    waiters, one left with none is abandoned: a timer cancelled, a
+    nested race withdrawn), and every child or ``cancel`` task still
+    running is killed, its spans ending ``cancelled``. A race whose last
+    waiter leaves first withdraws the same way.
     """
 
-    __slots__ = ("_children",)
+    __slots__ = ("_children", "_tasks")
 
-    def __init__(self, sim: "Simulation", events: Iterable[Event], name: str = "any_of"):
+    def __init__(
+        self,
+        sim: "Simulation",
+        children: Iterable[Any],
+        name: str = "any_of",
+        deadline: Optional[float] = None,
+        cancel: Iterable["Task"] = (),
+    ):
         super().__init__(sim, name)
-        self._children = list(events)
-        if not self._children:
-            raise ValueError("AnyOf requires at least one event")
+        events: list = []
+        tasks = list(cancel)
+        for child in children:
+            if isinstance(child, Task):
+                child._raced = True
+                tasks.append(child)
+                child = child.done
+            events.append(child)
+        if not events and deadline is None:
+            raise ValueError("AnyOf requires at least one event or a deadline")
+        self._children = events
+        self._tasks = tasks
         # One bound callback for every child (no closure each): the
         # index is looked up when a child fires. A child listed twice
         # reports its first position, as the first-registered callback
         # always did.
-        for ev in self._children:
+        for ev in events:
             ev.add_callback(self._child_fired)
+        if deadline is not None:
+            self._shandle = sim._schedule_at(sim._now + deadline, self._expire_deadline)
 
     def _child_fired(self, ev: Event) -> None:
         if self._fired:
             return
         if ev._exc is None:
-            self.succeed((self._children.index(ev), ev._value))
+            self._decide((self._children.index(ev), ev._value), None)
         else:
-            self.fail(ev._exc)
+            self._decide(None, ev._exc)
+
+    def _expire_deadline(self) -> None:
+        self._shandle = None  # popping now
+        self._decide(None, Deadline(f"{self.name}: no outcome before its deadline"))
+
+    def _decide(self, value: Any, exc: Optional[BaseException]) -> None:
+        self._fired = True
+        self._value = value
+        self._exc = exc
+        if self._shandle is not None:
+            self._withdraw_settle()
+        if self._callbacks:
+            self.sim._schedule_call(self._settle)
+        else:
+            self._withdraw()
+
+    def _settle(self) -> None:
+        self._withdraw()
+        callbacks, self._callbacks = self._callbacks, []
+        for cb in callbacks:
+            cb(self)
+
+    def _withdraw(self) -> None:
+        cb = self._child_fired
+        for ev in self._children:
+            if not ev._fired:
+                ev.discard_callback(cb)
+        for task in self._tasks:
+            task.kill()
+
+    def _abandon(self) -> None:
+        self.cancel()
+        self._withdraw()
 
 
 class Task:
@@ -373,7 +447,7 @@ class Task:
 
     __slots__ = (
         "sim", "name", "gen", "done", "_waiting_on",
-        "trace_parent", "trace_stack", "clock", "tenant", "scope",
+        "trace_parent", "trace_stack", "clock", "tenant", "scope", "_raced",
     )
 
     def __init__(self, sim: "Simulation", gen: Coroutine, name: str = ""):
@@ -412,6 +486,8 @@ class Task:
         self.tenant: Optional[str] = None if spawner is None else spawner.tenant
         #: The owning process, inherited like ``tenant``: what a crash kills.
         self.scope: Optional[str] = None if spawner is None else spawner.scope
+        #: A race's child: its exception is the race's outcome.
+        self._raced = False
 
     # ------------------------------------------------------------------
     @property
@@ -497,7 +573,7 @@ class Task:
             return
         except BaseException as err:
             done.fail(err)
-            if sim.strict:
+            if sim.strict and not self._raced:
                 raise
             return
         finally:
@@ -653,9 +729,20 @@ class Simulation:
         """Combinator: fires when all ``events`` fired (list of values)."""
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Combinator: fires on the first of ``events`` ((index, value))."""
-        return AnyOf(self, events)
+    def any_of(
+        self,
+        children: Iterable[Any],
+        deadline: Optional[float] = None,
+        cancel: Iterable[Task] = (),
+    ) -> AnyOf:
+        """A race (:class:`AnyOf`): the first outcome wins, the losers end."""
+        return AnyOf(self, children, deadline=deadline, cancel=cancel)
+
+    def deadline(self, ev: Event, delay: float, expire: Callable[[Any], None], arg: Any) -> Event:
+        """Unless ``ev`` fires within ``delay`` seconds, ``expire(arg)``
+        runs then (and should fire it): one event, no timer raced."""
+        ev._shandle = self._schedule_at(self._now + delay, expire, arg)
+        return ev
 
     # ------------------------------------------------------------------
     # task management

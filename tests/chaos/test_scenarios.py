@@ -268,3 +268,47 @@ def test_crash_that_spares_its_process_is_caught(monkeypatch):
     result = run_scenario("crash_mid_execute", seed=1)
     assert not result.ok, "a crash that left its process running went unnoticed"
     assert any("outlived the crash of" in v for v in result.violations)
+
+
+def test_a_broadcast_that_leaves_its_calls_running_is_caught(monkeypatch):
+    """Races that own no tasks: the execute broadcast fails fast on the
+    crashed member but its other calls run on, and the fan-out check of
+    execute quiescence must flag the one still waiting on the victim."""
+    from repro.sim import Simulation
+
+    race = Simulation.any_of
+    monkeypatch.setattr(
+        Simulation, "any_of",
+        lambda self, children, deadline=None, cancel=(): race(self, children, deadline),
+    )
+    result = run_scenario("crash_mid_execute", seed=1)
+    assert not result.ok, "a broadcast's leftover call went unnoticed"
+    assert any("client call colza-execute@" in v for v in result.violations)
+
+
+def test_a_crash_mid_join_ends_the_join(monkeypatch):
+    """The controller's join target crashes while its ``start()`` is
+    still joining the group: the start is a task of the crashed process,
+    so it ends at the crash instead of running on against the group."""
+    from repro.core.daemon import ColzaDaemon
+
+    start, crash = ColzaDaemon.start, ColzaDaemon.crash
+    ended, crashed = {}, {}
+
+    def timed_start(self, init_delay=0.0):
+        try:
+            return (yield from start(self, init_delay))
+        finally:
+            ended[self.name] = self.sim.now
+
+    def timed_crash(self):
+        crashed.setdefault(self.name, self.sim.now)
+        crash(self)
+
+    monkeypatch.setattr(ColzaDaemon, "start", timed_start)
+    monkeypatch.setattr(ColzaDaemon, "crash", timed_crash)
+    result = run_scenario("autoscale_join_target_crash", seed=1)
+    assert result.ok, result.violations
+    mid_join = [name for name in crashed if name not in ended or ended[name] >= crashed[name]]
+    assert mid_join, "the scenario no longer crashes a daemon mid-join"
+    assert all(ended.get(name) == crashed[name] for name in mid_join), (ended, crashed)

@@ -25,8 +25,9 @@ Hot-path contracts (``tests/test_perf_budgets.py`` pins them as counts):
   hand each waiter straight to ``_schedule_call``, which pushes
   directly; an event nobody waits on schedules nothing.
 - **A waiting task costs no allocation.** A task leaves its one bound
-  ``Task._resume`` on the event it yields, and :class:`AnyOf` its one
-  bound ``_child_fired`` on every child: no closure per yield or child.
+  ``Task._resume`` on the event it yields, and a race (:class:`AnyOf`)
+  its one bound ``_child_fired`` on every child: no closure per yield
+  or child.
 - **Event names are labels, not data.** A name is read only by error
   messages, ``repr`` and the model checker's fingerprints; layers that
   create an event per message pass a constant (``"na.send"``), never
@@ -59,6 +60,7 @@ from repro.sim.equeue import FOREVER, NO_ARG, EventQueue
 __all__ = [
     "AllOf",
     "AnyOf",
+    "Deadline",
     "Event",
     "Interrupt",
     "Killed",
@@ -142,6 +144,10 @@ class Killed(Exception):
     """Recorded as the outcome of a task removed with :meth:`Task.kill`."""
 
 
+class Deadline(Exception):
+    """The outcome of a race (:class:`AnyOf`) whose deadline passed first."""
+
+
 class Event:
     """A one-shot occurrence tasks can wait on.
 
@@ -202,6 +208,8 @@ class Event:
             raise SimulationError(f"event {self.name!r} fired twice")
         self._fired = True
         self._value = value
+        if self._shandle is not None:
+            self._withdraw_settle()
         callbacks = self._callbacks
         if callbacks:
             self._callbacks = []
@@ -227,6 +235,8 @@ class Event:
             )
         self._fired = True
         self._exc = exc
+        if self._shandle is not None:
+            self._withdraw_settle()
         callbacks = self._callbacks
         if callbacks:
             self._callbacks = []
@@ -265,6 +275,10 @@ class Event:
         self._callbacks = []
         return True
 
+    def _withdraw_settle(self) -> None:
+        handle, self._shandle = self._shandle, None
+        self.sim._queue.cancel(handle)
+
     # ------------------------------------------------------------------
     # waiting
     def add_callback(self, cb: Callable[["Event"], None]) -> None:
@@ -277,11 +291,18 @@ class Event:
             self._callbacks.append(cb)
 
     def discard_callback(self, cb: Callable[["Event"], None]) -> None:
-        """Remove a previously registered callback if still pending."""
+        """Remove a previously registered callback if still pending; a
+        pending event left with no waiter is abandoned."""
+        callbacks = self._callbacks
         try:
-            self._callbacks.remove(cb)
+            callbacks.remove(cb)
         except ValueError:
-            pass
+            return
+        if not callbacks and not self._fired:
+            self._abandon()
+
+    def _abandon(self) -> None:
+        self.cancel()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "fired" if self._fired else "pending"
@@ -320,33 +341,71 @@ class AllOf(Event):
 
 
 class AnyOf(Event):
-    """Fires as soon as any child event fires.
+    """A race: the first outcome among ``children`` (events or tasks)
+    wins; the losers are withdrawn as the waiter resumes (the production
+    kernel's rule, mirrored so both dispatch the same calls)."""
 
-    Value is ``(index, value)`` of the first child to fire; a failing
-    first child fails this event.
-    """
+    __slots__ = ("_children", "_tasks")
 
-    __slots__ = ("_children",)
-
-    def __init__(self, sim: "Simulation", events: Iterable[Event], name: str = "any_of"):
+    def __init__(self, sim, children, name="any_of", deadline=None, cancel=()):
         super().__init__(sim, name)
-        self._children = list(events)
-        if not self._children:
-            raise ValueError("AnyOf requires at least one event")
-        # One bound callback for every child (no closure each): the
-        # index is looked up when a child fires. A child listed twice
-        # reports its first position, as the first-registered callback
-        # always did.
-        for ev in self._children:
+        events: list = []
+        tasks = list(cancel)
+        for child in children:
+            if isinstance(child, Task):
+                child._raced = True
+                tasks.append(child)
+                child = child.done
+            events.append(child)
+        if not events and deadline is None:
+            raise ValueError("AnyOf requires at least one event or a deadline")
+        self._children = events
+        self._tasks = tasks
+        for ev in events:
             ev.add_callback(self._child_fired)
+        if deadline is not None:
+            self._shandle = sim._schedule_at(sim._now + deadline, self._expire_deadline)
 
     def _child_fired(self, ev: Event) -> None:
         if self._fired:
             return
         if ev._exc is None:
-            self.succeed((self._children.index(ev), ev._value))
+            self._decide((self._children.index(ev), ev._value), None)
         else:
-            self.fail(ev._exc)
+            self._decide(None, ev._exc)
+
+    def _expire_deadline(self) -> None:
+        self._shandle = None
+        self._decide(None, Deadline(f"{self.name}: no outcome before its deadline"))
+
+    def _decide(self, value, exc) -> None:
+        self._fired = True
+        self._value = value
+        self._exc = exc
+        if self._shandle is not None:
+            self._withdraw_settle()
+        if self._callbacks:
+            self.sim._schedule_call(self._settle)
+        else:
+            self._withdraw()
+
+    def _settle(self) -> None:
+        self._withdraw()
+        callbacks, self._callbacks = self._callbacks, []
+        for cb in callbacks:
+            cb(self)
+
+    def _withdraw(self) -> None:
+        cb = self._child_fired
+        for ev in self._children:
+            if not ev._fired:
+                ev.discard_callback(cb)
+        for task in self._tasks:
+            task.kill()
+
+    def _abandon(self) -> None:
+        self.cancel()
+        self._withdraw()
 
 
 class Task:
@@ -359,7 +418,7 @@ class Task:
 
     __slots__ = (
         "sim", "name", "gen", "done", "_waiting_on",
-        "trace_parent", "trace_stack", "clock", "tenant",
+        "trace_parent", "trace_stack", "clock", "tenant", "_raced",
     )
 
     def __init__(self, sim: "Simulation", gen: Coroutine, name: str = ""):
@@ -385,6 +444,7 @@ class Task:
         #: an xstream core in fair-share mode) can group by it. None
         #: means unattributed (legacy FIFO behaviour).
         self.tenant: Optional[str] = None
+        self._raced = False
 
     # ------------------------------------------------------------------
     @property
@@ -470,7 +530,7 @@ class Task:
             return
         except BaseException as err:
             done.fail(err)
-            if sim.strict:
+            if sim.strict and not self._raced:
                 raise
             return
         finally:
@@ -640,9 +700,9 @@ class Simulation:
         """Combinator: fires when all ``events`` fired (list of values)."""
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Combinator: fires on the first of ``events`` ((index, value))."""
-        return AnyOf(self, events)
+    def any_of(self, children, deadline=None, cancel=()) -> AnyOf:
+        """A race: the first of ``children`` wins ((index, value))."""
+        return AnyOf(self, children, deadline=deadline, cancel=cancel)
 
     # ------------------------------------------------------------------
     # task management

@@ -1,8 +1,10 @@
 """The run lane against the kernel it replaced.
 
 ``tests/oracles/kernel_heap_only.py`` is ``repro/sim/kernel.py`` as it
-was when every scheduled call went through the heap, moved not edited.
-The production kernel keeps same-instant wake-ups on a deque and lets a
+was when every scheduled call went through the heap, moved; the only
+edit since mirrors a rule the production kernel later adopted (a race
+withdraws its losers, and an event abandoned by its last waiter
+withdraws its timer), so that both dispatch the same calls. The production kernel keeps same-instant wake-ups on a deque and lets a
 timer resume its single waiter from its own pop; both promise the order
 the heap would have produced. Here seeded random task programs run on
 both and must agree on every dispatch, every clock reading and the trace

@@ -100,29 +100,32 @@ def test_rpc_timeout_on_dead_server(sim, fabric):
 
 
 def test_rpc_that_beats_its_deadline_leaves_no_reference_cycle(sim, fabric, monkeypatch):
-    """The reply-or-deadline race of ``forward`` is gone once the caller
-    has resumed — with the cyclic collector off, so by reference count
-    alone. The cancelled deadline timer used to keep the race's
-    callback, and the race kept the reply event and its message."""
+    """The reply event ``forward`` waits on, which carries its own
+    deadline, is gone once the caller has resumed — with the cyclic
+    collector off, so by reference count alone. The reply cancels the
+    deadline, whose queue entry drops its reference to the event; a
+    deadline that kept it would hold the event and its message."""
     import gc
     import weakref
 
-    import repro.mercury.rpc as rpc_module
-    from repro.sim import AnyOf
+    import repro.na.fabric as fabric_module
+    from repro.sim import Event
 
-    class Tracked(AnyOf):
+    class Tracked(Event):
         __slots__ = ("__weakref__",)
 
-    races = []
-
-    def tracked(*args):
-        race = Tracked(*args)
-        races.append(weakref.ref(race))
-        return race
-
-    monkeypatch.setattr(rpc_module, "AnyOf", tracked)
+    monkeypatch.setattr(fabric_module, "Event", Tracked)
     server = MercuryInstance(sim, fabric, "server", 0)
     client = MercuryInstance(sim, fabric, "client", 1)
+    recv, replies = client.endpoint.recv, []
+
+    def tracked_recv(tag=None, source=None):
+        ev = recv(tag=tag, source=source)
+        if isinstance(tag, fabric_module.ExpectedTag):
+            replies.append(weakref.ref(ev))
+        return ev
+
+    monkeypatch.setattr(client.endpoint, "recv", tracked_recv)
 
     def echo(_hg, value):
         return value
@@ -138,11 +141,55 @@ def test_rpc_that_beats_its_deadline_leaves_no_reference_cycle(sim, fabric, monk
     try:
         sim.spawn(caller())
         sim.run()
-        assert len(races) == 1 and races[0]() is None
+        assert len(replies) == 1 and replies[0]() is None
     finally:
         gc.enable()
     assert got == [7]
     assert sim.now < 1.0 and sim.queue_stats()["cancels"] == 1
+
+
+def test_a_late_or_duplicated_reply_leaves_no_message_and_no_receive(sim, fabric):
+    """A reply tag matches only the receive its forward posted before the
+    request left. A reply landing after its forward timed out, and the
+    second copy of a duplicated reply, find no receive and are dropped
+    (as Mercury drops a response whose handle completed); a timed-out or
+    killed forward leaves no receive posted."""
+    from repro.mercury.rpc import _RPC_TAG
+    from repro.na.fabric import LinkAction
+
+    server = MercuryInstance(sim, fabric, "server", 0)
+    client = MercuryInstance(sim, fabric, "client", 1)
+
+    def slow(hg, delay):
+        yield hg.sim.timeout(delay)
+        return delay
+
+    server.register_rpc("slow", slow)
+
+    def duplicate_replies(source, _dest, _size, _tag):
+        return LinkAction(duplicate=True) if source == server.address else None
+
+    sim.add_interceptor("na.send", duplicate_replies)
+    outcomes = []
+
+    def caller(delay):
+        try:
+            outcomes.append((yield from client.forward(server.address, "slow", delay, timeout=1.0)))
+        except RpcTimeout:
+            outcomes.append("timeout")
+
+    sim.spawn(caller(2.0))  # times out at 1 s, its reply lands at 2 s
+    sim.spawn(caller(0.5))  # answered, and its reply delivered twice
+    killed = sim.spawn(caller(3.0))
+    sim.run(until=0.75)
+    killed.kill()  # waiting on its reply: nobody will take it
+    sim.run(until=1.5)  # the first caller has timed out, no reply has landed late yet
+    mailbox = client.endpoint._mailbox
+    assert [tag for tag, _source, _ev in mailbox.receivers] == [_RPC_TAG]  # the dispatch loop's
+    sim.run()
+    assert sorted(outcomes, key=str) == [0.5, "timeout"]
+    assert not mailbox.messages and len(mailbox.receivers) == 1
+    assert sim.queue_depth == 0
 
 
 def test_rpc_concurrent_handlers_interleave(sim, fabric):

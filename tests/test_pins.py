@@ -154,8 +154,16 @@ PINS = {
     # [3, 3, 3, 4, 4] -> [3, 3, 3, 3, 3], the join lands after them).
     # R3. News: the one two-round activate takes 46.8 ms -> 0.017 ms
     # (seed 3) and 33.8 ms -> 0.017 ms (seed 11).
-    "churn_stress@3.digest": Row("churn_stress@3", _digest, "d367c6c98689e6b4d2e994388cadfb0ef422c4a072e7d7b6ebfc18815cf54771"),
-    "churn_stress@11.digest": Row("churn_stress@11", _digest, "63778fa4dd8c747272a09a71c059bfea292f10ff7467b970675b5e84379eaec8"),
+    # Re-pinned when a race came to end its losers: the round decided by
+    # the survivors' NO kills the prepare and the abort still waiting on
+    # the leaver (``colza-prepare``, ``colza-activate_abort@colza-3``), so
+    # their ``hg.forward`` spans end ``cancelled`` at the decision
+    # (seed 3: 12.200 s; seed 11: 14.000 s) instead of ``RpcTimeout`` 2 s
+    # later; and a joining daemon's start runs as its own task, so the
+    # ``ssg/join`` spans name ``start-colza-<n>``, not ``chaos-churn``.
+    # No time, byte, view or outcome moved.
+    "churn_stress@3.digest": Row("churn_stress@3", _digest, "b1319ef64654d76b4ae0f745f190a13e8a3a5938518ec6f3bb4310e3f21e0fb9"),
+    "churn_stress@11.digest": Row("churn_stress@11", _digest, "d63885f844e489151cff709e2f91fa9d4f640304eaee0dfe5b0d70eab94407f7"),
     # Multi-tenant fabric (DESIGN §13): the tenancy layer shares the
     # same determinism contract — concurrent tenants, quota waits and
     # fair-share rotation must all replay bit-identically.
@@ -166,8 +174,13 @@ PINS = {
     # Re-pinned when a crash came to kill its process's tasks: the
     # crashed server's execute no longer finishes after the crash; its
     # handler and margo.compute spans end at the crash, ``cancelled``.
+    # Re-pinned when a race came to end its losers: ``colza-prepare`` and
+    # ``colza-activate_abort@colza-3`` (17.900 s) and
+    # ``colza-deactivate@colza-3`` (20.800 s), still waiting on the dead
+    # owner when their round ended, are killed then; their ``hg.forward``
+    # spans end ``cancelled`` instead of ``RpcTimeout`` 2 s later.
     "tenant_owner_crash_recovery_isolated@3.digest": Row(
-        "tenant_owner_crash_recovery_isolated@3", _digest, "08414be1d68ee424bae54be356f1a37599ced13dacc5a30eb25a3e1ff7b424e1"),
+        "tenant_owner_crash_recovery_isolated@3", _digest, "fcd267029ed490a2475da84fbb5004e55bc959eb12c2e85909a5af533fca9ad5"),
     # Re-pinned when the scenario's counter reads stopped registering
     # metrics: the snapshot lost four zero-valued counters no layer ever
     # incremented (core.restage_fallbacks, tenant.alpha.restage_fallbacks,
@@ -185,15 +198,20 @@ PINS = {
     # 20 -> 19; nothing else moved.
     "tenant_owner_crash_recovery_isolated@3.snapshot": Row(
         "tenant_owner_crash_recovery_isolated@3", _snapshot, "22586178306f08c78bbabaa855582e95366c382c7b659c052bb8a58d2b923267"),
+    # The same three spans, in the exports.
     "tenant_owner_crash_recovery_isolated@3.exports": Row("tenant_owner_crash_recovery_isolated@3", _exports, (
-        "8e098f92f47beb27984cd7f115248070b918880b7c170592b4456ef5642f8807",
-        "5faa4c4536902771b749fe67fd7b71947f5c4be743aa7796649e8e6b28ead97c")),
+        "b73f6bd44602f5f3fdc2d7265e876615ad76883fb3e26ea02665456568324093",
+        "dd4513d8d8ad87d91820fcf59de87e7a118dbc85ef408a5cbcbd7070cd2bc3ac")),
     # Both tenants' abort() names the frozen view (139 -> 531 B) and is
     # not awaited from the crashed member a survivor reports ``gone``. R3.
     # Re-pinned when a crash came to kill its process's tasks: colza-3's
     # two execute handlers end at its crash (15.80 s), ``cancelled``,
     # instead of running on to 16.44 and 18.08 s.
-    "tenant_recovery_race@3.digest": Row("tenant_recovery_race@3", _digest, "7ff360d8d95ac69992c999b2c0b3a9c45815e67803e28f2a5726af77a6892464"),
+    # Re-pinned when a race came to end its losers: both tenants'
+    # ``colza-deactivate@colza-3``, excused at 20.800 s, are killed as
+    # their deactivate returns; their ``hg.forward`` spans end
+    # ``cancelled`` then instead of ``RpcTimeout`` at 22.800 s.
+    "tenant_recovery_race@3.digest": Row("tenant_recovery_race@3", _digest, "04db3c3a885b1ae8767480a8765e495194cf0c59e7521157ed9d7961b0a79f01"),
     # -- One and two ColzaExperiment iterations (4 servers, 8 clients, seed 42) and two fabrics.
     # Re-pinned when frames came to be priced as IceT's sparse image: only
     # na.bytes_sent, na.send_transit_seconds and mona.collective_seconds moved.
@@ -211,12 +229,16 @@ PINS = {
         "events_scheduled": 30002, "events_processed": 6002, "cancels": 24000,
         "compactions": 2, "tombstones_left": 0, "peak_queue_depth": 30000,
     }),
+    # Re-pinned when a ping's reply wait became one event carrying its
+    # deadline: one scheduled call fewer per answered ping (the
+    # ``AnyOf`` hop), so 2 148 / 2 143 fewer events each; cancels,
+    # probes and views unchanged.
     "trajectory.swim_churn_256.counts": Row("trajectory.swim_churn_256", dict, {
-        "events_scheduled": 21959, "events_processed": 19778, "cancels": 2148,
+        "events_scheduled": 19811, "events_processed": 17630, "cancels": 2148,
         "peak_queue_depth": 35, "probes": 2117, "view_rebuilds": 0, "view_total_size": 8337,
     }),
     "trajectory.swim_churn_4096.counts": Row("trajectory.swim_churn_4096", dict, {
-        "events_scheduled": 25749, "events_processed": 23573, "cancels": 2143,
+        "events_scheduled": 23606, "events_processed": 21430, "cancels": 2143,
         "peak_queue_depth": 35, "probes": 2112, "view_rebuilds": 0, "view_total_size": 131086,
     }),
     "trajectory.mona_reduce.counts": Row("trajectory.mona_reduce", dict, {
@@ -230,9 +252,13 @@ PINS = {
     "trajectory.autoscale_adversarial.counts": Row("trajectory.autoscale_adversarial", dict, {
         "slo_misses": 2, "resizes": 3, "resize_failures": 0, "final_servers": 8}),
     # -- mcheck frontiers.
-    "mcheck.quota_backpressure.frontier": Row("mcheck.quota_backpressure", _frontier, (5, 54, 2, 6, 32)),
-    "mcheck.prepare_first_no.frontier": Row("mcheck.prepare_first_no", _frontier, (16, 458, 1, 18, 177)),
-    "mcheck.prepare_relay.frontier": Row("mcheck.prepare_relay", _frontier, (16, 430, 1, 18, 168)),
+    # Re-pinned when races came to withdraw their losers: same-time choice
+    # points went with the reply races' ``AnyOf`` hops, the lost deadline
+    # timers and the quota wait's timer, now cancelled instead of popping
+    # into nobody. Distinct traces and dependent pairs did not move.
+    "mcheck.quota_backpressure.frontier": Row("mcheck.quota_backpressure", _frontier, (3, 48, 2, 6, 28)),
+    "mcheck.prepare_first_no.frontier": Row("mcheck.prepare_first_no", _frontier, (16, 353, 1, 18, 149)),
+    "mcheck.prepare_relay.frontier": Row("mcheck.prepare_relay", _frontier, (16, 377, 1, 18, 151)),
 }
 
 

@@ -658,8 +658,9 @@ def test_interrupt_of_a_task_waiting_on_a_timer_leaves_the_timer_harmless(sim):
     task = sim.spawn(sleeper(sim))
     sim.run(until=1.0)
     task.interrupt()
-    sim.run()  # the 5 s timer still fires, into nobody
+    sim.run()
     assert log == [("interrupted", 1.0), ("done", 11.0)]
+    assert sim.queue_stats()["cancels"] == 1  # its only waiter left the 5 s timer
 
 
 def test_any_of_with_a_duplicate_child_reports_its_first_index(sim):
@@ -703,10 +704,11 @@ class TrackedAnyOf(AnyOf):
 
 def test_cancelled_timer_drops_its_callbacks_and_frees_the_race_by_refcount(sim):
     """``race -> _children -> timer -> _callbacks -> race._child_fired``
-    is a cycle for as long as the lost-race timer keeps its callbacks: a
-    successful ``cancel()`` drops them, so the race (and the winner's
-    value with it) dies with its last reference, not at the next
-    collection."""
+    is a cycle for as long as the lost-race timer keeps its callbacks: the
+    race withdraws the loser as its waiter resumes (the timer's cancel
+    drops them), so the race (and the winner's value with it) dies with
+    its last reference, not at the next collection, and a hand-made
+    ``cancel()`` afterwards finds nothing left to withdraw."""
     import gc
     import weakref
 
@@ -718,8 +720,8 @@ def test_cancelled_timer_drops_its_callbacks_and_frees_the_race_by_refcount(sim)
         seen.append(weakref.ref(race))
         sim.timeout(1.0).add_callback(lambda _ev: reply.succeed("reply"))
         seen.append((yield race))
+        seen.append(sim.queue_depth)
         seen.append(timer.cancel())
-        seen.append(timer.cancel())  # a double cancel is still just False
 
     gc.disable()
     try:
@@ -730,7 +732,8 @@ def test_cancelled_timer_drops_its_callbacks_and_frees_the_race_by_refcount(sim)
         assert seen[0]() is None
     finally:
         gc.enable()
-    assert seen[1:] == [(0, "reply"), True, False]
+    assert seen[1:] == [(0, "reply"), 0, False]
+    assert sim.queue_stats()["cancels"] == 1
 
 
 def test_cancel_under_a_live_direct_waiter_still_detaches_quietly(sim):
